@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .eit import LambdaParams, NoiseModel
 from .errors import ConfigError
 from .operators import is_half_integer
-from .spins import IonParams, SpinParams
+from .spins import BOHR_MAGNETON_MHZ_PER_MT, IonParams, SpinParams
 from .transitions import SpectrumParams, find_lambda_systems
 
 COMMANDS = ("levels", "diagram", "zefoz", "lambda", "spectrum", "eit", "sweep")
@@ -477,7 +477,7 @@ def parse_ion_file(text: str) -> IonParams:
             A=sec["A"],
             B_hf=sec["B_hf"],
             P=sec.get("P", 0.0),
-            mu_B=sec.get("mu_B", 14.0),
+            mu_B=sec.get("mu_B", BOHR_MAGNETON_MHZ_PER_MT),
         )
 
     return IonParams(ground=build("ground"), excited=build("excited"))

@@ -9,6 +9,11 @@ Conventions
   the quadratic expansion  w(B0+d) ~= w(B0) + grad.d + d^T C d,
   i.e. HALF the plain second-derivative matrix. The diagonal of C at a
   stationary point gives the curvatures S2i used throughout.
+
+Every multi-field evaluation (the gradient and curvature stencils, the
+search grid, level diagrams) goes through ``transition_frequencies`` or
+``_eigensystems``, which diagonalize stacks of at most ``BLOCK`` fields
+per call.
 """
 
 from __future__ import annotations
@@ -16,13 +21,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import InvalidParameterError
-from .operators import electron_operator, multiplicity, spin_matrices
-from .spins import IonParams, LevelSet, SpinParams, as_field, ion_levels
+from .spins import (  # noqa: F401 - ion_levels: perfbench reads zefoz.fieldmap.ion_levels
+    IonParams,
+    SpinParams,
+    as_field,
+    as_fields,
+    build_hamiltonian,
+    diagonalize_stack,
+    ion_levels,
+)
 
 MANIFOLDS = ("ground", "excited", "optical")
+# Fields per stacked diagonalization: enough to amortize the per-call
+# overhead, few enough that the temporaries (tens of kB per 16x16 field)
+# keep the peak memory of a large grid near that of a single field.
+BLOCK = 64
+# Newton endpoints closer than this (mT, in every component) are one point.
+MERGE_DISTANCE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -158,6 +175,38 @@ def _check_labels(sel: TransitionSelector, dim_i: int, dim_j: int):
         )
 
 
+def _eigensystems(params: SpinParams, fields: np.ndarray):
+    """Yield (block slice, energies, eigenvectors) over ``fields`` in blocks."""
+    for start in range(0, len(fields), BLOCK):
+        block = slice(start, min(start + BLOCK, len(fields)))
+        yield (block, *diagonalize_stack(build_hamiltonian(params, fields[block])))
+
+
+def _energies(params: SpinParams, fields: np.ndarray) -> np.ndarray:
+    out = np.empty((len(fields), params.dimension))
+    for block, energies, _ in _eigensystems(params, fields):
+        out[block] = energies
+    return out
+
+
+def transition_frequencies(params, fields, sel: TransitionSelector) -> np.ndarray:
+    """Frequencies E_j - E_i (MHz) at each field of a stack (N, 3).
+
+    The stacked form of ``transition_frequency``, with the same result
+    bit for bit at every field.
+    """
+    fields = as_fields(fields)
+    p_i, p_j, origin = _split_params(params, sel)
+    if sel.manifold == "optical":
+        _check_labels(sel, p_i.dimension, p_j.dimension)
+        ground = _energies(p_i, fields)
+        excited = _energies(p_j, fields)
+        return excited[:, sel.level_j - 1] - ground[:, sel.level_i - 1] + origin
+    _check_labels(sel, p_i.dimension, p_i.dimension)
+    energies = _energies(p_i, fields)
+    return energies[:, sel.level_j - 1] - energies[:, sel.level_i - 1]
+
+
 def transition_frequency(params, field, sel: TransitionSelector) -> float:
     """Frequency E_j - E_i (MHz) from fresh diagonalization at ``field``.
 
@@ -165,44 +214,66 @@ def transition_frequency(params, field, sel: TransitionSelector) -> float:
     origin. ``params`` may be a SpinParams (same-manifold selectors) or an
     IonParams (required for optical).
     """
-    p_i, p_j, origin = _split_params(params, sel)
+    return float(transition_frequencies(params, as_field(field)[None], sel)[0])
+
+
+def _slopes_and_gaps(params: SpinParams, fields: np.ndarray, labels: tuple[int, ...]):
+    """Hellmann-Feynman slopes dE/dB (N, L, 3) of the labelled levels at each
+    field, and the gap (N, L) from each to its nearer neighbour."""
+    zeeman = params.linear_terms.zeeman
+    idx = np.array(labels) - 1
+    slopes = np.empty((len(fields), len(labels), 3))
+    gaps = np.empty((len(fields), len(labels)))
+    for block, energies, vectors in _eigensystems(params, fields):
+        edge = np.full((len(energies), 1), np.inf)
+        spacing = np.hstack([edge, np.diff(energies, axis=1), edge])
+        gaps[block] = np.minimum(spacing[:, idx], spacing[:, idx + 1])
+        for n, levels in enumerate(vectors, start=block.start):
+            for k, column in enumerate(idx):
+                vec = levels[:, column]
+                slopes[n, k] = [float((vec.conj() @ m @ vec).real) for m in zeeman]
+    return slopes, gaps
+
+
+def _gradients(
+    params,
+    fields: np.ndarray,
+    sel: TransitionSelector,
+    step: float = 0.01,
+    degeneracy_gap: float = 1e-3,
+    consistency_tol: float = 1e-4,
+) -> GradientResult:
+    """``frequency_gradient`` at each field of a stack (N, 3); every field of
+    the returned GradientResult carries that leading stack axis."""
+    p_i, p_j, _ = _split_params(params, sel)
     if sel.manifold == "optical":
-        lg = ion_levels(p_i, field)
-        le = ion_levels(p_j, field)
-        _check_labels(sel, lg.dimension, le.dimension)
-        return le.energy(sel.level_j) - lg.energy(sel.level_i) + origin
-    levels = ion_levels(p_i, field)
-    _check_labels(sel, levels.dimension, levels.dimension)
-    return levels.energy(sel.level_j) - levels.energy(sel.level_i)
+        _check_labels(sel, p_i.dimension, p_j.dimension)
+        slope_i, gap_i = _slopes_and_gaps(p_i, fields, (sel.level_i,))
+        slope_j, gap_j = _slopes_and_gaps(p_j, fields, (sel.level_j,))
+        slopes = np.concatenate([slope_i, slope_j], axis=1)
+        gaps = np.concatenate([gap_i, gap_j], axis=1)
+    else:
+        _check_labels(sel, p_i.dimension, p_i.dimension)
+        slopes, gaps = _slopes_and_gaps(p_i, fields, (sel.level_i, sel.level_j))
+    hf = slopes[:, 1] - slopes[:, 0]
+    min_gap = np.minimum(gaps[:, 0], gaps[:, 1])
 
+    # central differences: per field the order is +x, -x, +y, -y, +z, -z
+    offsets = step * np.eye(3)
+    stencil = np.stack(
+        [fields[:, None, :] + offsets, fields[:, None, :] - offsets], axis=2
+    ).reshape(-1, 3)
+    f = transition_frequencies(params, stencil, sel).reshape(-1, 3, 2)
+    fd = (f[..., 0] - f[..., 1]) / (2.0 * step)
 
-def _zeeman_derivatives(params: SpinParams) -> list[np.ndarray]:
-    """dH/dB_i for i = x, y, z; field-independent matrices (MHz/mT)."""
-    sx, sy, sz = spin_matrices(params.electron_spin)
-    dim_i = multiplicity(params.nuclear_spin)
-    return [
-        params.g_perp * params.mu_B * electron_operator(sx, dim_i),
-        params.g_perp * params.mu_B * electron_operator(sy, dim_i),
-        params.g_par * params.mu_B * electron_operator(sz, dim_i),
-    ]
-
-
-def _expectation_gradient(params: SpinParams, levels: LevelSet, label: int) -> np.ndarray:
-    vec = levels.vector(label)
-    return np.array(
-        [float((vec.conj() @ dh @ vec).real) for dh in _zeeman_derivatives(params)]
+    flagged = (min_gap < degeneracy_gap) | (np.max(np.abs(hf - fd), axis=1) > consistency_tol)
+    return GradientResult(
+        vector=np.where(flagged[:, None], fd, hf),
+        hellmann_feynman=hf,
+        finite_difference=fd,
+        flagged=flagged,
+        min_gap=min_gap,
     )
-
-
-def _neighbor_gap(levels: LevelSet, label: int) -> float:
-    idx = label - 1
-    gaps = np.diff(levels.energies)
-    near = []
-    if idx > 0:
-        near.append(gaps[idx - 1])
-    if idx < levels.dimension - 1:
-        near.append(gaps[idx])
-    return float(min(near)) if near else np.inf
 
 
 def frequency_gradient(
@@ -225,44 +296,19 @@ def frequency_gradient(
     """
     if step <= 0:
         raise InvalidParameterError(f"step must be positive, got {step}")
-    b = as_field(field)
-    p_i, p_j, _ = _split_params(params, sel)
-    if sel.manifold == "optical":
-        lg = ion_levels(p_i, b)
-        le = ion_levels(p_j, b)
-        _check_labels(sel, lg.dimension, le.dimension)
-        hf = _expectation_gradient(p_j, le, sel.level_j) - _expectation_gradient(
-            p_i, lg, sel.level_i
-        )
-        min_gap = min(_neighbor_gap(lg, sel.level_i), _neighbor_gap(le, sel.level_j))
-    else:
-        levels = ion_levels(p_i, b)
-        _check_labels(sel, levels.dimension, levels.dimension)
-        hf = _expectation_gradient(p_i, levels, sel.level_j) - _expectation_gradient(
-            p_i, levels, sel.level_i
-        )
-        min_gap = min(
-            _neighbor_gap(levels, sel.level_i), _neighbor_gap(levels, sel.level_j)
-        )
-
-    fd = np.zeros(3)
-    for k in range(3):
-        offset = np.zeros(3)
-        offset[k] = step
-        fd[k] = (
-            transition_frequency(params, b + offset, sel)
-            - transition_frequency(params, b - offset, sel)
-        ) / (2.0 * step)
-
-    flagged = min_gap < degeneracy_gap or bool(np.max(np.abs(hf - fd)) > consistency_tol)
-    vector = fd if flagged else hf
-    return GradientResult(
-        vector=vector,
-        hellmann_feynman=hf,
-        finite_difference=fd,
-        flagged=flagged,
-        min_gap=min_gap,
+    g = _gradients(
+        params, as_field(field)[None], sel, step, degeneracy_gap, consistency_tol
     )
+    return GradientResult(
+        vector=g.vector[0],
+        hellmann_feynman=g.hellmann_feynman[0],
+        finite_difference=g.finite_difference[0],
+        flagged=bool(g.flagged[0]),
+        min_gap=float(g.min_gap[0]),
+    )
+
+
+_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
 def frequency_curvatures(
@@ -273,45 +319,47 @@ def frequency_curvatures(
     Central second differences with one Richardson extrapolation level
     (steps ``step`` and ``step/2``). C equals half the plain Hessian, so
     its diagonal at a stationary point reproduces the curvatures S2i of
-    the quadratic model directly.
+    the quadratic model directly. All 37 stencil fields are diagonalized
+    as one stack.
     """
     if step < 1e-4:
         raise InvalidParameterError(
             f"curvature step collapsed below 1e-4 mT (got {step})"
         )
     b = as_field(field)
+    steps = (step, step / 2.0)
 
-    def freq(point: np.ndarray) -> float:
-        return transition_frequency(params, point, sel)
-
-    f0 = freq(b)
-
-    def second_diag(axis: int, h: float) -> float:
+    def unit(axis: int, h: float) -> np.ndarray:
         e = np.zeros(3)
         e[axis] = h
-        return (freq(b + e) - 2.0 * f0 + freq(b - e)) / h**2
+        return e
 
-    def second_mixed(a1: int, a2: int, h: float) -> float:
-        e1 = np.zeros(3)
-        e2 = np.zeros(3)
-        e1[a1] = h
-        e2[a2] = h
-        return (
-            freq(b + e1 + e2) - freq(b + e1 - e2) - freq(b - e1 + e2) + freq(b - e1 - e2)
-        ) / (4.0 * h**2)
+    # The stencil fields are formed exactly as b + e1 - e2 etc., so that
+    # zero components keep the signs of a point-by-point evaluation.
+    stencil = [b]
+    for axis in range(3):
+        for h in steps:
+            e = unit(axis, h)
+            stencil += [b + e, b - e]
+    for a1, a2 in _PAIRS:
+        for h in steps:
+            e1, e2 = unit(a1, h), unit(a2, h)
+            stencil += [b + e1 + e2, b + e1 - e2, b - e1 + e2, b - e1 - e2]
+    f = transition_frequencies(params, np.array(stencil), sel)
+    f0 = f[0]
+    h2 = np.array([h**2 for h in steps])
+    d = f[1:13].reshape(3, 2, 2)  # axis, step, sign
+    m = f[13:].reshape(3, 2, 4)  # pair, step, (++, +-, -+, --)
+    second_diag = (d[..., 0] - 2.0 * f0 + d[..., 1]) / h2
+    second_mixed = (m[..., 0] - m[..., 1] - m[..., 2] + m[..., 3]) / (4.0 * h2)
 
-    def richardson(fn, *args) -> float:
-        coarse = fn(*args, step)
-        fine = fn(*args, step / 2.0)
+    def richardson(values: np.ndarray) -> np.ndarray:
+        coarse, fine = values[:, 0], values[:, 1]
         return (4.0 * fine - coarse) / 3.0
 
-    raw = np.zeros((3, 3))
-    for k in range(3):
-        raw[k, k] = richardson(second_diag, k)
-    for a1 in range(3):
-        for a2 in range(a1 + 1, 3):
-            m = richardson(second_mixed, a1, a2)
-            raw[a1, a2] = raw[a2, a1] = m
+    raw = np.diag(richardson(second_diag))
+    for (a1, a2), value in zip(_PAIRS, richardson(second_mixed)):
+        raw[a1, a2] = raw[a2, a1] = value
     return raw / 2.0 * 1000.0  # half-convention, MHz -> kHz
 
 
@@ -322,7 +370,7 @@ def quadratic_model(z: ZefozPoint, delta_field) -> float:
 
 
 def _free_gradient(params, point, sel, free: list[int]) -> np.ndarray:
-    return frequency_gradient(params, point, sel).vector[free]
+    return _gradients(params, point[None], sel).vector[0, free]
 
 
 def _newton_refine(
@@ -333,13 +381,15 @@ def _newton_refine(
     free: list[int],
     tol: float,
     max_iter: int,
-) -> np.ndarray | None:
-    """Damped Newton root-finding on the free gradient components."""
+) -> tuple[np.ndarray, float] | None:
+    """Damped Newton root-finding on the free gradient components.
+
+    Returns the converged point and its gradient residual, or None."""
     point = start.copy()
     grad = _free_gradient(params, point, sel, free)
     for _ in range(max_iter):
         if np.max(np.abs(grad)) <= tol:
-            return point
+            return point, float(np.max(np.abs(grad)))
         curv = frequency_curvatures(params, point, sel)
         jac = 2.0 * curv[np.ix_(free, free)] * 1e-3  # raw Hessian, MHz/mT^2
         try:
@@ -368,7 +418,8 @@ def _newton_refine(
                 break
         if not improved:
             break
-    return point if np.max(np.abs(grad)) <= tol else None
+    residual = float(np.max(np.abs(grad)))
+    return (point, residual) if residual <= tol else None
 
 
 def zefoz_search(
@@ -386,8 +437,10 @@ def zefoz_search(
     along every free axis; each bracket (plus ``initial_field``) seeds a
     damped Newton refinement of grad w = 0. Stationary points of any
     Hessian signature are reported (field-insensitive transitions are
-    generically saddle points). Returns all distinct points found inside
-    the bounds, sorted by gradient residual; an empty list means none.
+    generically saddle points). Newton endpoints closer than
+    ``MERGE_DISTANCE`` mT are one point, reported once with the lowest
+    gradient residual. Returns the distinct points found inside the bounds,
+    sorted by gradient residual; an empty list means none.
     """
     if tol <= 0:
         raise InvalidParameterError(f"tol must be positive, got {tol}")
@@ -399,7 +452,7 @@ def zefoz_search(
         raise InvalidParameterError("search bounds leave no free axis to vary")
 
     grid_points = bounds.points()
-    grads = np.array([_free_gradient(params, p, sel, free) for p in grid_points])
+    grads = _gradients(params, grid_points, sel).vector[:, free]
 
     seeds = [start]
     # bracket sign changes along each free axis of the rectangular grid
@@ -416,17 +469,19 @@ def zefoz_search(
             hi = p_ax[(idx[0] + 1,) + lead[1:]]
             seeds.append((lo + hi) / 2.0)
 
-    found: list[ZefozPoint] = []
+    endpoints = []
     for seed in seeds:
-        solution = _newton_refine(params, sel, seed, bounds, free, tol, max_iter)
-        if solution is None or not bounds.contains(solution, margin=1e-6):
-            continue
-        if any(np.max(np.abs(solution - z.field)) < 1e-6 for z in found):
-            continue
-        grad = frequency_gradient(params, solution, sel).vector
-        residual = float(np.max(np.abs(grad[free])))
-        if residual > tol:
-            continue
+        refined = _newton_refine(params, sel, seed, bounds, free, tol, max_iter)
+        if refined is not None and bounds.contains(refined[0], margin=1e-6):
+            endpoints.append(refined)
+    endpoints.sort(key=lambda e: e[1])  # stable: equal residuals keep seed order
+    distinct: list[tuple[np.ndarray, float]] = []
+    for solution, residual in endpoints:
+        if all(np.max(np.abs(solution - kept)) >= MERGE_DISTANCE for kept, _ in distinct):
+            distinct.append((solution, residual))
+
+    found: list[ZefozPoint] = []
+    for solution, residual in distinct:
         curv = frequency_curvatures(params, solution, sel)
         diag = np.diag(curv).copy()
         signature = tuple(int(np.sign(round(c, 6))) for c in diag)
@@ -441,7 +496,6 @@ def zefoz_search(
                 selector=sel,
             )
         )
-    found.sort(key=lambda z: z.gradient_residual)
     return found
 
 
@@ -478,22 +532,29 @@ def level_diagram(
     if isinstance(params, IonParams):
         single = params.ground if manifold == "ground" else params.excited
 
+    # only level tracking needs scipy.optimize; importing it costs every
+    # other command a noticeable share of its start-up
+    from scipy.optimize import linear_sum_assignment
+
     points = grid.points()
-    first = ion_levels(single, points[0])
-    dim = first.dimension
+    dim = single.dimension
     energies = np.zeros((len(points), dim))
     flags = np.zeros(len(points), dtype=bool)
-    energies[0] = first.energies
-    prev_vectors = first.eigenvectors
-
-    for k in range(1, len(points)):
-        levels = ion_levels(single, points[k])
-        overlap = np.abs(prev_vectors.conj().T @ levels.eigenvectors)
-        rows, cols = linear_sum_assignment(-overlap)
-        order = np.empty(dim, dtype=int)
-        order[rows] = cols
-        energies[k] = levels.energies[order]
-        prev_vectors = levels.eigenvectors[:, order]
-        if float(overlap[rows, cols].min()) < overlap_threshold:
-            flags[k] = True
+    prev_vectors = None
+    for block, block_energies, block_vectors in _eigensystems(single, points):
+        for k, (level_energies, vectors) in enumerate(
+            zip(block_energies, block_vectors), start=block.start
+        ):
+            if prev_vectors is None:
+                energies[0] = level_energies
+                prev_vectors = vectors
+                continue
+            overlap = np.abs(prev_vectors.conj().T @ vectors)
+            rows, cols = linear_sum_assignment(-overlap)
+            order = np.empty(dim, dtype=int)
+            order[rows] = cols
+            energies[k] = level_energies[order]
+            prev_vectors = vectors[:, order]
+            if float(overlap[rows, cols].min()) < overlap_threshold:
+                flags[k] = True
     return LevelDiagram(field_points=points, energies=energies, low_overlap=flags)

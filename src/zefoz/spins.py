@@ -9,11 +9,20 @@ The model for one electronic state is
 with energies in MHz, magnetic fields in mT and mu_B in MHz/mT. The z axis
 is the crystal symmetry axis. Eigenstates are expressed in the |M_I, M_S>
 product basis (M_I outer descending, M_S inner descending).
+
+H is linear in the field, H(B) = H0 + sum_i B_i M_i. The field-free terms
+of H0 and the Zeeman operators M_i = dH/dB_i are built once per
+``SpinParams`` and cached on it, read-only (``SpinParams.linear_terms``).
+``build_hamiltonian`` takes one field or a stack of fields, and
+``diagonalize_stack`` decomposes a stack in one LAPACK call; callers that
+evaluate many fields (``fieldmap``) feed it fixed-size blocks so that
+temporaries stay small.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -71,6 +80,45 @@ class SpinParams:
     def dimension(self) -> int:
         return multiplicity(self.electron_spin) * multiplicity(self.nuclear_spin)
 
+    @cached_property
+    def linear_terms(self) -> LinearTerms:
+        """H0 terms and Zeeman operators of this parameter set, built once."""
+        sx, sy, sz = spin_matrices(self.electron_spin)
+        ix, iy, iz = spin_matrices(self.nuclear_spin)
+        dim_s = multiplicity(self.electron_spin)
+        dim_i = multiplicity(self.nuclear_spin)
+        spin = np.stack([electron_operator(s, dim_i) for s in (sx, sy, sz)])
+        scale = np.array([self.g_perp, self.g_perp, self.g_par]) * self.mu_B
+        hyperfine = self.A * np.kron(iz, sz) + self.B_hf * (np.kron(ix, sx) + np.kron(iy, sy))
+        zero_field = [hyperfine]
+        if self.P != 0.0:
+            i_val = self.nuclear_spin
+            quad = iz @ iz - i_val * (i_val + 1.0) / 3.0 * np.eye(dim_i)
+            zero_field.append(self.P * nuclear_operator(quad, dim_s))
+        terms = LinearTerms(
+            zero_field=tuple(zero_field), spin=spin, zeeman=scale[:, None, None] * spin
+        )
+        for array in (*terms.zero_field, terms.spin, terms.zeeman):
+            array.flags.writeable = False
+        return terms
+
+
+class LinearTerms(NamedTuple):
+    """The field-linear form H(B) = H0 + sum_i B_i M_i of one parameter set.
+
+    ``zeeman`` is M = dH/dB, shape (3, d, d) in MHz/mT, with M_i the
+    lifted electron spin operator ``spin[i]`` times g_i mu_B.
+    ``zero_field`` holds the terms of H0 in the order they are added:
+    hyperfine, then the quadrupole term when P != 0. ``build_hamiltonian``
+    multiplies g_i mu_B B_i into ``spin[i]`` and adds the H0 terms one by
+    one after the Zeeman terms; that association keeps every matrix, signed
+    zeros included, bit-identical to term-by-term assembly.
+    """
+
+    zero_field: tuple[np.ndarray, ...]
+    spin: np.ndarray
+    zeeman: np.ndarray
+
 
 @dataclass(frozen=True)
 class FieldVector:
@@ -95,6 +143,18 @@ def as_field(field) -> np.ndarray:
     arr = np.asarray(field, dtype=float)
     if arr.shape != (3,):
         raise InvalidParameterError(f"field must have 3 components, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidParameterError("field components must be finite")
+    return arr
+
+
+def as_fields(fields) -> np.ndarray:
+    """Coerce a stack of fields into a float array of shape (N, 3) (mT)."""
+    arr = np.asarray(fields, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise InvalidParameterError(
+            f"field stack must have shape (N, 3), got shape {arr.shape}"
+        )
     if not np.all(np.isfinite(arr)):
         raise InvalidParameterError("field components must be finite")
     return arr
@@ -154,38 +214,71 @@ class LevelSet:
 def build_hamiltonian(params: SpinParams, field) -> np.ndarray:
     """Assemble the effective Hamiltonian matrix (MHz) at the given field.
 
-    The result is exactly Hermitian by construction and traceless whenever
-    the quadrupole term enters through its traceless form.
+    ``field`` is one field (3,) or a stack (N, 3); the result is (d, d) or
+    (N, d, d). H(B) = H0 + sum_i B_i M_i is summed from the cached terms of
+    ``params.linear_terms`` in a fixed order (z-Zeeman, transverse Zeeman,
+    hyperfine, quadrupole), so a stack of fields gives bit for bit the
+    matrices of one field at a time. The result is exactly Hermitian by
+    construction and traceless whenever the quadrupole term enters through
+    its traceless form.
     """
-    b = as_field(field)
-    sx, sy, sz = spin_matrices(params.electron_spin)
-    ix, iy, iz = spin_matrices(params.nuclear_spin)
-    dim_s = multiplicity(params.electron_spin)
-    dim_i = multiplicity(params.nuclear_spin)
-
-    h = params.g_par * params.mu_B * b[2] * electron_operator(sz, dim_i)
-    h = h + params.g_perp * params.mu_B * (
-        b[0] * electron_operator(sx, dim_i) + b[1] * electron_operator(sy, dim_i)
-    )
-    h = h + params.A * np.kron(iz, sz)
-    h = h + params.B_hf * (np.kron(ix, sx) + np.kron(iy, sy))
-    if params.P != 0.0:
-        i_val = params.nuclear_spin
-        quad = iz @ iz - i_val * (i_val + 1.0) / 3.0 * np.eye(dim_i)
-        h = h + params.P * nuclear_operator(quad, dim_s)
+    b = (as_fields(field) if np.ndim(field) == 2 else as_field(field))[..., None, None]
+    terms = params.linear_terms
+    bx, by, bz = b[..., 0, :, :], b[..., 1, :, :], b[..., 2, :, :]
+    h = params.g_par * params.mu_B * bz * terms.spin[2]
+    h = h + params.g_perp * params.mu_B * (bx * terms.spin[0] + by * terms.spin[1])
+    for term in terms.zero_field:
+        h = h + term
     return h
 
 
+def diagonalize_stack(
+    hamiltonians: np.ndarray,
+    *,
+    hermiticity_tol: float = 1e-12,
+    degeneracy_gap: float = 1e-6,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigen-decompose a stack (N, d, d) of Hermitian matrices in one call.
+
+    Returns energies (N, d), ascending per matrix, and eigenvectors
+    (N, d, d) with ``vectors[n, :, k]`` belonging to ``energies[n, k]``.
+    Every matrix is checked for Hermiticity first. Within clusters closer
+    than ``degeneracy_gap`` MHz the vectors are re-orthonormalized (QR, only
+    on matrices that have such a cluster); every vector is then gauge-fixed
+    so that its largest component is real and non-negative.
+    """
+    h = np.asarray(hamiltonians, dtype=complex)
+    if h.ndim != 3 or h.shape[1] != h.shape[2]:
+        raise InvalidParameterError(
+            f"expected a stack of square matrices, got shape {h.shape}"
+        )
+    scale = np.maximum(1.0, np.max(np.abs(h), axis=(1, 2)))
+    residual = np.max(np.abs(h - h.conj().transpose(0, 2, 1)), axis=(1, 2))
+    bad = residual > hermiticity_tol * scale
+    if np.any(bad):
+        worst = float(residual[np.argmax(bad)])
+        raise ComputationError(
+            f"matrix is not Hermitian: residual {worst:.3e} exceeds "
+            f"{hermiticity_tol:.1e} relative"
+        )
+    energies, vectors = np.linalg.eigh(h)
+    near = np.diff(energies, axis=1) < degeneracy_gap
+    for n in np.flatnonzero(near.any(axis=1)):
+        for cluster in _degenerate_clusters(energies[n], degeneracy_gap):
+            block, _ = np.linalg.qr(vectors[n][:, cluster])
+            vectors[n][:, cluster] = block
+    return energies, _gauge_fix(vectors)
+
+
 def _gauge_fix(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column's phase so its largest component is real >= 0."""
-    out = vectors.copy()
-    for k in range(out.shape[1]):
-        idx = int(np.argmax(np.abs(out[:, k])))
-        pivot = out[idx, k]
-        mag = abs(pivot)
-        if mag > 0.0:
-            out[:, k] *= pivot.conjugate() / mag
-    return out
+    """Rotate each unit column's phase so its largest component is real >= 0.
+
+    The pivot modulus is taken with ``hypot``, as the scalar ``abs`` does,
+    so the phases match a column-by-column fix bit for bit.
+    """
+    idx = np.argmax(np.abs(vectors), axis=-2)
+    pivot = np.take_along_axis(vectors, idx[..., None, :], axis=-2)
+    return vectors * (pivot.conj() / np.hypot(pivot.real, pivot.imag))
 
 
 def _degenerate_clusters(energies: np.ndarray, gap: float) -> list[slice]:
@@ -216,24 +309,17 @@ def diagonalize(
     h = np.asarray(hamiltonian, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise InvalidParameterError(f"expected a square matrix, got shape {h.shape}")
-    scale = max(1.0, float(np.max(np.abs(h))))
-    residual = float(np.max(np.abs(h - h.conj().T)))
-    if residual > hermiticity_tol * scale:
-        raise ComputationError(
-            f"matrix is not Hermitian: residual {residual:.3e} exceeds "
-            f"{hermiticity_tol:.1e} relative"
-        )
-    energies, vectors = np.linalg.eigh(h)
-    for cluster in _degenerate_clusters(energies, degeneracy_gap):
-        block, _ = np.linalg.qr(vectors[:, cluster])
-        vectors[:, cluster] = block
-    vectors = _gauge_fix(vectors)
-    labels = np.arange(1, energies.size + 1)
-    if basis is not None and len(basis) != energies.size:
+    if basis is not None and len(basis) != h.shape[0]:
         raise InvalidParameterError(
-            f"basis has {len(basis)} labels for dimension {energies.size}"
+            f"basis has {len(basis)} labels for dimension {h.shape[0]}"
         )
-    return LevelSet(energies=energies, eigenvectors=vectors, labels=labels, basis=basis)
+    energies, vectors = diagonalize_stack(
+        h[None], hermiticity_tol=hermiticity_tol, degeneracy_gap=degeneracy_gap
+    )
+    labels = np.arange(1, h.shape[0] + 1)
+    return LevelSet(
+        energies=energies[0], eigenvectors=vectors[0], labels=labels, basis=basis
+    )
 
 
 def ion_levels(params: SpinParams, field) -> LevelSet:

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -310,3 +315,61 @@ def test_cli_exit_code_computation_error(tmp_path, ion_file):
 
 def test_cli_missing_config_file(tmp_path):
     assert main(["--config", str(tmp_path / "absent.cfg")]) == 2
+
+
+# The README's nd.ion and the seven commands with every other key at its
+# default. The digests pin each output file byte for byte, so a change in
+# any printed digit (9 significant) shows here rather than drifting.
+README_ION = """# nd.ion — 143Nd3+ in YLiF4, effective spin parameters
+[ground]
+S = 0.5
+I = 3.5
+g_par = 1.987
+g_perp = 2.554
+A = -590.0
+B_hf = -789.0
+
+[excited]
+S = 0.5
+I = 3.5
+g_par = 0.18
+g_perp = 0.0
+A = -257.0
+B_hf = -456.0
+"""
+GOLDEN_SHA256 = {
+    "levels.csv": "8854f883b4fe64d894dc21e08d96b6dccac8b9d20e9f01ee2e23a9738cf4f591",
+    "diagram.csv": "b2ba12a092b42eabfc9c66d2386859672511c2c6749c2745b59c1318dd3476cf",
+    "zefoz.jsonl": "b07033e35e728aeeabb96e67298883e5a130e998823f7752d37401b36b9e61f8",
+    "lambda.jsonl": "1ffd3eef8e74551dfad48d3b7c8ee82cd8dd0578cf2eb28b998ff120f6e0489c",
+    "spectrum.csv": "2d2a22bdfa648ea2e71ee5277c991ea3048da31abd992f61ebd6fcaa08c3b21f",
+    "eit.csv": "7af36388d68710a0eb77fedfd33c4ff6160844c0736281af056084d2e0f8cead",
+    "sweep.csv": "7d16fa99a7e6ebc11a51943d9e1b118b03c41b49022c6395aba5ff581f6e45c6",
+}
+
+
+def test_cli_default_outputs_match_golden_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "nd.ion").write_text(README_ION, encoding="utf-8")
+    for output in GOLDEN_SHA256:
+        command = output.split(".")[0]
+        (tmp_path / f"{command}.cfg").write_text(
+            f"command = {command}\nion_file = nd.ion\n", encoding="utf-8"
+        )
+        assert main(["--config", f"{command}.cfg"]) == 0
+    digests = {
+        output: hashlib.sha256((tmp_path / output).read_bytes()).hexdigest()
+        for output in GOLDEN_SHA256
+    }
+    assert digests == GOLDEN_SHA256
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize serves only level tracking and costs every other
+    # command a share of its start-up, so it loads on first use
+    code = "import sys, zefoz.cli; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert result.stdout.strip() == "False"

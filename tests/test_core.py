@@ -1,0 +1,267 @@
+"""The field-linear spin core: cached H0 and M, stacked diagonalization and
+the stencils built on them, each checked bit for bit against a
+point-by-point oracle kept here."""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from zefoz import (
+    ComputationError,
+    SpinParams,
+    TransitionSelector,
+    build_hamiltonian,
+    diagonalize,
+    diagonalize_stack,
+    frequency_curvatures,
+    frequency_gradient,
+    ion_levels,
+    transition_frequencies,
+    transition_frequency,
+)
+from zefoz.fieldmap import BLOCK
+from zefoz.operators import electron_operator, multiplicity, nuclear_operator, spin_matrices
+
+from conftest import ND_GROUND
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# ------------------------------------------------------------- oracles
+
+
+def term_by_term_hamiltonian(params: SpinParams, field) -> np.ndarray:
+    """Assemble H at one field from fresh spin matrices, term by term."""
+    b = np.asarray(field, dtype=float)
+    sx, sy, sz = spin_matrices(params.electron_spin)
+    ix, iy, iz = spin_matrices(params.nuclear_spin)
+    dim_s = multiplicity(params.electron_spin)
+    dim_i = multiplicity(params.nuclear_spin)
+    h = params.g_par * params.mu_B * b[2] * electron_operator(sz, dim_i)
+    h = h + params.g_perp * params.mu_B * (
+        b[0] * electron_operator(sx, dim_i) + b[1] * electron_operator(sy, dim_i)
+    )
+    h = h + params.A * np.kron(iz, sz)
+    h = h + params.B_hf * (np.kron(ix, sx) + np.kron(iy, sy))
+    if params.P != 0.0:
+        i_val = params.nuclear_spin
+        quad = iz @ iz - i_val * (i_val + 1.0) / 3.0 * np.eye(dim_i)
+        h = h + params.P * nuclear_operator(quad, dim_s)
+    return h
+
+
+def column_by_column_eigensystem(h: np.ndarray, gap: float = 1e-6):
+    """One matrix: eigh, QR inside each degenerate cluster, then a
+    column-by-column phase fix (largest component real, non-negative)."""
+    energies, vectors = np.linalg.eigh(h)
+    start = 0
+    for k in range(1, energies.size + 1):
+        if k == energies.size or energies[k] - energies[k - 1] >= gap:
+            if k - start > 1:
+                block, _ = np.linalg.qr(vectors[:, start:k])
+                vectors[:, start:k] = block
+            start = k
+    for k in range(vectors.shape[1]):
+        pivot = vectors[int(np.argmax(np.abs(vectors[:, k]))), k]
+        if abs(pivot) > 0.0:
+            vectors[:, k] *= pivot.conjugate() / abs(pivot)
+    return energies, vectors
+
+
+def pointwise_curvatures(params, field, sel, step: float = 0.5) -> np.ndarray:
+    """Richardson-extrapolated central second differences, one
+    transition_frequency call per stencil point."""
+    b = np.asarray(field, dtype=float)
+
+    def freq(point):
+        return transition_frequency(params, point, sel)
+
+    def unit(axis, h):
+        e = np.zeros(3)
+        e[axis] = h
+        return e
+
+    f0 = freq(b)
+
+    def second_diag(axis, h):
+        e = unit(axis, h)
+        return (freq(b + e) - 2.0 * f0 + freq(b - e)) / h**2
+
+    def second_mixed(a1, a2, h):
+        e1, e2 = unit(a1, h), unit(a2, h)
+        return (
+            freq(b + e1 + e2) - freq(b + e1 - e2) - freq(b - e1 + e2) + freq(b - e1 - e2)
+        ) / (4.0 * h**2)
+
+    def richardson(fn, *args):
+        return (4.0 * fn(*args, step / 2.0) - fn(*args, step)) / 3.0
+
+    raw = np.zeros((3, 3))
+    for k in range(3):
+        raw[k, k] = richardson(second_diag, k)
+    for a1, a2 in ((0, 1), (0, 2), (1, 2)):
+        raw[a1, a2] = raw[a2, a1] = richardson(second_mixed, a1, a2)
+    return raw / 2.0 * 1000.0
+
+
+# ------------------------------------------------------------- inputs
+
+
+def awkward_params(rng, nuclear_spin=None) -> SpinParams:
+    """Random parameters that are often exactly zero where the Nd ions are
+    (g_perp, P), since zeros are where assembly order can flip signs."""
+    return SpinParams(
+        electron_spin=0.5,
+        nuclear_spin=float(rng.choice([0.5, 2.5, 3.5])) if nuclear_spin is None else nuclear_spin,
+        g_par=float(rng.uniform(0.1, 3.0)),
+        g_perp=float(rng.choice([0.0, rng.uniform(0.1, 3.0)])),
+        A=float(rng.uniform(-800.0, 800.0)),
+        B_hf=float(rng.uniform(-800.0, 800.0)),
+        P=float(rng.choice([0.0, rng.uniform(-5.0, 5.0)])),
+    )
+
+
+def awkward_fields(rng, count: int = 12) -> np.ndarray:
+    """Random fields plus zero, negative zero and partly zero components."""
+    fields = rng.uniform(-100.0, 100.0, size=(count, 3))
+    fields[0] = 0.0
+    fields[1] = -0.0
+    fields[2, :2] = 0.0
+    fields[3, :2] = -0.0
+    fields[4, 2] = 0.0
+    return fields
+
+
+# ------------------------------------------------------------- Hamiltonian
+
+
+def test_hamiltonian_matches_term_by_term_assembly():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        params = awkward_params(rng)
+        fields = awkward_fields(rng)
+        stacked = build_hamiltonian(params, fields)
+        for k, field in enumerate(fields):
+            oracle = term_by_term_hamiltonian(params, field)
+            assert same_bits(build_hamiltonian(params, field), oracle)
+            assert same_bits(stacked[k], oracle)
+
+
+def test_linear_terms_are_cached_and_read_only():
+    params = SpinParams(**{**ND_GROUND, "P": 3.0})
+    terms = params.linear_terms
+    assert params.linear_terms is terms
+    assert terms.zeeman.shape == (3, 16, 16)
+    assert len(terms.zero_field) == 2  # hyperfine, quadrupole
+    for array in (*terms.zero_field, terms.spin, terms.zeeman):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0] = 1.0
+    # H0 is the zero-field Hamiltonian, M the exact field derivative
+    h0 = terms.zero_field[0] + terms.zero_field[1]
+    assert np.array_equal(build_hamiltonian(params, (0.0, 0.0, 0.0)), h0)
+    for axis in range(3):
+        field = np.zeros(3)
+        field[axis] = 1.0
+        assert np.allclose(build_hamiltonian(params, field) - h0, terms.zeeman[axis], atol=1e-12)
+    # a changed parameter set builds its own terms
+    assert len(replace(params, P=0.0).linear_terms.zero_field) == 1
+
+
+# ------------------------------------------------------------- eigen kernel
+
+
+def test_stacked_eigensystems_match_per_matrix_solves_bit_for_bit():
+    rng = np.random.default_rng(5)
+    saw_cluster = False
+    for _ in range(10):
+        params = awkward_params(rng, nuclear_spin=3.5)
+        fields = awkward_fields(rng)
+        stack = build_hamiltonian(params, fields)
+        energies, vectors = diagonalize_stack(stack)
+        for k in range(len(fields)):
+            oracle_e, oracle_v = column_by_column_eigensystem(stack[k].copy())
+            single = diagonalize(stack[k])
+            assert same_bits(energies[k], oracle_e) and same_bits(vectors[k], oracle_v)
+            assert same_bits(single.energies, oracle_e)
+            assert same_bits(single.eigenvectors, oracle_v)
+            saw_cluster |= bool(np.any(np.diff(oracle_e) < 1e-6))
+    # zero field leaves Kramers pairs, so the cluster QR path was exercised
+    assert saw_cluster
+
+
+def test_zero_field_clusters_take_the_qr_path():
+    params = SpinParams(**ND_GROUND)
+    h = build_hamiltonian(params, np.zeros((2, 3)))
+    energies, vectors = diagonalize_stack(h)
+    assert np.sum(np.diff(energies[0]) < 1e-6) == 7  # seven exact pairs
+    oracle_e, oracle_v = column_by_column_eigensystem(h[0].copy())
+    assert same_bits(vectors[0], oracle_v) and same_bits(vectors[1], oracle_v)
+    assert np.max(np.abs(vectors[0].conj().T @ vectors[0] - np.eye(16))) < 1e-12
+
+
+@pytest.mark.parametrize("where", [0, 4, 9])
+def test_non_hermitian_matrix_anywhere_in_a_stack_raises(where):
+    params = SpinParams(**ND_GROUND)
+    stack = build_hamiltonian(params, np.linspace([0.0, 0.0, 10.0], [1.0, 2.0, 90.0], 10))
+    stack[where, 2, 5] += 1e-3
+    with pytest.raises(ComputationError, match="not Hermitian"):
+        diagonalize_stack(stack)
+
+
+# ------------------------------------------------------------- stencils
+
+
+def test_stacked_frequencies_match_single_fields_across_blocks(nd_ion):
+    rng = np.random.default_rng(3)
+    fields = rng.uniform(-80.0, 80.0, size=(2 * BLOCK + 5, 3))
+    for sel in (TransitionSelector("ground", 8, 10), TransitionSelector("optical", 3, 9)):
+        stacked = transition_frequencies(nd_ion, fields, sel)
+        pointwise = np.array([transition_frequency(nd_ion, f, sel) for f in fields])
+        assert same_bits(stacked, pointwise)
+
+
+def test_gradient_stencil_matches_pointwise_differences(nd_ion):
+    rng = np.random.default_rng(8)
+    step = 0.01
+    for sel in (TransitionSelector("ground", 8, 10), TransitionSelector("optical", 8, 9)):
+        for field in awkward_fields(rng, 6):
+            result = frequency_gradient(nd_ion, field, sel, step=step)
+            fd = np.zeros(3)
+            for k in range(3):
+                offset = np.zeros(3)
+                offset[k] = step
+                fd[k] = (
+                    transition_frequency(nd_ion, field + offset, sel)
+                    - transition_frequency(nd_ion, field - offset, sel)
+                ) / (2.0 * step)
+            assert same_bits(result.finite_difference, fd)
+
+            def slope(params, label):
+                vec = ion_levels(params, field).vector(label)
+                return np.array(
+                    [float((vec.conj() @ m @ vec).real) for m in params.linear_terms.zeeman]
+                )
+
+            if sel.manifold == "optical":
+                hf = slope(nd_ion.excited, sel.level_j) - slope(nd_ion.ground, sel.level_i)
+            else:
+                hf = slope(nd_ion.ground, sel.level_j) - slope(nd_ion.ground, sel.level_i)
+            assert same_bits(result.hellmann_feynman, hf)
+
+
+def test_curvature_stencil_matches_pointwise_differences(nd_ion, zefoz_point):
+    rng = np.random.default_rng(9)
+    fields = [zefoz_point.field, *rng.uniform(-60.0, 60.0, size=(3, 3))]
+    for sel in (TransitionSelector("ground", 8, 10), TransitionSelector("optical", 8, 9)):
+        for field in fields:
+            assert same_bits(
+                frequency_curvatures(nd_ion, field, sel),
+                pointwise_curvatures(nd_ion, field, sel),
+            )

@@ -195,6 +195,24 @@ def test_search_is_deterministic(nd_ground, clock_selector, search_bounds):
     assert np.max(np.abs(first[0].field - second[0].field)) < 1e-9
 
 
+def test_search_merges_near_duplicate_endpoints(nd_ground, clock_selector):
+    # two Newton runs in this box used to end 2 uT apart on the same
+    # point and both were reported; the merged point keeps the lowest
+    # residual, which is the one reported first before
+    bounds = FieldGrid(
+        x=AxisGrid(-1.0, 1.0, 3), y=AxisGrid(-1.0, 1.0, 3), z=AxisGrid(55.0, 75.0, 26)
+    )
+    points = zefoz_search(nd_ground, clock_selector, (0.0, 0.0, 63.0), bounds)
+    assert len(points) == 1
+    z = points[0]
+    assert z.field == pytest.approx([0.0, 0.0, 63.62786684880293], abs=1e-9)
+    assert z.omega0 == pytest.approx(2087.497784429962, abs=1e-9)
+    assert z.gradient_residual <= 1e-12
+    assert z.curvatures == pytest.approx(
+        [-52.7814520822479, -52.7814520822479, 185.35136413872047], rel=1e-9
+    )
+
+
 def test_search_reports_no_point_for_linear_zeeman():
     params = SpinParams(
         electron_spin=0.5, nuclear_spin=3.5, g_par=2.0, g_perp=2.0, A=0.0, B_hf=0.0
