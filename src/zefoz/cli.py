@@ -94,6 +94,10 @@ def _lambda_params(config: RunConfig) -> LambdaParams:
 
 
 def _find_zefoz(config: RunConfig, ion: IonParams):
+    label, levels = max(config.zefoz_pair), ion.ground.dimension
+    if label > levels:
+        message = f"zefoz.pair: label {label} exceeds the {levels} ground levels"
+        raise ConfigError([(None, f"{message} of {config.ion_file!r}")])
     sel = TransitionSelector("ground", *config.zefoz_pair)
     points = zefoz_search(
         ion.ground, sel, np.array(config.zefoz_start), _bounds(config), config.zefoz_tol
@@ -120,6 +124,12 @@ def _comb_model(config: RunConfig, noise: NoiseModel, operating_field) -> CombMo
     spacing = config.comb_spacing
     if spacing is None:
         spacing = FLUORINE_GAMMA_MHZ_PER_MT * float(np.linalg.norm(operating_field))
+        if spacing == 0.0:
+            field = " ".join(repr(float(b)) for b in operating_field)
+            raise ComputationError(
+                "comb.spacing = auto needs a nonzero operating field, "
+                f"got B = {field} mT"
+            )
     weights = (
         binomial_weights(config.comb_n_lines)
         if config.comb_weights == "binomial"

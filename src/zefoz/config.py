@@ -4,42 +4,145 @@ Both formats share one syntax: ``key = value`` lines, ``#`` comments,
 UTF-8. Ion files carry two sections, ``[ground]`` and ``[excited]``.
 Run configs use dotted keys (``noise.gamma0 = 0.5``) and are fully
 echoed back, defaults included, so that a run is reproducible from its
-own output header. Every default here is taken from the owning module
-(dataclass field defaults or function signatures), never duplicated.
+own output header.
+
+``RunConfig`` is the single table of run-config keys: each field declares
+its dotted key, its parser and its default, and ``parse_config``,
+``config_echo`` and ``module_defaults`` are loops over that table.
+Defaults owned by the library are read from the owning class or
+function, and choice lists from the owning module, never restated.
+Every number must be finite and every value in range: a bad value in a
+run config or an ion file fails at parse time with its line number (CLI
+exit code 2), not mid-run.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import inspect
+import math
 from dataclasses import dataclass
 
-from .eit import LambdaParams, NoiseModel
-from .errors import ConfigError
+from .eit import AVERAGING_METHODS, CombModel, LambdaParams, NoiseModel
+from .errors import ConfigError, InvalidParameterError
 from .operators import is_half_integer
 from .spins import BOHR_MAGNETON_MHZ_PER_MT, IonParams, SpinParams
-from .transitions import SpectrumParams, find_lambda_systems
+from .transitions import LINE_PROFILES, OPERATOR_KINDS, SpectrumParams, find_lambda_systems
 
 COMMANDS = ("levels", "diagram", "zefoz", "lambda", "spectrum", "eit", "sweep")
 FORMATS = ("csv", "json-records")
-OPERATORS = ("S_x", "S_y", "S_z", "S_plus", "S_minus", "identity")
 
 ION_SECTIONS = ("ground", "excited")
 ION_KEYS = ("S", "I", "g_par", "g_perp", "A", "B_hf", "P", "mu_B")
 ION_REQUIRED = ("S", "I", "g_par", "g_perp", "A", "B_hf")
 
-
-def _field_default(cls, name: str):
-    for f in dataclasses.fields(cls):
-        if f.name == name:
-            if f.default is not dataclasses.MISSING:
-                return f.default
-            return f.default_factory()
-    raise KeyError(name)
+# Parsers turn one value's text into its typed value, or raise ValueError
+# with a message that follows the key's name.
 
 
-def _signature_default(fn, name: str):
-    return inspect.signature(fn).parameters[name].default
+def _number(text: str) -> float:
+    try:
+        x = float(text)
+    except ValueError:
+        raise ValueError(f"could not parse {text!r} as a number") from None
+    if not math.isfinite(x):
+        raise ValueError(f"{text!r} is not a finite number")
+    return x
+
+
+def _real(rule: str, ok):
+    def parse(text: str) -> float:
+        x = _number(text)
+        if not ok(x):
+            raise ValueError(f"must {rule}, got {text}")
+        return x
+
+    return parse
+
+
+def _integer(minimum: int, odd: bool = False):
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise ValueError(f"could not parse {text!r} as an integer") from None
+        if n < minimum:
+            raise ValueError(f"must be >= {minimum}, got {text}")
+        if odd and n % 2 == 0:
+            raise ValueError(f"must be odd, got {text}")
+        return n
+
+    return parse
+
+
+def _vec3(text: str) -> tuple[float, float, float]:
+    parts = text.split()
+    if len(parts) != 3:
+        raise ValueError(f"expected 3 numbers, got {len(parts)}")
+    return tuple(_number(x) for x in parts)
+
+
+def _pair(text: str) -> tuple[int, int]:
+    parts = text.split()
+    if len(parts) != 2:
+        raise ValueError("expected two level labels")
+    try:
+        a, b = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ValueError(f"could not parse {text!r} as integers") from None
+    if a < 1 or b < 1 or a == b:
+        raise ValueError("labels must be distinct positive integers")
+    return (a, b)
+
+
+def _axis(min_count: int):
+    def parse(text: str) -> tuple[float, float, int]:
+        parts = text.split()
+        if len(parts) != 3:
+            raise ValueError("expected 'start stop count'")
+        start, stop = _number(parts[0]), _number(parts[1])
+        try:
+            count = int(parts[2])
+        except ValueError:
+            raise ValueError(f"could not parse count {parts[2]!r} as an integer") from None
+        if count < min_count:
+            raise ValueError(f"count must be >= {min_count}, got {count}")
+        if stop < start:
+            raise ValueError("stop must not be below start")
+        return (start, stop, count)
+
+    return parse
+
+
+def _choice(options: tuple[str, ...]):
+    def parse(text: str) -> str:
+        if text not in options:
+            raise ValueError(f"{text!r} is not one of {', '.join(options)}")
+        return text
+
+    return parse
+
+
+def _path(text: str) -> str:
+    if not text:
+        raise ValueError("path must be non-empty")
+    return text
+
+
+_POS = _real("be positive", lambda x: x > 0)
+_NONNEG = _real("be non-negative", lambda x: x >= 0)
+_UNIT = _real("lie in [0, 1]", lambda x: 0.0 <= x <= 1.0)
+_COUNT = _integer(1)
+_LAMBDA = find_lambda_systems.__kwdefaults__
+_OPERATORS = tuple(kind for kind in OPERATOR_KINDS if kind != "custom")
+_Vec3 = tuple[float, float, float]
+_Axis = tuple[float, float, int]  # start, stop, count
+
+
+def _key(key: str, parse, default=dataclasses.MISSING, null: str | None = None):
+    """One run-config key: dotted name, parser and default. ``null`` is the
+    token that stands for ``None`` (a value resolved at run time)."""
+    metadata = {"key": key, "parse": parse, "null": null}
+    return dataclasses.field(default=default, metadata=metadata)
 
 
 @dataclass(frozen=True)
@@ -49,167 +152,85 @@ class RunConfig:
     Vector-valued options are stored as tuples so configs compare equal
     after an echo round trip. ``None`` encodes an ``auto`` value resolved
     at run time (inhomogeneous width by field, curvatures by search,
-    comb spacing by Larmor frequency).
+    comb spacing by Larmor frequency). ``format`` and ``output`` default
+    by command: stationary-point and Lambda reports are key-value records,
+    and the output is named ``<command>.csv`` or ``<command>.jsonl``.
     """
 
-    command: str
-    ion_file: str
-    output: str
-    out_format: str
-    field: tuple[float, float, float]
-    manifold: str
-    operator: str
-    zefoz_pair: tuple[int, int]
-    zefoz_start: tuple[float, float, float]
-    zefoz_bounds_x: tuple[float, float, int]
-    zefoz_bounds_y: tuple[float, float, int]
-    zefoz_bounds_z: tuple[float, float, int]
-    zefoz_tol: float
-    diagram_axis: str
-    diagram_start: float
-    diagram_stop: float
-    diagram_count: int
-    spectrum_temperature: float
-    spectrum_inhom_fwhm: float | None
-    spectrum_profile: str
-    spectrum_grid: tuple[float, float, int]
-    spectrum_table_output: str | None
-    lambda_max_asymmetry: float
-    lambda_max_leakage_ratio: float
-    lambda_min_strength: float
-    noise_gamma0: float
-    noise_delta_b: tuple[float, float, float]
-    noise_curvatures: tuple[float, float, float] | None
-    comb_n_lines: int
-    comb_spacing: float | None
-    comb_weights: str
-    eit_rabi: float
-    eit_gamma_ge: float
-    eit_inhom_fwhm: float
-    eit_two_photon_offset: float
-    eit_averaging: str
-    eit_quadrature_points: int
-    eit_grid: tuple[float, float, int]
-    eit_delta_b: tuple[float, float, float]
-    sweep_start: float
-    sweep_stop: float
-    sweep_count: int
+    command: str = _key("command", _choice(COMMANDS))
+    ion_file: str = _key("ion_file", _path)
+    output: str = _key("output", _path, None)
+    out_format: str = _key("format", _choice(FORMATS), None)
+    field: _Vec3 = _key("field", _vec3, (0.0, 0.0, 0.0))
+    manifold: str = _key("manifold", _choice(ION_SECTIONS), "ground")
+    operator: str = _key("operator", _choice(_OPERATORS), "S_x")
+    zefoz_pair: tuple[int, int] = _key("zefoz.pair", _pair, (8, 10))
+    zefoz_start: _Vec3 = _key("zefoz.start", _vec3, (0.0, 0.0, 50.0))
+    zefoz_bounds_x: _Axis = _key("zefoz.bounds.x", _axis(1), (0.0, 0.0, 1))
+    zefoz_bounds_y: _Axis = _key("zefoz.bounds.y", _axis(1), (0.0, 0.0, 1))
+    zefoz_bounds_z: _Axis = _key("zefoz.bounds.z", _axis(1), (30.0, 100.0, 36))
+    zefoz_tol: float = _key("zefoz.tol", _POS, 1e-6)
+    diagram_axis: str = _key("diagram.axis", _choice(("x", "y", "z")), "z")
+    diagram_start: float = _key("diagram.start", _number, 0.0)
+    diagram_stop: float = _key("diagram.stop", _number, 100.0)
+    diagram_count: int = _key("diagram.count", _COUNT, 201)
+    spectrum_temperature: float = _key("spectrum.temperature", _POS, SpectrumParams.temperature)
+    # auto: 35 MHz in a bias field, 70 MHz at zero field
+    spectrum_inhom_fwhm: float | None = _key("spectrum.inhom_fwhm", _POS, None, "auto")
+    spectrum_profile: str = _key(
+        "spectrum.profile", _choice(LINE_PROFILES), SpectrumParams.line_profile
+    )
+    spectrum_grid: _Axis = _key("spectrum.grid", _axis(1), (-2200.0, 2200.0, 2201))
+    # none: write no line table
+    spectrum_table_output: str | None = _key("spectrum.table_output", _path, None, "none")
+    lambda_max_asymmetry: float = _key("lambda.max_asymmetry", _UNIT, _LAMBDA["max_asymmetry"])
+    lambda_max_leakage_ratio: float = _key(
+        "lambda.max_leakage_ratio", _UNIT, _LAMBDA["max_leakage_ratio"]
+    )
+    lambda_min_strength: float = _key("lambda.min_strength", _NONNEG, _LAMBDA["min_strength"])
+    noise_gamma0: float = _key("noise.gamma0", _NONNEG, NoiseModel.gamma0)
+    noise_delta_b: _Vec3 = _key("noise.delta_b", _vec3, NoiseModel.delta_b)
+    # auto: from the ZEFOZ search
+    noise_curvatures: _Vec3 | None = _key("noise.curvatures", _vec3, None, "auto")
+    comb_n_lines: int = _key("comb.n_lines", _integer(1, odd=True), CombModel.n_lines)
+    # auto: fluorine Larmor frequency at |B|
+    comb_spacing: float | None = _key("comb.spacing", _POS, None, "auto")
+    comb_weights: str = _key("comb.weights", _choice(("binomial", "flat")), "binomial")
+    eit_rabi: float = _key("eit.rabi", _NONNEG, LambdaParams.rabi_coupling)
+    eit_gamma_ge: float = _key("eit.gamma_ge", _NONNEG, LambdaParams.optical_dephasing)
+    eit_inhom_fwhm: float = _key("eit.inhom_fwhm", _POS, LambdaParams.optical_inhom_fwhm)
+    eit_two_photon_offset: float = _key(
+        "eit.two_photon_offset", _number, LambdaParams.two_photon_offset
+    )
+    eit_averaging: str = _key("eit.averaging", _choice(AVERAGING_METHODS), LambdaParams.averaging)
+    eit_quadrature_points: int = _key(
+        "eit.quadrature_points", _integer(2), LambdaParams.quadrature_points
+    )
+    eit_grid: _Axis = _key("eit.grid", _axis(3), (-18.0, 18.0, 1801))
+    eit_delta_b: _Vec3 = _key("eit.delta_b", _vec3, (0.0, 0.0, 0.0))
+    sweep_start: float = _key("sweep.start", _number, 54.0)
+    sweep_stop: float = _key("sweep.stop", _number, 74.0)
+    sweep_count: int = _key("sweep.count", _COUNT, 41)
+
+    def __post_init__(self):
+        if self.out_format is None:
+            records = self.command in ("zefoz", "lambda")
+            object.__setattr__(self, "out_format", "json-records" if records else "csv")
+        if self.output is None:
+            suffix = "jsonl" if self.out_format == "json-records" else "csv"
+            object.__setattr__(self, "output", f"{self.command}.{suffix}")
 
 
-# key -> (attribute, kind); kinds drive parsing and echo formatting
-_KEYS: dict[str, tuple[str, str]] = {
-    "command": ("command", "choice:command"),
-    "ion_file": ("ion_file", "path"),
-    "output": ("output", "path"),
-    "format": ("out_format", "choice:format"),
-    "field": ("field", "vec3"),
-    "manifold": ("manifold", "choice:manifold"),
-    "operator": ("operator", "choice:operator"),
-    "zefoz.pair": ("zefoz_pair", "pair"),
-    "zefoz.start": ("zefoz_start", "vec3"),
-    "zefoz.bounds.x": ("zefoz_bounds_x", "axis"),
-    "zefoz.bounds.y": ("zefoz_bounds_y", "axis"),
-    "zefoz.bounds.z": ("zefoz_bounds_z", "axis"),
-    "zefoz.tol": ("zefoz_tol", "pos_float"),
-    "diagram.axis": ("diagram_axis", "choice:axis"),
-    "diagram.start": ("diagram_start", "float"),
-    "diagram.stop": ("diagram_stop", "float"),
-    "diagram.count": ("diagram_count", "pos_int"),
-    "spectrum.temperature": ("spectrum_temperature", "pos_float"),
-    "spectrum.inhom_fwhm": ("spectrum_inhom_fwhm", "auto_or_pos_float"),
-    "spectrum.profile": ("spectrum_profile", "choice:profile"),
-    "spectrum.grid": ("spectrum_grid", "axis"),
-    "spectrum.table_output": ("spectrum_table_output", "optional_path"),
-    "lambda.max_asymmetry": ("lambda_max_asymmetry", "unit_float"),
-    "lambda.max_leakage_ratio": ("lambda_max_leakage_ratio", "unit_float"),
-    "lambda.min_strength": ("lambda_min_strength", "nonneg_float"),
-    "noise.gamma0": ("noise_gamma0", "nonneg_float"),
-    "noise.delta_b": ("noise_delta_b", "vec3"),
-    "noise.curvatures": ("noise_curvatures", "auto_or_vec3"),
-    "comb.n_lines": ("comb_n_lines", "odd_int"),
-    "comb.spacing": ("comb_spacing", "auto_or_pos_float"),
-    "comb.weights": ("comb_weights", "choice:weights"),
-    "eit.rabi": ("eit_rabi", "nonneg_float"),
-    "eit.gamma_ge": ("eit_gamma_ge", "nonneg_float"),
-    "eit.inhom_fwhm": ("eit_inhom_fwhm", "pos_float"),
-    "eit.two_photon_offset": ("eit_two_photon_offset", "float"),
-    "eit.averaging": ("eit_averaging", "choice:averaging"),
-    "eit.quadrature_points": ("eit_quadrature_points", "pos_int"),
-    "eit.grid": ("eit_grid", "axis"),
-    "eit.delta_b": ("eit_delta_b", "vec3"),
-    "sweep.start": ("sweep_start", "float"),
-    "sweep.stop": ("sweep_stop", "float"),
-    "sweep.count": ("sweep_count", "pos_int"),
-}
-
-_CHOICES = {
-    "command": COMMANDS,
-    "format": FORMATS,
-    "manifold": ("ground", "excited"),
-    "operator": OPERATORS,
-    "axis": ("x", "y", "z"),
-    "profile": ("gaussian", "lorentzian"),
-    "weights": ("binomial", "flat"),
-    "averaging": ("exact", "hermite"),
-}
+_FIELDS = {f.metadata["key"]: f for f in dataclasses.fields(RunConfig)}
 
 
 def module_defaults() -> dict[str, object]:
-    """Documented defaults for every optional key, pulled from the owning
-    module so the interface can never drift from the library."""
+    """Default of every optional key, by dotted key, from the table in
+    ``RunConfig``. ``None`` is a value resolved later: ``auto`` at run
+    time, ``format`` and ``output`` from the command."""
     return {
-        "format": None,  # depends on command, see _default_format
-        "output": None,  # derived from command and format
-        "field": (0.0, 0.0, 0.0),
-        "manifold": "ground",
-        "operator": "S_x",
-        "zefoz.pair": (8, 10),
-        "zefoz.start": (0.0, 0.0, 50.0),
-        "zefoz.bounds.x": (0.0, 0.0, 1),
-        "zefoz.bounds.y": (0.0, 0.0, 1),
-        "zefoz.bounds.z": (30.0, 100.0, 36),
-        "zefoz.tol": 1e-6,
-        "diagram.axis": "z",
-        "diagram.start": 0.0,
-        "diagram.stop": 100.0,
-        "diagram.count": 201,
-        "spectrum.temperature": _field_default(SpectrumParams, "temperature"),
-        "spectrum.inhom_fwhm": None,  # auto: 35 in a bias field, 70 at zero field
-        "spectrum.profile": _field_default(SpectrumParams, "line_profile"),
-        "spectrum.grid": (-2200.0, 2200.0, 2201),
-        "spectrum.table_output": None,  # also write the line table when set
-        "lambda.max_asymmetry": _signature_default(find_lambda_systems, "max_asymmetry"),
-        "lambda.max_leakage_ratio": _signature_default(
-            find_lambda_systems, "max_leakage_ratio"
-        ),
-        "lambda.min_strength": _signature_default(find_lambda_systems, "min_strength"),
-        "noise.gamma0": _field_default(NoiseModel, "gamma0"),
-        "noise.delta_b": _field_default(NoiseModel, "delta_b"),
-        "noise.curvatures": None,  # auto: from the ZEFOZ search
-        "comb.n_lines": 9,
-        "comb.spacing": None,  # auto: fluorine Larmor frequency at |B|
-        "comb.weights": "binomial",
-        "eit.rabi": _field_default(LambdaParams, "rabi_coupling"),
-        "eit.gamma_ge": _field_default(LambdaParams, "optical_dephasing"),
-        "eit.inhom_fwhm": _field_default(LambdaParams, "optical_inhom_fwhm"),
-        "eit.two_photon_offset": _field_default(LambdaParams, "two_photon_offset"),
-        "eit.averaging": _field_default(LambdaParams, "averaging"),
-        "eit.quadrature_points": _field_default(LambdaParams, "quadrature_points"),
-        "eit.grid": (-18.0, 18.0, 1801),
-        "eit.delta_b": (0.0, 0.0, 0.0),
-        "sweep.start": 54.0,
-        "sweep.stop": 74.0,
-        "sweep.count": 41,
+        key: f.default for key, f in _FIELDS.items() if f.default is not dataclasses.MISSING
     }
-
-
-def _default_format(command: str) -> str:
-    # stationary-point and Lambda reports are key-value records by default
-    return "json-records" if command in ("zefoz", "lambda") else "csv"
-
-
-def _default_output(command: str, out_format: str) -> str:
-    return f"{command}.{'jsonl' if out_format == 'json-records' else 'csv'}"
 
 
 def _strip(line: str) -> str:
@@ -236,168 +257,40 @@ def _scan_pairs(text: str, errors: list) -> list[tuple[int, str, str]]:
     return pairs
 
 
-def _parse_floats(value: str, count: int, no: int, key: str, errors: list):
-    parts = value.split()
-    if len(parts) != count:
-        errors.append((no, f"{key}: expected {count} numbers, got {len(parts)}"))
-        return None
-    try:
-        return tuple(float(x) for x in parts)
-    except ValueError:
-        errors.append((no, f"{key}: could not parse {value!r} as numbers"))
-        return None
-
-
-def _parse_value(kind: str, value: str, no: int, key: str, errors: list):
-    if kind.startswith("choice:"):
-        choices = _CHOICES[kind.split(":", 1)[1]]
-        if value not in choices:
-            errors.append((no, f"{key}: {value!r} is not one of {', '.join(choices)}"))
-            return None
-        return value
-    if kind == "path":
-        if not value:
-            errors.append((no, f"{key}: path must be non-empty"))
-            return None
-        return value
-    if kind == "optional_path":
-        if value == "none":
-            return None
-        return _parse_value("path", value, no, key, errors)
-    if kind in ("float", "pos_float", "nonneg_float", "unit_float"):
-        try:
-            x = float(value)
-        except ValueError:
-            errors.append((no, f"{key}: could not parse {value!r} as a number"))
-            return None
-        if kind == "pos_float" and not x > 0:
-            errors.append((no, f"{key}: must be positive, got {value}"))
-            return None
-        if kind == "nonneg_float" and x < 0:
-            errors.append((no, f"{key}: must be non-negative, got {value}"))
-            return None
-        if kind == "unit_float" and not 0.0 <= x <= 1.0:
-            errors.append((no, f"{key}: must lie in [0, 1], got {value}"))
-            return None
-        return x
-    if kind in ("pos_int", "odd_int"):
-        try:
-            x = int(value)
-        except ValueError:
-            errors.append((no, f"{key}: could not parse {value!r} as an integer"))
-            return None
-        if x < 1:
-            errors.append((no, f"{key}: must be >= 1, got {value}"))
-            return None
-        if kind == "odd_int" and x % 2 == 0:
-            errors.append((no, f"{key}: must be odd, got {value}"))
-            return None
-        return x
-    if kind == "vec3":
-        return _parse_floats(value, 3, no, key, errors)
-    if kind == "pair":
-        parts = value.split()
-        if len(parts) != 2:
-            errors.append((no, f"{key}: expected two level labels"))
-            return None
-        try:
-            a, b = int(parts[0]), int(parts[1])
-        except ValueError:
-            errors.append((no, f"{key}: could not parse {value!r} as integers"))
-            return None
-        if a < 1 or b < 1 or a == b:
-            errors.append((no, f"{key}: labels must be distinct positive integers"))
-            return None
-        return (a, b)
-    if kind == "axis":
-        parts = value.split()
-        if len(parts) != 3:
-            errors.append((no, f"{key}: expected 'start stop count'"))
-            return None
-        try:
-            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        except ValueError:
-            errors.append((no, f"{key}: could not parse {value!r}"))
-            return None
-        if count < 1:
-            errors.append((no, f"{key}: count must be >= 1"))
-            return None
-        if stop < start:
-            errors.append((no, f"{key}: stop must not be below start"))
-            return None
-        return (start, stop, count)
-    if kind == "auto_or_pos_float":
-        if value == "auto":
-            return None
-        return _parse_value("pos_float", value, no, key, errors)
-    if kind == "auto_or_vec3":
-        if value == "auto":
-            return None
-        return _parse_value("vec3", value, no, key, errors)
-    raise AssertionError(f"unhandled kind {kind}")
-
-
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a run configuration, reporting every error."""
     errors: list[tuple[int | None, str]] = []
     seen: dict[str, int] = {}
     values: dict[str, object] = {}
     for no, key, value in _scan_pairs(text, errors):
+        spec = _FIELDS.get(key)
         if key == "[section]":
             errors.append((no, "sections are not allowed in a run config"))
-            continue
-        if key not in _KEYS:
+        elif spec is None:
             errors.append((no, f"unknown key {key!r}"))
-            continue
-        if key in seen:
+        elif key in seen:
             errors.append((no, f"duplicate key {key!r} (first on line {seen[key]})"))
-            continue
-        seen[key] = no
-        parsed = _parse_value(_KEYS[key][1], value, no, key, errors)
-        if parsed is not None or _KEYS[key][1].startswith("auto"):
-            values[key] = parsed
-
-    for required in ("command", "ion_file"):
-        if required not in values:
-            errors.append((None, f"missing required key {required!r}"))
+        else:
+            seen[key] = no
+            parse = spec.metadata["parse"]
+            try:
+                parsed = None if value == spec.metadata["null"] else parse(value)
+            except ValueError as exc:
+                errors.append((no, f"{key}: {exc}"))
+            else:
+                values[spec.name] = parsed
+    for key, spec in _FIELDS.items():
+        if spec.default is dataclasses.MISSING and spec.name not in values:
+            errors.append((None, f"missing required key {key!r}"))
     if errors:
         raise ConfigError(errors)
-
-    defaults = module_defaults()
-    command = values["command"]
-    resolved: dict[str, object] = {}
-    for key, (attr, _) in _KEYS.items():
-        if key in values:
-            resolved[attr] = values[key]
-        elif key in ("command", "ion_file"):
-            pass
-        elif key == "format":
-            resolved[attr] = _default_format(command)
-        elif key == "output":
-            pass  # depends on format, resolved below
-        else:
-            resolved[attr] = defaults[key]
-    resolved["command"] = command
-    resolved["ion_file"] = values["ion_file"]
-    if "output" in values:
-        resolved["output"] = values["output"]
-    else:
-        resolved["output"] = _default_output(command, resolved["out_format"])
-    return RunConfig(**resolved)
+    return RunConfig(**values)
 
 
-def _format_value(kind: str, value) -> str:
-    if value is None:
-        return "none" if kind == "optional_path" else "auto"
-    if kind in ("vec3", "auto_or_vec3"):
-        return " ".join(repr(float(x)) for x in value)
-    if kind == "pair":
-        return f"{value[0]} {value[1]}"
-    if kind == "axis":
-        return f"{repr(float(value[0]))} {repr(float(value[1]))} {value[2]}"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _format(value) -> str:
+    if isinstance(value, tuple):
+        return " ".join(_format(x) for x in value)
+    return repr(float(value)) if isinstance(value, float) else str(value)
 
 
 def config_echo(config: RunConfig) -> list[str]:
@@ -407,19 +300,21 @@ def config_echo(config: RunConfig) -> list[str]:
     all, which is what makes output headers replayable.
     """
     lines = []
-    for key, (attr, kind) in _KEYS.items():
-        lines.append(f"{key} = {_format_value(kind, getattr(config, attr))}")
+    for key, spec in _FIELDS.items():
+        value = getattr(config, spec.name)
+        lines.append(f"{key} = {spec.metadata['null'] if value is None else _format(value)}")
     return lines
 
 
 def parse_ion_file(text: str) -> IonParams:
     """Read ground/excited parameter sections into an IonParams.
 
-    Values round-trip bit-exactly through ``format_ion_file``.
+    Values round-trip bit-exactly through ``format_ion_file``. A parameter
+    set that ``SpinParams`` rejects is reported against its section header.
     """
     errors: list[tuple[int | None, str]] = []
     sections: dict[str, dict[str, float]] = {}
-    section_lines: dict[str, dict[str, int]] = {}
+    lines: dict[str, dict[str, int]] = {}  # per section: key -> line, header under "[section]"
     current: str | None = None
     for no, key, value in _scan_pairs(text, errors):
         if key == "[section]":
@@ -431,7 +326,7 @@ def parse_ion_file(text: str) -> IonParams:
                 errors.append((no, f"duplicate section [{value}]"))
             current = value
             sections.setdefault(value, {})
-            section_lines.setdefault(value, {})
+            lines.setdefault(value, {key: no})
             continue
         if current is None:
             errors.append((no, f"key {key!r} appears outside any section"))
@@ -443,10 +338,10 @@ def parse_ion_file(text: str) -> IonParams:
             errors.append((no, f"duplicate key {key!r} in [{current}]"))
             continue
         try:
-            sections[current][key] = float(value)
-            section_lines[current][key] = no
-        except ValueError:
-            errors.append((no, f"{key}: could not parse {value!r} as a number"))
+            sections[current][key] = _number(value)
+            lines[current][key] = no
+        except ValueError as exc:
+            errors.append((no, f"{key}: {exc}"))
 
     for name in ION_SECTIONS:
         if name not in sections:
@@ -459,7 +354,7 @@ def parse_ion_file(text: str) -> IonParams:
             if spin_key in sections[name] and not is_half_integer(sections[name][spin_key]):
                 errors.append(
                     (
-                        section_lines[name][spin_key],
+                        lines[name][spin_key],
                         f"{spin_key} = {sections[name][spin_key]!r} is not a "
                         "half-integer spin",
                     )
@@ -467,20 +362,25 @@ def parse_ion_file(text: str) -> IonParams:
     if errors:
         raise ConfigError(errors)
 
-    def build(name: str) -> SpinParams:
+    manifolds = {}
+    for name in ION_SECTIONS:
         sec = sections[name]
-        return SpinParams(
-            electron_spin=sec["S"],
-            nuclear_spin=sec["I"],
-            g_par=sec["g_par"],
-            g_perp=sec["g_perp"],
-            A=sec["A"],
-            B_hf=sec["B_hf"],
-            P=sec.get("P", 0.0),
-            mu_B=sec.get("mu_B", BOHR_MAGNETON_MHZ_PER_MT),
-        )
-
-    return IonParams(ground=build("ground"), excited=build("excited"))
+        try:
+            manifolds[name] = SpinParams(
+                electron_spin=sec["S"],
+                nuclear_spin=sec["I"],
+                g_par=sec["g_par"],
+                g_perp=sec["g_perp"],
+                A=sec["A"],
+                B_hf=sec["B_hf"],
+                P=sec.get("P", 0.0),
+                mu_B=sec.get("mu_B", BOHR_MAGNETON_MHZ_PER_MT),
+            )
+        except InvalidParameterError as exc:
+            errors.append((lines[name]["[section]"], f"[{name}]: {exc}"))
+    if errors:
+        raise ConfigError(errors)
+    return IonParams(**manifolds)
 
 
 def format_ion_file(ion: IonParams) -> str:

@@ -50,12 +50,6 @@ class NoiseModel:
         if any(d < 0 for d in self.delta_b):
             raise InvalidParameterError("delta_b components must be non-negative")
 
-    @classmethod
-    def from_zefoz(cls, z: ZefozPoint, gamma0: float = 0.5,
-                   delta_b: tuple[float, float, float] = (1.0, 1.0, 1.0)) -> "NoiseModel":
-        return cls(curvatures=tuple(float(c) for c in z.curvatures),
-                   gamma0=gamma0, delta_b=delta_b)
-
 
 def spin_linewidth(noise: NoiseModel, delta_field) -> float:
     """Two-photon FWHM (MHz) at an offset ``delta_field`` (mT) from the
@@ -219,20 +213,6 @@ class CombModel:
                 raise InvalidParameterError("weights must be non-negative with positive sum")
             object.__setattr__(self, "weights", w / w.sum())
 
-    @classmethod
-    def for_field(
-        cls,
-        field,
-        noise: NoiseModel | None = None,
-        n_lines: int = 9,
-        weights: np.ndarray | None = None,
-        gyromagnetic_ratio: float = FLUORINE_GAMMA_MHZ_PER_MT,
-    ) -> "CombModel":
-        """Comb with spacing set to the host-nucleus Larmor frequency at |B|."""
-        b = as_field(field)
-        spacing = float(gyromagnetic_ratio * np.linalg.norm(b))
-        return cls(spacing=spacing, n_lines=n_lines, weights=weights, noise=noise)
-
     def resolved_weights(self) -> np.ndarray:
         if self.weights is None:
             return binomial_weights(self.n_lines)
@@ -314,15 +294,6 @@ def eit_profile(
     )
 
 
-def eit_amplitude(profile: EitProfile) -> float:
-    """Fractional absorption reduction at the best-contrast grid point."""
-    idx = int(np.argmax(profile.transmission))
-    off = profile.alpha_off[idx]
-    if off == 0.0:
-        raise ComputationError("alpha_off vanishes at the evaluation point")
-    return float((off - profile.alpha_on[idx]) / off)
-
-
 @dataclass(frozen=True)
 class SweepPoint:
     field: np.ndarray
@@ -357,7 +328,7 @@ def amplitude_vs_field(
     for point in points:
         offset = point - z.field
         profile = eit_profile(comb, p, offset, grid, noise=noise)
-        modelled.append((quadratic_model(z, offset), eit_amplitude(profile)))
+        modelled.append((quadratic_model(z, offset), profile.amplitude))
     exact = transition_frequencies(params, points, z.selector)
     return [
         SweepPoint(

@@ -8,14 +8,17 @@ with the nuclear index outermost, so basis state ``k`` is
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import InvalidParameterError
 
 
 def is_half_integer(x: float) -> bool:
-    """True when ``2*x`` is an integer to within floating-point tolerance."""
-    return abs(2.0 * x - round(2.0 * x)) < 1e-12
+    """True when ``2*x`` is a finite integer to within floating-point tolerance."""
+    y = 2.0 * x
+    return math.isfinite(y) and abs(y - round(y)) < 1e-12
 
 
 def multiplicity(spin: float) -> int:

@@ -120,26 +120,8 @@ class LinearTerms(NamedTuple):
     zeeman: np.ndarray
 
 
-@dataclass(frozen=True)
-class FieldVector:
-    """Applied dc magnetic field in mT, z along the crystal axis."""
-
-    bx: float
-    by: float
-    bz: float
-
-    def __post_init__(self):
-        if not np.all(np.isfinite([self.bx, self.by, self.bz])):
-            raise InvalidParameterError("field components must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.bx, self.by, self.bz], dtype=float)
-
-
 def as_field(field) -> np.ndarray:
-    """Coerce a FieldVector or length-3 sequence into a float array (mT)."""
-    if isinstance(field, FieldVector):
-        return field.as_array()
+    """Coerce a length-3 sequence into a float array (mT)."""
     arr = np.asarray(field, dtype=float)
     if arr.shape != (3,):
         raise InvalidParameterError(f"field must have 3 components, got shape {arr.shape}")

@@ -45,34 +45,6 @@ class TransitionOperator:
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise InvalidParameterError("custom operator matrix must be square")
 
-    @classmethod
-    def s_x(cls) -> "TransitionOperator":
-        return cls("S_x")
-
-    @classmethod
-    def s_y(cls) -> "TransitionOperator":
-        return cls("S_y")
-
-    @classmethod
-    def s_z(cls) -> "TransitionOperator":
-        return cls("S_z")
-
-    @classmethod
-    def s_plus(cls) -> "TransitionOperator":
-        return cls("S_plus")
-
-    @classmethod
-    def s_minus(cls) -> "TransitionOperator":
-        return cls("S_minus")
-
-    @classmethod
-    def identity(cls) -> "TransitionOperator":
-        return cls("identity")
-
-    @classmethod
-    def custom(cls, matrix) -> "TransitionOperator":
-        return cls("custom", matrix=np.asarray(matrix, dtype=complex))
-
     def electron_matrix(self, electron_dim: int) -> np.ndarray:
         spin = (electron_dim - 1) / 2.0
         sx, sy, sz = spin_matrices(spin)
@@ -113,7 +85,6 @@ class SpectrumParams:
     inhom_fwhm: float = 35.0
     line_profile: str = "gaussian"
     grid: AxisGrid | None = None
-    boltzmann_constant: float = BOLTZMANN_MHZ_PER_K
 
     def __post_init__(self):
         if not self.temperature > 0:
@@ -124,8 +95,6 @@ class SpectrumParams:
             raise InvalidParameterError(
                 f"line_profile must be one of {LINE_PROFILES}, got {self.line_profile!r}"
             )
-        if not self.boltzmann_constant > 0:
-            raise InvalidParameterError("boltzmann_constant must be positive")
 
 
 @dataclass(frozen=True)
@@ -156,12 +125,10 @@ class LambdaSystem:
     splitting: float
 
 
-def boltzmann_weights(
-    energies: np.ndarray, temperature: float, boltzmann_constant: float = BOLTZMANN_MHZ_PER_K
-) -> np.ndarray:
+def boltzmann_weights(energies: np.ndarray, temperature: float) -> np.ndarray:
     """Normalized thermal populations for energies in MHz."""
     e = np.asarray(energies, dtype=float)
-    w = np.exp(-(e - e.min()) / (boltzmann_constant * temperature))
+    w = np.exp(-(e - e.min()) / (BOLTZMANN_MHZ_PER_K * temperature))
     return w / w.sum()
 
 
@@ -192,9 +159,7 @@ def transition_table(
     full_op = op.full_matrix(nuclear_dim, electron_dim)
     overlap = excited.eigenvectors.conj().T @ full_op @ ground.eigenvectors
     strengths = np.abs(overlap) ** 2
-    weights = boltzmann_weights(
-        ground.energies, spectrum.temperature, spectrum.boltzmann_constant
-    )
+    weights = boltzmann_weights(ground.energies, spectrum.temperature)
     lines = []
     for g in range(dim):
         for e in range(dim):
@@ -212,6 +177,7 @@ def transition_table(
 
 def find_lambda_systems(
     table: Sequence[TransitionLine],
+    *,
     max_asymmetry: float = 0.01,
     max_leakage_ratio: float = 0.01,
     min_strength: float = 1e-6,

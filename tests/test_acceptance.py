@@ -103,7 +103,7 @@ def test_criterion_4_lambda_discovery(nd_ground, nd_excited, timed_search):
     z = timed_search[0][0]
     ground = ion_levels(nd_ground, z.field)
     excited = ion_levels(nd_excited, z.field)
-    table = transition_table(ground, excited, TransitionOperator.s_x(), SpectrumParams())
+    table = transition_table(ground, excited, TransitionOperator("S_x"), SpectrumParams())
     systems = find_lambda_systems(table, max_asymmetry=0.01, max_leakage_ratio=0.01)
     match = [s for s in systems if (s.ground_a, s.ground_b, s.excited) == (8, 10, 9)]
     assert match, "symmetric Lambda-system (8g, 10g, 9e) not found"
@@ -221,8 +221,8 @@ def test_criterion_9_property_suite(nd_ground, clock_selector, timed_search):
     for _ in range(10):
         ground = ion_levels(random_params(rng), rng.uniform(-80, 80, 3))
         excited = ion_levels(random_params(rng), rng.uniform(-80, 80, 3))
-        op = TransitionOperator.custom(
-            rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        op = TransitionOperator(
+            "custom", matrix=rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         )
         table = transition_table(ground, excited, op, SpectrumParams())
         gram = op.full_matrix(8, 2).conj().T @ op.full_matrix(8, 2)

@@ -9,6 +9,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zefoz import (
     ConfigError,
@@ -162,6 +164,77 @@ def test_ion_file_collects_all_problems():
     assert "missing required" in messages  # incomplete sections
 
 
+@pytest.mark.parametrize(
+    "old, new, line, words",
+    [
+        ("S = 0.5", "S = nan", 3, "S: 'nan' is not a finite number"),
+        ("S = 0.5", "S = inf", 3, "S: 'inf' is not a finite number"),
+        ("g_par = 1.987", "g_par = inf", 5, "g_par: 'inf' is not a finite number"),
+        ("mu_B = 14.0", "mu_B = -1", 2, "[ground]: mu_B must be positive"),
+        ("S = 0.5", "S = 0", 2, "[ground]: electron_spin must be a half-integer"),
+    ],
+)
+def test_ion_file_bad_values_fail_at_parse_time(tmp_path, capsys, old, new, line, words):
+    text = ION_TEXT.replace(old, new, 1)
+    with pytest.raises(ConfigError) as err:
+        parse_ion_file(text)
+    assert any(ln == line and words in msg for ln, msg in err.value.problems)
+    ion = tmp_path / "bad.ion"
+    ion.write_text(text, encoding="utf-8")
+    body = f"command = levels\nion_file = {ion}\n"
+    code = main(["--config", _config(tmp_path, body), "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert f"config error: line {line}: {words}" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- fuzzing
+
+FUZZ = settings(derandomize=True, database=None, max_examples=150, deadline=None)
+# single tokens the float and int parsers treat specially, and arbitrary text
+TOKENS = st.sampled_from(
+    ["nan", "-nan", "inf", "-inf", "1e400", "-1e400", "1e308", "-0", "0", "auto", "none", ""]
+) | st.text(max_size=10)
+VALUES = st.lists(TOKENS, min_size=1, max_size=4).map(" ".join)
+VALID_CONFIG = "\n".join(config_echo(parse_config("command = eit\nion_file = nd.ion\n")))
+
+
+def _parses_or_raises_config_error(parse, text: str) -> None:
+    try:
+        parse(text)
+    except ConfigError:
+        pass
+
+
+def _replace_value(text: str, index: int, value: str) -> str:
+    lines = text.splitlines()
+    slots = [i for i, line in enumerate(lines) if "=" in line]
+    i = slots[index % len(slots)]
+    lines[i] = f"{lines[i].partition('=')[0]}= {value}"
+    return "\n".join(lines) + "\n"
+
+
+@FUZZ
+@given(st.text(max_size=200))
+def test_fuzz_arbitrary_text_parses_or_raises_config_error(text):
+    _parses_or_raises_config_error(parse_config, text)
+    _parses_or_raises_config_error(parse_ion_file, text)
+
+
+@FUZZ
+@given(index=st.integers(0, 100), value=VALUES)
+def test_fuzz_one_run_config_value(index, value):
+    _parses_or_raises_config_error(parse_config, _replace_value(VALID_CONFIG, index, value))
+
+
+@FUZZ
+@example(index=0, value="nan")  # [ground] S
+@example(index=0, value="inf")
+@example(index=0, value="1e308")
+@given(index=st.integers(0, 100), value=VALUES)
+def test_fuzz_one_ion_file_value(index, value):
+    _parses_or_raises_config_error(parse_ion_file, _replace_value(ION_TEXT, index, value))
+
+
 # ---------------------------------------------------------------- output
 
 
@@ -311,6 +384,44 @@ def test_cli_exit_code_computation_error(tmp_path, ion_file):
     )
     code = main(["--config", _config(tmp_path, body), "--out", str(tmp_path / "x.csv")])
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "command, entry",
+    [
+        ("levels", "field = nan 0 0"),
+        ("diagram", "diagram.start = nan"),
+        ("zefoz", "zefoz.bounds.z = inf inf 3"),
+        ("zefoz", "zefoz.tol = 1e400"),
+        ("eit", "eit.grid = -1 1 2"),
+        ("eit", "eit.quadrature_points = 1"),
+    ],
+)
+def test_cli_rejects_bad_values_at_parse_time(tmp_path, ion_file, capsys, command, entry):
+    body = f"command = {command}\nion_file = {ion_file}\n{entry}\n"
+    code = main(["--config", _config(tmp_path, body), "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert f"config error: line 3: {entry.split(' = ')[0]}: " in capsys.readouterr().err
+
+
+def test_cli_zefoz_pair_beyond_the_ion_is_a_config_error(tmp_path, ion_file, capsys):
+    body = f"command = zefoz\nion_file = {ion_file}\nzefoz.pair = 8 40\n"
+    code = main(["--config", _config(tmp_path, body), "--out", str(tmp_path / "x.jsonl")])
+    assert code == 2
+    assert "zefoz.pair: label 40 exceeds the 16 ground levels" in capsys.readouterr().err
+
+
+def test_cli_auto_comb_spacing_at_zero_field_names_the_field(tmp_path, ion_file, capsys):
+    # the search over Bz = 0..10 finds the trivial stationary point at B = 0
+    body = (
+        f"command = eit\nion_file = {ion_file}\n"
+        "zefoz.start = 0 0 0\nzefoz.bounds.z = 0 10 3\n"
+    )
+    code = main(["--config", _config(tmp_path, body), "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "comb.spacing = auto needs a nonzero operating field" in err
+    assert "got B = 0.0 0.0 0.0 mT" in err
 
 
 def test_cli_missing_config_file(tmp_path):

@@ -18,12 +18,13 @@ from zefoz import (
     amplitude_vs_field,
     averaged_susceptibility,
     binomial_weights,
-    eit_amplitude,
     eit_profile,
     flat_weights,
     spin_linewidth,
+    parse_config,
     susceptibility,
 )
+from zefoz.cli import _comb_model
 
 from conftest import feature_fwhm, local_max_indices
 
@@ -186,7 +187,7 @@ def test_single_ideal_lambda_reaches_full_contrast():
 def test_coupling_off_means_no_contrast(comb, grid):
     p = LambdaParams(rabi_coupling=0.0)
     profile = eit_profile(comb, p, (0.0, 0.0, 0.0), grid)
-    assert eit_amplitude(profile) == pytest.approx(0.0, abs=1e-12)
+    assert profile.amplitude == pytest.approx(0.0, abs=1e-12)
 
 
 def test_concentrated_weights_reduce_to_shifted_single_line(noise, grid):
@@ -258,7 +259,8 @@ def test_comb_model_validation(noise):
 
 
 def test_comb_spacing_from_larmor_frequency(noise):
-    comb = CombModel.for_field((0.0, 0.0, 63.6), noise=noise)
+    config = parse_config("command = eit\nion_file = nd.ion\n")
+    comb = _comb_model(config, noise, np.array([0.0, 0.0, 63.6]))
     assert comb.spacing == pytest.approx(0.04006 * 63.6, rel=1e-12)
     assert comb.spacing == pytest.approx(2.55, abs=0.01)
 

@@ -97,7 +97,7 @@ def test_strength_sum_rule_on_random_samples():
         ground = ion_levels(random_params(rng), rng.uniform(-80.0, 80.0, 3))
         excited = ion_levels(random_params(rng), rng.uniform(-80.0, 80.0, 3))
         raw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        op = TransitionOperator.custom(raw)
+        op = TransitionOperator("custom", matrix=raw)
         table = transition_table(ground, excited, op, SpectrumParams())
         full = op.full_matrix(8, 2)
         gram = full.conj().T @ full

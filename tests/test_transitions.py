@@ -24,7 +24,7 @@ from conftest import local_max_indices
 def zefoz_table(levels_at_zefoz):
     ground, excited = levels_at_zefoz
     return transition_table(
-        ground, excited, TransitionOperator.s_x(), SpectrumParams()
+        ground, excited, TransitionOperator("S_x"), SpectrumParams()
     )
 
 
@@ -52,7 +52,7 @@ def test_excited_nine_couples_only_to_the_pair(zefoz_table):
 def test_identity_operator_gives_no_clock_coupling(levels_at_zefoz):
     ground, excited = levels_at_zefoz
     table = transition_table(
-        ground, excited, TransitionOperator.identity(), SpectrumParams()
+        ground, excited, TransitionOperator("identity"), SpectrumParams()
     )
     assert _strength(table, 8, 9) < 1e-12
     assert _strength(table, 10, 9) < 1e-12
@@ -61,8 +61,8 @@ def test_identity_operator_gives_no_clock_coupling(levels_at_zefoz):
 def test_strength_sum_rule(levels_at_zefoz):
     # completeness: sum over excited levels of |<e|O|g>|^2 = <g|O^dag O|g>
     ground, excited = levels_at_zefoz
-    for op in (TransitionOperator.s_x(), TransitionOperator.s_plus(),
-               TransitionOperator.custom([[0.3, 0.1 + 0.2j], [0.7, -0.4j]])):
+    for op in (TransitionOperator("S_x"), TransitionOperator("S_plus"),
+               TransitionOperator("custom", matrix=[[0.3, 0.1 + 0.2j], [0.7, -0.4j]])):
         table = transition_table(ground, excited, op, SpectrumParams())
         full = op.full_matrix(8, 2)
         gram = full.conj().T @ full
@@ -78,10 +78,10 @@ def test_strength_sum_rule(levels_at_zefoz):
 def test_strength_hermiticity(levels_at_zefoz):
     # |<e|O|g>|^2 computed forward equals |<g|O^dag|e>|^2 computed backward
     ground, excited = levels_at_zefoz
-    op = TransitionOperator.custom([[0.2, 0.5 - 0.1j], [0.3 + 0.4j, -0.6]])
+    op = TransitionOperator("custom", matrix=[[0.2, 0.5 - 0.1j], [0.3 + 0.4j, -0.6]])
     forward = transition_table(ground, excited, op, SpectrumParams())
-    dagger = TransitionOperator.custom(
-        np.asarray([[0.2, 0.5 - 0.1j], [0.3 + 0.4j, -0.6]]).conj().T
+    dagger = TransitionOperator(
+        "custom", matrix=np.asarray([[0.2, 0.5 - 0.1j], [0.3 + 0.4j, -0.6]]).conj().T
     )
     backward = transition_table(excited, ground, dagger, SpectrumParams())
     for g in (1, 5, 8, 13):
@@ -166,7 +166,7 @@ def test_two_resolved_lines_at_60p5_mT(nd_ground, nd_excited):
     field = (0.0, 0.0, 60.5)
     ground = ion_levels(nd_ground, field)
     excited = ion_levels(nd_excited, field)
-    table = transition_table(ground, excited, TransitionOperator.s_x(), SpectrumParams())
+    table = transition_table(ground, excited, TransitionOperator("S_x"), SpectrumParams())
     line1 = excited.energy(9) - ground.energy(10)
     line2 = excited.energy(9) - ground.energy(8)
     separation = line2 - line1
@@ -197,7 +197,7 @@ def test_table_requires_matching_dimensions(nd_ground):
     )
     big = ion_levels(nd_ground, (0.0, 0.0, 10.0))
     with pytest.raises(InvalidParameterError):
-        transition_table(small, big, TransitionOperator.s_x(), SpectrumParams())
+        transition_table(small, big, TransitionOperator("S_x"), SpectrumParams())
 
 
 def test_spectrum_requires_grid(zefoz_table):
