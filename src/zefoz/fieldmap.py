@@ -10,15 +10,29 @@ Conventions
   i.e. HALF the plain second-derivative matrix. The diagonal of C at a
   stationary point gives the curvatures S2i used throughout.
 
-Every multi-field evaluation (the gradient and curvature stencils, the
-search grid, level diagrams) goes through ``transition_frequencies`` or
-``_eigensystems``, which diagonalize stacks of at most ``BLOCK`` fields
-per call.
+Derivatives
+-----------
+H(B) = H0 + sum_i B_i M_i is linear in the field, so one eigensystem
+{E_m, |m>} at B gives every derivative of a level n exactly:
+
+    dE_n/dB_a          = <n|M_a|n>                      (Hellmann-Feynman)
+    d2E_n/dB_a dB_b    = 2 Re sum_m <n|M_a|m><m|M_b|n> / (E_n - E_m)
+
+The sum leaves out every m with |E_n - E_m| < ``DEGENERACY_GAP``, n
+itself included. A transition's gradient and C follow as the differences
+of its two levels' values; C is half that Hessian, in kHz. Only a
+gradient at a field where a connected level lies within
+``DEGENERACY_GAP`` of a neighbour falls back to central differences.
+
+Every multi-field evaluation (the search grid, level diagrams, stacked
+frequencies) goes through ``_eigensystems``, which diagonalizes stacks of
+at most ``BLOCK`` fields per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +54,9 @@ MANIFOLDS = ("ground", "excited", "optical")
 BLOCK = 64
 # Newton endpoints closer than this (mT, in every component) are one point.
 MERGE_DISTANCE = 1e-3
+# Levels closer than this (MHz) form one degenerate cluster: the Hessian sum
+# leaves them out and a gradient with a connected level there is flagged.
+DEGENERACY_GAP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -120,14 +137,13 @@ class TransitionSelector:
 class GradientResult:
     """Field gradient of a transition frequency (MHz/mT).
 
-    ``vector`` is the Hellmann-Feynman estimate unless the computation was
-    flagged (near-degeneracy, or disagreement between the two estimates),
-    in which case the central finite-difference value is returned there.
+    ``vector`` is the Hellmann-Feynman value. ``min_gap`` (MHz) is the
+    smallest gap from either level of the pair to its nearer neighbour;
+    ``flagged`` is set when it is below ``DEGENERACY_GAP``, and ``vector``
+    is then a central finite difference instead.
     """
 
     vector: np.ndarray
-    hellmann_feynman: np.ndarray
-    finite_difference: np.ndarray
     flagged: bool
     min_gap: float
 
@@ -182,11 +198,97 @@ def _eigensystems(params: SpinParams, fields: np.ndarray):
         yield (block, *diagonalize_stack(build_hamiltonian(params, fields[block])))
 
 
-def _energies(params: SpinParams, fields: np.ndarray) -> np.ndarray:
-    out = np.empty((len(fields), params.dimension))
-    for block, energies, _ in _eigensystems(params, fields):
-        out[block] = energies
-    return out
+def _level_derivatives(
+    params: SpinParams, fields: np.ndarray, labels: tuple[int, ...], order: int
+):
+    """Energies (N, L) of the labelled levels at each field of a stack.
+
+    ``order`` 1 adds the Hellmann-Feynman slopes <n|M_i|n> (N, L, 3) and
+    the gap (N, L) from each level to its nearer neighbour; ``order`` 2
+    adds the Hessians (N, L, 3, 3) of the perturbation sum, which leaves
+    out every level m closer than ``DEGENERACY_GAP`` to n. Parts above
+    ``order`` are None.
+    """
+    idx = np.array(labels) - 1
+    shape = (len(fields), len(labels))
+    energy = np.empty(shape)
+    slope = np.empty(shape + (3,)) if order >= 1 else None
+    gap = np.empty(shape) if order >= 1 else None
+    hessian = np.empty(shape + (3, 3)) if order >= 2 else None
+    zeeman = params.linear_terms.zeeman
+    for block, energies, vectors in _eigensystems(params, fields):
+        energy[block] = energies[:, idx]
+        if order == 0:
+            continue
+        edge = np.full((len(energies), 1), np.inf)
+        spacing = np.hstack([edge, np.diff(energies, axis=1), edge])
+        gap[block] = np.minimum(spacing[:, idx], spacing[:, idx + 1])
+        for row, (level_energies, levels) in enumerate(zip(energies, vectors), start=block.start):
+            for k, column in enumerate(idx):
+                vec = levels[:, column]
+                bras = [vec.conj() @ m for m in zeeman]  # <n|M_i
+                slope[row, k] = [float((bra @ vec).real) for bra in bras]
+                if order == 2:
+                    split = level_energies[column] - level_energies
+                    weight = np.divide(
+                        1.0, split, out=np.zeros_like(split),
+                        where=np.abs(split) >= DEGENERACY_GAP,
+                    )
+                    coupling = np.array(bras) @ levels  # <n|M_i|m>, (3, d)
+                    hessian[row, k] = 2.0 * ((coupling * weight) @ coupling.conj().T).real
+    return energy, slope, gap, hessian
+
+
+class _Transition(NamedTuple):
+    """Frequency (N,) in MHz of the selected transition at each field of a
+    stack and, by order, its GradientResult and Hessian (N, 3, 3) in
+    MHz/mT^2."""
+
+    frequency: np.ndarray
+    gradient: GradientResult | None
+    hessian: np.ndarray | None
+
+
+def _transition(params, fields: np.ndarray, sel: TransitionSelector, order: int) -> _Transition:
+    """E_j - E_i and its derivatives up to ``order`` at each field of a stack
+    (N, 3), from one stacked diagonalization per manifold.
+
+    Where a connected level lies closer than ``DEGENERACY_GAP`` to a
+    neighbour the gradient is flagged and taken from central differences
+    (step 0.01 mT): inside a degenerate cluster the Hellmann-Feynman slope
+    depends on the basis the eigensolver picked.
+    """
+    p_i, p_j, origin = _split_params(params, sel)
+    if sel.manifold == "optical":
+        _check_labels(sel, p_i.dimension, p_j.dimension)
+        lower = _level_derivatives(p_i, fields, (sel.level_i,), order)
+        upper = _level_derivatives(p_j, fields, (sel.level_j,), order)
+        parts = [
+            None if a is None else np.concatenate([a, b], axis=1) for a, b in zip(lower, upper)
+        ]
+    else:
+        _check_labels(sel, p_i.dimension, p_i.dimension)
+        parts = _level_derivatives(p_i, fields, (sel.level_i, sel.level_j), order)
+    energy, slope, gap, hessian = parts
+    frequency = energy[:, 1] - energy[:, 0] + origin
+    if order == 0:
+        return _Transition(frequency, None, None)
+    vector = slope[:, 1] - slope[:, 0]
+    min_gap = np.min(gap, axis=1)
+    flagged = min_gap < DEGENERACY_GAP
+    if np.any(flagged):
+        step = 0.01
+        # per field the order is +x, -x, +y, -y, +z, -z
+        offsets = step * np.eye(3)
+        near = fields[flagged][:, None, :]
+        stencil = np.stack([near + offsets, near - offsets], axis=2).reshape(-1, 3)
+        f = _transition(params, stencil, sel, 0).frequency.reshape(-1, 3, 2)
+        vector[flagged] = (f[..., 0] - f[..., 1]) / (2.0 * step)
+    return _Transition(
+        frequency,
+        GradientResult(vector=vector, flagged=flagged, min_gap=min_gap),
+        None if hessian is None else hessian[:, 1] - hessian[:, 0],
+    )
 
 
 def transition_frequencies(params, fields, sel: TransitionSelector) -> np.ndarray:
@@ -195,16 +297,7 @@ def transition_frequencies(params, fields, sel: TransitionSelector) -> np.ndarra
     The stacked form of ``transition_frequency``, with the same result
     bit for bit at every field.
     """
-    fields = as_fields(fields)
-    p_i, p_j, origin = _split_params(params, sel)
-    if sel.manifold == "optical":
-        _check_labels(sel, p_i.dimension, p_j.dimension)
-        ground = _energies(p_i, fields)
-        excited = _energies(p_j, fields)
-        return excited[:, sel.level_j - 1] - ground[:, sel.level_i - 1] + origin
-    _check_labels(sel, p_i.dimension, p_i.dimension)
-    energies = _energies(p_i, fields)
-    return energies[:, sel.level_j - 1] - energies[:, sel.level_i - 1]
+    return _transition(params, as_fields(fields), sel, 0).frequency
 
 
 def transition_frequency(params, field, sel: TransitionSelector) -> float:
@@ -217,160 +310,42 @@ def transition_frequency(params, field, sel: TransitionSelector) -> float:
     return float(transition_frequencies(params, as_field(field)[None], sel)[0])
 
 
-def _slopes_and_gaps(params: SpinParams, fields: np.ndarray, labels: tuple[int, ...]):
-    """Hellmann-Feynman slopes dE/dB (N, L, 3) of the labelled levels at each
-    field, and the gap (N, L) from each to its nearer neighbour."""
-    zeeman = params.linear_terms.zeeman
-    idx = np.array(labels) - 1
-    slopes = np.empty((len(fields), len(labels), 3))
-    gaps = np.empty((len(fields), len(labels)))
-    for block, energies, vectors in _eigensystems(params, fields):
-        edge = np.full((len(energies), 1), np.inf)
-        spacing = np.hstack([edge, np.diff(energies, axis=1), edge])
-        gaps[block] = np.minimum(spacing[:, idx], spacing[:, idx + 1])
-        for n, levels in enumerate(vectors, start=block.start):
-            for k, column in enumerate(idx):
-                vec = levels[:, column]
-                slopes[n, k] = [float((vec.conj() @ m @ vec).real) for m in zeeman]
-    return slopes, gaps
+def frequency_gradient(params, field, sel: TransitionSelector) -> GradientResult:
+    """Gradient of the selected transition frequency (MHz/mT).
 
-
-def _gradients(
-    params,
-    fields: np.ndarray,
-    sel: TransitionSelector,
-    step: float = 0.01,
-    degeneracy_gap: float = 1e-3,
-    consistency_tol: float = 1e-4,
-) -> GradientResult:
-    """``frequency_gradient`` at each field of a stack (N, 3); every field of
-    the returned GradientResult carries that leading stack axis."""
-    p_i, p_j, _ = _split_params(params, sel)
-    if sel.manifold == "optical":
-        _check_labels(sel, p_i.dimension, p_j.dimension)
-        slope_i, gap_i = _slopes_and_gaps(p_i, fields, (sel.level_i,))
-        slope_j, gap_j = _slopes_and_gaps(p_j, fields, (sel.level_j,))
-        slopes = np.concatenate([slope_i, slope_j], axis=1)
-        gaps = np.concatenate([gap_i, gap_j], axis=1)
-    else:
-        _check_labels(sel, p_i.dimension, p_i.dimension)
-        slopes, gaps = _slopes_and_gaps(p_i, fields, (sel.level_i, sel.level_j))
-    hf = slopes[:, 1] - slopes[:, 0]
-    min_gap = np.minimum(gaps[:, 0], gaps[:, 1])
-
-    # central differences: per field the order is +x, -x, +y, -y, +z, -z
-    offsets = step * np.eye(3)
-    stencil = np.stack(
-        [fields[:, None, :] + offsets, fields[:, None, :] - offsets], axis=2
-    ).reshape(-1, 3)
-    f = transition_frequencies(params, stencil, sel).reshape(-1, 3, 2)
-    fd = (f[..., 0] - f[..., 1]) / (2.0 * step)
-
-    flagged = (min_gap < degeneracy_gap) | (np.max(np.abs(hf - fd), axis=1) > consistency_tol)
-    return GradientResult(
-        vector=np.where(flagged[:, None], fd, hf),
-        hellmann_feynman=hf,
-        finite_difference=fd,
-        flagged=flagged,
-        min_gap=min_gap,
-    )
-
-
-def frequency_gradient(
-    params,
-    field,
-    sel: TransitionSelector,
-    *,
-    step: float = 0.01,
-    degeneracy_gap: float = 1e-3,
-    consistency_tol: float = 1e-4,
-) -> GradientResult:
-    """Gradient of the selected transition frequency, cross-checked two ways.
-
-    Computes Hellmann-Feynman expectation values on the eigenstates and
-    central finite differences with the given ``step`` (mT). Away from
-    level crossings the two must agree to ``consistency_tol`` MHz/mT; if
-    they do not, or a connected level sits closer than ``degeneracy_gap``
-    MHz to a neighbor, the result is flagged and the finite-difference
-    estimate is used.
+    The Hellmann-Feynman difference <j|M|j> - <i|M|i> on the eigenstates at
+    ``field``, one diagonalization per manifold. Flagged, and replaced by
+    a central difference, where a connected level lies closer than
+    ``DEGENERACY_GAP`` MHz to a neighbour.
     """
-    if step <= 0:
-        raise InvalidParameterError(f"step must be positive, got {step}")
-    g = _gradients(
-        params, as_field(field)[None], sel, step, degeneracy_gap, consistency_tol
-    )
+    g = _transition(params, as_field(field)[None], sel, 1).gradient
     return GradientResult(
-        vector=g.vector[0],
-        hellmann_feynman=g.hellmann_feynman[0],
-        finite_difference=g.finite_difference[0],
-        flagged=bool(g.flagged[0]),
-        min_gap=float(g.min_gap[0]),
+        vector=g.vector[0], flagged=bool(g.flagged[0]), min_gap=float(g.min_gap[0])
     )
 
 
-_PAIRS = ((0, 1), (0, 2), (1, 2))
+def _curvature_matrix(hessian: np.ndarray) -> np.ndarray:
+    return hessian / 2.0 * 1000.0  # half-convention, MHz -> kHz
 
 
-def frequency_curvatures(
-    params, field, sel: TransitionSelector, *, step: float = 0.5
-) -> np.ndarray:
+def frequency_curvatures(params, field, sel: TransitionSelector) -> np.ndarray:
     """Quadratic-expansion coefficient matrix C in kHz/mT^2.
 
-    Central second differences with one Richardson extrapolation level
-    (steps ``step`` and ``step/2``). C equals half the plain Hessian, so
-    its diagonal at a stationary point reproduces the curvatures S2i of
-    the quadratic model directly. All 37 stencil fields are diagonalized
-    as one stack.
+    C is half the Hessian of E_j - E_i from the second-order perturbation
+    sum on one diagonalization per manifold (see the module docstring). Its
+    diagonal at a stationary point gives the curvatures S2i directly.
+    Levels closer than ``DEGENERACY_GAP`` MHz to the level differentiated
+    (its degenerate cluster, e.g. a Kramers partner at zero field) are left
+    out of the sum, so C stays finite at a level crossing, where it
+    describes only the branch the eigensolver picked.
     """
-    if step < 1e-4:
-        raise InvalidParameterError(
-            f"curvature step collapsed below 1e-4 mT (got {step})"
-        )
-    b = as_field(field)
-    steps = (step, step / 2.0)
-
-    def unit(axis: int, h: float) -> np.ndarray:
-        e = np.zeros(3)
-        e[axis] = h
-        return e
-
-    # The stencil fields are formed exactly as b + e1 - e2 etc., so that
-    # zero components keep the signs of a point-by-point evaluation.
-    stencil = [b]
-    for axis in range(3):
-        for h in steps:
-            e = unit(axis, h)
-            stencil += [b + e, b - e]
-    for a1, a2 in _PAIRS:
-        for h in steps:
-            e1, e2 = unit(a1, h), unit(a2, h)
-            stencil += [b + e1 + e2, b + e1 - e2, b - e1 + e2, b - e1 - e2]
-    f = transition_frequencies(params, np.array(stencil), sel)
-    f0 = f[0]
-    h2 = np.array([h**2 for h in steps])
-    d = f[1:13].reshape(3, 2, 2)  # axis, step, sign
-    m = f[13:].reshape(3, 2, 4)  # pair, step, (++, +-, -+, --)
-    second_diag = (d[..., 0] - 2.0 * f0 + d[..., 1]) / h2
-    second_mixed = (m[..., 0] - m[..., 1] - m[..., 2] + m[..., 3]) / (4.0 * h2)
-
-    def richardson(values: np.ndarray) -> np.ndarray:
-        coarse, fine = values[:, 0], values[:, 1]
-        return (4.0 * fine - coarse) / 3.0
-
-    raw = np.diag(richardson(second_diag))
-    for (a1, a2), value in zip(_PAIRS, richardson(second_mixed)):
-        raw[a1, a2] = raw[a2, a1] = value
-    return raw / 2.0 * 1000.0  # half-convention, MHz -> kHz
+    return _curvature_matrix(_transition(params, as_field(field)[None], sel, 2).hessian[0])
 
 
 def quadratic_model(z: ZefozPoint, delta_field) -> float:
     """w0 + sum_i S2i * dBi^2, curvatures converted from kHz to MHz."""
     d = np.asarray(delta_field, dtype=float)
     return float(z.omega0 + np.sum(z.curvatures * 1e-3 * d**2))
-
-
-def _free_gradient(params, point, sel, free: list[int]) -> np.ndarray:
-    return _gradients(params, point[None], sel).vector[0, free]
 
 
 def _newton_refine(
@@ -381,17 +356,23 @@ def _newton_refine(
     free: list[int],
     tol: float,
     max_iter: int,
-) -> tuple[np.ndarray, float] | None:
+) -> ZefozPoint | None:
     """Damped Newton root-finding on the free gradient components.
 
-    Returns the converged point and its gradient residual, or None."""
+    Each evaluation gives the gradient, the next Jacobian (the analytic
+    Hessian) and, at the endpoint, the reported frequency and curvatures.
+    Returns the converged point, or None."""
+
+    def evaluate(point: np.ndarray):
+        state = _transition(params, point[None], sel, 2)
+        return state, state.gradient.vector[0, free]
+
     point = start.copy()
-    grad = _free_gradient(params, point, sel, free)
+    state, grad = evaluate(point)
     for _ in range(max_iter):
         if np.max(np.abs(grad)) <= tol:
-            return point, float(np.max(np.abs(grad)))
-        curv = frequency_curvatures(params, point, sel)
-        jac = 2.0 * curv[np.ix_(free, free)] * 1e-3  # raw Hessian, MHz/mT^2
+            break
+        jac = state.hessian[0][np.ix_(free, free)]  # MHz/mT^2
         try:
             if np.linalg.cond(jac) > 1e10:
                 raise np.linalg.LinAlgError("near-singular")
@@ -411,15 +392,27 @@ def _newton_refine(
             for k in free:  # clip into bounds
                 ax = bounds.axis(k)
                 trial[k] = min(max(trial[k], ax.start), ax.stop)
-            trial_grad = _free_gradient(params, trial, sel, free)
+            trial_state, trial_grad = evaluate(trial)
             if np.max(np.abs(trial_grad)) < np.max(np.abs(grad)):
-                point, grad = trial, trial_grad
+                point, state, grad = trial, trial_state, trial_grad
                 improved = True
                 break
         if not improved:
             break
     residual = float(np.max(np.abs(grad)))
-    return (point, residual) if residual <= tol else None
+    if residual > tol:
+        return None
+    curv = _curvature_matrix(state.hessian[0])
+    diag = np.diag(curv).copy()
+    return ZefozPoint(
+        field=point,
+        omega0=float(state.frequency[0]),
+        gradient_residual=residual,
+        curvatures=diag,
+        hessian_signature=tuple(int(np.sign(round(c, 6))) for c in diag),
+        curvature_matrix=curv,
+        selector=sel,
+    )
 
 
 def zefoz_search(
@@ -452,7 +445,7 @@ def zefoz_search(
         raise InvalidParameterError("search bounds leave no free axis to vary")
 
     grid_points = bounds.points()
-    grads = _gradients(params, grid_points, sel).vector[:, free]
+    grads = _transition(params, grid_points, sel, 1).gradient.vector[:, free]
 
     seeds = [start]
     # bracket sign changes along each free axis of the rectangular grid
@@ -471,31 +464,14 @@ def zefoz_search(
 
     endpoints = []
     for seed in seeds:
-        refined = _newton_refine(params, sel, seed, bounds, free, tol, max_iter)
-        if refined is not None and bounds.contains(refined[0], margin=1e-6):
-            endpoints.append(refined)
-    endpoints.sort(key=lambda e: e[1])  # stable: equal residuals keep seed order
-    distinct: list[tuple[np.ndarray, float]] = []
-    for solution, residual in endpoints:
-        if all(np.max(np.abs(solution - kept)) >= MERGE_DISTANCE for kept, _ in distinct):
-            distinct.append((solution, residual))
-
+        z = _newton_refine(params, sel, seed, bounds, free, tol, max_iter)
+        if z is not None and bounds.contains(z.field, margin=1e-6):
+            endpoints.append(z)
+    endpoints.sort(key=lambda z: z.gradient_residual)  # stable: ties keep seed order
     found: list[ZefozPoint] = []
-    for solution, residual in distinct:
-        curv = frequency_curvatures(params, solution, sel)
-        diag = np.diag(curv).copy()
-        signature = tuple(int(np.sign(round(c, 6))) for c in diag)
-        found.append(
-            ZefozPoint(
-                field=solution,
-                omega0=transition_frequency(params, solution, sel),
-                gradient_residual=residual,
-                curvatures=diag,
-                hessian_signature=signature,
-                curvature_matrix=curv,
-                selector=sel,
-            )
-        )
+    for z in endpoints:
+        if all(np.max(np.abs(z.field - kept.field)) >= MERGE_DISTANCE for kept in found):
+            found.append(z)
     return found
 
 

@@ -40,6 +40,9 @@ from .operators import (
 # Rounded frequency-unit Bohr magneton conventionally used for this ion
 # family; the CODATA value is 13.996245 MHz/mT.
 BOHR_MAGNETON_MHZ_PER_MT = 14.0
+# Largest Hilbert dimension (2S+1)(2I+1) accepted: S and I up to 15/2. The
+# Hamiltonian is a dense matrix of this size, built once per field.
+MAX_DIMENSION = 256
 
 
 @dataclass(frozen=True)
@@ -69,6 +72,11 @@ class SpinParams:
         if not is_half_integer(self.nuclear_spin) or self.nuclear_spin < 0.0:
             raise InvalidParameterError(
                 f"nuclear_spin must be a non-negative half-integer, got {self.nuclear_spin!r}"
+            )
+        if self.dimension > MAX_DIMENSION:
+            raise InvalidParameterError(
+                f"Hilbert dimension (2S+1)(2I+1) must not exceed {MAX_DIMENSION}, "
+                f"got S = {self.electron_spin!r}, I = {self.nuclear_spin!r}"
             )
         if not (self.mu_B > 0.0):
             raise InvalidParameterError(f"mu_B must be positive, got {self.mu_B!r}")

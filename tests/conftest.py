@@ -19,6 +19,7 @@ from zefoz import (
     SpinParams,
     TransitionSelector,
     ion_levels,
+    transition_frequency,
     zefoz_search,
 )
 
@@ -91,6 +92,19 @@ def analytic_clock_frequency(params: SpinParams, bz: float) -> float:
     """
     detuning = 3.0 * params.A + params.g_par * params.mu_B * bz - 6.0 * params.P
     return float(np.sqrt(detuning**2 + 7.0 * params.B_hf**2))
+
+
+def central_difference(params, field, sel, step: float) -> np.ndarray:
+    """Gradient oracle (MHz/mT): central first differences, one
+    transition_frequency call per point."""
+    field = np.asarray(field, dtype=float)
+    return np.array(
+        [
+            (transition_frequency(params, field + offset, sel)
+             - transition_frequency(params, field - offset, sel)) / (2.0 * step)
+            for offset in step * np.eye(3)
+        ]
+    )
 
 
 def analytic_zefoz_bz(params: SpinParams) -> float:

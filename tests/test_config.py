@@ -172,9 +172,18 @@ def test_ion_file_collects_all_problems():
         ("g_par = 1.987", "g_par = inf", 5, "g_par: 'inf' is not a finite number"),
         ("mu_B = 14.0", "mu_B = -1", 2, "[ground]: mu_B must be positive"),
         ("S = 0.5", "S = 0", 2, "[ground]: electron_spin must be a half-integer"),
+        ("S = 0.5", "S = 1e300", 2, "[ground]: Hilbert dimension (2S+1)(2I+1) must not exceed 256"),
+        ("I = 3.5", "I = 1e15", 2, "[ground]: Hilbert dimension (2S+1)(2I+1) must not exceed 256"),
     ],
 )
-def test_ion_file_bad_values_fail_at_parse_time(tmp_path, capsys, old, new, line, words):
+def test_ion_file_bad_values_fail_at_parse_time(
+    tmp_path, capsys, monkeypatch, old, new, line, words
+):
+    def no_matrix(spin):
+        raise AssertionError(f"spin matrix of S = {spin!r} requested")
+
+    # a rejected spin must never reach a matrix build
+    monkeypatch.setattr("zefoz.spins.spin_matrices", no_matrix)
     text = ION_TEXT.replace(old, new, 1)
     with pytest.raises(ConfigError) as err:
         parse_ion_file(text)
@@ -454,7 +463,7 @@ GOLDEN_SHA256 = {
     "zefoz.jsonl": "b07033e35e728aeeabb96e67298883e5a130e998823f7752d37401b36b9e61f8",
     "lambda.jsonl": "1ffd3eef8e74551dfad48d3b7c8ee82cd8dd0578cf2eb28b998ff120f6e0489c",
     "spectrum.csv": "2d2a22bdfa648ea2e71ee5277c991ea3048da31abd992f61ebd6fcaa08c3b21f",
-    "eit.csv": "7af36388d68710a0eb77fedfd33c4ff6160844c0736281af056084d2e0f8cead",
+    "eit.csv": "5b5f52a81bb553b444a490567e528c90b3d8447045a66d7da5db228d6fcc36cb",
     "sweep.csv": "7d16fa99a7e6ebc11a51943d9e1b118b03c41b49022c6395aba5ff581f6e45c6",
 }
 

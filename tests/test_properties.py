@@ -22,6 +22,8 @@ from zefoz import (
     transition_table,
 )
 
+from conftest import central_difference
+
 
 def random_params(rng) -> SpinParams:
     return SpinParams(
@@ -57,10 +59,9 @@ def gradient_deviations(n_samples: int, seed: int, min_gap: float = 5.0):
         # 1e-4 agreement bound even for sharp avoided crossings that pass
         # the gap filter; roundoff stays two decades lower still
         sel = TransitionSelector("ground", int(i), int(j))
-        result = frequency_gradient(params, field, sel, step=0.002)
-        deviations.append(
-            float(np.max(np.abs(result.hellmann_feynman - result.finite_difference)))
-        )
+        fd = central_difference(params, field, sel, step=0.002)
+        result = frequency_gradient(params, field, sel)
+        deviations.append(float(np.max(np.abs(result.vector - fd))))
     return np.array(deviations)
 
 
