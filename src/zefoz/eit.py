@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 from math import comb as binomial_coefficient
 
 import numpy as np
-from scipy.special import roots_hermite, wofz
 
 from .errors import ComputationError, InvalidParameterError
 from .fieldmap import FieldGrid, ZefozPoint, quadratic_model, transition_frequencies
@@ -25,6 +24,18 @@ FLUORINE_GAMMA_MHZ_PER_MT = 0.04006
 GAUSSIAN_FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
 
 AVERAGING_METHODS = ("exact", "hermite")
+
+
+def wofz(z):
+    """Faddeeva function w(z) = exp(-z^2) erfc(-iz), ``scipy.special.wofz``.
+
+    scipy.special is imported on the first call, not with this module:
+    only the EIT commands need it, and importing it costs every other
+    command a large share of its start-up.
+    """
+    from scipy.special import wofz as faddeeva
+
+    return faddeeva(z)
 
 
 @dataclass(frozen=True)
@@ -162,6 +173,8 @@ def averaged_susceptibility(detuning, two_photon_detuning, p: LambdaParams):
 
 
 def _averaged_hermite(f: np.ndarray, d2: np.ndarray, p: LambdaParams, sigma: float):
+    from scipy.special import roots_hermite
+
     nodes, weights = roots_hermite(p.quadrature_points)
     offsets = np.sqrt(2.0) * sigma * nodes
     w_norm = weights / np.sqrt(np.pi)

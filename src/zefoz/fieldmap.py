@@ -57,6 +57,10 @@ MERGE_DISTANCE = 1e-3
 # Levels closer than this (MHz) form one degenerate cluster: the Hessian sum
 # leaves them out and a gradient with a connected level there is flagged.
 DEGENERACY_GAP = 1e-3
+# A level-tracking step whose every row has an overlap above this follows
+# the row argmaxes; any value above 1/sqrt(2) ~ 0.7071 makes them the
+# unique best assignment, and the margin absorbs round-off in the overlaps.
+ARGMAX_OVERLAP = 0.75
 
 
 @dataclass(frozen=True)
@@ -249,14 +253,18 @@ class _Transition(NamedTuple):
     hessian: np.ndarray | None
 
 
-def _transition(params, fields: np.ndarray, sel: TransitionSelector, order: int) -> _Transition:
+def _transition(
+    params, fields: np.ndarray, sel: TransitionSelector, order: int, *, gradient: bool = True
+) -> _Transition:
     """E_j - E_i and its derivatives up to ``order`` at each field of a stack
     (N, 3), from one stacked diagonalization per manifold.
 
     Where a connected level lies closer than ``DEGENERACY_GAP`` to a
     neighbour the gradient is flagged and taken from central differences
     (step 0.01 mT): inside a degenerate cluster the Hellmann-Feynman slope
-    depends on the basis the eigensolver picked.
+    depends on the basis the eigensolver picked. With ``gradient`` False
+    (a caller that needs only the Hessian) the result carries no
+    GradientResult and no central differences are run.
     """
     p_i, p_j, origin = _split_params(params, sel)
     if sel.manifold == "optical":
@@ -271,8 +279,9 @@ def _transition(params, fields: np.ndarray, sel: TransitionSelector, order: int)
         parts = _level_derivatives(p_i, fields, (sel.level_i, sel.level_j), order)
     energy, slope, gap, hessian = parts
     frequency = energy[:, 1] - energy[:, 0] + origin
-    if order == 0:
-        return _Transition(frequency, None, None)
+    transition_hessian = None if hessian is None else hessian[:, 1] - hessian[:, 0]
+    if order == 0 or not gradient:
+        return _Transition(frequency, None, transition_hessian)
     vector = slope[:, 1] - slope[:, 0]
     min_gap = np.min(gap, axis=1)
     flagged = min_gap < DEGENERACY_GAP
@@ -287,7 +296,7 @@ def _transition(params, fields: np.ndarray, sel: TransitionSelector, order: int)
     return _Transition(
         frequency,
         GradientResult(vector=vector, flagged=flagged, min_gap=min_gap),
-        None if hessian is None else hessian[:, 1] - hessian[:, 0],
+        transition_hessian,
     )
 
 
@@ -339,7 +348,8 @@ def frequency_curvatures(params, field, sel: TransitionSelector) -> np.ndarray:
     out of the sum, so C stays finite at a level crossing, where it
     describes only the branch the eigensolver picked.
     """
-    return _curvature_matrix(_transition(params, as_field(field)[None], sel, 2).hessian[0])
+    hessian = _transition(params, as_field(field)[None], sel, 2, gradient=False).hessian
+    return _curvature_matrix(hessian[0])
 
 
 def quadratic_model(z: ZefozPoint, delta_field) -> float:
@@ -480,15 +490,34 @@ class LevelDiagram:
     """Energies of every level across a 1-D field grid, identity-tracked.
 
     Rows of ``energies`` follow the grid; columns follow the level labels
-    assigned at the first grid point (ascending there). Tracking maximizes
-    eigenvector overlap between adjacent points so curves keep their
-    identity through crossings. ``low_overlap[k]`` is set when the best
-    overlap at step k fell below the tracking threshold.
+    assigned at the first grid point (ascending there). Tracking assigns
+    the levels at each point to the labels at the previous one so that
+    the summed eigenvector overlap |<a|b>| is largest, and curves keep
+    their identity through crossings. Both sets of eigenvectors are
+    orthonormal, so every row and column of the overlap matrix has unit
+    norm: an entry above 1/sqrt(2) is the only one of its row and of its
+    column above 1/sqrt(2), and where every row has one, those entries are
+    the unique best assignment. ``low_overlap[k]`` is set when the
+    smallest assigned overlap at step k fell below the tracking threshold.
     """
 
     field_points: np.ndarray
     energies: np.ndarray
     low_overlap: np.ndarray
+
+
+def _best_assignment(tracked: np.ndarray, vectors: np.ndarray):
+    """Column of ``vectors`` assigned to each column of ``tracked`` by the
+    maximum summed overlap, and the smallest assigned overlap."""
+    # scipy.optimize costs more start-up than most commands take to run,
+    # and only a tracking step without a clear argmax needs it
+    from scipy.optimize import linear_sum_assignment
+
+    overlap = np.abs(tracked.conj().T @ vectors)
+    rows, cols = linear_sum_assignment(-overlap)
+    order = np.empty(len(cols), dtype=int)
+    order[rows] = cols
+    return order, float(overlap[rows, cols].min())
 
 
 def level_diagram(
@@ -498,7 +527,14 @@ def level_diagram(
     *,
     overlap_threshold: float = 0.6,
 ) -> LevelDiagram:
-    """Track the full level structure along a single-axis field grid."""
+    """Track the full level structure along a single-axis field grid.
+
+    The overlaps of each block of eigensystems with the point before come
+    from one stacked product. A step where the largest overlap of every
+    row exceeds ``ARGMAX_OVERLAP`` (above 1/sqrt(2), see ``LevelDiagram``)
+    follows the row argmaxes, which are the best assignment; any other
+    step solves the assignment with ``scipy.optimize``.
+    """
     if manifold not in ("ground", "excited"):
         raise InvalidParameterError("level_diagram maps one manifold: ground or excited")
     free = grid.free_axes()
@@ -508,29 +544,27 @@ def level_diagram(
     if isinstance(params, IonParams):
         single = params.ground if manifold == "ground" else params.excited
 
-    # only level tracking needs scipy.optimize; importing it costs every
-    # other command a noticeable share of its start-up
-    from scipy.optimize import linear_sum_assignment
-
     points = grid.points()
-    dim = single.dimension
-    energies = np.zeros((len(points), dim))
+    energies = np.zeros((len(points), single.dimension))
     flags = np.zeros(len(points), dtype=bool)
-    prev_vectors = None
+    order = np.arange(single.dimension)  # eigensolver column of each label
     for block, block_energies, block_vectors in _eigensystems(single, points):
-        for k, (level_energies, vectors) in enumerate(
-            zip(block_energies, block_vectors), start=block.start
-        ):
-            if prev_vectors is None:
-                energies[0] = level_energies
-                prev_vectors = vectors
-                continue
-            overlap = np.abs(prev_vectors.conj().T @ vectors)
-            rows, cols = linear_sum_assignment(-overlap)
-            order = np.empty(dim, dtype=int)
-            order[rows] = cols
-            energies[k] = level_energies[order]
-            prev_vectors = vectors[:, order]
-            if float(overlap[rows, cols].min()) < overlap_threshold:
-                flags[k] = True
+        if block.start == 0:
+            energies[0] = block_energies[0]
+            chain = block_vectors
+        else:
+            chain = np.concatenate([last_vectors[None], block_vectors])
+        # overlaps[s] = |<a at one point|b at the next>| in eigensolver order
+        overlaps = np.abs(chain[:-1].conj().transpose(0, 2, 1) @ chain[1:])
+        lowest = overlaps.max(axis=2).min(axis=1)  # smallest row maximum
+        first = block.stop - len(overlaps)  # grid index of the first step
+        for s, (overlap, worst) in enumerate(zip(overlaps, lowest)):
+            if worst > ARGMAX_OVERLAP:
+                order = overlap.argmax(axis=1)[order]
+            else:
+                order, worst = _best_assignment(chain[s][:, order], chain[s + 1])
+            k = first + s
+            energies[k] = block_energies[k - block.start][order]
+            flags[k] = worst < overlap_threshold
+        last_vectors = block_vectors[-1]
     return LevelDiagram(field_points=points, energies=energies, low_overlap=flags)

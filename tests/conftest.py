@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from zefoz import (
     AxisGrid,
@@ -22,6 +23,7 @@ from zefoz import (
     transition_frequency,
     zefoz_search,
 )
+from zefoz.fieldmap import _eigensystems
 
 ND_GROUND = dict(
     electron_spin=0.5,
@@ -138,3 +140,31 @@ def feature_fwhm(x: np.ndarray, y: np.ndarray) -> float:
         )
 
     return crossing(last + 1, last) - crossing(first - 1, first)
+
+
+def tracked_levels(single: SpinParams, grid: FieldGrid, overlap_threshold: float):
+    """Level-tracking oracle: energies and low-overlap flags of a level
+    diagram from a full ``linear_sum_assignment`` at every grid step, on
+    the eigensystems ``level_diagram`` sees."""
+    points = grid.points()
+    dim = single.dimension
+    energies = np.zeros((len(points), dim))
+    flags = np.zeros(len(points), dtype=bool)
+    prev_vectors = None
+    for block, block_energies, block_vectors in _eigensystems(single, points):
+        for k, (level_energies, vectors) in enumerate(
+            zip(block_energies, block_vectors), start=block.start
+        ):
+            if prev_vectors is None:
+                energies[0] = level_energies
+                prev_vectors = vectors
+                continue
+            overlap = np.abs(prev_vectors.conj().T @ vectors)
+            rows, cols = linear_sum_assignment(-overlap)
+            order = np.empty(dim, dtype=int)
+            order[rows] = cols
+            energies[k] = level_energies[order]
+            prev_vectors = vectors[:, order]
+            if float(overlap[rows, cols].min()) < overlap_threshold:
+                flags[k] = True
+    return energies, flags

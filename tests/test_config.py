@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -340,6 +342,15 @@ def test_cli_eit_comb_spacing_propagates(tmp_path, ion_file):
     assert spacing_auto == pytest.approx(0.04006 * 63.628, abs=0.1)
 
 
+def test_cli_eit_hermite_averaging_runs(tmp_path, ion_file):
+    # the quadrature nodes come from scipy.special, imported on first use
+    body = f"command = eit\nion_file = {ion_file}\neit.averaging = hermite\n"
+    lines = _data_lines(_run_cli(tmp_path, ion_file, body, "hermite.csv"))
+    assert lines[0] == "detuning_MHz,alpha_off,alpha_on,transmission"
+    trans = np.array([float(line.split(",")[3]) for line in lines[1:]])
+    assert len(trans) > 1 and np.all(np.isfinite(trans))
+
+
 def test_cli_outputs_are_deterministic(tmp_path, ion_file):
     body = f"command = levels\nion_file = {ion_file}\nfield = 0 0 63.6\n"
     out = _run_cli(tmp_path, ion_file, body, "same.csv")
@@ -493,3 +504,41 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert result.stdout.strip() == "False"
+
+
+def test_cli_start_up_leaves_scipy_unloaded_until_eit(tmp_path):
+    # scipy serves only the Faddeeva function and its quadrature (eit,
+    # sweep) and ambiguous level-tracking steps; the README configs of the
+    # other commands run without importing any of it
+    (tmp_path / "nd.ion").write_text(README_ION, encoding="utf-8")
+    for command in ("levels", "diagram", "zefoz", "lambda", "spectrum", "eit"):
+        (tmp_path / f"{command}.cfg").write_text(
+            f"command = {command}\nion_file = nd.ion\n", encoding="utf-8"
+        )
+    code = textwrap.dedent(
+        """
+        import json, sys
+
+        def scipy_modules():
+            return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+        from zefoz.cli import main
+
+        loaded = {"import": scipy_modules()}
+        for command in ("levels", "diagram", "zefoz", "lambda", "spectrum"):
+            assert main(["--config", command + ".cfg"]) == 0
+        loaded["commands"] = scipy_modules()
+        assert main(["--config", "eit.cfg"]) == 0
+        loaded["eit"] = scipy_modules()
+        print(json.dumps(loaded))
+        """
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=env, cwd=tmp_path,
+    )
+    loaded = json.loads(result.stdout.splitlines()[-1])
+    assert loaded["import"] == []
+    assert loaded["commands"] == []
+    assert "scipy.special" in loaded["eit"]

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.special
 
+import zefoz.eit
 from zefoz import (
     AxisGrid,
     CombModel,
@@ -129,6 +132,19 @@ def test_symmetry_in_probe_detuning():
         chi_neg = susceptibility(-detunings, 0.0, p)
         assert np.max(np.abs(chi_pos.real + chi_neg.real)) < 1e-9
         assert np.max(np.abs(chi_pos.imag - chi_neg.imag)) < 1e-9
+
+
+def test_wofz_is_a_module_function_returning_scipy_faddeeva():
+    # the module-level name is what instruments wrap, and it defers the
+    # scipy.special import to the first call without touching the values
+    assert inspect.isfunction(zefoz.eit.wofz)
+    assert zefoz.eit.wofz.__module__ == "zefoz.eit"
+    parts = np.concatenate([-np.logspace(-3, 8, 23), [0.0], np.logspace(-3, 8, 23)])
+    z = parts[:, None] + 1j * parts[None, :]
+    ours = zefoz.eit.wofz(z)
+    reference = scipy.special.wofz(z)
+    assert ours.dtype == reference.dtype
+    assert np.array_equal(ours.view(np.uint64), reference.view(np.uint64))
 
 
 def test_averaging_methods_agree_when_both_apply():

@@ -5,11 +5,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.optimize
 
+import zefoz.fieldmap as fieldmap
 from zefoz import (
     AxisGrid,
     FieldGrid,
     InvalidParameterError,
+    IonParams,
     SpinParams,
     TransitionSelector,
     ZefozPoint,
@@ -21,7 +24,13 @@ from zefoz import (
     zefoz_search,
 )
 
-from conftest import analytic_clock_frequency, central_difference
+from conftest import (
+    ND_EXCITED,
+    ND_GROUND,
+    analytic_clock_frequency,
+    central_difference,
+    tracked_levels,
+)
 
 
 def test_transition_frequency_matches_block_formula(nd_ground, clock_selector):
@@ -96,6 +105,32 @@ def test_optical_gradient_near_stationary_point(nd_ion, zefoz_point):
         sel = TransitionSelector("optical", g_label, 9)
         grad = frequency_gradient(nd_ion, zefoz_point.field, sel)
         assert grad.vector[2] == pytest.approx(expected, abs=1e-3)
+
+
+def test_curvatures_at_a_degenerate_field_skip_the_gradient_fallback(
+    nd_ground, clock_selector, monkeypatch
+):
+    # B = 0: the clock pair's levels sit in Kramers doublets, so the gradient
+    # is flagged and falls back to central differences; C needs only the
+    # one eigensystem and keeps the value the Newton path computes
+    field = np.zeros((1, 3))
+    expected = fieldmap._curvature_matrix(
+        fieldmap._transition(nd_ground, field, clock_selector, 2).hessian[0]
+    )
+    sizes = []
+    original = fieldmap.diagonalize_stack
+
+    def counting(hamiltonians, **kwargs):
+        sizes.append(len(hamiltonians))
+        return original(hamiltonians, **kwargs)
+
+    monkeypatch.setattr(fieldmap, "diagonalize_stack", counting)
+    matrix = frequency_curvatures(nd_ground, field[0], clock_selector)
+    assert sizes == [1]
+    assert np.array_equal(matrix, expected)
+    sizes.clear()
+    assert frequency_gradient(nd_ground, field[0], clock_selector).flagged
+    assert sizes == [1, 6]
 
 
 def test_curvatures_at_stationary_point(nd_ground, clock_selector, zefoz_point):
@@ -289,3 +324,75 @@ def test_level_diagram_requires_one_axis(nd_ground):
     )
     with pytest.raises(InvalidParameterError):
         level_diagram(nd_ground, grid)
+
+
+def _scan(axis: str, start: float, stop: float, count: int) -> FieldGrid:
+    axes = {name: AxisGrid(0.0, 0.0, 1) for name in "xyz"}
+    axes[axis] = AxisGrid(start, stop, count)
+    return FieldGrid(**axes)
+
+
+def _perturbed_case(seed: int):
+    """A seeded Nd-like ion (each constant scaled within 10%, |P| <= 5 MHz)
+    scanned along a seeded axis."""
+    rng = np.random.default_rng(seed)
+
+    def manifold(base: dict) -> SpinParams:
+        values = dict(base)
+        for key in ("g_par", "g_perp", "A", "B_hf"):
+            values[key] *= rng.uniform(0.9, 1.1)
+        values["P"] = rng.uniform(-5.0, 5.0)
+        return SpinParams(**values)
+
+    ion = IonParams(ground=manifold(ND_GROUND), excited=manifold(ND_EXCITED))
+    axis = "xyz"[rng.integers(3)]
+    return ion, "ground", _scan(axis, 0.0, 100.0, 201), 0.6
+
+
+_README_ION = IonParams(ground=SpinParams(**ND_GROUND), excited=SpinParams(**ND_EXCITED))
+TRACKING_CASES = {
+    "readme-x": lambda: (_README_ION, "ground", _scan("x", 0.0, 100.0, 201), 0.6),
+    "readme-y": lambda: (_README_ION, "ground", _scan("y", 0.0, 100.0, 201), 0.6),
+    "readme-z": lambda: (_README_ION, "ground", _scan("z", 0.0, 100.0, 201), 0.6),
+    "readme-z-1001": lambda: (_README_ION, "ground", _scan("z", 0.0, 100.0, 1001), 0.6),
+    "excited": lambda: (_README_ION, "excited", _scan("z", 0.0, 100.0, 201), 0.6),
+    "spin-half": lambda: (
+        SpinParams(**{**ND_GROUND, "nuclear_spin": 0.5}), "ground",
+        _scan("x", 0.0, 100.0, 201), 0.6,
+    ),
+    "quadrupole": lambda: (
+        SpinParams(**{**ND_GROUND, "P": 3.0}), "ground", _scan("y", 0.0, 100.0, 201), 0.6,
+    ),
+    "coarse-x": lambda: (_README_ION, "ground", _scan("x", 0.0, 100.0, 11), 0.6),
+    "perturbed-1": lambda: _perturbed_case(1),
+    "perturbed-2": lambda: _perturbed_case(2),
+    "perturbed-3": lambda: _perturbed_case(3),
+    "threshold-0.99-z": lambda: (_README_ION, "ground", _scan("z", 0.0, 100.0, 201), 0.99),
+    "threshold-0.99-x": lambda: (_README_ION, "ground", _scan("x", 0.0, 100.0, 201), 0.99),
+}
+
+
+@pytest.mark.parametrize("case", TRACKING_CASES)
+def test_level_tracking_matches_full_assignment_oracle(case):
+    params, manifold, grid, threshold = TRACKING_CASES[case]()
+    diagram = level_diagram(params, grid, manifold, overlap_threshold=threshold)
+    single = getattr(params, manifold) if isinstance(params, IonParams) else params
+    energies, flags = tracked_levels(single, grid, threshold)
+    assert np.array_equal(diagram.energies, energies)
+    assert np.array_equal(diagram.low_overlap, flags)
+
+
+def test_level_tracking_solves_the_assignment_only_without_a_clear_argmax(nd_ion, monkeypatch):
+    calls = []
+    original = scipy.optimize.linear_sum_assignment
+
+    def counting(cost):
+        calls.append(cost.shape)
+        return original(cost)
+
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", counting)
+    level_diagram(nd_ion, _scan("z", 0.0, 100.0, 201))
+    assert calls == []
+    # a transverse field from zero starts inside the degenerate doublets
+    level_diagram(nd_ion, _scan("x", 0.0, 100.0, 201))
+    assert calls
