@@ -497,7 +497,9 @@ class LevelDiagram:
     orthonormal, so every row and column of the overlap matrix has unit
     norm: an entry above 1/sqrt(2) is the only one of its row and of its
     column above 1/sqrt(2), and where every row has one, those entries are
-    the unique best assignment. ``low_overlap[k]`` is set when the
+    the unique best assignment. Any other step is solved by shortest
+    augmenting paths (Jonker-Volgenant, ``_min_cost_assignment``).
+    ``low_overlap[k]`` is set when the
     smallest assigned overlap at step k fell below the tracking threshold.
     """
 
@@ -506,18 +508,68 @@ class LevelDiagram:
     low_overlap: np.ndarray
 
 
+def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:
+    """Column assigned to each row of a square, finite ``cost`` matrix with
+    the smallest summed cost.
+
+    Shortest augmenting paths with dual potentials (Jonker-Volgenant), in
+    the form of D. F. Crouse, IEEE TAES 52, 1679 (2016), which
+    ``scipy.optimize.linear_sum_assignment`` also implements; the scan over
+    the unvisited columns, and the order that breaks ties in it, follow
+    that implementation, with the scan as array operations.
+    """
+    n = len(cost)
+    u = np.zeros(n)
+    v = np.zeros(n)
+    path = np.full(n, -1)
+    col4row = np.full(n, -1)
+    row4col = np.full(n, -1)
+    for current in range(n):
+        shortest = np.full(n, np.inf)
+        seen_rows = np.zeros(n, dtype=bool)
+        seen_cols = np.zeros(n, dtype=bool)
+        remaining = np.arange(n - 1, -1, -1)  # a constant matrix gives the identity
+        min_val = 0.0
+        i = current
+        while True:
+            seen_rows[i] = True
+            reduced = min_val + cost[i, remaining] - u[i] - v[remaining]
+            better = reduced < shortest[remaining]
+            path[remaining[better]] = i
+            shortest[remaining[better]] = reduced[better]
+            candidates = shortest[remaining]
+            min_val = candidates.min()
+            # among equal lowest costs the last unassigned column, else the first
+            ties = np.flatnonzero(candidates == min_val)
+            free = ties[row4col[remaining[ties]] == -1]
+            index = free[-1] if len(free) else ties[0]
+            j = remaining[index]
+            seen_cols[j] = True
+            remaining[index] = remaining[-1]
+            remaining = remaining[:-1]
+            if row4col[j] == -1:
+                break
+            i = row4col[j]
+        u[current] += min_val
+        rows = np.flatnonzero(seen_rows)
+        rows = rows[rows != current]
+        u[rows] += min_val - shortest[col4row[rows]]
+        v[seen_cols] -= min_val - shortest[seen_cols]
+        while True:  # augment along the path back to the current row
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == current:
+                break
+    return col4row
+
+
 def _best_assignment(tracked: np.ndarray, vectors: np.ndarray):
     """Column of ``vectors`` assigned to each column of ``tracked`` by the
     maximum summed overlap, and the smallest assigned overlap."""
-    # scipy.optimize costs more start-up than most commands take to run,
-    # and only a tracking step without a clear argmax needs it
-    from scipy.optimize import linear_sum_assignment
-
     overlap = np.abs(tracked.conj().T @ vectors)
-    rows, cols = linear_sum_assignment(-overlap)
-    order = np.empty(len(cols), dtype=int)
-    order[rows] = cols
-    return order, float(overlap[rows, cols].min())
+    order = _min_cost_assignment(-overlap)
+    return order, float(overlap[np.arange(len(order)), order].min())
 
 
 def level_diagram(
@@ -533,7 +585,7 @@ def level_diagram(
     from one stacked product. A step where the largest overlap of every
     row exceeds ``ARGMAX_OVERLAP`` (above 1/sqrt(2), see ``LevelDiagram``)
     follows the row argmaxes, which are the best assignment; any other
-    step solves the assignment with ``scipy.optimize``.
+    step solves the assignment with ``_min_cost_assignment``.
     """
     if manifold not in ("ground", "excited"):
         raise InvalidParameterError("level_diagram maps one manifold: ground or excited")

@@ -343,7 +343,6 @@ def test_cli_eit_comb_spacing_propagates(tmp_path, ion_file):
 
 
 def test_cli_eit_hermite_averaging_runs(tmp_path, ion_file):
-    # the quadrature nodes come from scipy.special, imported on first use
     body = f"command = eit\nion_file = {ion_file}\neit.averaging = hermite\n"
     lines = _data_lines(_run_cli(tmp_path, ion_file, body, "hermite.csv"))
     assert lines[0] == "detuning_MHz,alpha_off,alpha_on,transmission"
@@ -506,17 +505,21 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     assert result.stdout.strip() == "False"
 
 
-def test_cli_start_up_leaves_scipy_unloaded_until_eit(tmp_path):
-    # scipy serves only the Faddeeva function and its quadrature (eit,
-    # sweep) and ambiguous level-tracking steps; the README configs of the
-    # other commands run without importing any of it
+def test_cli_commands_load_no_scipy_module(tmp_path):
+    # scipy is a test-only dependency: no command imports any of it, on
+    # the seven README configs, a diagram whose tracking needs the
+    # assignment solver, or Gauss-Hermite averaging
     (tmp_path / "nd.ion").write_text(README_ION, encoding="utf-8")
-    for command in ("levels", "diagram", "zefoz", "lambda", "spectrum", "eit"):
-        (tmp_path / f"{command}.cfg").write_text(
-            f"command = {command}\nion_file = nd.ion\n", encoding="utf-8"
-        )
+    configs = {
+        command: f"command = {command}\n"
+        for command in ("levels", "diagram", "zefoz", "lambda", "spectrum", "eit", "sweep")
+    }
+    configs["diagram-x"] = "command = diagram\ndiagram.axis = x\n"
+    configs["eit-hermite"] = "command = eit\neit.averaging = hermite\n"
+    for name, body in configs.items():
+        (tmp_path / f"{name}.cfg").write_text(body + "ion_file = nd.ion\n", encoding="utf-8")
     code = textwrap.dedent(
-        """
+        f"""
         import json, sys
 
         def scipy_modules():
@@ -524,12 +527,10 @@ def test_cli_start_up_leaves_scipy_unloaded_until_eit(tmp_path):
 
         from zefoz.cli import main
 
-        loaded = {"import": scipy_modules()}
-        for command in ("levels", "diagram", "zefoz", "lambda", "spectrum"):
-            assert main(["--config", command + ".cfg"]) == 0
-        loaded["commands"] = scipy_modules()
-        assert main(["--config", "eit.cfg"]) == 0
-        loaded["eit"] = scipy_modules()
+        loaded = {{"import": scipy_modules()}}
+        for name in {list(configs)!r}:
+            assert main(["--config", name + ".cfg", "--out", name + ".out"]) == 0
+            loaded[name] = scipy_modules()
         print(json.dumps(loaded))
         """
     )
@@ -539,6 +540,4 @@ def test_cli_start_up_leaves_scipy_unloaded_until_eit(tmp_path):
         env=env, cwd=tmp_path,
     )
     loaded = json.loads(result.stdout.splitlines()[-1])
-    assert loaded["import"] == []
-    assert loaded["commands"] == []
-    assert "scipy.special" in loaded["eit"]
+    assert loaded == {name: [] for name in ["import", *configs]}

@@ -7,7 +7,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.special
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import zefoz.eit
 from zefoz import (
@@ -28,6 +31,7 @@ from zefoz import (
     susceptibility,
 )
 from zefoz.cli import _comb_model
+from zefoz.eit import AVERAGING_METHODS
 
 from conftest import feature_fwhm, local_max_indices
 
@@ -134,17 +138,147 @@ def test_symmetry_in_probe_detuning():
         assert np.max(np.abs(chi_pos.imag - chi_neg.imag)) < 1e-9
 
 
-def test_wofz_is_a_module_function_returning_scipy_faddeeva():
-    # the module-level name is what instruments wrap, and it defers the
-    # scipy.special import to the first call without touching the values
+def test_wofz_matches_scipy_faddeeva_on_the_upper_half_plane():
+    # the module-level name is what instruments wrap
     assert inspect.isfunction(zefoz.eit.wofz)
     assert zefoz.eit.wofz.__module__ == "zefoz.eit"
-    parts = np.concatenate([-np.logspace(-3, 8, 23), [0.0], np.logspace(-3, 8, 23)])
-    z = parts[:, None] + 1j * parts[None, :]
+    re = np.concatenate([-np.logspace(-3, 8, 300)[::-1], [0.0], np.logspace(-3, 8, 300)])
+    im = np.concatenate([[0.0], np.logspace(-8, 8, 300)])
+    z = re[:, None] + 1j * im[None, :]
     ours = zefoz.eit.wofz(z)
     reference = scipy.special.wofz(z)
-    assert ours.dtype == reference.dtype
-    assert np.array_equal(ours.view(np.uint64), reference.view(np.uint64))
+    assert ours.dtype == reference.dtype and ours.shape == z.shape
+    assert np.max(np.abs(ours - reference) / np.abs(reference)) <= 5e-14
+    # Re w is the absorption; it keeps its own relative accuracy over the
+    # detunings and widths the EIT profiles reach
+    z = np.linspace(-30.0, 30.0, 601)[:, None] + 1j * np.logspace(-2, 3, 101)[None, :]
+    ours = zefoz.eit.wofz(z).real
+    reference = scipy.special.wofz(z).real
+    assert np.max(np.abs(ours - reference) / np.abs(reference)) <= 1e-12
+
+
+def test_wofz_non_finite_input_gives_scipy_values_without_warnings():
+    # the dark state (zero spin dephasing at d2 = 0) passes a non-finite
+    # zeta that averaged_susceptibility masks afterwards; RuntimeWarning
+    # fails the suite
+    inf, nan = np.inf, np.nan
+    z = np.array([
+        complex(inf, 0), complex(-inf, 0), complex(0, inf), complex(inf, inf),
+        complex(-inf, inf), complex(1, inf), complex(-inf, 1), complex(nan, 0),
+        complex(0, nan), complex(nan, nan), complex(inf, nan), complex(nan, inf),
+        complex(2, 0.5),
+    ])
+    ours = zefoz.eit.wofz(z)
+    reference = scipy.special.wofz(z)
+    assert np.array_equal(np.isnan(ours), np.isnan(reference))
+    assert np.all(ours[:7] == 0)
+    assert ours[-1] == pytest.approx(reference[-1], rel=1e-14)
+    assert zefoz.eit.wofz(complex(inf, 0)) == 0
+    assert zefoz.eit.wofz(0.0) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_wofz_rejects_the_lower_half_plane():
+    with pytest.raises(InvalidParameterError):
+        zefoz.eit.wofz(np.array([1.0 + 1.0j, 1.0 - 1e-300j]))
+
+
+def test_wofz_coefficients_are_weidemans_fft_construction():
+    # Weideman (1994): a_n from the FFT of exp(-t^2) (L^2 + t^2) sampled at
+    # t = L tan(theta/2), written out in the module to keep numpy.fft off
+    # the import path
+    n = zefoz.eit._WEIDEMAN_N
+    m = 2 * n
+    length = np.sqrt(n / np.sqrt(2.0))
+    t = length * np.tan(np.arange(-m + 1, m) * np.pi / (2 * m))
+    samples = np.concatenate([[0.0], np.exp(-(t**2)) * (length**2 + t**2)])
+    a = np.real(np.fft.fft(np.fft.fftshift(samples))) / (2 * m)
+    expected = a[1 : n + 1][::-1]  # highest power first, for Horner
+    assert zefoz.eit._WEIDEMAN_L == length
+    assert len(zefoz.eit._WEIDEMAN_COEFFICIENTS) == n
+    assert np.max(np.abs(np.array(zefoz.eit._WEIDEMAN_COEFFICIENTS) - expected)) <= 1e-15
+
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
+RABI = st.floats(0.0, 6.0)
+GAMMA_GE = st.floats(0.05, 5.0)
+
+
+def _chi(dp: float, d2: float, p: LambdaParams) -> complex:
+    """Single Lambda-system response, written out for the quadrature."""
+    if p.rabi_coupling == 0.0:
+        return 1j * p.optical_dephasing / complex(p.optical_dephasing, dp)
+    z = complex(p.spin_dephasing, d2)
+    return 1j * p.optical_dephasing * z / (
+        complex(p.optical_dephasing, dp) * z + (p.rabi_coupling / 2.0) ** 2
+    )
+
+
+@PROPERTY
+@example(  # dark state: zero spin dephasing on two-photon resonance
+    rabi=2.0, gamma_ge=0.5, gamma_gs=0.0, fwhm=35.0, f_sigmas=0.3, d2=0.0
+)
+@given(
+    rabi=RABI, gamma_ge=GAMMA_GE, gamma_gs=st.floats(0.0, 2.0), fwhm=st.floats(1.0, 100.0),
+    f_sigmas=st.floats(-3.0, 3.0), d2=st.floats(-10.0, 10.0),
+)
+def test_averaged_susceptibility_matches_quadrature(rabi, gamma_ge, gamma_gs, fwhm, f_sigmas, d2):
+    # <chi>(f, d2) = integral of chi(f - D, d2) over the Gaussian of the
+    # ion detunings D; chi is a simple pole in dp, centered at D = f + b
+    # with half-width a for pole = a + ib
+    p = LambdaParams(
+        rabi_coupling=rabi, optical_dephasing=gamma_ge, spin_dephasing=gamma_gs,
+        optical_inhom_fwhm=fwhm,
+    )
+    sigma = fwhm / (2.0 * np.sqrt(2.0 * np.log(2.0)))
+    f = f_sigmas * sigma
+    center = f
+    if rabi != 0.0 and (gamma_gs != 0.0 or d2 != 0.0):
+        center += (gamma_ge + (rabi / 2.0) ** 2 / complex(gamma_gs, d2)).imag
+
+    def integrand(d, part):
+        chi = _chi(f - d, d2, p)
+        weight = np.exp(-d * d / (2.0 * sigma**2)) / (sigma * np.sqrt(2.0 * np.pi))
+        return (chi.real, chi.imag)[part] * weight
+
+    got = complex(averaged_susceptibility(f, d2, p))
+    breaks = [x for x in (f, center) if abs(x) < 12.0 * sigma]
+    # epsabs as well, for a part that integrates to zero
+    expected = complex(*(
+        scipy.integrate.quad(
+            integrand, -12.0 * sigma, 12.0 * sigma, args=(part,), points=breaks,
+            limit=400, epsabs=1e-10 * abs(got), epsrel=1e-10,
+        )[0]
+        for part in (0, 1)
+    ))
+    assert abs(got - expected) <= 1e-7 * abs(expected)
+
+
+@PROPERTY
+@given(
+    half_lines=st.integers(0, 6),
+    spacing=st.floats(0.5, 5.0),
+    raw_weights=st.lists(st.floats(0.0, 1.0), min_size=13, max_size=13),
+    rabi=RABI, gamma_ge=GAMMA_GE, fwhm=st.floats(20.0, 100.0), gamma0=st.floats(0.0, 2.0),
+    averaging=st.sampled_from(AVERAGING_METHODS),
+)
+def test_symmetric_comb_gives_a_mirror_symmetric_transmission(
+    half_lines, spacing, raw_weights, rabi, gamma_ge, fwhm, gamma0, averaging
+):
+    # mirror-symmetric comb weights with zero two-photon offset: the
+    # transmission is even in the two-photon detuning on a symmetric grid
+    n_lines = 2 * half_lines + 1
+    weights = np.array(raw_weights[:n_lines]) + 0.1
+    weights = weights + weights[::-1]
+    noise = NoiseModel(curvatures=REFERENCE_CURVATURES, gamma0=gamma0)
+    comb = CombModel(spacing=spacing, n_lines=n_lines, weights=weights, noise=noise)
+    p = LambdaParams(
+        rabi_coupling=rabi, optical_dephasing=gamma_ge, optical_inhom_fwhm=fwhm,
+        averaging=averaging,
+    )
+    half = np.linspace(0.0, half_lines * spacing + 5.0, 151)
+    grid = np.concatenate([-half[:0:-1], half])
+    profile = eit_profile(comb, p, (0.0, 0.0, 0.0), grid)
+    assert np.max(np.abs(profile.transmission - profile.transmission[::-1])) <= 1e-12
 
 
 def test_averaging_methods_agree_when_both_apply():

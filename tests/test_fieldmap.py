@@ -384,15 +384,39 @@ def test_level_tracking_matches_full_assignment_oracle(case):
 
 def test_level_tracking_solves_the_assignment_only_without_a_clear_argmax(nd_ion, monkeypatch):
     calls = []
-    original = scipy.optimize.linear_sum_assignment
+    original = fieldmap._min_cost_assignment
 
     def counting(cost):
         calls.append(cost.shape)
         return original(cost)
 
-    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", counting)
+    monkeypatch.setattr(fieldmap, "_min_cost_assignment", counting)
     level_diagram(nd_ion, _scan("z", 0.0, 100.0, 201))
     assert calls == []
     # a transverse field from zero starts inside the degenerate doublets
     level_diagram(nd_ion, _scan("x", 0.0, 100.0, 201))
     assert calls
+
+
+def _assignment_cases(d: int, rng):
+    """Cost matrices: minus the overlaps |<a|b>| of two nearby orthonormal
+    bases, uniform non-negative numbers, and small integers, which tie."""
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    first, _ = np.linalg.qr(a)
+    second, _ = np.linalg.qr(a + 0.5 * rng.normal(size=(d, d)))
+    yield "overlap", -np.abs(first.conj().T @ second)
+    yield "uniform", rng.uniform(0.0, 1.0, size=(d, d))
+    yield "integer", rng.integers(0, 3, size=(d, d)).astype(float)
+
+
+@pytest.mark.parametrize("d", [2, 16, 64])
+def test_min_cost_assignment_matches_linear_sum_assignment(d):
+    rng = np.random.default_rng(d)
+    for _ in range(5):
+        for kind, cost in _assignment_cases(d, rng):
+            rows, cols = scipy.optimize.linear_sum_assignment(cost)
+            order = fieldmap._min_cost_assignment(cost)
+            assert sorted(order) == list(range(d))
+            assert cost[rows, order].sum() == pytest.approx(cost[rows, cols].sum(), abs=1e-12)
+            if kind != "integer":  # continuous entries: the optimum is unique
+                assert np.array_equal(order, cols)
