@@ -3,133 +3,132 @@ Kramers rare-earth ions in magnetic fields.
 
 Units throughout: energies and frequencies in MHz, magnetic fields in mT,
 curvatures in kHz/mT^2, with z along the crystal symmetry axis.
+
+The top-level names are resolved on first access (PEP 562): importing
+``zefoz`` loads no submodule, and ``zefoz.eit_profile`` loads ``zefoz.eit``
+and what it imports. Resolved names are not stored in the package
+namespace, so a name rebound in its defining module is what ``zefoz.name``
+returns.
 """
+
+import importlib
+import sys
 
 __version__ = "0.1.0"
 
-from .errors import ComputationError, ConfigError, InvalidParameterError
-from .spins import (
-    BOHR_MAGNETON_MHZ_PER_MT,
-    IonParams,
-    LevelSet,
-    LinearTerms,
-    SpinParams,
-    StateComponent,
-    build_hamiltonian,
-    diagonalize,
-    diagonalize_stack,
-    ion_levels,
-    state_composition,
+_SUBMODULES = (
+    "cli",
+    "config",
+    "eit",
+    "errors",
+    "fieldmap",
+    "operators",
+    "output",
+    "spins",
+    "transitions",
 )
-from .fieldmap import (
-    AxisGrid,
-    FieldGrid,
-    GradientResult,
-    LevelDiagram,
-    TransitionSelector,
-    ZefozPoint,
-    frequency_curvatures,
-    frequency_gradient,
-    level_diagram,
-    quadratic_model,
-    transition_frequency,
-    transition_frequencies,
-    zefoz_search,
-)
-from .transitions import (
-    BOLTZMANN_MHZ_PER_K,
-    LambdaSystem,
-    SpectrumParams,
-    TransitionLine,
-    TransitionOperator,
-    absorption_spectrum,
-    boltzmann_weights,
-    find_lambda_systems,
-    transition_table,
-)
-from .eit import (
-    CombModel,
-    EitProfile,
-    FLUORINE_GAMMA_MHZ_PER_MT,
-    LambdaParams,
-    NoiseModel,
-    SweepPoint,
-    amplitude_vs_field,
-    averaged_susceptibility,
-    binomial_weights,
-    eit_profile,
-    flat_weights,
-    spin_linewidth,
-    susceptibility,
-)
-from .config import (
-    RunConfig,
-    config_echo,
-    format_ion_file,
-    module_defaults,
-    parse_config,
-    parse_ion_file,
-)
-from .output import render_csv, render_json_records, write_table
 
-__all__ = [
-    "__version__",
-    "BOHR_MAGNETON_MHZ_PER_MT",
-    "BOLTZMANN_MHZ_PER_K",
-    "FLUORINE_GAMMA_MHZ_PER_MT",
-    "AxisGrid",
-    "CombModel",
-    "ComputationError",
-    "ConfigError",
-    "EitProfile",
-    "FieldGrid",
-    "GradientResult",
-    "InvalidParameterError",
-    "IonParams",
-    "LambdaParams",
-    "LambdaSystem",
-    "LevelDiagram",
-    "LevelSet",
-    "LinearTerms",
-    "NoiseModel",
-    "RunConfig",
-    "SpectrumParams",
-    "SpinParams",
-    "StateComponent",
-    "SweepPoint",
-    "TransitionLine",
-    "TransitionOperator",
-    "TransitionSelector",
-    "ZefozPoint",
-    "absorption_spectrum",
-    "amplitude_vs_field",
-    "averaged_susceptibility",
-    "binomial_weights",
-    "boltzmann_weights",
-    "build_hamiltonian",
-    "config_echo",
-    "diagonalize",
-    "diagonalize_stack",
-    "eit_profile",
-    "find_lambda_systems",
-    "flat_weights",
-    "format_ion_file",
-    "frequency_curvatures",
-    "frequency_gradient",
-    "ion_levels",
-    "level_diagram",
-    "module_defaults",
-    "parse_config",
-    "parse_ion_file",
-    "quadratic_model",
-    "render_csv",
-    "render_json_records",
-    "spin_linewidth",
-    "state_composition",
-    "susceptibility",
-    "transition_frequency",
-    "transition_frequencies",
-    "transition_table",
-    "write_table",
-    "zefoz_search",
-]
+# Public name -> the submodule that defines it.
+_EXPORTS = {
+    name: f"{__name__}.{module}"
+    for module, names in (
+        ("errors", ("ComputationError", "ConfigError", "InvalidParameterError")),
+        (
+            "spins",
+            (
+                "BOHR_MAGNETON_MHZ_PER_MT",
+                "AxisGrid",
+                "FieldGrid",
+                "IonParams",
+                "LevelSet",
+                "LinearTerms",
+                "SpinParams",
+                "StateComponent",
+                "build_hamiltonian",
+                "diagonalize",
+                "diagonalize_stack",
+                "ion_levels",
+                "state_composition",
+            ),
+        ),
+        (
+            "fieldmap",
+            (
+                "GradientResult",
+                "LevelDiagram",
+                "TransitionSelector",
+                "ZefozPoint",
+                "frequency_curvatures",
+                "frequency_gradient",
+                "level_diagram",
+                "quadratic_model",
+                "transition_frequency",
+                "transition_frequencies",
+                "zefoz_search",
+            ),
+        ),
+        (
+            "transitions",
+            (
+                "BOLTZMANN_MHZ_PER_K",
+                "LambdaSystem",
+                "SpectrumParams",
+                "TransitionLine",
+                "TransitionOperator",
+                "absorption_spectrum",
+                "boltzmann_weights",
+                "find_lambda_systems",
+                "transition_table",
+            ),
+        ),
+        (
+            "eit",
+            (
+                "FLUORINE_GAMMA_MHZ_PER_MT",
+                "CombModel",
+                "EitProfile",
+                "LambdaParams",
+                "NoiseModel",
+                "SweepPoint",
+                "amplitude_vs_field",
+                "averaged_susceptibility",
+                "binomial_weights",
+                "eit_profile",
+                "flat_weights",
+                "spin_linewidth",
+                "susceptibility",
+            ),
+        ),
+        (
+            "config",
+            (
+                "RunConfig",
+                "config_echo",
+                "format_ion_file",
+                "module_defaults",
+                "parse_config",
+                "parse_ion_file",
+            ),
+        ),
+        ("output", ("render_csv", "render_json_records", "write_table")),
+    )
+    for name in names
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        if name in _SUBMODULES:
+            return importlib.import_module(f"{__name__}.{name}")
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    loaded = sys.modules.get(module)
+    if loaded is None:
+        loaded = importlib.import_module(module)
+    return getattr(loaded, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *_SUBMODULES})

@@ -4,6 +4,10 @@ Usage: ``zefoz --config run.cfg [--out path]``. Exit codes: 0 success,
 2 configuration error, 3 computation error. Every output file starts
 with a provenance header (tool version, full config echo, ion
 parameters) so results are reproducible from the file alone.
+
+Start-up is most of a command's run time, so this module loads only
+``config``, ``errors``, ``output`` and ``spins``; each runner imports what
+it uses from ``fieldmap``, ``transitions`` and ``eit`` when it runs.
 """
 
 from __future__ import annotations
@@ -16,33 +20,9 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, config_echo, format_ion_file, parse_config, parse_ion_file
-from .eit import (
-    CombModel,
-    FLUORINE_GAMMA_MHZ_PER_MT,
-    LambdaParams,
-    NoiseModel,
-    amplitude_vs_field,
-    binomial_weights,
-    eit_profile,
-    flat_weights,
-)
 from .errors import ComputationError, ConfigError, InvalidParameterError
-from .fieldmap import (
-    AxisGrid,
-    FieldGrid,
-    TransitionSelector,
-    level_diagram,
-    zefoz_search,
-)
 from .output import write_table
-from .spins import IonParams, ion_levels
-from .transitions import (
-    SpectrumParams,
-    TransitionOperator,
-    absorption_spectrum,
-    find_lambda_systems,
-    transition_table,
-)
+from .spins import AxisGrid, FieldGrid, IonParams, ion_levels
 
 
 def _provenance(config: RunConfig, ion: IonParams) -> list[str]:
@@ -70,6 +50,8 @@ def _manifold_params(config: RunConfig, ion: IonParams):
 
 
 def _spectrum_params(config: RunConfig) -> SpectrumParams:
+    from .transitions import SpectrumParams
+
     fwhm = config.spectrum_inhom_fwhm
     if fwhm is None:
         in_field = float(np.linalg.norm(config.field)) > 0.0
@@ -83,6 +65,8 @@ def _spectrum_params(config: RunConfig) -> SpectrumParams:
 
 
 def _lambda_params(config: RunConfig) -> LambdaParams:
+    from .eit import LambdaParams
+
     return LambdaParams(
         rabi_coupling=config.eit_rabi,
         optical_dephasing=config.eit_gamma_ge,
@@ -94,6 +78,8 @@ def _lambda_params(config: RunConfig) -> LambdaParams:
 
 
 def _find_zefoz(config: RunConfig, ion: IonParams):
+    from .fieldmap import TransitionSelector, zefoz_search
+
     label, levels = max(config.zefoz_pair), ion.ground.dimension
     if label > levels:
         message = f"zefoz.pair: label {label} exceeds the {levels} ground levels"
@@ -106,6 +92,8 @@ def _find_zefoz(config: RunConfig, ion: IonParams):
 
 
 def _noise_model(config: RunConfig, zefoz_point) -> NoiseModel:
+    from .eit import NoiseModel
+
     curvatures = config.noise_curvatures
     if curvatures is None:
         if zefoz_point is None:
@@ -121,6 +109,8 @@ def _noise_model(config: RunConfig, zefoz_point) -> NoiseModel:
 
 
 def _comb_model(config: RunConfig, noise: NoiseModel, operating_field) -> CombModel:
+    from .eit import FLUORINE_GAMMA_MHZ_PER_MT, CombModel, binomial_weights, flat_weights
+
     spacing = config.comb_spacing
     if spacing is None:
         spacing = FLUORINE_GAMMA_MHZ_PER_MT * float(np.linalg.norm(operating_field))
@@ -143,13 +133,15 @@ def _comb_model(config: RunConfig, noise: NoiseModel, operating_field) -> CombMo
 def _run_levels(config: RunConfig, ion: IonParams):
     levels = ion_levels(_manifold_params(config, ion), np.array(config.field))
     rows = [
-        (config.manifold, int(label), float(energy))
-        for label, energy in zip(levels.labels, levels.energies)
+        (config.manifold, label, energy)
+        for label, energy in zip(levels.labels.tolist(), levels.energies.tolist())
     ]
     return rows, ("manifold", "level", "energy_MHz")
 
 
 def _run_diagram(config: RunConfig, ion: IonParams):
+    from .fieldmap import level_diagram
+
     axes = {"x": 0, "y": 1, "z": 2}
     fixed = AxisGrid(0.0, 0.0, 1)
     scan = AxisGrid(config.diagram_start, config.diagram_stop, config.diagram_count)
@@ -157,12 +149,11 @@ def _run_diagram(config: RunConfig, ion: IonParams):
     per_axis[axes[config.diagram_axis]] = scan
     grid = FieldGrid(x=per_axis[0], y=per_axis[1], z=per_axis[2])
     diagram = level_diagram(ion, grid, config.manifold)
-    rows = []
-    for point, energies in zip(diagram.field_points, diagram.energies):
-        for level, energy in enumerate(energies, start=1):
-            rows.append(
-                (float(point[0]), float(point[1]), float(point[2]), level, float(energy))
-            )
+    rows = [
+        (*point, level, energy)
+        for point, energies in zip(diagram.field_points.tolist(), diagram.energies.tolist())
+        for level, energy in enumerate(energies, start=1)
+    ]
     return rows, ("Bx_mT", "By_mT", "Bz_mT", "level", "energy_MHz")
 
 
@@ -197,6 +188,8 @@ def _run_zefoz(config: RunConfig, ion: IonParams):
 
 
 def _tables_at_field(config: RunConfig, ion: IonParams):
+    from .transitions import TransitionOperator, transition_table
+
     field = np.array(config.field)
     ground = ion_levels(ion.ground, field)
     excited = ion_levels(ion.excited, field)
@@ -205,6 +198,8 @@ def _tables_at_field(config: RunConfig, ion: IonParams):
 
 
 def _run_lambda(config: RunConfig, ion: IonParams):
+    from .transitions import find_lambda_systems
+
     table = _tables_at_field(config, ion)
     systems = find_lambda_systems(
         table,
@@ -239,6 +234,8 @@ def _run_lambda(config: RunConfig, ion: IonParams):
 
 
 def _run_spectrum(config: RunConfig, ion: IonParams):
+    from .transitions import absorption_spectrum
+
     table = _tables_at_field(config, ion)
     if config.spectrum_table_output is not None:
         write_table(
@@ -253,11 +250,13 @@ def _run_spectrum(config: RunConfig, ion: IonParams):
             header_lines=_provenance(config, ion),
         )
     freqs, depth = absorption_spectrum(table, _spectrum_params(config))
-    rows = [(float(f), float(d)) for f, d in zip(freqs, depth)]
+    rows = list(zip(freqs.tolist(), depth.tolist()))
     return rows, ("freq_MHz", "optical_depth")
 
 
 def _run_eit(config: RunConfig, ion: IonParams):
+    from .eit import eit_profile
+
     needs_search = config.noise_curvatures is None or config.comb_spacing is None
     points = _find_zefoz(config, ion) if needs_search else []
     zefoz_point = points[0] if points else None
@@ -267,16 +266,14 @@ def _run_eit(config: RunConfig, ion: IonParams):
     comb = _comb_model(config, noise, operating)
     grid = _axis_grid(config.eit_grid).values()
     profile = eit_profile(comb, _lambda_params(config), config.eit_delta_b, grid)
-    rows = [
-        (float(f), float(off), float(on), float(t))
-        for f, off, on, t in zip(
-            profile.detuning, profile.alpha_off, profile.alpha_on, profile.transmission
-        )
-    ]
+    columns = (profile.detuning, profile.alpha_off, profile.alpha_on, profile.transmission)
+    rows = list(zip(*(column.tolist() for column in columns)))
     return rows, ("detuning_MHz", "alpha_off", "alpha_on", "transmission")
 
 
 def _run_sweep(config: RunConfig, ion: IonParams):
+    from .eit import amplitude_vs_field
+
     points = _find_zefoz(config, ion)
     if not points:
         raise ComputationError("field sweep needs a stationary point, none found")
@@ -288,12 +285,8 @@ def _run_sweep(config: RunConfig, ion: IonParams):
         y=AxisGrid(float(z.field[1]), float(z.field[1]), 1),
         z=AxisGrid(config.sweep_start, config.sweep_stop, config.sweep_count),
     )
-    rows = [
-        (float(row.field[2]), float(row.omega12), float(row.amplitude))
-        for row in amplitude_vs_field(
-            ion.ground, z, noise, _lambda_params(config), comb, sweep
-        )
-    ]
+    swept = amplitude_vs_field(ion.ground, z, noise, _lambda_params(config), comb, sweep)
+    rows = np.array([(p.field[2], p.omega12, p.amplitude) for p in swept]).tolist()
     return rows, ("Bz_mT", "omega12_MHz", "amplitude")
 
 

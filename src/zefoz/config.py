@@ -9,8 +9,11 @@ own output header.
 ``RunConfig`` is the single table of run-config keys: each field declares
 its dotted key, its parser and its default, and ``parse_config``,
 ``config_echo`` and ``module_defaults`` are loops over that table.
-Defaults owned by the library are read from the owning class or
-function, and choice lists from the owning module, never restated.
+Defaults and choice lists owned by the library (``LambdaParams``,
+``NoiseModel``, ``CombModel``, ``SpectrumParams``, ``find_lambda_systems``,
+``AVERAGING_METHODS``, ``LINE_PROFILES``, ``OPERATOR_KINDS``) are restated
+here as literals, so that parsing a config loads neither ``eit`` nor
+``transitions``; a test checks each literal against its owner.
 Every number must be finite and every value in range: a bad value in a
 run config or an ion file fails at parse time with its line number (CLI
 exit code 2), not mid-run.
@@ -22,11 +25,9 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .eit import AVERAGING_METHODS, CombModel, LambdaParams, NoiseModel
 from .errors import ConfigError, InvalidParameterError
 from .operators import is_half_integer
 from .spins import BOHR_MAGNETON_MHZ_PER_MT, IonParams, SpinParams
-from .transitions import LINE_PROFILES, OPERATOR_KINDS, SpectrumParams, find_lambda_systems
 
 COMMANDS = ("levels", "diagram", "zefoz", "lambda", "spectrum", "eit", "sweep")
 FORMATS = ("csv", "json-records")
@@ -81,6 +82,13 @@ def _vec3(text: str) -> tuple[float, float, float]:
     return tuple(_number(x) for x in parts)
 
 
+def _nonneg_vec3(text: str) -> tuple[float, float, float]:
+    vec = _vec3(text)
+    if any(x < 0 for x in vec):
+        raise ValueError(f"components must be non-negative, got {text}")
+    return vec
+
+
 def _pair(text: str) -> tuple[int, int]:
     parts = text.split()
     if len(parts) != 2:
@@ -132,8 +140,11 @@ _POS = _real("be positive", lambda x: x > 0)
 _NONNEG = _real("be non-negative", lambda x: x >= 0)
 _UNIT = _real("lie in [0, 1]", lambda x: 0.0 <= x <= 1.0)
 _COUNT = _integer(1)
-_LAMBDA = find_lambda_systems.__kwdefaults__
-_OPERATORS = tuple(kind for kind in OPERATOR_KINDS if kind != "custom")
+# Choice lists of eit.AVERAGING_METHODS, transitions.LINE_PROFILES and
+# transitions.OPERATOR_KINDS (a custom operator has no config key).
+_AVERAGING = ("exact", "hermite")
+_PROFILES = ("gaussian", "lorentzian")
+_OPERATORS = ("identity", "S_x", "S_y", "S_z", "S_plus", "S_minus")
 _Vec3 = tuple[float, float, float]
 _Axis = tuple[float, float, int]  # start, stop, count
 
@@ -174,38 +185,30 @@ class RunConfig:
     diagram_start: float = _key("diagram.start", _number, 0.0)
     diagram_stop: float = _key("diagram.stop", _number, 100.0)
     diagram_count: int = _key("diagram.count", _COUNT, 201)
-    spectrum_temperature: float = _key("spectrum.temperature", _POS, SpectrumParams.temperature)
+    spectrum_temperature: float = _key("spectrum.temperature", _POS, 2.0)
     # auto: 35 MHz in a bias field, 70 MHz at zero field
     spectrum_inhom_fwhm: float | None = _key("spectrum.inhom_fwhm", _POS, None, "auto")
-    spectrum_profile: str = _key(
-        "spectrum.profile", _choice(LINE_PROFILES), SpectrumParams.line_profile
-    )
+    spectrum_profile: str = _key("spectrum.profile", _choice(_PROFILES), "gaussian")
     spectrum_grid: _Axis = _key("spectrum.grid", _axis(1), (-2200.0, 2200.0, 2201))
     # none: write no line table
     spectrum_table_output: str | None = _key("spectrum.table_output", _path, None, "none")
-    lambda_max_asymmetry: float = _key("lambda.max_asymmetry", _UNIT, _LAMBDA["max_asymmetry"])
-    lambda_max_leakage_ratio: float = _key(
-        "lambda.max_leakage_ratio", _UNIT, _LAMBDA["max_leakage_ratio"]
-    )
-    lambda_min_strength: float = _key("lambda.min_strength", _NONNEG, _LAMBDA["min_strength"])
-    noise_gamma0: float = _key("noise.gamma0", _NONNEG, NoiseModel.gamma0)
-    noise_delta_b: _Vec3 = _key("noise.delta_b", _vec3, NoiseModel.delta_b)
+    lambda_max_asymmetry: float = _key("lambda.max_asymmetry", _UNIT, 0.01)
+    lambda_max_leakage_ratio: float = _key("lambda.max_leakage_ratio", _UNIT, 0.01)
+    lambda_min_strength: float = _key("lambda.min_strength", _NONNEG, 1e-6)
+    noise_gamma0: float = _key("noise.gamma0", _NONNEG, 0.5)
+    noise_delta_b: _Vec3 = _key("noise.delta_b", _nonneg_vec3, (1.0, 1.0, 1.0))
     # auto: from the ZEFOZ search
     noise_curvatures: _Vec3 | None = _key("noise.curvatures", _vec3, None, "auto")
-    comb_n_lines: int = _key("comb.n_lines", _integer(1, odd=True), CombModel.n_lines)
+    comb_n_lines: int = _key("comb.n_lines", _integer(1, odd=True), 9)
     # auto: fluorine Larmor frequency at |B|
     comb_spacing: float | None = _key("comb.spacing", _POS, None, "auto")
     comb_weights: str = _key("comb.weights", _choice(("binomial", "flat")), "binomial")
-    eit_rabi: float = _key("eit.rabi", _NONNEG, LambdaParams.rabi_coupling)
-    eit_gamma_ge: float = _key("eit.gamma_ge", _NONNEG, LambdaParams.optical_dephasing)
-    eit_inhom_fwhm: float = _key("eit.inhom_fwhm", _POS, LambdaParams.optical_inhom_fwhm)
-    eit_two_photon_offset: float = _key(
-        "eit.two_photon_offset", _number, LambdaParams.two_photon_offset
-    )
-    eit_averaging: str = _key("eit.averaging", _choice(AVERAGING_METHODS), LambdaParams.averaging)
-    eit_quadrature_points: int = _key(
-        "eit.quadrature_points", _integer(2), LambdaParams.quadrature_points
-    )
+    eit_rabi: float = _key("eit.rabi", _NONNEG, 2.0)
+    eit_gamma_ge: float = _key("eit.gamma_ge", _NONNEG, 0.5)
+    eit_inhom_fwhm: float = _key("eit.inhom_fwhm", _POS, 35.0)
+    eit_two_photon_offset: float = _key("eit.two_photon_offset", _number, 0.0)
+    eit_averaging: str = _key("eit.averaging", _choice(_AVERAGING), "exact")
+    eit_quadrature_points: int = _key("eit.quadrature_points", _integer(2), 64)
     eit_grid: _Axis = _key("eit.grid", _axis(3), (-18.0, 18.0, 1801))
     eit_delta_b: _Vec3 = _key("eit.delta_b", _vec3, (0.0, 0.0, 0.0))
     sweep_start: float = _key("sweep.start", _number, 54.0)
@@ -222,6 +225,8 @@ class RunConfig:
 
 
 _FIELDS = {f.metadata["key"]: f for f in dataclasses.fields(RunConfig)}
+# (start, stop) key pairs of 1-D scans: stop must not be below start.
+_RANGES = (("diagram.start", "diagram.stop"), ("sweep.start", "sweep.stop"))
 
 
 def module_defaults() -> dict[str, object]:
@@ -282,6 +287,15 @@ def parse_config(text: str) -> RunConfig:
     for key, spec in _FIELDS.items():
         if spec.default is dataclasses.MISSING and spec.name not in values:
             errors.append((None, f"missing required key {key!r}"))
+    for keys in _RANGES:
+        specs = [_FIELDS[key] for key in keys]
+        if any(key in seen and spec.name not in values for key, spec in zip(keys, specs)):
+            continue  # already reported as a bad value
+        start, stop = (values.get(spec.name, spec.default) for spec in specs)
+        if stop < start:
+            no = seen.get(keys[1], seen.get(keys[0]))
+            message = f"must not be below {keys[0]} = {start!r}, got {stop!r}"
+            errors.append((no, f"{keys[1]}: {message}"))
     if errors:
         raise ConfigError(errors)
     return RunConfig(**values)

@@ -15,8 +15,8 @@ from math import comb as binomial_coefficient
 import numpy as np
 
 from .errors import ComputationError, InvalidParameterError
-from .fieldmap import FieldGrid, ZefozPoint, quadratic_model, transition_frequencies
-from .spins import as_field
+from .fieldmap import ZefozPoint, quadratic_model, transition_frequencies
+from .spins import FieldGrid, as_field
 
 # Fluorine nuclear gyromagnetic ratio in MHz/mT (linear frequency).
 FLUORINE_GAMMA_MHZ_PER_MT = 0.04006

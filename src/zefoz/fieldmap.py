@@ -37,7 +37,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidParameterError
-from .spins import (  # noqa: F401 - ion_levels: perfbench reads zefoz.fieldmap.ion_levels
+from .spins import (  # noqa: F401 - grids re-exported; perfbench reads fieldmap.ion_levels
+    AxisGrid,
+    FieldGrid,
     IonParams,
     SpinParams,
     as_field,
@@ -61,57 +63,6 @@ DEGENERACY_GAP = 1e-3
 # the row argmaxes; any value above 1/sqrt(2) ~ 0.7071 makes them the
 # unique best assignment, and the margin absorbs round-off in the overlaps.
 ARGMAX_OVERLAP = 0.75
-
-
-@dataclass(frozen=True)
-class AxisGrid:
-    """Inclusive 1-D grid specification along one field axis (mT)."""
-
-    start: float
-    stop: float
-    count: int
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise InvalidParameterError(f"grid count must be >= 1, got {self.count}")
-        if self.stop < self.start:
-            raise InvalidParameterError(
-                f"grid stop {self.stop} is below start {self.start}"
-            )
-
-    def values(self) -> np.ndarray:
-        if self.count == 1:
-            return np.array([self.start], dtype=float)
-        return np.linspace(self.start, self.stop, self.count)
-
-
-@dataclass(frozen=True)
-class FieldGrid:
-    """Cartesian product of three axis grids."""
-
-    x: AxisGrid
-    y: AxisGrid
-    z: AxisGrid
-
-    def axis(self, index: int) -> AxisGrid:
-        return (self.x, self.y, self.z)[index]
-
-    def free_axes(self) -> list[int]:
-        """Axes with more than one grid point (searchable directions)."""
-        return [k for k in range(3) if self.axis(k).count > 1]
-
-    def points(self) -> np.ndarray:
-        """All grid points, shape (N, 3), x varying slowest."""
-        vx, vy, vz = self.x.values(), self.y.values(), self.z.values()
-        gx, gy, gz = np.meshgrid(vx, vy, vz, indexing="ij")
-        return np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
-
-    def contains(self, point: np.ndarray, margin: float = 1e-9) -> bool:
-        for k in range(3):
-            ax = self.axis(k)
-            if not (ax.start - margin <= point[k] <= ax.stop + margin):
-                return False
-        return True
 
 
 @dataclass(frozen=True)

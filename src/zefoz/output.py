@@ -3,6 +3,11 @@
 Numbers are written with 9 significant digits, ``.`` decimal separator,
 no locale dependence. Identical rows and header always produce identical
 bytes; headers carry no timestamps for exactly that reason.
+
+Cells are formatted by exact type: ``float`` with ``f"{x:.9g}"`` (which
+already prints ``nan``, ``inf`` and ``-inf``), ``int`` with ``str`` and
+``str`` as is, with no numpy call per cell. Any other type (numpy
+scalars, bools) goes through ``format_number``.
 """
 
 from __future__ import annotations
@@ -24,9 +29,20 @@ def format_number(value) -> str:
 
 
 def format_cell(value) -> str:
+    kind = type(value)
+    if kind is float:
+        return f"{value:.9g}"
+    if kind is int:
+        return str(value)
     if isinstance(value, str):
         return value
     return format_number(value)
+
+
+def _json_value(value) -> str:
+    if isinstance(value, str):
+        return f'"{value}"'
+    return format_cell(value)
 
 
 def render_csv(
@@ -37,7 +53,7 @@ def render_csv(
     for row in rows:
         if len(row) != len(columns):
             raise ValueError(f"row has {len(row)} cells for {len(columns)} columns")
-        out.append(",".join(format_cell(v) for v in row))
+        out.append(",".join(map(format_cell, row)))
     return "\n".join(out) + "\n"
 
 
@@ -48,12 +64,7 @@ def render_json_records(
     for row in rows:
         if len(row) != len(columns):
             raise ValueError(f"row has {len(row)} cells for {len(columns)} columns")
-        cells = []
-        for name, value in zip(columns, row):
-            if isinstance(value, str):
-                cells.append(f'"{name}": "{value}"')
-            else:
-                cells.append(f'"{name}": {format_number(value)}')
+        cells = (f'"{name}": {_json_value(value)}' for name, value in zip(columns, row))
         out.append("{" + ", ".join(cells) + "}")
     return "\n".join(out) + "\n"
 

@@ -16,7 +16,9 @@ of H0 and the Zeeman operators M_i = dH/dB_i are built once per
 ``build_hamiltonian`` takes one field or a stack of fields, and
 ``diagonalize_stack`` decomposes a stack in one LAPACK call; callers that
 evaluate many fields (``fieldmap``) feed it fixed-size blocks so that
-temporaries stay small.
+temporaries stay small. The field grids ``AxisGrid`` and ``FieldGrid``
+live here, next to ``as_field``, so that a module that only takes a grid
+(``transitions``) does not load ``fieldmap``.
 """
 
 from __future__ import annotations
@@ -148,6 +150,57 @@ def as_fields(fields) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise InvalidParameterError("field components must be finite")
     return arr
+
+
+@dataclass(frozen=True)
+class AxisGrid:
+    """Inclusive 1-D grid specification along one field axis (mT)."""
+
+    start: float
+    stop: float
+    count: int
+
+    def __post_init__(self):
+        if self.count < 1:
+            raise InvalidParameterError(f"grid count must be >= 1, got {self.count}")
+        if self.stop < self.start:
+            raise InvalidParameterError(
+                f"grid stop {self.stop} is below start {self.start}"
+            )
+
+    def values(self) -> np.ndarray:
+        if self.count == 1:
+            return np.array([self.start], dtype=float)
+        return np.linspace(self.start, self.stop, self.count)
+
+
+@dataclass(frozen=True)
+class FieldGrid:
+    """Cartesian product of three axis grids."""
+
+    x: AxisGrid
+    y: AxisGrid
+    z: AxisGrid
+
+    def axis(self, index: int) -> AxisGrid:
+        return (self.x, self.y, self.z)[index]
+
+    def free_axes(self) -> list[int]:
+        """Axes with more than one grid point (searchable directions)."""
+        return [k for k in range(3) if self.axis(k).count > 1]
+
+    def points(self) -> np.ndarray:
+        """All grid points, shape (N, 3), x varying slowest."""
+        vx, vy, vz = self.x.values(), self.y.values(), self.z.values()
+        gx, gy, gz = np.meshgrid(vx, vy, vz, indexing="ij")
+        return np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
+
+    def contains(self, point: np.ndarray, margin: float = 1e-9) -> bool:
+        for k in range(3):
+            ax = self.axis(k)
+            if not (ax.start - margin <= point[k] <= ax.stop + margin):
+                return False
+        return True
 
 
 @dataclass(frozen=True)

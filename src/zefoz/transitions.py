@@ -15,9 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidParameterError
-from .fieldmap import AxisGrid
 from .operators import spin_matrices
-from .spins import LevelSet
+from .spins import AxisGrid, LevelSet
 
 # Boltzmann constant expressed in MHz per kelvin (k_B / h).
 BOLTZMANN_MHZ_PER_K = 2.08366e4

@@ -168,3 +168,29 @@ def tracked_levels(single: SpinParams, grid: FieldGrid, overlap_threshold: float
             if float(overlap[rows, cols].min()) < overlap_threshold:
                 flags[k] = True
     return energies, flags
+
+
+def format_number_oracle(value) -> str:
+    """Writer oracle: the per-cell number formatting the writer used before
+    it formatted by exact type (isinstance checks and ``np.isfinite``)."""
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    x = float(value)
+    if not np.isfinite(x):
+        return "nan" if np.isnan(x) else ("inf" if x > 0 else "-inf")
+    return f"{x:.9g}"
+
+
+def csv_cell_oracle(value) -> str:
+    return value if isinstance(value, str) else format_number_oracle(value)
+
+
+def json_record_oracle(columns, row) -> str:
+    cells = [
+        f'"{name}": "{value}"' if isinstance(value, str)
+        else f'"{name}": {format_number_oracle(value)}'
+        for name, value in zip(columns, row)
+    ]
+    return "{" + ", ".join(cells) + "}"

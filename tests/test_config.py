@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import importlib
+import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -25,9 +29,12 @@ from zefoz import (
     render_json_records,
     write_table,
 )
+import zefoz
+from zefoz import config
 from zefoz.cli import main
+from zefoz.output import format_cell
 
-from conftest import local_max_indices
+from conftest import csv_cell_oracle, json_record_oracle, local_max_indices
 
 ION_TEXT = """# reference ion parameters (143Nd in YLiF4)
 [ground]
@@ -120,6 +127,60 @@ def test_missing_required_keys():
 def test_duplicate_key_rejected(ion_file):
     with pytest.raises(ConfigError):
         parse_config(f"command = levels\ncommand = zefoz\nion_file = {ion_file}\n")
+
+
+def test_library_defaults_restated_in_the_config_table_match_their_owners():
+    # config states these as literals so that parsing a config loads
+    # neither eit nor transitions; each must equal the value its owner uses
+    from zefoz.eit import AVERAGING_METHODS, CombModel, LambdaParams, NoiseModel
+    from zefoz.transitions import (
+        LINE_PROFILES,
+        OPERATOR_KINDS,
+        SpectrumParams,
+        find_lambda_systems,
+    )
+
+    def field_defaults(cls):
+        return {f.name: f.default for f in dataclasses.fields(cls)}
+
+    lam, noise = field_defaults(LambdaParams), field_defaults(NoiseModel)
+    spectrum, kw = field_defaults(SpectrumParams), find_lambda_systems.__kwdefaults__
+    owners = {
+        "spectrum.temperature": spectrum["temperature"],
+        "spectrum.profile": spectrum["line_profile"],
+        "lambda.max_asymmetry": kw["max_asymmetry"],
+        "lambda.max_leakage_ratio": kw["max_leakage_ratio"],
+        "lambda.min_strength": kw["min_strength"],
+        "noise.gamma0": noise["gamma0"],
+        "noise.delta_b": noise["delta_b"],
+        "comb.n_lines": field_defaults(CombModel)["n_lines"],
+        "eit.rabi": lam["rabi_coupling"],
+        "eit.gamma_ge": lam["optical_dephasing"],
+        "eit.inhom_fwhm": lam["optical_inhom_fwhm"],
+        "eit.two_photon_offset": lam["two_photon_offset"],
+        "eit.averaging": lam["averaging"],
+        "eit.quadrature_points": lam["quadrature_points"],
+    }
+    defaults = module_defaults()
+    # repr tells 2 from 2.0, which would change the echoed header
+    assert {key: repr(defaults[key]) for key in owners} == {
+        key: repr(value) for key, value in owners.items()
+    }
+    assert config._AVERAGING == AVERAGING_METHODS
+    assert config._PROFILES == LINE_PROFILES
+    assert config._OPERATORS == tuple(kind for kind in OPERATOR_KINDS if kind != "custom")
+
+
+def test_inverted_scan_range_reports_the_line_of_the_key_given(ion_file):
+    body = f"command = diagram\nion_file = {ion_file}\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(body + "diagram.start = 150\n")  # below the default stop, 100
+    assert err.value.problems == [
+        (3, "diagram.stop: must not be below diagram.start = 150.0, got 100.0")
+    ]
+    with pytest.raises(ConfigError) as err:
+        parse_config(body + "diagram.start = nan\ndiagram.stop = -5\n")
+    assert [line for line, _ in err.value.problems] == [3]  # only the bad number
 
 
 def test_zefoz_and_lambda_default_to_records(ion_file):
@@ -275,6 +336,33 @@ def test_json_records_count_matches_rows():
     assert records[0] == '{"n": 1, "x": 2.5}'
 
 
+FLOATS = st.floats() | st.sampled_from(
+    [-0.0, math.inf, -math.inf, math.nan, math.copysign(math.nan, -1.0), 1e-320, -5e-324]
+)
+CELLS = st.one_of(
+    FLOATS,
+    st.integers(),
+    st.booleans(),
+    FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.text(),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.lists(CELLS, min_size=1, max_size=6))
+def test_writer_formats_every_cell_as_the_isinstance_oracle(row):
+    # the writer formats exact float, int and str without numpy; every
+    # cell must still read as the isinstance/np.isfinite formatting did
+    columns = [f"c{k}" for k in range(len(row))]
+    expected = [csv_cell_oracle(value) for value in row]
+    assert [format_cell(value) for value in row] == expected
+    assert render_csv([row], columns) == ",".join(columns) + "\n" + ",".join(expected) + "\n"
+    assert render_json_records([row], columns) == json_record_oracle(columns, row) + "\n"
+
+
 # ---------------------------------------------------------------- CLI
 
 
@@ -414,6 +502,10 @@ def test_cli_exit_code_computation_error(tmp_path, ion_file):
         ("zefoz", "zefoz.tol = 1e400"),
         ("eit", "eit.grid = -1 1 2"),
         ("eit", "eit.quadrature_points = 1"),
+        ("eit", "noise.delta_b = 1 -0.5 1"),
+        ("sweep", "sweep.stop = 50"),
+        # the stop key's line is reported, wherever the start key is
+        ("diagram", "diagram.stop = 1\ndiagram.start = 5"),
     ],
 )
 def test_cli_rejects_bad_values_at_parse_time(tmp_path, ion_file, capsys, command, entry):
@@ -505,10 +597,24 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     assert result.stdout.strip() == "False"
 
 
+# zefoz modules each command needs: cli loads config, errors, output and
+# spins (with operators); the runners import fieldmap, transitions and eit
+CLI_BASE = ["zefoz", "zefoz.cli", "zefoz.config", "zefoz.errors", "zefoz.operators",
+            "zefoz.output", "zefoz.spins"]
+SEARCH = ["zefoz.fieldmap"]
+TABLES = ["zefoz.transitions"]
+EIT = ["zefoz.eit", "zefoz.fieldmap"]
+COMMAND_MODULES = {
+    "levels": [], "diagram": SEARCH, "zefoz": SEARCH, "lambda": TABLES, "spectrum": TABLES,
+    "eit": EIT, "sweep": EIT, "diagram-x": SEARCH, "eit-hermite": EIT,
+}
+
+
 def test_cli_commands_load_no_scipy_module(tmp_path):
     # scipy is a test-only dependency: no command imports any of it, on
     # the seven README configs, a diagram whose tracking needs the
-    # assignment solver, or Gauss-Hermite averaging
+    # assignment solver, or Gauss-Hermite averaging. Each command, in a
+    # fresh process, loads exactly the zefoz modules it runs.
     (tmp_path / "nd.ion").write_text(README_ION, encoding="utf-8")
     configs = {
         command: f"command = {command}\n"
@@ -516,28 +622,65 @@ def test_cli_commands_load_no_scipy_module(tmp_path):
     }
     configs["diagram-x"] = "command = diagram\ndiagram.axis = x\n"
     configs["eit-hermite"] = "command = eit\neit.averaging = hermite\n"
-    for name, body in configs.items():
-        (tmp_path / f"{name}.cfg").write_text(body + "ion_file = nd.ion\n", encoding="utf-8")
     code = textwrap.dedent(
-        f"""
+        """
         import json, sys
 
-        def scipy_modules():
-            return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+        def modules(package):
+            return sorted(name for name in sys.modules if name.split(".")[0] == package)
 
         from zefoz.cli import main
 
-        loaded = {{"import": scipy_modules()}}
-        for name in {list(configs)!r}:
-            assert main(["--config", name + ".cfg", "--out", name + ".out"]) == 0
-            loaded[name] = scipy_modules()
+        loaded = {"import": [modules("scipy"), modules("zefoz")]}
+        assert main(["--config", sys.argv[1] + ".cfg", "--out", sys.argv[1] + ".out"]) == 0
+        loaded["main"] = [modules("scipy"), modules("zefoz")]
         print(json.dumps(loaded))
         """
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env=env, cwd=tmp_path,
+    for name, body in configs.items():
+        (tmp_path / f"{name}.cfg").write_text(body + "ion_file = nd.ion\n", encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, "-c", code, name], capture_output=True, text=True, check=True,
+            env=env, cwd=tmp_path,
+        )
+        loaded = json.loads(result.stdout.splitlines()[-1])
+        assert loaded == {
+            "import": [[], CLI_BASE],
+            "main": [[], sorted(CLI_BASE + COMMAND_MODULES[name])],
+        }, name
+
+
+def test_package_names_resolve_lazily_to_their_modules():
+    exports = zefoz._EXPORTS
+    assert zefoz.__all__ == ["__version__", *exports]
+    for name, module in exports.items():
+        obj = getattr(zefoz, name)
+        assert obj is getattr(importlib.import_module(module), name), name
+        if inspect.isclass(obj) or inspect.isfunction(obj):
+            assert obj.__module__ == module, name
+    # resolved names are not stored on the package, so a name rebound in
+    # its module (as the benchmark's tracer does) is what zefoz.name reads
+    assert {
+        name for name, value in vars(zefoz).items()
+        if inspect.isclass(value) or inspect.isfunction(value)
+    } == {"__getattr__", "__dir__"}
+    namespace = {}
+    exec("from zefoz import *", namespace)
+    assert set(zefoz.__all__) <= set(namespace)
+    assert set(zefoz.__all__) | {"eit", "cli", "operators"} <= set(dir(zefoz))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        zefoz.no_such_name
+    assert not hasattr(zefoz, "scipy")
+
+
+def test_package_import_loads_no_submodule():
+    code = (
+        "import sys, zefoz; before = sorted(m for m in sys.modules if m.startswith('zefoz'));"
+        "print(before, zefoz.eit.__name__, zefoz.AxisGrid.__module__)"
     )
-    loaded = json.loads(result.stdout.splitlines()[-1])
-    assert loaded == {name: [] for name in ["import", *configs]}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert result.stdout.split() == ["['zefoz']", "zefoz.eit", "zefoz.spins"]

@@ -9,6 +9,8 @@ exactly the regime the gradient routine flags and falls back on.
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from zefoz import (
     SpinParams,
@@ -17,6 +19,7 @@ from zefoz import (
     SpectrumParams,
     build_hamiltonian,
     diagonalize,
+    frequency_curvatures,
     frequency_gradient,
     ion_levels,
     transition_table,
@@ -120,3 +123,54 @@ def test_gradient_rotational_invariance_on_random_samples():
         e1 = ion_levels(params, (b, 0.0, bz)).energies
         e2 = ion_levels(params, (0.0, b, bz)).energies
         assert np.max(np.abs(e1 - e2)) < 1e-9
+
+
+COUPLING = st.floats(-900.0, 900.0)
+
+
+@st.composite
+def time_reversal_cases(draw):
+    """A Kramers doublet (S = 1/2) with I from 1/2 to 7/2 and P != 0, a
+    field of at least 0.5 mT and a level pair."""
+    params = SpinParams(
+        electron_spin=0.5,
+        nuclear_spin=draw(st.sampled_from([0.5, 1.5, 2.5, 3.5])),
+        g_par=draw(st.floats(0.1, 3.0)),
+        g_perp=draw(st.floats(0.0, 3.0)),
+        A=draw(COUPLING),
+        B_hf=draw(COUPLING),
+        P=draw(st.floats(0.5, 50.0)) * draw(st.sampled_from([-1.0, 1.0])),
+    )
+    field = np.array(draw(st.lists(st.floats(-100.0, 100.0), min_size=3, max_size=3)))
+    assume(np.linalg.norm(field) > 0.5)
+    i, j = draw(st.lists(st.integers(1, params.dimension), min_size=2, max_size=2,
+                         unique=True))
+    return params, field, TransitionSelector("ground", i, j)
+
+
+def _assert_within(a, b, scale: float, rtol: float = 1e-12) -> None:
+    assert float(np.max(np.abs(a - b))) <= rtol * scale
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(time_reversal_cases())
+def test_time_reversal_maps_b_to_minus_b(case):
+    # time reversal flips the Zeeman term and keeps the hyperfine and
+    # quadrupole terms: E(B) = E(-B), the gradient is odd, C is even.
+    # Each bound is relative to the largest value the quantity can take:
+    # max |E|; 2 |M| for a gradient, with |M| = g mu_B / 2 the largest
+    # Zeeman matrix element; |M|^2 / gap for C, whose perturbation sum
+    # cancels terms of that size (the round-off scales with them, not
+    # with C).
+    params, field, sel = case
+    energies = ion_levels(params, field).energies
+    _assert_within(energies, ion_levels(params, -field).energies, max(1.0, np.abs(energies).max()))
+    plus, minus = frequency_gradient(params, field, sel), frequency_gradient(params, -field, sel)
+    assume(not plus.flagged)  # a central difference is odd only to its step's round-off
+    zeeman = params.mu_B * max(params.g_par, params.g_perp) / 2.0
+    _assert_within(plus.vector, -minus.vector, 2.0 * zeeman)
+    _assert_within(
+        frequency_curvatures(params, field, sel),
+        frequency_curvatures(params, -field, sel),
+        1000.0 * zeeman**2 / plus.min_gap,  # kHz/mT^2
+    )
