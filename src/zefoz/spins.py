@@ -10,9 +10,12 @@ with energies in MHz, magnetic fields in mT and mu_B in MHz/mT. The z axis
 is the crystal symmetry axis. Eigenstates are expressed in the |M_I, M_S>
 product basis (M_I outer descending, M_S inner descending).
 
-H is linear in the field, H(B) = H0 + sum_i B_i M_i. The field-free terms
-of H0 and the Zeeman operators M_i = dH/dB_i are built once per
-``SpinParams`` and cached on it, read-only (``SpinParams.linear_terms``).
+H is linear in the field, H(B) = H0 + sum_i B_i M_i. The angular-momentum
+operators depend on (S, I) alone: they are built once per spin pair and
+shared read-only by every ``SpinParams`` with those spins, in a small
+module-level cache. Each ``SpinParams`` caches only its scaled terms, the
+field-free terms of H0 and the Zeeman operators M_i = dH/dB_i, read-only
+(``SpinParams.linear_terms``).
 ``build_hamiltonian`` takes one field or a stack of fields, and
 ``diagonalize_stack`` decomposes a stack in one LAPACK call; callers that
 evaluate many fields (``fieldmap``) feed it fixed-size blocks so that
@@ -24,7 +27,7 @@ live here, next to ``as_field``, so that a module that only takes a grid
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -45,6 +48,9 @@ BOHR_MAGNETON_MHZ_PER_MT = 14.0
 # Largest Hilbert dimension (2S+1)(2I+1) accepted: S and I up to 15/2. The
 # Hamiltonian is a dense matrix of this size, built once per field.
 MAX_DIMENSION = 256
+# Spin pairs whose parameter-free operators stay cached; the largest entry
+# (S = I = 15/2) holds about 6 MB.
+BASIS_CACHE_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -93,31 +99,48 @@ class SpinParams:
     @cached_property
     def linear_terms(self) -> LinearTerms:
         """H0 terms and Zeeman operators of this parameter set, built once."""
-        sx, sy, sz = spin_matrices(self.electron_spin)
-        ix, iy, iz = spin_matrices(self.nuclear_spin)
-        dim_s = multiplicity(self.electron_spin)
-        dim_i = multiplicity(self.nuclear_spin)
-        spin = np.stack([electron_operator(s, dim_i) for s in (sx, sy, sz)])
+        spin, axial, transverse, quadrupole = _spin_basis(self.electron_spin, self.nuclear_spin)
         scale = np.array([self.g_perp, self.g_perp, self.g_par]) * self.mu_B
-        hyperfine = self.A * np.kron(iz, sz) + self.B_hf * (np.kron(ix, sx) + np.kron(iy, sy))
-        zero_field = [hyperfine]
+        zero_field = [self.A * axial + self.B_hf * transverse]
         if self.P != 0.0:
-            i_val = self.nuclear_spin
-            quad = iz @ iz - i_val * (i_val + 1.0) / 3.0 * np.eye(dim_i)
-            zero_field.append(self.P * nuclear_operator(quad, dim_s))
+            zero_field.append(self.P * quadrupole)
         terms = LinearTerms(
             zero_field=tuple(zero_field), spin=spin, zeeman=scale[:, None, None] * spin
         )
-        for array in (*terms.zero_field, terms.spin, terms.zeeman):
+        for array in (*terms.zero_field, terms.zeeman):
             array.flags.writeable = False
         return terms
+
+
+@lru_cache(maxsize=BASIS_CACHE_SIZE)
+def _spin_basis(electron_spin: float, nuclear_spin: float) -> tuple[np.ndarray, ...]:
+    """The parameter-free operators of one spin pair, shared read-only.
+
+    Returns the lifted electron operators (Sx, Sy, Sz) stacked (3, d, d),
+    Iz Sz, Ix Sx + Iy Sy, and the lifted quadrupole Iz^2 - I(I+1)/3.
+    """
+    sx, sy, sz = spin_matrices(electron_spin)
+    ix, iy, iz = spin_matrices(nuclear_spin)
+    dim_s = multiplicity(electron_spin)
+    dim_i = multiplicity(nuclear_spin)
+    quad = iz @ iz - nuclear_spin * (nuclear_spin + 1.0) / 3.0 * np.eye(dim_i)
+    basis = (
+        np.stack([electron_operator(s, dim_i) for s in (sx, sy, sz)]),
+        np.kron(iz, sz),
+        np.kron(ix, sx) + np.kron(iy, sy),
+        nuclear_operator(quad, dim_s),
+    )
+    for array in basis:
+        array.flags.writeable = False
+    return basis
 
 
 class LinearTerms(NamedTuple):
     """The field-linear form H(B) = H0 + sum_i B_i M_i of one parameter set.
 
     ``zeeman`` is M = dH/dB, shape (3, d, d) in MHz/mT, with M_i the
-    lifted electron spin operator ``spin[i]`` times g_i mu_B.
+    lifted electron spin operator ``spin[i]`` times g_i mu_B; ``spin`` is
+    the one array shared by every parameter set with the same (S, I).
     ``zero_field`` holds the terms of H0 in the order they are added:
     hyperfine, then the quadrupole term when P != 0. ``build_hamiltonian``
     multiplies g_i mu_B B_i into ``spin[i]`` and adds the H0 terms one by

@@ -586,17 +586,6 @@ def test_cli_default_outputs_match_golden_digests(tmp_path, monkeypatch):
     assert digests == GOLDEN_SHA256
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize serves only level tracking and costs every other
-    # command a share of its start-up, so it loads on first use
-    code = "import sys, zefoz.cli; print('scipy.optimize' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
-    )
-    assert result.stdout.strip() == "False"
-
-
 # zefoz modules each command needs: cli loads config, errors, output and
 # spins (with operators); the runners import fieldmap, transitions and eit
 CLI_BASE = ["zefoz", "zefoz.cli", "zefoz.config", "zefoz.errors", "zefoz.operators",

@@ -26,7 +26,7 @@ from zefoz import (
     transition_frequency,
     zefoz_search,
 )
-from zefoz import fieldmap
+from zefoz import fieldmap, spins
 from zefoz.fieldmap import BLOCK, DEGENERACY_GAP
 from zefoz.operators import electron_operator, multiplicity, nuclear_operator, spin_matrices
 
@@ -177,6 +177,35 @@ def test_linear_terms_are_cached_and_read_only():
         assert np.allclose(build_hamiltonian(params, field) - h0, terms.zeeman[axis], atol=1e-12)
     # a changed parameter set builds its own terms
     assert len(replace(params, P=0.0).linear_terms.zero_field) == 1
+
+
+def test_spin_operators_are_built_once_per_spin_pair(monkeypatch):
+    calls = []
+
+    def counted(value):
+        calls.append(value)
+        return spin_matrices(value)
+
+    monkeypatch.setattr(spins, "spin_matrices", counted)
+    spins._spin_basis.cache_clear()
+    first = SpinParams(**{**ND_GROUND, "P": 3.0})
+    spin = first.linear_terms.spin
+    assert calls == [0.5, 3.5]
+    second = SpinParams(**{**ND_GROUND, "A": -257.0, "B_hf": -456.0, "P": -1.5,
+                           "g_par": 0.18, "g_perp": 0.7})
+    assert second.linear_terms.spin is spin
+    assert calls == [0.5, 3.5]
+    basis = spins._spin_basis(0.5, 3.5)
+    assert basis[0] is spin
+    for array in basis:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0] = 1.0
+    # another spin pair gets its own operators
+    other = SpinParams(**{**ND_GROUND, "nuclear_spin": 2.5})
+    assert other.linear_terms.spin.shape == (3, 12, 12)
+    assert other.linear_terms.spin is not spin
+    assert calls == [0.5, 3.5, 0.5, 2.5]
 
 
 # ------------------------------------------------------------- eigen kernel
