@@ -5,6 +5,13 @@ The optical operator acts on the electron spin only; the nuclear spin is a
 spectator. The default sigma-polarization operator is Sx (x) 1_nuclear,
 the minimal electron-spin-flip model: it couples each excited sublevel
 only to ground sublevels sharing its nuclear composition.
+
+An absorption spectrum adds one unit-area profile per line. A Gaussian
+line is evaluated only on the grid points within its reach,
+sigma * sqrt(2 * GAUSSIAN_UNDERFLOW_Q): beyond it exp(-q) underflows to
+exactly 0.0 in float64, so every point left out would have added +0.0
+and the spectrum is bit-identical to one summed over the whole grid. A
+Lorentzian has no such reach and is evaluated on every point.
 """
 
 from __future__ import annotations
@@ -24,6 +31,9 @@ BOLTZMANN_MHZ_PER_K = 2.08366e4
 OPERATOR_KINDS = ("identity", "S_x", "S_y", "S_z", "S_plus", "S_minus", "custom")
 LINE_PROFILES = ("gaussian", "lorentzian")
 
+# exp(-q) is exactly 0.0 in float64 for every q above about 745.13
+GAUSSIAN_UNDERFLOW_Q = 746.0
+
 
 @dataclass(frozen=True)
 class TransitionOperator:
@@ -40,9 +50,11 @@ class TransitionOperator:
         if self.kind == "custom":
             if self.matrix is None:
                 raise InvalidParameterError("custom operator needs a matrix")
-            m = np.asarray(self.matrix)
+            m = np.asarray(self.matrix, dtype=complex)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise InvalidParameterError("custom operator matrix must be square")
+            if not np.isfinite(m).all():
+                raise InvalidParameterError("custom operator matrix must be finite")
 
     def electron_matrix(self, electron_dim: int) -> np.ndarray:
         spin = (electron_dim - 1) / 2.0
@@ -157,21 +169,19 @@ def transition_table(
     nuclear_dim = dim // electron_dim
     full_op = op.full_matrix(nuclear_dim, electron_dim)
     overlap = excited.eigenvectors.conj().T @ full_op @ ground.eigenvectors
-    strengths = np.abs(overlap) ** 2
-    weights = boltzmann_weights(ground.energies, spectrum.temperature)
-    lines = []
-    for g in range(dim):
-        for e in range(dim):
-            lines.append(
-                TransitionLine(
-                    ground_label=g + 1,
-                    excited_label=e + 1,
-                    frequency=float(excited.energies[e] - ground.energies[g] + optical_origin),
-                    strength=float(strengths[e, g]),
-                    population_weight=float(weights[g]),
-                )
-            )
-    return lines
+    # (ground, excited) columns, read once as Python floats
+    frequencies = (
+        excited.energies[None, :] - ground.energies[:, None] + optical_origin
+    ).tolist()
+    strengths = (np.abs(overlap) ** 2).T.tolist()
+    weights = boltzmann_weights(ground.energies, spectrum.temperature).tolist()
+    return [
+        TransitionLine(g + 1, e + 1, frequency, strength, weight)
+        for g, (g_frequencies, g_strengths, weight) in enumerate(
+            zip(frequencies, strengths, weights)
+        )
+        for e, (frequency, strength) in enumerate(zip(g_frequencies, g_strengths))
+    ]
 
 
 def find_lambda_systems(
@@ -265,17 +275,52 @@ def absorption_spectrum(
     """Relative optical depth on the spectrum grid.
 
     Each line contributes strength x population weight x a unit-area
-    profile of FWHM ``inhom_fwhm`` at the line frequency. The vertical
-    scale is relative; absolute absorption is not modelled.
+    profile of FWHM ``inhom_fwhm`` at the line frequency, added in table
+    order. A Gaussian line is evaluated only within
+    sigma * sqrt(2 * GAUSSIAN_UNDERFLOW_Q) of its center: every grid point
+    further out gets exp(-q) == 0.0 exactly, so the result is the same,
+    bit for bit, as the sum over the whole grid. The vertical scale is
+    relative; absolute absorption is not modelled. A line whose frequency
+    or strength x population weight is not finite raises
+    ``InvalidParameterError``: a nan center would fill the spectrum with
+    nan, an infinite one would drop the line without a word.
     """
     if spectrum.grid is None:
         raise InvalidParameterError("spectrum grid is required for synthesis")
     freqs = spectrum.grid.values()
-    shape = gaussian_profile if spectrum.line_profile == "gaussian" else lorentzian_profile
+    columns = np.array(
+        [(line.frequency, line.strength * line.population_weight) for line in table],
+        dtype=float,
+    ).reshape(-1, 2)
+    centers, amplitudes = columns.T
+    bad = np.flatnonzero(~np.isfinite(columns).all(axis=1))
+    if bad.size:
+        labels = ", ".join(
+            f"{table[i].ground_label}->{table[i].excited_label}" for i in bad[:8]
+        )
+        raise InvalidParameterError(
+            f"{bad.size} spectrum line(s) with a non-finite frequency or "
+            f"strength x population weight (ground->excited): {labels}"
+            + (", ..." if bad.size > 8 else "")
+        )
+    fwhm = spectrum.inhom_fwhm
+    if spectrum.line_profile == "gaussian":
+        shape = gaussian_profile
+        sigma = fwhm / (2.0 * np.sqrt(2.0 * np.log(2.0)))
+        # A point left out has q >= 746 (1 - e)**2, e being the rounding of
+        # center +- reach and of x - center relative to reach; q stays above
+        # 745.13 while reach exceeds ~1e-12 |center|. 1e-9 covers reach's own.
+        reach = sigma * np.sqrt(2.0 * GAUSSIAN_UNDERFLOW_Q) * (1.0 + 1e-9)
+    else:
+        shape = lorentzian_profile
+        reach = np.inf
+    starts = np.searchsorted(freqs, centers - reach, side="left").tolist()
+    stops = np.searchsorted(freqs, centers + reach, side="right").tolist()
     depth = np.zeros_like(freqs)
-    for line in table:
-        amplitude = line.strength * line.population_weight
-        if amplitude == 0.0:
+    for center, amplitude, lo, hi in zip(
+        centers.tolist(), amplitudes.tolist(), starts, stops
+    ):
+        if amplitude == 0.0 or lo == hi:
             continue
-        depth += amplitude * shape(freqs, line.frequency, spectrum.inhom_fwhm)
+        depth[lo:hi] += amplitude * shape(freqs[lo:hi], center, fwhm)
     return freqs, depth

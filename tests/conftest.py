@@ -18,12 +18,15 @@ from zefoz import (
     FieldGrid,
     IonParams,
     SpinParams,
+    TransitionLine,
     TransitionSelector,
+    boltzmann_weights,
     ion_levels,
     transition_frequency,
     zefoz_search,
 )
 from zefoz.fieldmap import _eigensystems
+from zefoz.transitions import gaussian_profile, lorentzian_profile
 
 ND_GROUND = dict(
     electron_spin=0.5,
@@ -194,3 +197,38 @@ def json_record_oracle(columns, row) -> str:
         for name, value in zip(columns, row)
     ]
     return "{" + ", ".join(cells) + "}"
+
+
+def transition_table_oracle(ground, excited, op, spectrum, optical_origin=0.0):
+    """Table oracle: the cell-by-cell loop ``transition_table`` ran before it
+    built its columns, one ``float()`` of a numpy scalar per cell."""
+    electron_dim = len({b[1] for b in ground.basis})
+    full_op = op.full_matrix(ground.dimension // electron_dim, electron_dim)
+    strengths = np.abs(excited.eigenvectors.conj().T @ full_op @ ground.eigenvectors) ** 2
+    weights = boltzmann_weights(ground.energies, spectrum.temperature)
+    return [
+        TransitionLine(
+            ground_label=g + 1,
+            excited_label=e + 1,
+            frequency=float(excited.energies[e] - ground.energies[g] + optical_origin),
+            strength=float(strengths[e, g]),
+            population_weight=float(weights[g]),
+        )
+        for g in range(ground.dimension)
+        for e in range(ground.dimension)
+    ]
+
+
+def absorption_spectrum_oracle(table, spectrum):
+    """Spectrum oracle: every line's profile on the whole grid, the loop
+    ``absorption_spectrum`` ran before it evaluated a Gaussian line only
+    within its reach."""
+    freqs = spectrum.grid.values()
+    shape = gaussian_profile if spectrum.line_profile == "gaussian" else lorentzian_profile
+    depth = np.zeros_like(freqs)
+    for line in table:
+        amplitude = line.strength * line.population_weight
+        if amplitude == 0.0:
+            continue
+        depth += amplitude * shape(freqs, line.frequency, spectrum.inhom_fwhm)
+    return freqs, depth

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zefoz import (
     AxisGrid,
     InvalidParameterError,
     SpectrumParams,
+    TransitionLine,
     TransitionOperator,
     absorption_spectrum,
     boltzmann_weights,
@@ -16,8 +21,13 @@ from zefoz import (
     ion_levels,
     transition_table,
 )
+from zefoz.transitions import GAUSSIAN_UNDERFLOW_Q, LINE_PROFILES
 
-from conftest import local_max_indices
+from conftest import (
+    absorption_spectrum_oracle,
+    local_max_indices,
+    transition_table_oracle,
+)
 
 
 @pytest.fixture(scope="module")
@@ -203,3 +213,102 @@ def test_table_requires_matching_dimensions(nd_ground):
 def test_spectrum_requires_grid(zefoz_table):
     with pytest.raises(InvalidParameterError):
         absorption_spectrum(zefoz_table, SpectrumParams())
+
+
+def _line_bits(line):
+    values = (line.frequency, line.strength, line.population_weight)
+    assert all(type(v) is float for v in values)
+    return (line.ground_label, line.excited_label, *np.array(values).view(np.int64))
+
+
+@pytest.mark.parametrize("op", ["S_x", "S_plus", "identity"])
+def test_table_matches_the_cell_oracle_bit_for_bit(levels_at_zefoz, op):
+    ground, excited = levels_at_zefoz
+    args = (ground, excited, TransitionOperator(op), SpectrumParams(temperature=0.7))
+    table = transition_table(*args, optical_origin=123.25)
+    oracle = transition_table_oracle(*args, optical_origin=123.25)
+    assert [_line_bits(line) for line in table] == [_line_bits(line) for line in oracle]
+
+
+def test_gaussian_underflow_bound():
+    # the reach of a Gaussian line rests on exp(-q) being exactly 0.0 past it
+    assert np.exp(-GAUSSIAN_UNDERFLOW_Q) == 0.0
+    assert np.exp(-745.0) > 0.0
+
+
+def _log_uniform(low: float, high: float):
+    return st.floats(np.log10(low), np.log10(high)).map(lambda p: 10.0**p)
+
+
+@st.composite
+def spectrum_cases(draw):
+    """A grid (one point included) and up to 40 lines, each centered on a
+    grid end, on a grid point or anywhere within 3 GHz of the grid, with
+    zero or tiny amplitudes among them."""
+    start = draw(st.floats(-3000.0, 3000.0))
+    count = draw(st.integers(1, 3) | st.integers(4, 400))
+    span = 0.0 if count == 1 else draw(_log_uniform(1e-2, 5e3))
+    grid = AxisGrid(start, start + span, count)
+    params = SpectrumParams(
+        inhom_fwhm=draw(_log_uniform(1e-3, 3e3)),
+        line_profile=draw(st.sampled_from(LINE_PROFILES)),
+        grid=grid,
+    )
+    # the lines come from a drawn seed: one draw per line field is ~10x slower
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 40))
+    centers = np.choose(
+        rng.integers(0, 4, n),
+        [
+            np.full(n, start),
+            np.full(n, start + span),
+            grid.values()[rng.integers(0, count, n)],
+            rng.uniform(start - 3000.0, start + span + 3000.0, n),
+        ],
+    )
+    strengths = np.where(rng.random(n) < 0.2, 0.0, 10.0 ** rng.uniform(-40.0, 0.0, n))
+    weights = 10.0 ** rng.uniform(-6.0, 0.0, n)
+    lines = [
+        TransitionLine(k + 1, k + 2, center, strength, weight)
+        for k, (center, strength, weight) in enumerate(
+            zip(centers.tolist(), strengths.tolist(), weights.tolist())
+        )
+    ]
+    return lines, params
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(spectrum_cases())
+def test_windowed_spectrum_matches_the_full_grid_oracle(case):
+    table, params = case
+    freqs, depth = absorption_spectrum(table, params)
+    oracle_freqs, oracle_depth = absorption_spectrum_oracle(table, params)
+    assert np.array_equal(freqs.view(np.int64), oracle_freqs.view(np.int64))
+    assert np.array_equal(depth.view(np.int64), oracle_depth.view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        # a nan center used to fill the spectrum with nan
+        ("frequency", float("nan")),
+        # an infinite center used to vanish, leaving the line out silently
+        ("frequency", float("inf")),
+        ("strength", float("nan")),
+        ("population_weight", float("-inf")),
+    ],
+)
+@pytest.mark.parametrize("profile", LINE_PROFILES)
+def test_spectrum_rejects_non_finite_lines(field, value, profile):
+    good = TransitionLine(1, 2, 10.0, 0.5, 0.25)
+    bad = dataclasses.replace(good, ground_label=3, excited_label=7, **{field: value})
+    params = SpectrumParams(line_profile=profile, grid=AxisGrid(-100.0, 100.0, 201))
+    with pytest.raises(InvalidParameterError, match="3->7"):
+        absorption_spectrum([good, bad, good], params)
+
+
+@pytest.mark.parametrize("value", [float("nan"), complex(0.0, float("inf"))])
+def test_custom_operator_rejects_non_finite_matrix(value):
+    # a nan entry gave nan strengths, which pass every Lambda-system filter
+    with pytest.raises(InvalidParameterError, match="finite"):
+        TransitionOperator("custom", matrix=[[0.0, value], [1.0, 0.0]])
