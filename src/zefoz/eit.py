@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import comb as binomial_coefficient
+from math import isfinite
 
 import numpy as np
 
@@ -63,6 +64,12 @@ def wofz(z):
     passes Im z = Re(pole)/(sigma*sqrt(2)) >= 0. Non-finite input gives
     scipy's values, nan where z has a nan part and 0 where |z| is
     infinite, without a RuntimeWarning.
+
+    The expansion allocates three arrays of z's shape and works in them
+    in place (``out=``), with the same ufuncs on the same operands in the
+    same order as the plain expression, so its bits are the same; an
+    array per step would be page-faulted in again whenever the heap has
+    been trimmed.
     """
     z = np.asarray(z, dtype=complex)
     if np.any(z.imag < 0):
@@ -75,13 +82,22 @@ def wofz(z):
 
 
 def _weideman(z: np.ndarray):
-    denominator = _WEIDEMAN_L - 1j * z
-    ratio = (_WEIDEMAN_L + 1j * z) / denominator
+    # i*z once, Z = (L + iz)/(L - iz) in its buffer; np.asarray keeps a
+    # scalar z an array, so that out= can write into it
+    iz = np.asarray(1j * z)
+    denominator = _WEIDEMAN_L - iz
+    ratio = np.add(_WEIDEMAN_L, iz, out=iz)
+    np.divide(ratio, denominator, out=ratio)
     p = np.full(ratio.shape, _WEIDEMAN_COEFFICIENTS[0], dtype=complex)
     for c in _WEIDEMAN_COEFFICIENTS[1:]:
         p *= ratio
         p += c
-    return (2.0 * p / denominator + 1.0 / np.sqrt(np.pi)) / denominator
+    # (2 p / (L - iz) + 1/sqrt(pi)) / (L - iz)
+    np.multiply(2.0, p, out=p)
+    np.divide(p, denominator, out=p)
+    np.add(p, 1.0 / np.sqrt(np.pi), out=p)
+    np.divide(p, denominator, out=p)
+    return p[()]
 
 
 @dataclass(frozen=True)
@@ -106,6 +122,9 @@ class NoiseModel:
             raise InvalidParameterError("curvatures and delta_b need 3 components")
         if any(d < 0 for d in self.delta_b):
             raise InvalidParameterError("delta_b components must be non-negative")
+        for name in ("curvatures", "gamma0", "delta_b"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise InvalidParameterError(f"{name} must be finite")
 
 
 def spin_linewidth(noise: NoiseModel, delta_field) -> float:
@@ -137,6 +156,10 @@ class LambdaParams:
     quadrature_points: int = 64
 
     def __post_init__(self):
+        for name in ("rabi_coupling", "optical_dephasing", "spin_dephasing",
+                     "optical_inhom_fwhm", "two_photon_offset"):
+            if not isfinite(getattr(self, name)):
+                raise InvalidParameterError(f"{name} must be finite")
         for name in ("rabi_coupling", "optical_dephasing", "spin_dephasing",
                      "optical_inhom_fwhm"):
             if getattr(self, name) < 0:
@@ -181,8 +204,11 @@ def _pole_offset(d2: np.ndarray, p: LambdaParams) -> np.ndarray:
     g_ge = p.optical_dephasing
     if p.rabi_coupling == 0.0:
         return np.broadcast_to(g_ge + 0.0j, d2.shape).copy()
-    z = p.spin_dephasing + 1j * d2
-    return g_ge + (p.rabi_coupling / 2.0) ** 2 / z
+    # g_ge + (Omega_c/2)^2 / (g_gs + i*d2), built in the buffer of i*d2
+    pole = np.asarray(1j * d2)
+    np.add(p.spin_dephasing, pole, out=pole)
+    np.divide((p.rabi_coupling / 2.0) ** 2, pole, out=pole)
+    return np.add(g_ge, pole, out=pole)
 
 
 def averaged_susceptibility(detuning, two_photon_detuning, p: LambdaParams):
@@ -197,10 +223,15 @@ def averaged_susceptibility(detuning, two_photon_detuning, p: LambdaParams):
     with w the Faddeeva function, because chi is a simple pole in the probe
     detuning. The "hermite" method integrates numerically instead; it is
     only accurate when the pole width is comparable to the node spacing.
+
+    The closed form is evaluated in place: the pole in the buffer of
+    i*d2, zeta in that of i*pole and the prefactor into w's result, each
+    step the same ufunc on the same operands in the same order as the
+    formula above, so the result is bit-identical to the plain
+    expressions with about two output-sized arrays fewer at its peak.
     """
-    f = np.asarray(detuning, dtype=float)
-    d2 = np.asarray(two_photon_detuning, dtype=float)
-    f, d2 = np.broadcast_arrays(f, d2)
+    detuning = np.asarray(detuning, dtype=float)
+    f, d2 = np.broadcast_arrays(detuning, np.asarray(two_photon_detuning, dtype=float))
     sigma = p.optical_inhom_fwhm * GAUSSIAN_FWHM_TO_SIGMA
     if sigma == 0.0:
         return susceptibility(f, d2, p)
@@ -208,14 +239,22 @@ def averaged_susceptibility(detuning, two_photon_detuning, p: LambdaParams):
         return _averaged_hermite(f, d2, p, sigma)
     with np.errstate(divide="ignore", invalid="ignore"):
         pole = _pole_offset(d2, p)
-        zeta = (-f + 1j * pole) / (sigma * np.sqrt(2.0))
-    out = p.optical_dephasing * np.sqrt(np.pi) / (sigma * np.sqrt(2.0)) * 1j * wofz(zeta)
+        # (-f + i*pole) / (sigma*sqrt(2)) in the buffer of i*pole; -f is
+        # negated before broadcasting, so it costs one detuning-sized array
+        zeta = np.asarray(1j * pole)
+        np.add(-detuning, zeta, out=zeta)
+        np.divide(zeta, sigma * np.sqrt(2.0), out=zeta)
+    out = np.asarray(wofz(zeta))
+    np.multiply(
+        p.optical_dephasing * np.sqrt(np.pi) / (sigma * np.sqrt(2.0)) * 1j, out, out=out
+    )
     # zero spin dephasing at exact two-photon resonance: the pole diverges
     # and the response is the dark-state limit, exactly zero
     bad = ~np.isfinite(pole)
     if np.any(bad):
-        out = np.where(bad, 0.0 + 0.0j, out)
-    return out
+        out[bad] = 0.0
+        return out  # a 0-d array for scalar input here, not a numpy scalar
+    return out[()]
 
 
 def _averaged_hermite(f: np.ndarray, d2: np.ndarray, p: LambdaParams, sigma: float):
@@ -264,14 +303,16 @@ class CombModel:
     def __post_init__(self):
         if self.n_lines < 1 or self.n_lines % 2 == 0:
             raise InvalidParameterError("n_lines must be an odd integer >= 1")
-        if not self.spacing > 0:
-            raise InvalidParameterError("spacing must be positive")
+        if not (self.spacing > 0 and isfinite(self.spacing)):
+            raise InvalidParameterError("spacing must be positive and finite")
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=float)
             if w.shape != (self.n_lines,):
                 raise InvalidParameterError(
                     f"weights needs {self.n_lines} entries, got shape {w.shape}"
                 )
+            if not np.all(np.isfinite(w)):
+                raise InvalidParameterError("weights must be finite")
             if np.any(w < 0) or w.sum() <= 0:
                 raise InvalidParameterError("weights must be non-negative with positive sum")
             object.__setattr__(self, "weights", w / w.sum())
@@ -307,6 +348,8 @@ def _checked_grid(grid) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 3:
         raise InvalidParameterError("detuning grid must be a 1-D array of >= 3 points")
+    if not np.all(np.isfinite(grid)):
+        raise InvalidParameterError("detuning grid points must be finite")
     if np.any(np.diff(grid) <= 0):
         raise InvalidParameterError("detuning grid must be strictly ascending")
     return grid

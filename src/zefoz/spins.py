@@ -186,6 +186,9 @@ class AxisGrid:
     def __post_init__(self):
         if self.count < 1:
             raise InvalidParameterError(f"grid count must be >= 1, got {self.count}")
+        for name in ("start", "stop"):
+            if not np.isfinite(getattr(self, name)):
+                raise InvalidParameterError(f"grid {name} must be finite")
         if self.stop < self.start:
             raise InvalidParameterError(
                 f"grid stop {self.stop} is below start {self.start}"

@@ -100,8 +100,10 @@ class SpectrumParams:
     def __post_init__(self):
         if not self.temperature > 0:
             raise InvalidParameterError("temperature must be positive")
-        if not self.inhom_fwhm > 0:
-            raise InvalidParameterError("inhom_fwhm must be positive")
+        # temperature = inf is the uniform-population limit; an infinite
+        # width would spread every line to nothing
+        if not (self.inhom_fwhm > 0 and np.isfinite(self.inhom_fwhm)):
+            raise InvalidParameterError("inhom_fwhm must be positive and finite")
         if self.line_profile not in LINE_PROFILES:
             raise InvalidParameterError(
                 f"line_profile must be one of {LINE_PROFILES}, got {self.line_profile!r}"

@@ -16,15 +16,19 @@ from scipy.optimize import linear_sum_assignment
 from zefoz import (
     AxisGrid,
     FieldGrid,
+    InvalidParameterError,
     IonParams,
+    LambdaParams,
     SpinParams,
     TransitionLine,
     TransitionSelector,
     boltzmann_weights,
     ion_levels,
+    susceptibility,
     transition_frequency,
     zefoz_search,
 )
+from zefoz.eit import _WEIDEMAN_COEFFICIENTS, _WEIDEMAN_L, GAUSSIAN_FWHM_TO_SIGMA
 from zefoz.fieldmap import _eigensystems
 from zefoz.transitions import gaussian_profile, lorentzian_profile
 
@@ -232,3 +236,62 @@ def absorption_spectrum_oracle(table, spectrum):
             continue
         depth += amplitude * shape(freqs, line.frequency, spectrum.inhom_fwhm)
     return freqs, depth
+
+
+def wofz_oracle(z):
+    """Faddeeva oracle: ``eit.wofz`` over the plain-expression expansion
+    below, the form it had before it worked in place."""
+    z = np.asarray(z, dtype=complex)
+    if np.any(z.imag < 0):
+        raise InvalidParameterError("wofz is evaluated only for Im z >= 0")
+    finite = np.isfinite(z)
+    if finite.all():
+        return weideman_oracle(z)
+    edge = np.where(np.isnan(z), complex(np.nan, np.nan), 0j)
+    return np.where(finite, weideman_oracle(np.where(finite, z, 0j)), edge)
+
+
+def weideman_oracle(z: np.ndarray):
+    """Weideman's expansion as one expression per step, a fresh array each."""
+    denominator = _WEIDEMAN_L - 1j * z
+    ratio = (_WEIDEMAN_L + 1j * z) / denominator
+    p = np.full(ratio.shape, _WEIDEMAN_COEFFICIENTS[0], dtype=complex)
+    for c in _WEIDEMAN_COEFFICIENTS[1:]:
+        p *= ratio
+        p += c
+    return (2.0 * p / denominator + 1.0 / np.sqrt(np.pi)) / denominator
+
+
+def pole_offset_oracle(d2: np.ndarray, p: LambdaParams) -> np.ndarray:
+    g_ge = p.optical_dephasing
+    if p.rabi_coupling == 0.0:
+        return np.broadcast_to(g_ge + 0.0j, d2.shape).copy()
+    z = p.spin_dephasing + 1j * d2
+    return g_ge + (p.rabi_coupling / 2.0) ** 2 / z
+
+
+def averaged_susceptibility_oracle(detuning, two_photon_detuning, p: LambdaParams):
+    """The "exact" average as plain expressions, over the oracles above."""
+    f = np.asarray(detuning, dtype=float)
+    d2 = np.asarray(two_photon_detuning, dtype=float)
+    f, d2 = np.broadcast_arrays(f, d2)
+    sigma = p.optical_inhom_fwhm * GAUSSIAN_FWHM_TO_SIGMA
+    if sigma == 0.0:
+        return susceptibility(f, d2, p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pole = pole_offset_oracle(d2, p)
+        zeta = (-f + 1j * pole) / (sigma * np.sqrt(2.0))
+    out = p.optical_dephasing * np.sqrt(np.pi) / (sigma * np.sqrt(2.0)) * 1j * wofz_oracle(zeta)
+    bad = ~np.isfinite(pole)
+    if np.any(bad):
+        out = np.where(bad, 0.0 + 0.0j, out)
+    return out
+
+
+def assert_same_bits(got, expected):
+    """Same type (numpy scalar or array), dtype, shape and every bit."""
+    assert type(got) is type(expected)
+    assert got.dtype == expected.dtype and np.shape(got) == np.shape(expected)
+    assert np.array_equal(
+        np.atleast_1d(got).view(np.int64), np.atleast_1d(expected).view(np.int64)
+    )

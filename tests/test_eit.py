@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import inspect
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -33,7 +34,13 @@ from zefoz import (
 from zefoz.cli import _comb_model
 from zefoz.eit import AVERAGING_METHODS
 
-from conftest import feature_fwhm, local_max_indices
+from conftest import (
+    assert_same_bits,
+    averaged_susceptibility_oracle,
+    feature_fwhm,
+    local_max_indices,
+    wofz_oracle,
+)
 
 REFERENCE_CURVATURES = (-52.7, -52.7, 185.3)  # kHz/mT^2
 
@@ -201,6 +208,89 @@ def test_wofz_coefficients_are_weidemans_fft_construction():
 PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
 RABI = st.floats(0.0, 6.0)
 GAMMA_GE = st.floats(0.05, 5.0)
+
+
+@st.composite
+def averaging_cases(draw):
+    """Detuning, two-photon detuning and rates for the exact average: a
+    scalar pair, a grid at one d2, or a (lines, grid) comb whose grid
+    passes through every line center, so d2 is exactly 0 there."""
+    p = LambdaParams(
+        rabi_coupling=draw(st.just(0.0) | st.floats(0.0, 10.0)),
+        optical_dephasing=draw(st.floats(0.01, 5.0)),
+        spin_dephasing=draw(st.just(0.0) | st.floats(0.0, 2.0)),
+        optical_inhom_fwhm=draw(st.just(0.0) | st.floats(0.1, 100.0)),
+    )
+    kind = draw(st.sampled_from(("scalar", "grid", "comb")))
+    if kind == "scalar":
+        return draw(st.floats(-60.0, 60.0)), draw(st.just(0.0) | st.floats(-10.0, 10.0)), p
+    step = draw(st.floats(0.01, 0.5))
+    grid = step * np.arange(-draw(st.integers(10, 200)), draw(st.integers(10, 200)))
+    if kind == "grid":
+        return grid, draw(st.just(0.0) | st.floats(-10.0, 10.0)), p
+    half = draw(st.integers(0, 4))
+    shifts = step * (draw(st.integers(1, 5)) * np.arange(-half, half + 1))
+    return grid, grid - shifts[:, None], p
+
+
+DARK = LambdaParams(spin_dephasing=0.0)
+COMB_GRID = 0.05 * np.arange(-200, 200)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@example((1.5, 0.0, DARK))  # zero spin dephasing on two-photon resonance
+@example((COMB_GRID, COMB_GRID - 0.05 * (28 * np.arange(-4, 5))[:, None], DARK))
+@given(averaging_cases())
+def test_averaged_susceptibility_is_bit_identical_to_the_plain_expressions(case):
+    # the in-place path runs the same ufuncs on the same operands in the
+    # same order as the plain expressions, so not one bit may differ
+    f, d2, p = case
+    assert_same_bits(averaged_susceptibility(f, d2, p),
+                     averaged_susceptibility_oracle(f, d2, p))
+
+
+NON_FINITE = st.sampled_from((np.inf, -np.inf, np.nan))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(
+    points=st.lists(
+        st.tuples(st.floats(-1e3, 1e3) | NON_FINITE, st.floats(0.0, 1e3) | NON_FINITE),
+        min_size=1, max_size=20,
+    ),
+    scalar=st.booleans(),
+)
+def test_wofz_is_bit_identical_to_the_plain_expressions(points, scalar):
+    # Im z >= 0: wofz rejects the lower half-plane
+    z = np.array([complex(re, abs(im)) for re, im in points])
+    if scalar:
+        z = z[0]
+    assert_same_bits(zefoz.eit.wofz(z), wofz_oracle(z))
+
+
+def _peak_in_arrays(call, array_bytes: int) -> float:
+    """tracemalloc peak of one call, in units of ``array_bytes``."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - base) / array_bytes
+
+
+def test_faddeeva_path_allocates_few_full_size_arrays():
+    # a sweep point's comb: 9 lines over a 760-point grid; each full-size
+    # temporary costs page faults once the heap has been trimmed
+    grid = np.linspace(-19.0, 18.95, 760)
+    d2 = grid - 2.25 * np.arange(-4.0, 5.0)[:, None]
+    p = LambdaParams(spin_dephasing=0.3)
+    zeta = (d2 + 0.5j) / 20.0
+    output_bytes = d2.size * np.dtype(complex).itemsize
+    averaged_susceptibility(grid, d2, p)  # warm-up
+    assert _peak_in_arrays(lambda: averaged_susceptibility(grid, d2, p), output_bytes) <= 5.5
+    assert _peak_in_arrays(lambda: zefoz.eit.wofz(zeta), output_bytes) <= 3.5
 
 
 def _chi(dp: float, d2: float, p: LambdaParams) -> complex:
@@ -480,3 +570,50 @@ def test_noise_model_validation():
         NoiseModel(curvatures=REFERENCE_CURVATURES, delta_b=(1.0, -1.0, 1.0))
     with pytest.raises(InvalidParameterError):
         NoiseModel(curvatures=(1.0, 2.0))
+
+
+# the config parser rejects these values first; a library caller used to get
+# an amplitude of 1.0 (nan rates), nan (a nan grid point) or a run that
+# failed half-way (an infinite comb spacing)
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "name", ["rabi_coupling", "optical_dephasing", "spin_dephasing", "optical_inhom_fwhm",
+             "two_photon_offset"],
+)
+def test_lambda_params_reject_non_finite_rates(name, value):
+    with pytest.raises(InvalidParameterError, match=f"{name} must be finite"):
+        LambdaParams(**{name: value})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("curvatures", (-52.7, np.nan, 185.3)), ("curvatures", (np.inf, -52.7, 185.3)),
+     ("gamma0", np.nan), ("gamma0", np.inf), ("delta_b", (1.0, 1.0, np.inf)),
+     ("delta_b", (np.nan, 1.0, 1.0))],
+)
+def test_noise_model_rejects_non_finite_values(field, value):
+    with pytest.raises(InvalidParameterError, match=f"{field} must be finite"):
+        NoiseModel(**{"curvatures": REFERENCE_CURVATURES, field: value})
+
+
+def test_comb_model_rejects_non_finite_values(noise):
+    for spacing in (np.inf, np.nan):
+        with pytest.raises(InvalidParameterError, match="spacing must be positive and finite"):
+            CombModel(spacing=spacing, noise=noise)
+    weights = np.ones(9)
+    for value in (np.inf, np.nan):
+        weights[4] = value
+        with pytest.raises(InvalidParameterError, match="weights must be finite"):
+            CombModel(spacing=2.8, weights=weights, noise=noise)
+
+
+def test_detuning_grid_rejects_non_finite_points(comb, nd_ground, zefoz_point, noise, grid):
+    for value in (np.nan, np.inf):
+        bad = grid.copy()
+        bad[900] = value
+        with pytest.raises(InvalidParameterError, match="grid points must be finite"):
+            eit_profile(comb, LambdaParams(), (0.0, 0.0, 0.0), bad)
+    bad = np.array([-1.0, 0.0, np.inf])
+    sweep = FieldGrid(AxisGrid(0.0, 0.0, 1), AxisGrid(0.0, 0.0, 1), AxisGrid(60.0, 64.0, 3))
+    with pytest.raises(InvalidParameterError, match="grid points must be finite"):
+        amplitude_vs_field(nd_ground, zefoz_point, noise, LambdaParams(), comb, sweep, bad)

@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 
 from zefoz import (
+    AxisGrid,
     ComputationError,
     InvalidParameterError,
     SpinParams,
@@ -191,3 +192,12 @@ def test_high_field_limit_is_fully_polarized(nd_ground):
 
 def test_stationary_field_matches_block_formula(nd_ground, zefoz_point):
     assert zefoz_point.field[2] == pytest.approx(analytic_zefoz_bz(nd_ground), abs=1e-6)
+
+
+@pytest.mark.parametrize("start, stop", [(np.nan, 1.0), (0.0, np.inf), (-np.inf, 0.0),
+                                         (0.0, np.nan)])
+def test_axis_grid_rejects_non_finite_ends(start, stop):
+    # AxisGrid(nan, 1, 3) gave [nan, nan, 1] and AxisGrid(0, inf, 3) a
+    # RuntimeWarning in linspace
+    with pytest.raises(InvalidParameterError, match="must be finite"):
+        AxisGrid(start, stop, 3)

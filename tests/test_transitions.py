@@ -312,3 +312,16 @@ def test_custom_operator_rejects_non_finite_matrix(value):
     # a nan entry gave nan strengths, which pass every Lambda-system filter
     with pytest.raises(InvalidParameterError, match="finite"):
         TransitionOperator("custom", matrix=[[0.0, value], [1.0, 0.0]])
+
+
+def test_spectrum_params_reject_an_infinite_width_and_keep_infinite_temperature():
+    # an infinite width gave all zeros (Gaussian) or all nan (Lorentzian)
+    for profile in LINE_PROFILES:
+        with pytest.raises(InvalidParameterError, match="inhom_fwhm must be positive and finite"):
+            SpectrumParams(inhom_fwhm=np.inf, line_profile=profile)
+    with pytest.raises(InvalidParameterError, match="inhom_fwhm"):
+        SpectrumParams(inhom_fwhm=np.nan)
+    # infinite temperature is the uniform-population limit, still allowed
+    hot = SpectrumParams(temperature=np.inf)
+    weights = boltzmann_weights(np.array([0.0, 100.0, 2000.0]), hot.temperature)
+    assert np.array_equal(weights, np.full(3, 1.0 / 3.0))
