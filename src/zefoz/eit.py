@@ -78,7 +78,7 @@ def wofz(z):
     if finite.all():
         return _weideman(z)
     edge = np.where(np.isnan(z), complex(np.nan, np.nan), 0j)
-    return np.where(finite, _weideman(np.where(finite, z, 0j)), edge)
+    return np.where(finite, _weideman(np.where(finite, z, 0j)), edge)[()]
 
 
 def _weideman(z: np.ndarray):
@@ -253,7 +253,6 @@ def averaged_susceptibility(detuning, two_photon_detuning, p: LambdaParams):
     bad = ~np.isfinite(pole)
     if np.any(bad):
         out[bad] = 0.0
-        return out  # a 0-d array for scalar input here, not a numpy scalar
     return out[()]
 
 

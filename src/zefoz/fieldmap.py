@@ -24,9 +24,10 @@ of its two levels' values; C is half that Hessian, in kHz. Only a
 gradient at a field where a connected level lies within
 ``DEGENERACY_GAP`` of a neighbour falls back to central differences.
 
-Every multi-field evaluation (the search grid, level diagrams, stacked
-frequencies) goes through ``_eigensystems``, which diagonalizes stacks of
-at most ``BLOCK`` fields per call.
+Every multi-field evaluation (the search grid, the Newton steps of all
+search seeds, level diagrams, stacked frequencies) goes through
+``_eigensystems``, which diagonalizes stacks of at most ``BLOCK`` fields
+per call.
 """
 
 from __future__ import annotations
@@ -163,6 +164,10 @@ def _level_derivatives(
     adds the Hessians (N, L, 3, 3) of the perturbation sum, which leaves
     out every level m closer than ``DEGENERACY_GAP`` to n. Parts above
     ``order`` are None.
+
+    The couplings <n|M_i|m> come from stacked products with one small
+    matrix product per field, level and axis, so every field gets the
+    same bits whatever stack it sits in.
     """
     idx = np.array(labels) - 1
     shape = (len(fields), len(labels))
@@ -178,19 +183,18 @@ def _level_derivatives(
         edge = np.full((len(energies), 1), np.inf)
         spacing = np.hstack([edge, np.diff(energies, axis=1), edge])
         gap[block] = np.minimum(spacing[:, idx], spacing[:, idx + 1])
-        for row, (level_energies, levels) in enumerate(zip(energies, vectors), start=block.start):
-            for k, column in enumerate(idx):
-                vec = levels[:, column]
-                bras = [vec.conj() @ m for m in zeeman]  # <n|M_i
-                slope[row, k] = [float((bra @ vec).real) for bra in bras]
-                if order == 2:
-                    split = level_energies[column] - level_energies
-                    weight = np.divide(
-                        1.0, split, out=np.zeros_like(split),
-                        where=np.abs(split) >= DEGENERACY_GAP,
-                    )
-                    coupling = np.array(bras) @ levels  # <n|M_i|m>, (3, d)
-                    hessian[row, k] = 2.0 * ((coupling * weight) @ coupling.conj().T).real
+        kets = vectors.transpose(0, 2, 1)[:, idx]  # |n>, (N, L, d)
+        bras = (kets.conj()[:, :, None, None, :] @ zeeman)[:, :, :, 0]  # <n|M_i, (N, L, 3, d)
+        coupling = bras @ vectors[:, None]  # <n|M_i|m>, (N, L, 3, d)
+        own = coupling[:, np.arange(len(idx)), :, idx]  # <n|M_i|n>, (L, N, 3)
+        slope[block] = own.real.transpose(1, 0, 2)
+        if order == 2:
+            split = energies[:, idx, None] - energies[:, None, :]  # E_n - E_m, (N, L, d)
+            weight = np.divide(
+                1.0, split, out=np.zeros_like(split), where=np.abs(split) >= DEGENERACY_GAP
+            )
+            weighted = coupling * weight[:, :, None, :]
+            hessian[block] = 2.0 * (weighted @ coupling.conj().swapaxes(2, 3)).real
     return energy, slope, gap, hessian
 
 
@@ -309,71 +313,123 @@ def quadratic_model(z: ZefozPoint, delta_field) -> float:
     return float(z.omega0 + np.sum(z.curvatures * 1e-3 * d**2))
 
 
+def _newton_step(jac: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Newton step -jac^-1 grad, or coordinate descent on the diagonal
+    curvature where ``jac`` is singular or near it."""
+    try:
+        if np.linalg.cond(jac) > 1e10:
+            raise np.linalg.LinAlgError("near-singular")
+        return np.linalg.solve(jac, -grad)
+    except np.linalg.LinAlgError:
+        diag = np.diag(jac)
+        safe = np.where(np.abs(diag) > 1e-12, diag, np.inf)
+        return -grad / safe
+
+
 def _newton_refine(
     params,
     sel: TransitionSelector,
-    start: np.ndarray,
+    seeds: list[np.ndarray],
     bounds: FieldGrid,
     free: list[int],
     tol: float,
     max_iter: int,
-) -> ZefozPoint | None:
-    """Damped Newton root-finding on the free gradient components.
+) -> list[ZefozPoint | None]:
+    """Damped Newton root-finding on the free gradient components from
+    every seed in lockstep.
 
     Each evaluation gives the gradient, the next Jacobian (the analytic
     Hessian) and, at the endpoint, the reported frequency and curvatures.
-    Returns the converged point, or None."""
-
-    def evaluate(point: np.ndarray):
-        state = _transition(params, point[None], sel, 2)
-        return state, state.gradient.vector[0, free]
-
-    point = start.copy()
-    state, grad = evaluate(point)
+    An iteration evaluates the trial points of all live seeds in one
+    ``_transition`` stack; a damping retry re-evaluates, again as one
+    stack, only the seeds whose gradient did not shrink. A seed stops once
+    its gradient is within ``tol``, when no damped step shrinks it, or
+    after ``max_iter`` iterations. A field's result does not depend on the
+    stack it sits in, so every seed takes the steps it would take alone.
+    Returns, in seed order, each converged point or None.
+    """
+    points = np.array(seeds, dtype=float)
+    start = np.array([bounds.axis(k).start for k in free])
+    stop = np.array([bounds.axis(k).stop for k in free])
+    state = _transition(params, points, sel, 2)
+    frequency, hessian = state.frequency, state.hessian
+    grad = state.gradient.vector[:, free]
+    norm = np.max(np.abs(grad), axis=1)
+    failed = np.zeros(len(points), dtype=bool)
+    live = np.arange(len(points))
     for _ in range(max_iter):
-        if np.max(np.abs(grad)) <= tol:
+        live = live[~(norm[live] <= tol)]  # a NaN norm goes on, to fail at its step
+        if len(live) == 0:
             break
-        jac = state.hessian[0][np.ix_(free, free)]  # MHz/mT^2
-        try:
-            if np.linalg.cond(jac) > 1e10:
-                raise np.linalg.LinAlgError("near-singular")
-            delta = np.linalg.solve(jac, -grad)
-        except np.linalg.LinAlgError:
-            # coordinate-descent fallback on the diagonal curvature
-            diag = np.diag(jac)
-            safe = np.where(np.abs(diag) > 1e-12, diag, np.inf)
-            delta = -grad / safe
-        if not np.all(np.isfinite(delta)):
-            return None
-        # damping: accept the first step that shrinks the gradient norm
-        improved = False
+        jac = hessian[np.ix_(live, free, free)]  # MHz/mT^2
+        delta = np.array([_newton_step(j, g) for j, g in zip(jac, grad[live])])
+        finite = np.all(np.isfinite(delta), axis=1)
+        failed[live[~finite]] = True
+        live, delta = live[finite], delta[finite]
+        # damping: each seed takes the first step that shrinks its gradient norm
+        pending = np.ones(len(live), dtype=bool)
         for damp in (1.0, 0.5, 0.25, 0.125, 0.0625):
-            trial = point.copy()
-            trial[free] += damp * delta
-            for k in free:  # clip into bounds
-                ax = bounds.axis(k)
-                trial[k] = min(max(trial[k], ax.start), ax.stop)
-            trial_state, trial_grad = evaluate(trial)
-            if np.max(np.abs(trial_grad)) < np.max(np.abs(grad)):
-                point, state, grad = trial, trial_state, trial_grad
-                improved = True
+            trying = live[pending]
+            if len(trying) == 0:
                 break
-        if not improved:
-            break
-    residual = float(np.max(np.abs(grad)))
-    if residual > tol:
-        return None
-    curv = _curvature_matrix(state.hessian[0])
-    diag = np.diag(curv).copy()
-    return ZefozPoint(
-        field=point,
-        omega0=float(state.frequency[0]),
-        gradient_residual=residual,
-        curvatures=diag,
-        hessian_signature=tuple(int(np.sign(round(c, 6))) for c in diag),
-        curvature_matrix=curv,
-        selector=sel,
-    )
+            trial = points[trying]
+            moved = trial[:, free] + damp * delta[pending]
+            moved = np.where(start > moved, start, moved)  # clip into bounds
+            trial[:, free] = np.where(stop < moved, stop, moved)
+            trial_state = _transition(params, trial, sel, 2)
+            trial_grad = trial_state.gradient.vector[:, free]
+            trial_norm = np.max(np.abs(trial_grad), axis=1)
+            better = trial_norm < norm[trying]
+            took = trying[better]
+            points[took] = trial[better]
+            frequency[took] = trial_state.frequency[better]
+            hessian[took] = trial_state.hessian[better]
+            grad[took] = trial_grad[better]
+            norm[took] = trial_norm[better]
+            pending[pending] = ~better
+        live = live[~pending]  # no damped step helped: the seed stops
+    found: list[ZefozPoint | None] = []
+    for s in range(len(points)):
+        residual = float(norm[s])
+        if failed[s] or residual > tol:
+            found.append(None)
+            continue
+        curv = _curvature_matrix(hessian[s])
+        diag = np.diag(curv).copy()
+        found.append(
+            ZefozPoint(
+                field=points[s].copy(),
+                omega0=float(frequency[s]),
+                gradient_residual=residual,
+                curvatures=diag,
+                hessian_signature=tuple(int(np.sign(round(c, 6))) for c in diag),
+                curvature_matrix=curv,
+                selector=sel,
+            )
+        )
+    return found
+
+
+def _search_seeds(params, sel: TransitionSelector, start: np.ndarray, bounds: FieldGrid,
+                  free: list[int]) -> list[np.ndarray]:
+    """``start``, then the midpoint of every bracket where a free gradient
+    component changes sign between neighbours of the ``bounds`` grid."""
+    grid_points = bounds.points()
+    grads = _transition(params, grid_points, sel, 1).gradient.vector[:, free]
+    seeds = [start]
+    shape = tuple(bounds.axis(k).count for k in range(3))
+    grads_nd = grads.reshape(shape + (len(free),))
+    points_nd = grid_points.reshape(shape + (3,))
+    for fi, axis in enumerate(free):
+        g_ax = np.moveaxis(grads_nd[..., fi], axis, 0)
+        p_ax = np.moveaxis(points_nd, axis, 0)
+        sign_change = g_ax[:-1] * g_ax[1:] < 0
+        for idx in np.argwhere(sign_change):
+            lead = tuple(idx)
+            lo = p_ax[lead]
+            hi = p_ax[(idx[0] + 1,) + lead[1:]]
+            seeds.append((lo + hi) / 2.0)
+    return seeds
 
 
 def zefoz_search(
@@ -389,12 +445,14 @@ def zefoz_search(
 
     A coarse scan over ``bounds`` brackets sign changes of the gradient
     along every free axis; each bracket (plus ``initial_field``) seeds a
-    damped Newton refinement of grad w = 0. Stationary points of any
-    Hessian signature are reported (field-insensitive transitions are
-    generically saddle points). Newton endpoints closer than
-    ``MERGE_DISTANCE`` mT are one point, reported once with the lowest
-    gradient residual. Returns the distinct points found inside the bounds,
-    sorted by gradient residual; an empty list means none.
+    damped Newton refinement of grad w = 0, all seeds in lockstep: each
+    damping level of an iteration diagonalizes the trial points of the
+    live seeds as one stack. Stationary points of any Hessian signature
+    are reported (field-insensitive transitions are generically saddle
+    points). Newton endpoints closer than ``MERGE_DISTANCE`` mT are one
+    point, reported once with the lowest gradient residual. Returns the
+    distinct points found inside the bounds, sorted by gradient residual;
+    an empty list means none.
     """
     if tol <= 0:
         raise InvalidParameterError(f"tol must be positive, got {tol}")
@@ -405,29 +463,11 @@ def zefoz_search(
     if not free:
         raise InvalidParameterError("search bounds leave no free axis to vary")
 
-    grid_points = bounds.points()
-    grads = _transition(params, grid_points, sel, 1).gradient.vector[:, free]
-
-    seeds = [start]
-    # bracket sign changes along each free axis of the rectangular grid
-    shape = tuple(bounds.axis(k).count for k in range(3))
-    grads_nd = grads.reshape(shape + (len(free),))
-    points_nd = grid_points.reshape(shape + (3,))
-    for fi, axis in enumerate(free):
-        g_ax = np.moveaxis(grads_nd[..., fi], axis, 0)
-        p_ax = np.moveaxis(points_nd, axis, 0)
-        sign_change = g_ax[:-1] * g_ax[1:] < 0
-        for idx in np.argwhere(sign_change):
-            lead = tuple(idx)
-            lo = p_ax[lead]
-            hi = p_ax[(idx[0] + 1,) + lead[1:]]
-            seeds.append((lo + hi) / 2.0)
-
-    endpoints = []
-    for seed in seeds:
-        z = _newton_refine(params, sel, seed, bounds, free, tol, max_iter)
-        if z is not None and bounds.contains(z.field, margin=1e-6):
-            endpoints.append(z)
+    seeds = _search_seeds(params, sel, start, bounds, free)
+    endpoints = [
+        z for z in _newton_refine(params, sel, seeds, bounds, free, tol, max_iter)
+        if z is not None and bounds.contains(z.field, margin=1e-6)
+    ]
     endpoints.sort(key=lambda z: z.gradient_residual)  # stable: ties keep seed order
     found: list[ZefozPoint] = []
     for z in endpoints:

@@ -29,7 +29,7 @@ from zefoz import (
     zefoz_search,
 )
 from zefoz.eit import _WEIDEMAN_COEFFICIENTS, _WEIDEMAN_L, GAUSSIAN_FWHM_TO_SIGMA
-from zefoz.fieldmap import _eigensystems
+from zefoz.fieldmap import ZefozPoint, _curvature_matrix, _eigensystems, _transition
 from zefoz.transitions import gaussian_profile, lorentzian_profile
 
 ND_GROUND = dict(
@@ -177,6 +177,65 @@ def tracked_levels(single: SpinParams, grid: FieldGrid, overlap_threshold: float
     return energies, flags
 
 
+def newton_refine_oracle(params, sel, start, bounds, free, tol, max_iter):
+    """Newton oracle: the damped Newton loop of one seed as it ran before
+    the seeds went in lockstep, one ``_transition`` call per evaluated
+    field. Returns the converged point (or None) and whether a trial point
+    was clipped into the bounds."""
+
+    def evaluate(point):
+        state = _transition(params, point[None], sel, 2)
+        return state, state.gradient.vector[0, free]
+
+    clipped = False
+    point = start.copy()
+    state, grad = evaluate(point)
+    for _ in range(max_iter):
+        if np.max(np.abs(grad)) <= tol:
+            break
+        jac = state.hessian[0][np.ix_(free, free)]
+        try:
+            if np.linalg.cond(jac) > 1e10:
+                raise np.linalg.LinAlgError("near-singular")
+            delta = np.linalg.solve(jac, -grad)
+        except np.linalg.LinAlgError:
+            diag = np.diag(jac)
+            safe = np.where(np.abs(diag) > 1e-12, diag, np.inf)
+            delta = -grad / safe
+        if not np.all(np.isfinite(delta)):
+            return None, clipped
+        improved = False
+        for damp in (1.0, 0.5, 0.25, 0.125, 0.0625):
+            trial = point.copy()
+            trial[free] += damp * delta
+            for k in free:
+                ax = bounds.axis(k)
+                inside = trial[k]
+                trial[k] = min(max(trial[k], ax.start), ax.stop)
+                clipped |= bool(trial[k] != inside)
+            trial_state, trial_grad = evaluate(trial)
+            if np.max(np.abs(trial_grad)) < np.max(np.abs(grad)):
+                point, state, grad = trial, trial_state, trial_grad
+                improved = True
+                break
+        if not improved:
+            break
+    residual = float(np.max(np.abs(grad)))
+    if residual > tol:
+        return None, clipped
+    curv = _curvature_matrix(state.hessian[0])
+    diag = np.diag(curv).copy()
+    return ZefozPoint(
+        field=point,
+        omega0=float(state.frequency[0]),
+        gradient_residual=residual,
+        curvatures=diag,
+        hessian_signature=tuple(int(np.sign(round(c, 6))) for c in diag),
+        curvature_matrix=curv,
+        selector=sel,
+    ), clipped
+
+
 def format_number_oracle(value) -> str:
     """Writer oracle: the per-cell number formatting the writer used before
     it formatted by exact type (isinstance checks and ``np.isfinite``)."""
@@ -248,7 +307,7 @@ def wofz_oracle(z):
     if finite.all():
         return weideman_oracle(z)
     edge = np.where(np.isnan(z), complex(np.nan, np.nan), 0j)
-    return np.where(finite, weideman_oracle(np.where(finite, z, 0j)), edge)
+    return np.where(finite, weideman_oracle(np.where(finite, z, 0j)), edge)[()]
 
 
 def weideman_oracle(z: np.ndarray):
@@ -285,7 +344,7 @@ def averaged_susceptibility_oracle(detuning, two_photon_detuning, p: LambdaParam
     bad = ~np.isfinite(pole)
     if np.any(bad):
         out = np.where(bad, 0.0 + 0.0j, out)
-    return out
+    return out[()]
 
 
 def assert_same_bits(got, expected):

@@ -261,6 +261,17 @@ def test_stacked_frequencies_match_single_fields_across_blocks(nd_ion):
         assert same_bits(stacked, pointwise)
 
 
+def slope_roundoff(params: SpinParams) -> np.ndarray:
+    """Bound (3,) on the rounding error of a computed slope <n|M_a|n> for a
+    unit vector |n>: a matrix-vector product and an inner product, each of
+    length d, give gamma_(2d+4) * || |M_a| ||_2 with gamma_k = k u / (1 - k u)
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    sections 3.1 and 3.6; the +4 covers the complex products)."""
+    k = (2 * params.dimension + 4) * np.finfo(float).eps / 2.0
+    gamma = k / (1.0 - k)
+    return gamma * np.array([np.linalg.norm(np.abs(m), 2) for m in params.linear_terms.zeeman])
+
+
 def test_gradient_stencil_matches_pointwise_differences(nd_ion):
     rng = np.random.default_rng(8)
     saw_flag = False
@@ -281,10 +292,14 @@ def test_gradient_stencil_matches_pointwise_differences(nd_ion):
                 )
 
             if sel.manifold == "optical":
-                hf = slope(nd_ion.excited, sel.level_j) - slope(nd_ion.ground, sel.level_i)
+                upper, lower = nd_ion.excited, nd_ion.ground
             else:
-                hf = slope(nd_ion.ground, sel.level_j) - slope(nd_ion.ground, sel.level_i)
-            assert same_bits(result.vector, hf)
+                upper = lower = nd_ion.ground
+            hf = slope(upper, sel.level_j) - slope(lower, sel.level_i)
+            # the stacked products may sum in another order than the dot
+            # products above: each of the four slopes is off by round-off
+            bound = 2.0 * (slope_roundoff(upper) + slope_roundoff(lower))
+            assert np.all(np.abs(result.vector - hf) <= bound)
     # the zero fields of awkward_fields sit on Kramers pairs
     assert saw_flag
 
@@ -343,6 +358,37 @@ def test_each_field_costs_one_diagonalization(nd_ground, zefoz_point, monkeypatc
     points = zefoz_search(nd_ground, sel, (0.0, 0.0, 50.0), bounds)
     assert len(points) == 1
     assert sum(sizes) <= 52  # the 36-field grid, then one field per Newton evaluation
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_level_derivatives_of_a_field_do_not_depend_on_its_stack(order):
+    # lockstep Newton evaluates each seed in stacks of every size and
+    # relies on each field getting the bits of a one-field call
+    rng = np.random.default_rng(12)
+    for labels in ((8, 10), (3,), (1, 16)):
+        params = awkward_params(rng, nuclear_spin=3.5)
+        fields = np.concatenate([awkward_fields(rng), rng.uniform(-100.0, 100.0, (BLOCK, 3))])
+        stacked = fieldmap._level_derivatives(params, fields, labels, order)
+        for k in range(len(fields)):
+            single = fieldmap._level_derivatives(params, fields[k:k + 1], labels, order)
+            for whole, part in zip(stacked, single):
+                if whole is None:
+                    assert part is None
+                else:
+                    assert same_bits(whole[k:k + 1], part)
+
+
+def test_search_diagonalizes_each_newton_step_of_every_seed_at_once(nd_ground, monkeypatch):
+    # the 3x3x26 box of the field-study search: 234 grid fields in 4 stacks,
+    # then one stack per damping level of each Newton iteration; searching
+    # one seed at a time took 43 calls for the same 273 matrices
+    sel = TransitionSelector("ground", 8, 10)
+    bounds = FieldGrid(AxisGrid(-2.0, 2.0, 3), AxisGrid(-2.0, 2.0, 3), AxisGrid(45.0, 80.0, 26))
+    sizes = count_diagonalizations(monkeypatch)
+    points = zefoz_search(nd_ground, sel, (0.0, 0.0, 50.0), bounds)
+    assert len(points) == 1
+    assert sum(sizes) == 273
+    assert len(sizes) <= 10
 
 
 def test_zero_field_curvature_leaves_out_the_degenerate_cluster(nd_ground):

@@ -249,6 +249,15 @@ def test_averaged_susceptibility_is_bit_identical_to_the_plain_expressions(case)
                      averaged_susceptibility_oracle(f, d2, p))
 
 
+def test_scalar_input_gives_a_numpy_scalar_in_every_case():
+    # the dark state and non-finite Faddeeva input take their own branches
+    assert averaged_susceptibility(1.5, 0.0, DARK) == 0.0
+    for d2 in (0.0, 0.3):
+        assert type(averaged_susceptibility(1.5, d2, DARK)) is np.complex128
+    for z in (complex(np.inf, 0.0), complex(np.nan, 1.0), 1.0 + 1.0j):
+        assert type(zefoz.eit.wofz(z)) is np.complex128
+
+
 NON_FINITE = st.sampled_from((np.inf, -np.inf, np.nan))
 
 

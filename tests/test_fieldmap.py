@@ -6,6 +6,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zefoz.fieldmap as fieldmap
 from zefoz import (
@@ -29,6 +31,7 @@ from conftest import (
     ND_GROUND,
     analytic_clock_frequency,
     central_difference,
+    newton_refine_oracle,
     tracked_levels,
 )
 
@@ -262,6 +265,68 @@ def test_search_validates_inputs(nd_ground, clock_selector, search_bounds):
         zefoz_search(nd_ground, clock_selector, (0.0, 0.0, 200.0), search_bounds)
     with pytest.raises(InvalidParameterError):
         zefoz_search(nd_ground, clock_selector, (0.0, 0.0, 50.0), search_bounds, tol=-1.0)
+
+
+def newton_from_search_seeds(params, sel, start, bounds, max_iter=60):
+    """Run the lockstep Newton stage from the seeds ``zefoz_search`` takes
+    and the per-seed oracle from each of them; check that every endpoint
+    matches bit for bit, in seed order, and return the oracle's
+    (point or None, clipped) per seed."""
+    free = bounds.free_axes()
+    seeds = fieldmap._search_seeds(params, sel, fieldmap.as_field(start), bounds, free)
+    got = fieldmap._newton_refine(params, sel, seeds, bounds, free, 1e-6, max_iter)
+    oracle = [newton_refine_oracle(params, sel, seed, bounds, free, 1e-6, max_iter)
+              for seed in seeds]
+    assert len(got) == len(oracle)
+    for point, (expected, _) in zip(got, oracle):
+        if expected is None:
+            assert point is None
+            continue
+        for name in ("field", "omega0", "gradient_residual", "curvatures", "curvature_matrix"):
+            assert np.asarray(getattr(point, name)).tobytes() == \
+                np.asarray(getattr(expected, name)).tobytes()
+        assert point.hessian_signature == expected.hessian_signature
+    return oracle
+
+
+@st.composite
+def newton_cases(draw):
+    """An Nd-like ground ion (each constant scaled by 0.9-1.1), a level
+    pair, a 3-D or 1-D box and a start inside it."""
+    scaled = {key: ND_GROUND[key] * draw(st.floats(0.9, 1.1))
+              for key in ("g_par", "g_perp", "A", "B_hf")}
+    params = SpinParams(**{**ND_GROUND, **scaled, "P": draw(st.floats(-5.0, 5.0))})
+    pair = draw(st.just((8, 10)) | st.lists(st.integers(1, 16), min_size=2, max_size=2,
+                                             unique=True).map(sorted))
+    z_lo = draw(st.floats(0.0, 80.0))
+    z_hi = z_lo + draw(st.floats(10.0, 60.0))
+    if draw(st.booleans()):
+        dx, dy = draw(st.floats(0.5, 4.0)), draw(st.floats(0.5, 4.0))
+        bounds = FieldGrid(AxisGrid(-dx, dx, 3), AxisGrid(-dy, dy, 3), AxisGrid(z_lo, z_hi, 16))
+    else:
+        bounds = FieldGrid(AxisGrid(0.0, 0.0, 1), AxisGrid(0.0, 0.0, 1), AxisGrid(z_lo, z_hi, 36))
+    start = (0.0, 0.0, draw(st.floats(z_lo, z_hi)))
+    max_iter = draw(st.sampled_from((60, 60, 2)))
+    return params, TransitionSelector("ground", *pair), start, bounds, max_iter
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(newton_cases())
+def test_lockstep_newton_matches_the_per_seed_oracle(case):
+    newton_from_search_seeds(*case)
+
+
+def test_lockstep_newton_keeps_failed_and_clipped_seeds_apart(nd_ground):
+    # in this box some seeds of the (2, 3) pair converge and others stop
+    # short of tol, and trial points are clipped into the bounds on the
+    # way to both
+    bounds = FieldGrid(AxisGrid(-1.5, 1.5, 3), AxisGrid(-1.5, 1.5, 3), AxisGrid(23.0, 38.0, 26))
+    oracle = newton_from_search_seeds(
+        nd_ground, TransitionSelector("ground", 2, 3), (0.0, 0.0, 34.0), bounds
+    )
+    assert any(point is None and clipped for point, clipped in oracle)
+    assert any(point is not None and clipped for point, clipped in oracle)
+    assert any(point is not None and not clipped for point, clipped in oracle)
 
 
 def test_quadratic_model_verified_on_probe_grid(nd_ground, clock_selector, zefoz_point):
