@@ -72,8 +72,6 @@ def _lambda_params(config: RunConfig) -> LambdaParams:
         optical_dephasing=config.eit_gamma_ge,
         optical_inhom_fwhm=config.eit_inhom_fwhm,
         two_photon_offset=config.eit_two_photon_offset,
-        averaging=config.eit_averaging,
-        quadrature_points=config.eit_quadrature_points,
     )
 
 

@@ -11,9 +11,9 @@ its dotted key, its parser and its default, and ``parse_config``,
 ``config_echo`` and ``module_defaults`` are loops over that table.
 Defaults and choice lists owned by the library (``LambdaParams``,
 ``NoiseModel``, ``CombModel``, ``SpectrumParams``, ``find_lambda_systems``,
-``AVERAGING_METHODS``, ``LINE_PROFILES``, ``OPERATOR_KINDS``) are restated
-here as literals, so that parsing a config loads neither ``eit`` nor
-``transitions``; a test checks each literal against its owner.
+``LINE_PROFILES``, ``OPERATOR_KINDS``) are restated here as literals, so
+that parsing a config loads neither ``eit`` nor ``transitions``; a test
+checks each literal against its owner.
 Every number must be finite and every value in range: a bad value in a
 run config or an ion file fails at parse time with its line number (CLI
 exit code 2), not mid-run.
@@ -140,9 +140,8 @@ _POS = _real("be positive", lambda x: x > 0)
 _NONNEG = _real("be non-negative", lambda x: x >= 0)
 _UNIT = _real("lie in [0, 1]", lambda x: 0.0 <= x <= 1.0)
 _COUNT = _integer(1)
-# Choice lists of eit.AVERAGING_METHODS, transitions.LINE_PROFILES and
-# transitions.OPERATOR_KINDS (a custom operator has no config key).
-_AVERAGING = ("exact", "hermite")
+# Choice lists of transitions.LINE_PROFILES and transitions.OPERATOR_KINDS
+# (a custom operator has no config key).
 _PROFILES = ("gaussian", "lorentzian")
 _OPERATORS = ("identity", "S_x", "S_y", "S_z", "S_plus", "S_minus")
 _Vec3 = tuple[float, float, float]
@@ -207,8 +206,6 @@ class RunConfig:
     eit_gamma_ge: float = _key("eit.gamma_ge", _NONNEG, 0.5)
     eit_inhom_fwhm: float = _key("eit.inhom_fwhm", _POS, 35.0)
     eit_two_photon_offset: float = _key("eit.two_photon_offset", _number, 0.0)
-    eit_averaging: str = _key("eit.averaging", _choice(_AVERAGING), "exact")
-    eit_quadrature_points: int = _key("eit.quadrature_points", _integer(2), 64)
     eit_grid: _Axis = _key("eit.grid", _axis(3), (-18.0, 18.0, 1801))
     eit_delta_b: _Vec3 = _key("eit.delta_b", _vec3, (0.0, 0.0, 0.0))
     sweep_start: float = _key("sweep.start", _number, 54.0)
@@ -227,6 +224,9 @@ class RunConfig:
 _FIELDS = {f.metadata["key"]: f for f in dataclasses.fields(RunConfig)}
 # (start, stop) key pairs of 1-D scans: stop must not be below start.
 _RANGES = (("diagram.start", "diagram.stop"), ("sweep.start", "sweep.stop"))
+# Keys that older output headers echo; replaying one names the removal.
+_REMOVED = ("eit.averaging", "eit.quadrature_points")
+_REMOVED_REASON = "removed; the optical inhomogeneous average is always the exact one"
 
 
 def module_defaults() -> dict[str, object]:
@@ -271,6 +271,8 @@ def parse_config(text: str) -> RunConfig:
         spec = _FIELDS.get(key)
         if key == "[section]":
             errors.append((no, "sections are not allowed in a run config"))
+        elif key in _REMOVED:
+            errors.append((no, f"{key}: {_REMOVED_REASON}"))
         elif spec is None:
             errors.append((no, f"unknown key {key!r}"))
         elif key in seen:

@@ -24,8 +24,6 @@ FLUORINE_GAMMA_MHZ_PER_MT = 0.04006
 
 GAUSSIAN_FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
 
-AVERAGING_METHODS = ("exact", "hermite")
-
 
 # Weideman's rational expansion of the Faddeeva function with N = 40 terms
 # (J. A. C. Weideman, SIAM J. Numer. Anal. 31, 1497 (1994)): the Horner
@@ -141,10 +139,7 @@ class LambdaParams:
     """Lambda-system rates for the weak-probe response (all MHz).
 
     ``rabi_coupling`` is the coupling Rabi frequency; ``optical_dephasing``
-    and ``spin_dephasing`` are half-widths. ``averaging`` selects how the
-    optical inhomogeneous distribution is integrated: "exact" evaluates the
-    closed-form Gaussian convolution via the Faddeeva function, "hermite"
-    uses Gauss-Hermite quadrature with ``quadrature_points`` nodes.
+    and ``spin_dephasing`` are half-widths.
     """
 
     rabi_coupling: float = 2.0
@@ -152,8 +147,6 @@ class LambdaParams:
     spin_dephasing: float = 0.0
     optical_inhom_fwhm: float = 35.0
     two_photon_offset: float = 0.0
-    averaging: str = "exact"
-    quadrature_points: int = 64
 
     def __post_init__(self):
         for name in ("rabi_coupling", "optical_dephasing", "spin_dephasing",
@@ -164,12 +157,6 @@ class LambdaParams:
                      "optical_inhom_fwhm"):
             if getattr(self, name) < 0:
                 raise InvalidParameterError(f"{name} must be non-negative")
-        if self.averaging not in AVERAGING_METHODS:
-            raise InvalidParameterError(
-                f"averaging must be one of {AVERAGING_METHODS}, got {self.averaging!r}"
-            )
-        if self.quadrature_points < 2:
-            raise InvalidParameterError("quadrature_points must be at least 2")
 
 
 def susceptibility(probe_detuning, two_photon_detuning, p: LambdaParams):
@@ -221,8 +208,7 @@ def averaged_susceptibility(detuning, two_photon_detuning, p: LambdaParams):
         zeta = (-f + i*pole(d2)) / (sigma*sqrt(2)),
 
     with w the Faddeeva function, because chi is a simple pole in the probe
-    detuning. The "hermite" method integrates numerically instead; it is
-    only accurate when the pole width is comparable to the node spacing.
+    detuning.
 
     The closed form is evaluated in place: the pole in the buffer of
     i*d2, zeta in that of i*pole and the prefactor into w's result, each
@@ -235,8 +221,6 @@ def averaged_susceptibility(detuning, two_photon_detuning, p: LambdaParams):
     sigma = p.optical_inhom_fwhm * GAUSSIAN_FWHM_TO_SIGMA
     if sigma == 0.0:
         return susceptibility(f, d2, p)
-    if p.averaging == "hermite":
-        return _averaged_hermite(f, d2, p, sigma)
     with np.errstate(divide="ignore", invalid="ignore"):
         pole = _pole_offset(d2, p)
         # (-f + i*pole) / (sigma*sqrt(2)) in the buffer of i*pole; -f is
@@ -254,21 +238,6 @@ def averaged_susceptibility(detuning, two_photon_detuning, p: LambdaParams):
     if np.any(bad):
         out[bad] = 0.0
     return out[()]
-
-
-def _averaged_hermite(f: np.ndarray, d2: np.ndarray, p: LambdaParams, sigma: float):
-    # Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of
-    # the Hermite recurrence, and the weights over sqrt(pi) the squared
-    # first components of its eigenvectors. numpy's hermgauss overflows
-    # from 372 nodes; this works at any count.
-    k = np.arange(1, p.quadrature_points)
-    nodes, vectors = np.linalg.eigh(np.diag(np.sqrt(k / 2.0), -1))
-    offsets = np.sqrt(2.0) * sigma * nodes
-    # node by node, so memory does not grow with the node count
-    out = np.zeros(f.shape, dtype=complex)
-    for offset, weight in zip(offsets, vectors[0] ** 2):
-        out += weight * susceptibility(f - offset, d2, p)
-    return out
 
 
 def binomial_weights(n_lines: int) -> np.ndarray:

@@ -132,7 +132,7 @@ def test_duplicate_key_rejected(ion_file):
 def test_library_defaults_restated_in_the_config_table_match_their_owners():
     # config states these as literals so that parsing a config loads
     # neither eit nor transitions; each must equal the value its owner uses
-    from zefoz.eit import AVERAGING_METHODS, CombModel, LambdaParams, NoiseModel
+    from zefoz.eit import CombModel, LambdaParams, NoiseModel
     from zefoz.transitions import (
         LINE_PROFILES,
         OPERATOR_KINDS,
@@ -158,15 +158,12 @@ def test_library_defaults_restated_in_the_config_table_match_their_owners():
         "eit.gamma_ge": lam["optical_dephasing"],
         "eit.inhom_fwhm": lam["optical_inhom_fwhm"],
         "eit.two_photon_offset": lam["two_photon_offset"],
-        "eit.averaging": lam["averaging"],
-        "eit.quadrature_points": lam["quadrature_points"],
     }
     defaults = module_defaults()
     # repr tells 2 from 2.0, which would change the echoed header
     assert {key: repr(defaults[key]) for key in owners} == {
         key: repr(value) for key, value in owners.items()
     }
-    assert config._AVERAGING == AVERAGING_METHODS
     assert config._PROFILES == LINE_PROFILES
     assert config._OPERATORS == tuple(kind for kind in OPERATOR_KINDS if kind != "custom")
 
@@ -430,14 +427,6 @@ def test_cli_eit_comb_spacing_propagates(tmp_path, ion_file):
     assert spacing_auto == pytest.approx(0.04006 * 63.628, abs=0.1)
 
 
-def test_cli_eit_hermite_averaging_runs(tmp_path, ion_file):
-    body = f"command = eit\nion_file = {ion_file}\neit.averaging = hermite\n"
-    lines = _data_lines(_run_cli(tmp_path, ion_file, body, "hermite.csv"))
-    assert lines[0] == "detuning_MHz,alpha_off,alpha_on,transmission"
-    trans = np.array([float(line.split(",")[3]) for line in lines[1:]])
-    assert len(trans) > 1 and np.all(np.isfinite(trans))
-
-
 def test_cli_outputs_are_deterministic(tmp_path, ion_file):
     body = f"command = levels\nion_file = {ion_file}\nfield = 0 0 63.6\n"
     out = _run_cli(tmp_path, ion_file, body, "same.csv")
@@ -458,6 +447,24 @@ def test_cli_provenance_echo_reparses(tmp_path, ion_file):
     original = parse_config(body)
     # the echo pins the resolved output path; everything else must match
     assert reparsed == original.__class__(**{**original.__dict__, "output": reparsed.output})
+
+
+def test_replayed_header_with_a_removed_key_fails_at_parse_time(tmp_path, ion_file, capsys):
+    # older headers echo eit.averaging and eit.quadrature_points after
+    # eit.two_photon_offset; replaying one names the removal on each line
+    echo = config_echo(parse_config(f"command = eit\nion_file = {ion_file}\n"))
+    at = echo.index("eit.two_photon_offset = 0.0") + 1
+    echo[at:at] = ["eit.averaging = exact", "eit.quadrature_points = 64"]
+    reason = "removed; the optical inhomogeneous average is always the exact one"
+    with pytest.raises(ConfigError) as err:
+        parse_config("\n".join(echo))
+    assert err.value.problems == [
+        (at + 1, f"eit.averaging: {reason}"),
+        (at + 2, f"eit.quadrature_points: {reason}"),
+    ]
+    code = main(["--config", _config(tmp_path, "\n".join(echo)), "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert f"config error: line {at + 1}: eit.averaging: {reason}" in capsys.readouterr().err
 
 
 def test_cli_spectrum_also_writes_line_table(tmp_path, ion_file):
@@ -560,13 +567,13 @@ A = -257.0
 B_hf = -456.0
 """
 GOLDEN_SHA256 = {
-    "levels.csv": "8854f883b4fe64d894dc21e08d96b6dccac8b9d20e9f01ee2e23a9738cf4f591",
-    "diagram.csv": "b2ba12a092b42eabfc9c66d2386859672511c2c6749c2745b59c1318dd3476cf",
-    "zefoz.jsonl": "b07033e35e728aeeabb96e67298883e5a130e998823f7752d37401b36b9e61f8",
-    "lambda.jsonl": "1ffd3eef8e74551dfad48d3b7c8ee82cd8dd0578cf2eb28b998ff120f6e0489c",
-    "spectrum.csv": "2d2a22bdfa648ea2e71ee5277c991ea3048da31abd992f61ebd6fcaa08c3b21f",
-    "eit.csv": "5b5f52a81bb553b444a490567e528c90b3d8447045a66d7da5db228d6fcc36cb",
-    "sweep.csv": "7d16fa99a7e6ebc11a51943d9e1b118b03c41b49022c6395aba5ff581f6e45c6",
+    "levels.csv": "07afe71b7db949fdd6fdc80770c5d116eeb9ae9b5378fc283abbfa7393dc675e",
+    "diagram.csv": "e37c22dc3d17296e42c2912b8d0499685d90916c40f65c7c48a140fc93a0aca2",
+    "zefoz.jsonl": "8854e695f4cad1f22777acb88d13ddf9f61289161c1a46197c648398e19b3931",
+    "lambda.jsonl": "ed46e7582fac51e93091ef2e6c1cba5e958a1023a80f01f458339070dcae1e2b",
+    "spectrum.csv": "68062df5bbe3675963db597c9f69072739298bc52aa54d8e87fe6c2bb3c3f59e",
+    "eit.csv": "dae673659939aa4b6e4860ff6dfc0f9b4383c20220e14308278e1ae1a5582343",
+    "sweep.csv": "02c041981551e819e12bb943624f8060e3090d3a634ea4f5fff9df8d5cb81041",
 }
 
 
@@ -595,22 +602,21 @@ TABLES = ["zefoz.transitions"]
 EIT = ["zefoz.eit", "zefoz.fieldmap"]
 COMMAND_MODULES = {
     "levels": [], "diagram": SEARCH, "zefoz": SEARCH, "lambda": TABLES, "spectrum": TABLES,
-    "eit": EIT, "sweep": EIT, "diagram-x": SEARCH, "eit-hermite": EIT,
+    "eit": EIT, "sweep": EIT, "diagram-x": SEARCH,
 }
 
 
 def test_cli_commands_load_no_scipy_module(tmp_path):
     # scipy is a test-only dependency: no command imports any of it, on
-    # the seven README configs, a diagram whose tracking needs the
-    # assignment solver, or Gauss-Hermite averaging. Each command, in a
-    # fresh process, loads exactly the zefoz modules it runs.
+    # the seven README configs or a diagram whose tracking needs the
+    # assignment solver. Each command, in a fresh process, loads exactly
+    # the zefoz modules it runs.
     (tmp_path / "nd.ion").write_text(README_ION, encoding="utf-8")
     configs = {
         command: f"command = {command}\n"
         for command in ("levels", "diagram", "zefoz", "lambda", "spectrum", "eit", "sweep")
     }
     configs["diagram-x"] = "command = diagram\ndiagram.axis = x\n"
-    configs["eit-hermite"] = "command = eit\neit.averaging = hermite\n"
     code = textwrap.dedent(
         """
         import json, sys

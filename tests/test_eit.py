@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import inspect
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,7 +31,6 @@ from zefoz import (
     susceptibility,
 )
 from zefoz.cli import _comb_model
-from zefoz.eit import AVERAGING_METHODS
 
 from conftest import (
     assert_same_bits,
@@ -358,10 +356,9 @@ def test_averaged_susceptibility_matches_quadrature(rabi, gamma_ge, gamma_gs, fw
     spacing=st.floats(0.5, 5.0),
     raw_weights=st.lists(st.floats(0.0, 1.0), min_size=13, max_size=13),
     rabi=RABI, gamma_ge=GAMMA_GE, fwhm=st.floats(20.0, 100.0), gamma0=st.floats(0.0, 2.0),
-    averaging=st.sampled_from(AVERAGING_METHODS),
 )
 def test_symmetric_comb_gives_a_mirror_symmetric_transmission(
-    half_lines, spacing, raw_weights, rabi, gamma_ge, fwhm, gamma0, averaging
+    half_lines, spacing, raw_weights, rabi, gamma_ge, fwhm, gamma0
 ):
     # mirror-symmetric comb weights with zero two-photon offset: the
     # transmission is even in the two-photon detuning on a symmetric grid
@@ -370,26 +367,11 @@ def test_symmetric_comb_gives_a_mirror_symmetric_transmission(
     weights = weights + weights[::-1]
     noise = NoiseModel(curvatures=REFERENCE_CURVATURES, gamma0=gamma0)
     comb = CombModel(spacing=spacing, n_lines=n_lines, weights=weights, noise=noise)
-    p = LambdaParams(
-        rabi_coupling=rabi, optical_dephasing=gamma_ge, optical_inhom_fwhm=fwhm,
-        averaging=averaging,
-    )
+    p = LambdaParams(rabi_coupling=rabi, optical_dephasing=gamma_ge, optical_inhom_fwhm=fwhm)
     half = np.linspace(0.0, half_lines * spacing + 5.0, 151)
     grid = np.concatenate([-half[:0:-1], half])
     profile = eit_profile(comb, p, (0.0, 0.0, 0.0), grid)
     assert np.max(np.abs(profile.transmission - profile.transmission[::-1])) <= 1e-12
-
-
-def test_averaging_methods_agree_when_both_apply():
-    # Gauss-Hermite quadrature converges for a broad optical line; the
-    # closed-form Faddeeva average must match it there
-    exact = LambdaParams(rabi_coupling=1.0, optical_dephasing=5.0, spin_dephasing=0.5)
-    hermite = replace(exact, averaging="hermite", quadrature_points=512)
-    f = np.linspace(-15, 15, 61)
-    d2 = f - 1.3
-    a = averaged_susceptibility(f, d2, exact)
-    b = averaged_susceptibility(f, d2, hermite)
-    assert np.max(np.abs(a - b)) < 1e-6
 
 
 def test_averaged_susceptibility_against_dense_integration():
