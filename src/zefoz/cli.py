@@ -188,6 +188,10 @@ def _run_zefoz(config: RunConfig, ion: IonParams):
 def _tables_at_field(config: RunConfig, ion: IonParams):
     from .transitions import TransitionOperator, transition_table
 
+    pairs = [(p.electron_spin, p.nuclear_spin) for p in (ion.ground, ion.excited)]
+    if pairs[0] != pairs[1]:
+        message = f"ground (S, I) = {pairs[0]} differs from excited (S, I) = {pairs[1]}"
+        raise ConfigError([(None, f"{message} in {config.ion_file!r}")])
     field = np.array(config.field)
     ground = ion_levels(ion.ground, field)
     excited = ion_levels(ion.excited, field)

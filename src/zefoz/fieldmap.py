@@ -57,6 +57,8 @@ MANIFOLDS = ("ground", "excited", "optical")
 BLOCK = 64
 # Newton endpoints closer than this (mT, in every component) are one point.
 MERGE_DISTANCE = 1e-3
+# Newton iterations a search seed takes at most before it is given up.
+NEWTON_ITERATIONS = 60
 # Levels closer than this (MHz) form one degenerate cluster: the Hessian sum
 # leaves them out and a gradient with a connected level there is flagged.
 DEGENERACY_GAP = 1e-3
@@ -131,12 +133,12 @@ def _split_params(params, sel: TransitionSelector):
     if sel.manifold == "optical":
         if not isinstance(params, IonParams):
             raise InvalidParameterError("optical selector requires IonParams")
-        return params.ground, params.excited, params.optical_origin
+        return params.ground, params.excited
     if isinstance(params, IonParams):
         single = params.ground if sel.manifold == "ground" else params.excited
     else:
         single = params
-    return single, None, 0.0
+    return single, None
 
 
 def _check_labels(sel: TransitionSelector, dim_i: int, dim_j: int):
@@ -221,7 +223,7 @@ def _transition(
     (a caller that needs only the Hessian) the result carries no
     GradientResult and no central differences are run.
     """
-    p_i, p_j, origin = _split_params(params, sel)
+    p_i, p_j = _split_params(params, sel)
     if sel.manifold == "optical":
         _check_labels(sel, p_i.dimension, p_j.dimension)
         lower = _level_derivatives(p_i, fields, (sel.level_i,), order)
@@ -233,7 +235,7 @@ def _transition(
         _check_labels(sel, p_i.dimension, p_i.dimension)
         parts = _level_derivatives(p_i, fields, (sel.level_i, sel.level_j), order)
     energy, slope, gap, hessian = parts
-    frequency = energy[:, 1] - energy[:, 0] + origin
+    frequency = energy[:, 1] - energy[:, 0]
     transition_hessian = None if hessian is None else hessian[:, 1] - hessian[:, 0]
     if order == 0 or not gradient:
         return _Transition(frequency, None, transition_hessian)
@@ -267,9 +269,9 @@ def transition_frequencies(params, fields, sel: TransitionSelector) -> np.ndarra
 def transition_frequency(params, field, sel: TransitionSelector) -> float:
     """Frequency E_j - E_i (MHz) from fresh diagonalization at ``field``.
 
-    Optical selectors return E_excited - E_ground plus the ion's optical
-    origin. ``params`` may be a SpinParams (same-manifold selectors) or an
-    IonParams (required for optical).
+    Optical selectors return E_excited - E_ground. ``params`` may be a
+    SpinParams (same-manifold selectors) or an IonParams (required for
+    optical).
     """
     return float(transition_frequencies(params, as_field(field)[None], sel)[0])
 
@@ -438,8 +440,6 @@ def zefoz_search(
     initial_field,
     bounds: FieldGrid,
     tol: float = 1e-6,
-    *,
-    max_iter: int = 60,
 ) -> list[ZefozPoint]:
     """Locate stationary points of the selected transition frequency.
 
@@ -465,7 +465,7 @@ def zefoz_search(
 
     seeds = _search_seeds(params, sel, start, bounds, free)
     endpoints = [
-        z for z in _newton_refine(params, sel, seeds, bounds, free, tol, max_iter)
+        z for z in _newton_refine(params, sel, seeds, bounds, free, tol, NEWTON_ITERATIONS)
         if z is not None and bounds.contains(z.field, margin=1e-6)
     ]
     endpoints.sort(key=lambda z: z.gradient_residual)  # stable: ties keep seed order

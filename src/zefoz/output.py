@@ -6,8 +6,8 @@ bytes; headers carry no timestamps for exactly that reason.
 
 Cells are formatted by exact type: ``float`` with ``f"{x:.9g}"`` (which
 already prints ``nan``, ``inf`` and ``-inf``), ``int`` with ``str`` and
-``str`` as is, with no numpy call per cell. Any other type (numpy
-scalars, bools) goes through ``format_number``.
+``str`` as is, with no numpy call per cell. Bools print as ``1``/``0``,
+numpy integers as ints and any other number through ``float``.
 """
 
 from __future__ import annotations
@@ -15,17 +15,6 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 import numpy as np
-
-
-def format_number(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    x = float(value)
-    if not np.isfinite(x):
-        return "nan" if np.isnan(x) else ("inf" if x > 0 else "-inf")
-    return f"{x:.9g}"
 
 
 def format_cell(value) -> str:
@@ -36,7 +25,11 @@ def format_cell(value) -> str:
         return str(value)
     if isinstance(value, str):
         return value
-    return format_number(value)
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return f"{float(value):.9g}"
 
 
 def _json_value(value) -> str:

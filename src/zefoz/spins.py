@@ -51,6 +51,9 @@ MAX_DIMENSION = 256
 # Spin pairs whose parameter-free operators stay cached; the largest entry
 # (S = I = 15/2) holds about 6 MB.
 BASIS_CACHE_SIZE = 4
+# Largest anti-Hermitian residual accepted by the eigensolver, relative to
+# the matrix's largest entry (or 1 MHz, whichever is more).
+HERMITICITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -231,15 +234,14 @@ class FieldGrid:
 
 @dataclass(frozen=True)
 class IonParams:
-    """Ground and excited parameter sets of one ion plus an optical origin.
+    """Ground and excited parameter sets of one ion.
 
-    ``optical_origin`` (MHz) is added to optical transition frequencies;
-    absolute optical frequencies are otherwise not modelled.
+    Optical frequencies are E_excited - E_ground, relative to the optical
+    origin; absolute optical frequencies are not modelled.
     """
 
     ground: SpinParams
     excited: SpinParams
-    optical_origin: float = 0.0
 
 
 class StateComponent(NamedTuple):
@@ -301,20 +303,17 @@ def build_hamiltonian(params: SpinParams, field) -> np.ndarray:
     return h
 
 
-def diagonalize_stack(
-    hamiltonians: np.ndarray,
-    *,
-    hermiticity_tol: float = 1e-12,
-    degeneracy_gap: float = 1e-6,
-) -> tuple[np.ndarray, np.ndarray]:
+def diagonalize_stack(hamiltonians: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigen-decompose a stack (N, d, d) of Hermitian matrices in one call.
 
     Returns energies (N, d), ascending per matrix, and eigenvectors
     (N, d, d) with ``vectors[n, :, k]`` belonging to ``energies[n, k]``.
-    Every matrix is checked for Hermiticity first. Within clusters closer
-    than ``degeneracy_gap`` MHz the vectors are re-orthonormalized (QR, only
-    on matrices that have such a cluster); every vector is then gauge-fixed
-    so that its largest component is real and non-negative.
+    Every matrix is checked for Hermiticity first (``HERMITICITY_TOL``
+    relative); every vector is then gauge-fixed so that its largest
+    component is real and non-negative. LAPACK returns orthonormal vectors
+    in every case; inside a degenerate cluster (the level pairs at zero
+    field) only the subspace they span is meaningful, not the individual
+    vectors.
     """
     h = np.asarray(hamiltonians, dtype=complex)
     if h.ndim != 3 or h.shape[1] != h.shape[2]:
@@ -323,19 +322,14 @@ def diagonalize_stack(
         )
     scale = np.maximum(1.0, np.max(np.abs(h), axis=(1, 2)))
     residual = np.max(np.abs(h - h.conj().transpose(0, 2, 1)), axis=(1, 2))
-    bad = residual > hermiticity_tol * scale
+    bad = residual > HERMITICITY_TOL * scale
     if np.any(bad):
         worst = float(residual[np.argmax(bad)])
         raise ComputationError(
             f"matrix is not Hermitian: residual {worst:.3e} exceeds "
-            f"{hermiticity_tol:.1e} relative"
+            f"{HERMITICITY_TOL:.1e} relative"
         )
     energies, vectors = np.linalg.eigh(h)
-    near = np.diff(energies, axis=1) < degeneracy_gap
-    for n in np.flatnonzero(near.any(axis=1)):
-        for cluster in _degenerate_clusters(energies[n], degeneracy_gap):
-            block, _ = np.linalg.qr(vectors[n][:, cluster])
-            vectors[n][:, cluster] = block
     return energies, _gauge_fix(vectors)
 
 
@@ -350,30 +344,14 @@ def _gauge_fix(vectors: np.ndarray) -> np.ndarray:
     return vectors * (pivot.conj() / np.hypot(pivot.real, pivot.imag))
 
 
-def _degenerate_clusters(energies: np.ndarray, gap: float) -> list[slice]:
-    clusters = []
-    start = 0
-    for k in range(1, energies.size + 1):
-        if k == energies.size or energies[k] - energies[k - 1] >= gap:
-            if k - start > 1:
-                clusters.append(slice(start, k))
-            start = k
-    return clusters
-
-
 def diagonalize(
-    hamiltonian: np.ndarray,
-    *,
-    basis: list[tuple[float, float]] | None = None,
-    hermiticity_tol: float = 1e-12,
-    degeneracy_gap: float = 1e-6,
+    hamiltonian: np.ndarray, *, basis: list[tuple[float, float]] | None = None
 ) -> LevelSet:
     """Full eigen-decomposition of a Hermitian matrix, sorted ascending.
 
-    Eigenvectors are gauge-fixed (largest component real and non-negative).
-    Within clusters closer than ``degeneracy_gap`` MHz the individual
-    vectors are not physically meaningful; they are re-orthonormalized and
-    gauge-fixed but only the spanned subspace should be relied on.
+    One matrix through ``diagonalize_stack``: the same Hermiticity check
+    and gauge fix, and within a degenerate cluster only the spanned
+    subspace should be relied on.
     """
     h = np.asarray(hamiltonian, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -382,9 +360,7 @@ def diagonalize(
         raise InvalidParameterError(
             f"basis has {len(basis)} labels for dimension {h.shape[0]}"
         )
-    energies, vectors = diagonalize_stack(
-        h[None], hermiticity_tol=hermiticity_tol, degeneracy_gap=degeneracy_gap
-    )
+    energies, vectors = diagonalize_stack(h[None])
     labels = np.arange(1, h.shape[0] + 1)
     return LevelSet(
         energies=energies[0], eigenvectors=vectors[0], labels=labels, basis=basis

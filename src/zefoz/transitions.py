@@ -150,21 +150,19 @@ def transition_table(
     excited: LevelSet,
     op: TransitionOperator,
     spectrum: SpectrumParams,
-    optical_origin: float = 0.0,
 ) -> list[TransitionLine]:
     """All ground->excited lines: |<e|O|g>|^2, frequency, thermal weight.
 
     Ground and excited level sets must come from the same field point and
-    share one Hilbert-space dimension.
+    share one product basis, i.e. the same (S, I).
     """
-    if ground.dimension != excited.dimension:
-        raise InvalidParameterError(
-            f"mismatched Hilbert dimensions: ground {ground.dimension}, "
-            f"excited {excited.dimension}"
-        )
     if ground.basis is None or excited.basis is None:
         raise InvalidParameterError(
             "level sets need product-basis labels; build them via ion_levels()"
+        )
+    if ground.basis != excited.basis:
+        raise InvalidParameterError(
+            "ground and excited level sets have different product bases (S, I)"
         )
     dim = ground.dimension
     electron_dim = len({b[1] for b in ground.basis})
@@ -172,9 +170,7 @@ def transition_table(
     full_op = op.full_matrix(nuclear_dim, electron_dim)
     overlap = excited.eigenvectors.conj().T @ full_op @ ground.eigenvectors
     # (ground, excited) columns, read once as Python floats
-    frequencies = (
-        excited.energies[None, :] - ground.energies[:, None] + optical_origin
-    ).tolist()
+    frequencies = (excited.energies[None, :] - ground.energies[:, None]).tolist()
     strengths = (np.abs(overlap) ** 2).T.tolist()
     weights = boltzmann_weights(ground.energies, spectrum.temperature).tolist()
     return [

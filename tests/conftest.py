@@ -262,7 +262,7 @@ def json_record_oracle(columns, row) -> str:
     return "{" + ", ".join(cells) + "}"
 
 
-def transition_table_oracle(ground, excited, op, spectrum, optical_origin=0.0):
+def transition_table_oracle(ground, excited, op, spectrum):
     """Table oracle: the cell-by-cell loop ``transition_table`` ran before it
     built its columns, one ``float()`` of a numpy scalar per cell."""
     electron_dim = len({b[1] for b in ground.basis})
@@ -273,7 +273,7 @@ def transition_table_oracle(ground, excited, op, spectrum, optical_origin=0.0):
         TransitionLine(
             ground_label=g + 1,
             excited_label=e + 1,
-            frequency=float(excited.energies[e] - ground.energies[g] + optical_origin),
+            frequency=float(excited.energies[e] - ground.energies[g]),
             strength=float(strengths[e, g]),
             population_weight=float(weights[g]),
         )

@@ -529,6 +529,21 @@ def test_cli_zefoz_pair_beyond_the_ion_is_a_config_error(tmp_path, ion_file, cap
     assert "zefoz.pair: label 40 exceeds the 16 ground levels" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["lambda", "spectrum"])
+def test_cli_ground_and_excited_spins_must_match(tmp_path, command, capsys):
+    # S = 3/2, I = 3/2 is 16-dimensional like the ground's S = 1/2, I = 7/2
+    path = tmp_path / "mixed.ion"
+    head, excited = ION_TEXT.split("[excited]")
+    excited = excited.replace("S = 0.5", "S = 1.5").replace("I = 3.5", "I = 1.5")
+    path.write_text(f"{head}[excited]{excited}", encoding="utf-8")
+    body = f"command = {command}\nion_file = {path}\n"
+    code = main(["--config", _config(tmp_path, body), "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "ground (S, I) = (0.5, 3.5) differs from excited (S, I) = (1.5, 1.5)" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_cli_auto_comb_spacing_at_zero_field_names_the_field(tmp_path, ion_file, capsys):
     # the search over Bz = 0..10 finds the trivial stationary point at B = 0
     body = (

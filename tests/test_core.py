@@ -30,7 +30,7 @@ from zefoz import fieldmap, spins
 from zefoz.fieldmap import BLOCK, DEGENERACY_GAP
 from zefoz.operators import electron_operator, multiplicity, nuclear_operator, spin_matrices
 
-from conftest import ND_GROUND, central_difference
+from conftest import ND_EXCITED, ND_GROUND, central_difference
 
 
 def same_bits(a, b) -> bool:
@@ -61,17 +61,10 @@ def term_by_term_hamiltonian(params: SpinParams, field) -> np.ndarray:
     return h
 
 
-def column_by_column_eigensystem(h: np.ndarray, gap: float = 1e-6):
-    """One matrix: eigh, QR inside each degenerate cluster, then a
-    column-by-column phase fix (largest component real, non-negative)."""
+def column_by_column_eigensystem(h: np.ndarray):
+    """One matrix: eigh, then a column-by-column phase fix (largest
+    component real, non-negative)."""
     energies, vectors = np.linalg.eigh(h)
-    start = 0
-    for k in range(1, energies.size + 1):
-        if k == energies.size or energies[k] - energies[k - 1] >= gap:
-            if k - start > 1:
-                block, _ = np.linalg.qr(vectors[:, start:k])
-                vectors[:, start:k] = block
-            start = k
     for k in range(vectors.shape[1]):
         pivot = vectors[int(np.argmax(np.abs(vectors[:, k]))), k]
         if abs(pivot) > 0.0:
@@ -226,18 +219,24 @@ def test_stacked_eigensystems_match_per_matrix_solves_bit_for_bit():
             assert same_bits(single.energies, oracle_e)
             assert same_bits(single.eigenvectors, oracle_v)
             saw_cluster |= bool(np.any(np.diff(oracle_e) < 1e-6))
-    # zero field leaves Kramers pairs, so the cluster QR path was exercised
+    # zero field leaves Kramers pairs, so degenerate clusters were exercised
     assert saw_cluster
 
 
-def test_zero_field_clusters_take_the_qr_path():
-    params = SpinParams(**ND_GROUND)
-    h = build_hamiltonian(params, np.zeros((2, 3)))
+@pytest.mark.parametrize("nuclear_spin", [0.5, 2.5, 3.5])
+@pytest.mark.parametrize("state", [ND_GROUND, ND_EXCITED], ids=["ground", "excited"])
+def test_zero_field_clusters_are_orthonormal_and_stack_independent(state, nuclear_spin):
+    params = SpinParams(**{**state, "nuclear_spin": nuclear_spin})
+    dim = params.dimension
+    h = build_hamiltonian(params, np.zeros((3, 3)))
     energies, vectors = diagonalize_stack(h)
-    assert np.sum(np.diff(energies[0]) < 1e-6) == 7  # seven exact pairs
+    # every |m_F| > 0 pair is degenerate, two m_F = 0 levels are not:
+    # seven exact pairs at I = 7/2
+    assert np.sum(np.diff(energies[0]) < 1e-6) == dim // 2 - 1
     oracle_e, oracle_v = column_by_column_eigensystem(h[0].copy())
-    assert same_bits(vectors[0], oracle_v) and same_bits(vectors[1], oracle_v)
-    assert np.max(np.abs(vectors[0].conj().T @ vectors[0] - np.eye(16))) < 1e-12
+    for k in range(3):
+        assert same_bits(energies[k], oracle_e) and same_bits(vectors[k], oracle_v)
+        assert np.max(np.abs(vectors[k].conj().T @ vectors[k] - np.eye(dim))) < 1e-12
 
 
 @pytest.mark.parametrize("where", [0, 4, 9])

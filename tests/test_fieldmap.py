@@ -61,17 +61,6 @@ def test_optical_selector_needs_ion_params(nd_ground, nd_ion):
     assert np.isfinite(freq)
 
 
-def test_optical_origin_offsets_frequency(nd_ion):
-    from dataclasses import replace
-
-    sel = TransitionSelector("optical", 8, 9)
-    base = transition_frequency(nd_ion, (0.0, 0.0, 63.6), sel)
-    shifted = transition_frequency(
-        replace(nd_ion, optical_origin=100.0), (0.0, 0.0, 63.6), sel
-    )
-    assert shifted - base == pytest.approx(100.0, abs=1e-12)
-
-
 def test_gradient_agreement_and_axial_symmetry(nd_ground, clock_selector):
     field = (0.0, 0.0, 55.0)
     result = frequency_gradient(nd_ground, field, clock_selector)

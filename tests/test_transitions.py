@@ -210,6 +210,16 @@ def test_table_requires_matching_dimensions(nd_ground):
         transition_table(small, big, TransitionOperator("S_x"), SpectrumParams())
 
 
+def test_table_rejects_equal_dimensions_from_different_spins(nd_ground):
+    # S = 3/2, I = 3/2 spans 16 states, as the ground's S = 1/2, I = 7/2 does
+    other = dataclasses.replace(nd_ground, electron_spin=1.5, nuclear_spin=1.5)
+    ground = ion_levels(nd_ground, (0.0, 0.0, 10.0))
+    excited = ion_levels(other, (0.0, 0.0, 10.0))
+    assert ground.dimension == excited.dimension == 16
+    with pytest.raises(InvalidParameterError, match="different product bases"):
+        transition_table(ground, excited, TransitionOperator("S_x"), SpectrumParams())
+
+
 def test_spectrum_requires_grid(zefoz_table):
     with pytest.raises(InvalidParameterError):
         absorption_spectrum(zefoz_table, SpectrumParams())
@@ -225,8 +235,8 @@ def _line_bits(line):
 def test_table_matches_the_cell_oracle_bit_for_bit(levels_at_zefoz, op):
     ground, excited = levels_at_zefoz
     args = (ground, excited, TransitionOperator(op), SpectrumParams(temperature=0.7))
-    table = transition_table(*args, optical_origin=123.25)
-    oracle = transition_table_oracle(*args, optical_origin=123.25)
+    table = transition_table(*args)
+    oracle = transition_table_oracle(*args)
     assert [_line_bits(line) for line in table] == [_line_bits(line) for line in oracle]
 
 
