@@ -9,6 +9,12 @@ own output header.
 ``RunConfig`` is the single table of run-config keys: each field declares
 its dotted key, its parser and its default, and ``parse_config``,
 ``config_echo`` and ``module_defaults`` are loops over that table.
+``ION_KEYS`` is the single table of ion keys: it maps each ion-file key
+to its ``SpinParams`` field, and the required keys, the ``SpinParams``
+built by ``parse_ion_file`` and the lines of ``format_ion_file`` all
+follow it; an omitted optional key takes ``SpinParams``' own default.
+Both parsers read each line through one helper that rejects unknown,
+repeated keys and bad values with their line numbers.
 Defaults and choice lists owned by the library (``LambdaParams``,
 ``NoiseModel``, ``CombModel``, ``SpectrumParams``, ``find_lambda_systems``,
 ``LINE_PROFILES``, ``OPERATOR_KINDS``) are restated here as literals, so
@@ -27,14 +33,18 @@ from dataclasses import dataclass
 
 from .errors import ConfigError, InvalidParameterError
 from .operators import is_half_integer
-from .spins import BOHR_MAGNETON_MHZ_PER_MT, IonParams, SpinParams
+from .spins import IonParams, SpinParams
 
 COMMANDS = ("levels", "diagram", "zefoz", "lambda", "spectrum", "eit", "sweep")
 FORMATS = ("csv", "json-records")
 
 ION_SECTIONS = ("ground", "excited")
-ION_KEYS = ("S", "I", "g_par", "g_perp", "A", "B_hf", "P", "mu_B")
-ION_REQUIRED = ("S", "I", "g_par", "g_perp", "A", "B_hf")
+# The ion-key table: ion-file key -> SpinParams field, in file order.
+ION_KEYS = {"S": "electron_spin", "I": "nuclear_spin", "g_par": "g_par", "g_perp": "g_perp",
+            "A": "A", "B_hf": "B_hf", "P": "P", "mu_B": "mu_B"}
+# Required ion keys: those whose SpinParams field has no default.
+_OPTIONAL = {f.name for f in dataclasses.fields(SpinParams) if f.default is not dataclasses.MISSING}
+ION_REQUIRED = tuple(key for key, name in ION_KEYS.items() if name not in _OPTIONAL)
 
 # Parsers turn one value's text into its typed value, or raise ValueError
 # with a message that follows the key's name.
@@ -224,9 +234,18 @@ class RunConfig:
 _FIELDS = {f.metadata["key"]: f for f in dataclasses.fields(RunConfig)}
 # (start, stop) key pairs of 1-D scans: stop must not be below start.
 _RANGES = (("diagram.start", "diagram.stop"), ("sweep.start", "sweep.stop"))
-# Keys that older output headers echo; replaying one names the removal.
-_REMOVED = ("eit.averaging", "eit.quadrature_points")
-_REMOVED_REASON = "removed; the optical inhomogeneous average is always the exact one"
+
+
+def _removed(text: str):
+    raise ValueError("removed; the optical inhomogeneous average is always the exact one")
+
+
+# Parser tables, key -> (parser, null token). Keys that older output
+# headers echo stay in the run-config table with a parser that names the
+# removal.
+_CONFIG_PARSERS = {key: (f.metadata["parse"], f.metadata["null"]) for key, f in _FIELDS.items()}
+_CONFIG_PARSERS |= dict.fromkeys(("eit.averaging", "eit.quadrature_points"), (_removed, None))
+_ION_PARSERS = dict.fromkeys(ION_KEYS, (_number, None))
 
 
 def module_defaults() -> dict[str, object]:
@@ -238,17 +257,10 @@ def module_defaults() -> dict[str, object]:
     }
 
 
-def _strip(line: str) -> str:
-    cut = line.find("#")
-    if cut >= 0:
-        line = line[:cut]
-    return line.strip()
-
-
 def _scan_pairs(text: str, errors: list) -> list[tuple[int, str, str]]:
     pairs = []
     for no, raw in enumerate(text.splitlines(), start=1):
-        line = _strip(raw)
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
@@ -262,45 +274,50 @@ def _scan_pairs(text: str, errors: list) -> list[tuple[int, str, str]]:
     return pairs
 
 
+def _read_pair(no, key, value, parsers, seen, values, errors, where=""):
+    """Parse one ``key = value`` line through ``parsers`` into ``values``.
+
+    ``seen`` maps each key read to its line. An unknown key, a repeated
+    key or a bad value goes to ``errors`` instead; ``where`` names the
+    section in those messages.
+    """
+    if key not in parsers:
+        errors.append((no, f"unknown key {key!r}{where}"))
+    elif key in seen:
+        errors.append((no, f"duplicate key {key!r}{where} (first on line {seen[key]})"))
+    else:
+        seen[key] = no
+        parse, null = parsers[key]
+        try:
+            values[key] = None if value == null else parse(value)
+        except ValueError as exc:
+            errors.append((no, f"{key}: {exc}"))
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a run configuration, reporting every error."""
     errors: list[tuple[int | None, str]] = []
     seen: dict[str, int] = {}
     values: dict[str, object] = {}
     for no, key, value in _scan_pairs(text, errors):
-        spec = _FIELDS.get(key)
         if key == "[section]":
             errors.append((no, "sections are not allowed in a run config"))
-        elif key in _REMOVED:
-            errors.append((no, f"{key}: {_REMOVED_REASON}"))
-        elif spec is None:
-            errors.append((no, f"unknown key {key!r}"))
-        elif key in seen:
-            errors.append((no, f"duplicate key {key!r} (first on line {seen[key]})"))
         else:
-            seen[key] = no
-            parse = spec.metadata["parse"]
-            try:
-                parsed = None if value == spec.metadata["null"] else parse(value)
-            except ValueError as exc:
-                errors.append((no, f"{key}: {exc}"))
-            else:
-                values[spec.name] = parsed
+            _read_pair(no, key, value, _CONFIG_PARSERS, seen, values, errors)
     for key, spec in _FIELDS.items():
-        if spec.default is dataclasses.MISSING and spec.name not in values:
+        if spec.default is dataclasses.MISSING and key not in values:
             errors.append((None, f"missing required key {key!r}"))
     for keys in _RANGES:
-        specs = [_FIELDS[key] for key in keys]
-        if any(key in seen and spec.name not in values for key, spec in zip(keys, specs)):
+        if any(key in seen and key not in values for key in keys):
             continue  # already reported as a bad value
-        start, stop = (values.get(spec.name, spec.default) for spec in specs)
+        start, stop = (values.get(key, _FIELDS[key].default) for key in keys)
         if stop < start:
             no = seen.get(keys[1], seen.get(keys[0]))
             message = f"must not be below {keys[0]} = {start!r}, got {stop!r}"
             errors.append((no, f"{keys[1]}: {message}"))
     if errors:
         raise ConfigError(errors)
-    return RunConfig(**values)
+    return RunConfig(**{_FIELDS[key].name: value for key, value in values.items()})
 
 
 def _format(value) -> str:
@@ -329,71 +346,47 @@ def parse_ion_file(text: str) -> IonParams:
     set that ``SpinParams`` rejects is reported against its section header.
     """
     errors: list[tuple[int | None, str]] = []
-    sections: dict[str, dict[str, float]] = {}
-    lines: dict[str, dict[str, int]] = {}  # per section: key -> line, header under "[section]"
+    headers: dict[str, int] = {}  # section -> line of its header
+    seen: dict[str, dict[str, int]] = {}  # per section: key -> line
+    values: dict[str, dict[str, float]] = {}  # per section: key -> value
     current: str | None = None
     for no, key, value in _scan_pairs(text, errors):
         if key == "[section]":
-            if value not in ION_SECTIONS:
+            current = value if value in ION_SECTIONS else None
+            if current is None:
                 errors.append((no, f"unknown section [{value}]"))
-                current = None
-                continue
-            if value in sections:
+            elif current in headers:
                 errors.append((no, f"duplicate section [{value}]"))
-            current = value
-            sections.setdefault(value, {})
-            lines.setdefault(value, {key: no})
-            continue
-        if current is None:
+            else:
+                headers[current] = no
+                seen[current], values[current] = {}, {}
+        elif current is None:
             errors.append((no, f"key {key!r} appears outside any section"))
-            continue
-        if key not in ION_KEYS:
-            errors.append((no, f"unknown ion parameter {key!r}"))
-            continue
-        if key in sections[current]:
-            errors.append((no, f"duplicate key {key!r} in [{current}]"))
-            continue
-        try:
-            sections[current][key] = _number(value)
-            lines[current][key] = no
-        except ValueError as exc:
-            errors.append((no, f"{key}: {exc}"))
+        else:
+            where = f" in [{current}]"
+            _read_pair(no, key, value, _ION_PARSERS, seen[current], values[current], errors, where)
 
     for name in ION_SECTIONS:
-        if name not in sections:
+        if name not in headers:
             errors.append((None, f"missing section [{name}]"))
             continue
+        sec = values[name]
         for key in ION_REQUIRED:
-            if key not in sections[name]:
+            if key not in sec:
                 errors.append((None, f"[{name}] is missing required key {key!r}"))
         for spin_key in ("S", "I"):
-            if spin_key in sections[name] and not is_half_integer(sections[name][spin_key]):
-                errors.append(
-                    (
-                        lines[name][spin_key],
-                        f"{spin_key} = {sections[name][spin_key]!r} is not a "
-                        "half-integer spin",
-                    )
-                )
+            if spin_key in sec and not is_half_integer(sec[spin_key]):
+                message = f"{spin_key} = {sec[spin_key]!r} is not a half-integer spin"
+                errors.append((seen[name][spin_key], message))
     if errors:
         raise ConfigError(errors)
 
     manifolds = {}
     for name in ION_SECTIONS:
-        sec = sections[name]
         try:
-            manifolds[name] = SpinParams(
-                electron_spin=sec["S"],
-                nuclear_spin=sec["I"],
-                g_par=sec["g_par"],
-                g_perp=sec["g_perp"],
-                A=sec["A"],
-                B_hf=sec["B_hf"],
-                P=sec.get("P", 0.0),
-                mu_B=sec.get("mu_B", BOHR_MAGNETON_MHZ_PER_MT),
-            )
+            manifolds[name] = SpinParams(**{ION_KEYS[key]: x for key, x in values[name].items()})
         except InvalidParameterError as exc:
-            errors.append((lines[name]["[section]"], f"[{name}]: {exc}"))
+            errors.append((headers[name], f"[{name}]: {exc}"))
     if errors:
         raise ConfigError(errors)
     return IonParams(**manifolds)
@@ -402,14 +395,8 @@ def parse_ion_file(text: str) -> IonParams:
 def format_ion_file(ion: IonParams) -> str:
     """Serialize an IonParams back to the two-section text format."""
     out = []
-    for name, params in (("ground", ion.ground), ("excited", ion.excited)):
+    for name in ION_SECTIONS:
+        params = getattr(ion, name)
         out.append(f"[{name}]")
-        out.append(f"S = {params.electron_spin!r}")
-        out.append(f"I = {params.nuclear_spin!r}")
-        out.append(f"g_par = {params.g_par!r}")
-        out.append(f"g_perp = {params.g_perp!r}")
-        out.append(f"A = {params.A!r}")
-        out.append(f"B_hf = {params.B_hf!r}")
-        out.append(f"P = {params.P!r}")
-        out.append(f"mu_B = {params.mu_B!r}")
+        out.extend(f"{key} = {getattr(params, field)!r}" for key, field in ION_KEYS.items())
     return "\n".join(out) + "\n"

@@ -139,7 +139,9 @@ class LambdaParams:
     """Lambda-system rates for the weak-probe response (all MHz).
 
     ``rabi_coupling`` is the coupling Rabi frequency; ``optical_dephasing``
-    and ``spin_dephasing`` are half-widths.
+    and ``spin_dephasing`` are half-widths. ``optical_inhom_fwhm`` is the
+    width of the Gaussian optical inhomogeneous distribution and must be
+    positive.
     """
 
     rabi_coupling: float = 2.0
@@ -153,10 +155,11 @@ class LambdaParams:
                      "optical_inhom_fwhm", "two_photon_offset"):
             if not isfinite(getattr(self, name)):
                 raise InvalidParameterError(f"{name} must be finite")
-        for name in ("rabi_coupling", "optical_dephasing", "spin_dephasing",
-                     "optical_inhom_fwhm"):
+        for name in ("rabi_coupling", "optical_dephasing", "spin_dephasing"):
             if getattr(self, name) < 0:
                 raise InvalidParameterError(f"{name} must be non-negative")
+        if not self.optical_inhom_fwhm > 0:
+            raise InvalidParameterError("optical_inhom_fwhm must be positive")
 
 
 def susceptibility(probe_detuning, two_photon_detuning, p: LambdaParams):
@@ -217,10 +220,8 @@ def averaged_susceptibility(detuning, two_photon_detuning, p: LambdaParams):
     expressions with about two output-sized arrays fewer at its peak.
     """
     detuning = np.asarray(detuning, dtype=float)
-    f, d2 = np.broadcast_arrays(detuning, np.asarray(two_photon_detuning, dtype=float))
+    _, d2 = np.broadcast_arrays(detuning, np.asarray(two_photon_detuning, dtype=float))
     sigma = p.optical_inhom_fwhm * GAUSSIAN_FWHM_TO_SIGMA
-    if sigma == 0.0:
-        return susceptibility(f, d2, p)
     with np.errstate(divide="ignore", invalid="ignore"):
         pole = _pole_offset(d2, p)
         # (-f + i*pole) / (sigma*sqrt(2)) in the buffer of i*pole; -f is
@@ -258,9 +259,10 @@ class CombModel:
 
     Each comb class is an independent Lambda-system whose two-photon
     resonance is shifted by a multiple of ``spacing`` (MHz); classes add
-    incoherently. ``weights`` default to the binomial distribution over
-    n_lines - 1 equivalent spin-1/2 neighbors. ``noise`` supplies the
-    per-line spin linewidth.
+    incoherently. ``weights`` are normalized to sum 1; ``None`` stands for
+    the binomial distribution over n_lines - 1 equivalent spin-1/2
+    neighbors. ``noise`` supplies the per-line spin linewidth of
+    ``eit_profile``.
     """
 
     spacing: float
@@ -273,22 +275,19 @@ class CombModel:
             raise InvalidParameterError("n_lines must be an odd integer >= 1")
         if not (self.spacing > 0 and isfinite(self.spacing)):
             raise InvalidParameterError("spacing must be positive and finite")
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=float)
-            if w.shape != (self.n_lines,):
-                raise InvalidParameterError(
-                    f"weights needs {self.n_lines} entries, got shape {w.shape}"
-                )
-            if not np.all(np.isfinite(w)):
-                raise InvalidParameterError("weights must be finite")
-            if np.any(w < 0) or w.sum() <= 0:
-                raise InvalidParameterError("weights must be non-negative with positive sum")
-            object.__setattr__(self, "weights", w / w.sum())
-
-    def resolved_weights(self) -> np.ndarray:
         if self.weights is None:
-            return binomial_weights(self.n_lines)
-        return self.weights
+            object.__setattr__(self, "weights", binomial_weights(self.n_lines))
+            return
+        w = np.asarray(self.weights, dtype=float)
+        if w.shape != (self.n_lines,):
+            raise InvalidParameterError(
+                f"weights needs {self.n_lines} entries, got shape {w.shape}"
+            )
+        if not np.all(np.isfinite(w)):
+            raise InvalidParameterError("weights must be finite")
+        if np.any(w < 0) or w.sum() <= 0:
+            raise InvalidParameterError("weights must be non-negative with positive sum")
+        object.__setattr__(self, "weights", w / w.sum())
 
     def shifts(self) -> np.ndarray:
         k = np.arange(self.n_lines, dtype=float)
@@ -323,14 +322,8 @@ def _checked_grid(grid) -> np.ndarray:
     return grid
 
 
-def _per_line_params(
-    p: LambdaParams, comb: CombModel, delta_field, noise: NoiseModel | None
-) -> LambdaParams:
-    """``p`` with the spin dephasing of one comb line at ``delta_field``;
-    ``noise`` falls back to the comb's own model."""
-    noise = noise if noise is not None else comb.noise
-    if noise is None:
-        raise InvalidParameterError("a NoiseModel is required (on the comb or passed in)")
+def _per_line_params(p: LambdaParams, noise: NoiseModel, delta_field) -> LambdaParams:
+    """``p`` with the spin dephasing of one comb line at ``delta_field``."""
     return replace(p, spin_dephasing=spin_linewidth(noise, delta_field) / 2.0)
 
 
@@ -353,12 +346,11 @@ def _profile(
     comb: CombModel, per_line: LambdaParams, grid: np.ndarray, alpha_off: np.ndarray,
     norm: float,
 ) -> EitProfile:
-    weights = comb.resolved_weights()
     shifts = comb.shifts() + per_line.two_photon_offset
     # every comb line over the whole grid in one evaluation, (lines, grid)
     lines = averaged_susceptibility(grid, grid - shifts[:, None], per_line).imag
     alpha_on = np.zeros_like(grid)
-    for w, line in zip(weights, lines):
+    for w, line in zip(comb.weights, lines):
         alpha_on += w * line
     alpha_on = alpha_on / norm
     transmission = (alpha_off - alpha_on) / alpha_off
@@ -373,21 +365,17 @@ def _profile(
     )
 
 
-def eit_profile(
-    comb: CombModel,
-    p: LambdaParams,
-    delta_field,
-    grid,
-    noise: NoiseModel | None = None,
-) -> EitProfile:
+def eit_profile(comb: CombModel, p: LambdaParams, delta_field, grid) -> EitProfile:
     """EIT transmission window at a field offset from the stationary point.
 
-    The per-line spin dephasing is spin_linewidth(noise, delta_field) / 2;
-    ``noise`` falls back to the comb's own model. alpha_on sums the comb
+    The per-line spin dephasing is spin_linewidth(comb.noise, delta_field)
+    / 2, so the comb must carry a NoiseModel. alpha_on sums the comb
     classes with their weights; alpha_off is the coupling-off response.
     """
+    if comb.noise is None:
+        raise InvalidParameterError("eit_profile needs a comb with a NoiseModel")
     grid = _checked_grid(grid)
-    per_line = _per_line_params(p, comb, delta_field, noise)
+    per_line = _per_line_params(p, comb.noise, delta_field)
     return _profile(comb, per_line, grid, *_coupling_off(grid, per_line))
 
 
@@ -421,7 +409,7 @@ def amplitude_vs_field(
     grid = np.arange(-half, half + 1e-9, 0.05)
     points = sweep.points()
     offsets = [point - z.field for point in points]
-    per_line = [_per_line_params(p, comb, offset, noise) for offset in offsets]
+    per_line = [_per_line_params(p, noise, offset) for offset in offsets]
     # the coupling-off terms do not depend on the field point: evaluate once
     off = _coupling_off(grid, per_line[0])
     modelled = [

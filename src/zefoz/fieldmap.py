@@ -38,8 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidParameterError
-from .spins import (  # noqa: F401 - grids re-exported; perfbench reads fieldmap.ion_levels
-    AxisGrid,
+from .spins import (  # noqa: F401 - perfbench reads fieldmap.ion_levels
     FieldGrid,
     IonParams,
     SpinParams,

@@ -194,7 +194,9 @@ def find_lambda_systems(
     Keeps triples whose two strengths both reach ``min_strength``, whose
     asymmetry stays below ``max_asymmetry`` and whose leakage relative to
     the weaker branch stays below ``max_leakage_ratio``. Sorted best-first
-    by (asymmetry, -weaker strength).
+    by (asymmetry, -weaker strength), each rounded to 12 decimals so that
+    systems equal up to round-off (the degenerate levels at zero field)
+    keep the (excited, ground_a, ground_b) order they are found in.
     """
     for name, value in (
         ("max_asymmetry", max_asymmetry),
@@ -251,7 +253,9 @@ def find_lambda_systems(
                         splitting=abs(freqs[(a, e)] - freqs[(b, e)]),
                     )
                 )
-    systems.sort(key=lambda s: (s.asymmetry, -min(s.strength_a, s.strength_b)))
+    systems.sort(
+        key=lambda s: (round(s.asymmetry, 12), -round(min(s.strength_a, s.strength_b), 12))
+    )
     return systems
 
 

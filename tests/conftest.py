@@ -24,7 +24,6 @@ from zefoz import (
     TransitionSelector,
     boltzmann_weights,
     ion_levels,
-    susceptibility,
     transition_frequency,
     zefoz_search,
 )
@@ -335,8 +334,6 @@ def averaged_susceptibility_oracle(detuning, two_photon_detuning, p: LambdaParam
     d2 = np.asarray(two_photon_detuning, dtype=float)
     f, d2 = np.broadcast_arrays(f, d2)
     sigma = p.optical_inhom_fwhm * GAUSSIAN_FWHM_TO_SIGMA
-    if sigma == 0.0:
-        return susceptibility(f, d2, p)
     with np.errstate(divide="ignore", invalid="ignore"):
         pole = pole_offset_oracle(d2, p)
         zeta = (-f + 1j * pole) / (sigma * np.sqrt(2.0))

@@ -224,6 +224,23 @@ def test_ion_file_collects_all_problems():
     assert "missing required" in messages  # incomplete sections
 
 
+def test_ion_key_table_covers_every_spin_param_once():
+    fields = dataclasses.fields(zefoz.SpinParams)
+    assert sorted(config.ION_KEYS.values()) == sorted(f.name for f in fields)
+    required = {f.name for f in fields if f.default is dataclasses.MISSING}
+    assert {config.ION_KEYS[key] for key in config.ION_REQUIRED} == required
+
+
+def test_ion_file_duplicate_and_unknown_keys_name_line_and_section():
+    text = ION_TEXT.replace("B_hf = -456.0", "B_hf = -456.0\nwhat = 1\nA = -257.0")
+    with pytest.raises(ConfigError) as err:
+        parse_ion_file(text)
+    assert err.value.problems == [
+        (19, "unknown key 'what' in [excited]"),
+        (20, "duplicate key 'A' in [excited] (first on line 17)"),
+    ]
+
+
 @pytest.mark.parametrize(
     "old, new, line, words",
     [

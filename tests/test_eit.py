@@ -217,7 +217,7 @@ def averaging_cases(draw):
         rabi_coupling=draw(st.just(0.0) | st.floats(0.0, 10.0)),
         optical_dephasing=draw(st.floats(0.01, 5.0)),
         spin_dephasing=draw(st.just(0.0) | st.floats(0.0, 2.0)),
-        optical_inhom_fwhm=draw(st.just(0.0) | st.floats(0.1, 100.0)),
+        optical_inhom_fwhm=draw(st.floats(0.1, 100.0)),
     )
     kind = draw(st.sampled_from(("scalar", "grid", "comb")))
     if kind == "scalar":
@@ -483,8 +483,10 @@ def test_comb_model_validation(noise):
         CombModel(spacing=0.0, noise=noise)
     with pytest.raises(InvalidParameterError):
         CombModel(spacing=2.8, weights=np.ones(4), noise=noise)
-    weights = CombModel(spacing=2.8, weights=np.ones(9), noise=noise).resolved_weights()
+    weights = CombModel(spacing=2.8, weights=np.ones(9), noise=noise).weights
     assert weights.sum() == pytest.approx(1.0, abs=1e-15)
+    # weights=None stands for the binomial comb, resolved when the comb is built
+    assert np.array_equal(CombModel(spacing=2.8, noise=noise).weights, binomial_weights(9))
     assert binomial_weights(9).sum() == pytest.approx(1.0, abs=1e-15)
     assert np.allclose(flat_weights(9), 1.0 / 9.0)
 
@@ -550,7 +552,7 @@ def test_zero_extent_sweep_reproduces_point_values(nd_ground, zefoz_point, noise
     assert len(rows) == 1
     assert rows[0].omega12 == pytest.approx(z.omega0, abs=1e-9)
     grid = np.arange(-(comb.shifts().max() + 10.0), comb.shifts().max() + 10.0 + 1e-9, 0.05)
-    direct = eit_profile(comb, LambdaParams(), (0.0, 0.0, 0.0), grid, noise=noise)
+    direct = eit_profile(comb, LambdaParams(), (0.0, 0.0, 0.0), grid)
     assert rows[0].amplitude == pytest.approx(direct.amplitude, abs=1e-12)
 
 
@@ -574,6 +576,19 @@ def test_noise_model_validation():
 def test_lambda_params_reject_non_finite_rates(name, value):
     with pytest.raises(InvalidParameterError, match=f"{name} must be finite"):
         LambdaParams(**{name: value})
+
+
+@pytest.mark.parametrize("fwhm", [0.0, -1.0])
+def test_lambda_params_need_a_positive_optical_width(fwhm):
+    # the closed-form optical average divides by the width, as eit.inhom_fwhm
+    # in a run config must be positive
+    with pytest.raises(InvalidParameterError, match="optical_inhom_fwhm must be positive"):
+        LambdaParams(optical_inhom_fwhm=fwhm)
+
+
+def test_eit_profile_needs_the_comb_noise_model(grid):
+    with pytest.raises(InvalidParameterError, match="NoiseModel"):
+        eit_profile(CombModel(spacing=2.8), LambdaParams(), (0.0, 0.0, 0.0), grid)
 
 
 @pytest.mark.parametrize(

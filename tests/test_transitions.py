@@ -136,6 +136,32 @@ def test_lambda_discovery_edge_cases(zefoz_table):
         find_lambda_systems(zefoz_table, max_asymmetry=1.5)
 
 
+def _lambda_table(branches):
+    """Lines from ground levels 1 and 2 to each excited level e, with the
+    strengths ``branches[e] = (s1, s2)``."""
+    return [
+        TransitionLine(g, e, frequency=100.0 * g - 10.0 * e, strength=s, population_weight=0.5)
+        for e, pair in branches.items()
+        for g, s in zip((1, 2), pair)
+    ]
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ((0.25 + np.spacing(0.25), 0.25), (0.25, 0.25)),  # asymmetry ~1e-16 against 0
+        ((0.25, 0.25), (0.25 + np.spacing(0.25),) * 2),  # weaker strength one ulp apart
+    ],
+)
+def test_lambda_systems_equal_up_to_round_off_keep_label_order(first, second):
+    # the full-precision key would put excited 2 first in both cases
+    systems = find_lambda_systems(_lambda_table({1: first, 2: second}))
+    assert [s.excited for s in systems] == [1, 2]
+    # a difference above round-off still sorts best-first
+    systems = find_lambda_systems(_lambda_table({1: (0.251, 0.25), 2: second}))
+    assert [s.excited for s in systems] == [2, 1]
+
+
 def test_single_line_spectrum_normalization():
     from zefoz import TransitionLine
 
