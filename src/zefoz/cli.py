@@ -33,18 +33,6 @@ def _provenance(config: RunConfig, ion: IonParams) -> list[str]:
     return lines
 
 
-def _axis_grid(triple: tuple[float, float, int]) -> AxisGrid:
-    return AxisGrid(start=triple[0], stop=triple[1], count=triple[2])
-
-
-def _bounds(config: RunConfig) -> FieldGrid:
-    return FieldGrid(
-        x=_axis_grid(config.zefoz_bounds_x),
-        y=_axis_grid(config.zefoz_bounds_y),
-        z=_axis_grid(config.zefoz_bounds_z),
-    )
-
-
 def _manifold_params(config: RunConfig, ion: IonParams):
     return ion.ground if config.manifold == "ground" else ion.excited
 
@@ -60,7 +48,7 @@ def _spectrum_params(config: RunConfig) -> SpectrumParams:
         temperature=config.spectrum_temperature,
         inhom_fwhm=fwhm,
         line_profile=config.spectrum_profile,
-        grid=_axis_grid(config.spectrum_grid),
+        grid=AxisGrid(*config.spectrum_grid),
     )
 
 
@@ -83,10 +71,9 @@ def _find_zefoz(config: RunConfig, ion: IonParams):
         message = f"zefoz.pair: label {label} exceeds the {levels} ground levels"
         raise ConfigError([(None, f"{message} of {config.ion_file!r}")])
     sel = TransitionSelector("ground", *config.zefoz_pair)
-    points = zefoz_search(
-        ion.ground, sel, np.array(config.zefoz_start), _bounds(config), config.zefoz_tol
+    return zefoz_search(
+        ion.ground, sel, np.array(config.zefoz_start), config.search_bounds(), config.zefoz_tol
     )
-    return points
 
 
 def _noise_model(config: RunConfig, zefoz_point) -> NoiseModel:
@@ -132,7 +119,7 @@ def _run_levels(config: RunConfig, ion: IonParams):
     levels = ion_levels(_manifold_params(config, ion), np.array(config.field))
     rows = [
         (config.manifold, label, energy)
-        for label, energy in zip(levels.labels.tolist(), levels.energies.tolist())
+        for label, energy in enumerate(levels.energies.tolist(), start=1)
     ]
     return rows, ("manifold", "level", "energy_MHz")
 
@@ -140,13 +127,10 @@ def _run_levels(config: RunConfig, ion: IonParams):
 def _run_diagram(config: RunConfig, ion: IonParams):
     from .fieldmap import level_diagram
 
-    axes = {"x": 0, "y": 1, "z": 2}
     fixed = AxisGrid(0.0, 0.0, 1)
     scan = AxisGrid(config.diagram_start, config.diagram_stop, config.diagram_count)
-    per_axis = [fixed, fixed, fixed]
-    per_axis[axes[config.diagram_axis]] = scan
-    grid = FieldGrid(x=per_axis[0], y=per_axis[1], z=per_axis[2])
-    diagram = level_diagram(ion, grid, config.manifold)
+    grid = FieldGrid(**{axis: scan if axis == config.diagram_axis else fixed for axis in "xyz"})
+    diagram = level_diagram(_manifold_params(config, ion), grid)
     rows = [
         (*point, level, energy)
         for point, energies in zip(diagram.field_points.tolist(), diagram.energies.tolist())
@@ -259,14 +243,13 @@ def _run_spectrum(config: RunConfig, ion: IonParams):
 def _run_eit(config: RunConfig, ion: IonParams):
     from .eit import eit_profile
 
-    needs_search = config.noise_curvatures is None or config.comb_spacing is None
-    points = _find_zefoz(config, ion) if needs_search else []
+    points = _find_zefoz(config, ion) if config.runs_search else []
     zefoz_point = points[0] if points else None
     noise = _noise_model(config, zefoz_point)
     anchor = zefoz_point.field if zefoz_point is not None else np.array(config.field)
     operating = anchor + np.array(config.eit_delta_b)
     comb = _comb_model(config, noise, operating)
-    grid = _axis_grid(config.eit_grid).values()
+    grid = AxisGrid(*config.eit_grid).values()
     profile = eit_profile(comb, _lambda_params(config), config.eit_delta_b, grid)
     columns = (profile.detuning, profile.alpha_off, profile.alpha_on, profile.transmission)
     rows = list(zip(*(column.tolist() for column in columns)))

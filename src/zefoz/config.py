@@ -22,7 +22,8 @@ that parsing a config loads neither ``eit`` nor ``transitions``; a test
 checks each literal against its owner.
 Every number must be finite and every value in range: a bad value in a
 run config or an ion file fails at parse time with its line number (CLI
-exit code 2), not mid-run.
+exit code 2), not mid-run. So does, for a command that runs the ZEFOZ
+search, a search box with no free axis or without ``zefoz.start``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError, InvalidParameterError
 from .operators import is_half_integer
-from .spins import IonParams, SpinParams
+from .spins import AxisGrid, FieldGrid, IonParams, SpinParams
 
 COMMANDS = ("levels", "diagram", "zefoz", "lambda", "spectrum", "eit", "sweep")
 FORMATS = ("csv", "json-records")
@@ -230,10 +231,21 @@ class RunConfig:
             suffix = "jsonl" if self.out_format == "json-records" else "csv"
             object.__setattr__(self, "output", f"{self.command}.{suffix}")
 
+    @property
+    def runs_search(self) -> bool:
+        """Whether the command runs the ZEFOZ search (``eit`` for an ``auto`` value)."""
+        auto = self.noise_curvatures is None or self.comb_spacing is None
+        return self.command in ("zefoz", "sweep") or self.command == "eit" and auto
+
+    def search_bounds(self) -> FieldGrid:
+        axes = (self.zefoz_bounds_x, self.zefoz_bounds_y, self.zefoz_bounds_z)
+        return FieldGrid(*(AxisGrid(*axis) for axis in axes))
+
 
 _FIELDS = {f.metadata["key"]: f for f in dataclasses.fields(RunConfig)}
 # (start, stop) key pairs of 1-D scans: stop must not be below start.
 _RANGES = (("diagram.start", "diagram.stop"), ("sweep.start", "sweep.stop"))
+_BOUNDS = ("zefoz.bounds.x", "zefoz.bounds.y", "zefoz.bounds.z")
 
 
 def _removed(text: str):
@@ -257,14 +269,15 @@ def module_defaults() -> dict[str, object]:
     }
 
 
-def _scan_pairs(text: str, errors: list) -> list[tuple[int, str, str]]:
+def _scan_pairs(text: str, errors: list) -> list[tuple[int, str | None, str]]:
+    """(line, key, value) per ``key = value`` line; a ``[name]`` header is (line, None, name)."""
     pairs = []
     for no, raw in enumerate(text.splitlines(), start=1):
         line = raw.partition("#")[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
-            pairs.append((no, "[section]", line[1:-1].strip()))
+            pairs.append((no, None, line[1:-1].strip()))
             continue
         if "=" not in line:
             errors.append((no, f"expected 'key = value', got {raw.strip()!r}"))
@@ -300,7 +313,7 @@ def parse_config(text: str) -> RunConfig:
     seen: dict[str, int] = {}
     values: dict[str, object] = {}
     for no, key, value in _scan_pairs(text, errors):
-        if key == "[section]":
+        if key is None:
             errors.append((no, "sections are not allowed in a run config"))
         else:
             _read_pair(no, key, value, _CONFIG_PARSERS, seen, values, errors)
@@ -317,7 +330,18 @@ def parse_config(text: str) -> RunConfig:
             errors.append((no, f"{keys[1]}: {message}"))
     if errors:
         raise ConfigError(errors)
-    return RunConfig(**{_FIELDS[key].name: value for key, value in values.items()})
+    config = RunConfig(**{_FIELDS[key].name: value for key, value in values.items()})
+    if config.runs_search:  # the search box, once every key is valid
+        bounds = config.search_bounds()
+        line = max(seen.get(key, 0) for key in _BOUNDS) or None  # the last bound given
+        if not bounds.free_axes():
+            errors.append((line, "zefoz.bounds: every axis has count 1, no free axis to search"))
+        if not bounds.contains(config.zefoz_start):
+            message = f"zefoz.start: {_format(config.zefoz_start)} lies outside zefoz.bounds"
+            errors.append((seen.get("zefoz.start", line), message))
+    if errors:
+        raise ConfigError(errors)
+    return config
 
 
 def _format(value) -> str:
@@ -351,7 +375,7 @@ def parse_ion_file(text: str) -> IonParams:
     values: dict[str, dict[str, float]] = {}  # per section: key -> value
     current: str | None = None
     for no, key, value in _scan_pairs(text, errors):
-        if key == "[section]":
+        if key is None:
             current = value if value in ION_SECTIONS else None
             if current is None:
                 errors.append((no, f"unknown section [{value}]"))

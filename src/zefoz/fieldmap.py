@@ -65,6 +65,9 @@ DEGENERACY_GAP = 1e-3
 # the row argmaxes; any value above 1/sqrt(2) ~ 0.7071 makes them the
 # unique best assignment, and the margin absorbs round-off in the overlaps.
 ARGMAX_OVERLAP = 0.75
+# A level-diagram step whose smallest assigned overlap falls below this is
+# flagged in ``LevelDiagram.low_overlap``.
+OVERLAP_THRESHOLD = 0.6
 
 
 @dataclass(frozen=True)
@@ -477,7 +480,8 @@ def zefoz_search(
 
 @dataclass
 class LevelDiagram:
-    """Energies of every level across a 1-D field grid, identity-tracked.
+    """Energies of every level of one electronic state across a 1-D field
+    grid, identity-tracked.
 
     Rows of ``energies`` follow the grid; columns follow the level labels
     assigned at the first grid point (ascending there). Tracking assigns
@@ -490,7 +494,7 @@ class LevelDiagram:
     the unique best assignment. Any other step is solved by shortest
     augmenting paths (Jonker-Volgenant, ``_min_cost_assignment``).
     ``low_overlap[k]`` is set when the
-    smallest assigned overlap at step k fell below the tracking threshold.
+    smallest assigned overlap at step k fell below ``OVERLAP_THRESHOLD``.
     """
 
     field_points: np.ndarray
@@ -562,14 +566,9 @@ def _best_assignment(tracked: np.ndarray, vectors: np.ndarray):
     return order, float(overlap[np.arange(len(order)), order].min())
 
 
-def level_diagram(
-    params,
-    grid: FieldGrid,
-    manifold: str = "ground",
-    *,
-    overlap_threshold: float = 0.6,
-) -> LevelDiagram:
-    """Track the full level structure along a single-axis field grid.
+def level_diagram(params: SpinParams, grid: FieldGrid) -> LevelDiagram:
+    """Track every level of one electronic state along a single-axis field
+    grid.
 
     The overlaps of each block of eigensystems with the point before come
     from one stacked product. A step where the largest overlap of every
@@ -577,20 +576,13 @@ def level_diagram(
     follows the row argmaxes, which are the best assignment; any other
     step solves the assignment with ``_min_cost_assignment``.
     """
-    if manifold not in ("ground", "excited"):
-        raise InvalidParameterError("level_diagram maps one manifold: ground or excited")
-    free = grid.free_axes()
-    if len(free) > 1:
+    if len(grid.free_axes()) > 1:
         raise InvalidParameterError("level diagram requires a 1-D field grid")
-    single = params
-    if isinstance(params, IonParams):
-        single = params.ground if manifold == "ground" else params.excited
-
     points = grid.points()
-    energies = np.zeros((len(points), single.dimension))
+    energies = np.zeros((len(points), params.dimension))
     flags = np.zeros(len(points), dtype=bool)
-    order = np.arange(single.dimension)  # eigensolver column of each label
-    for block, block_energies, block_vectors in _eigensystems(single, points):
+    order = np.arange(params.dimension)  # eigensolver column of each label
+    for block, block_energies, block_vectors in _eigensystems(params, points):
         if block.start == 0:
             energies[0] = block_energies[0]
             chain = block_vectors
@@ -607,6 +599,6 @@ def level_diagram(
                 order, worst = _best_assignment(chain[s][:, order], chain[s + 1])
             k = first + s
             energies[k] = block_energies[k - block.start][order]
-            flags[k] = worst < overlap_threshold
+            flags[k] = worst < OVERLAP_THRESHOLD
         last_vectors = block_vectors[-1]
     return LevelDiagram(field_points=points, energies=energies, low_overlap=flags)

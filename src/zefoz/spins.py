@@ -19,9 +19,10 @@ field-free terms of H0 and the Zeeman operators M_i = dH/dB_i, read-only
 ``build_hamiltonian`` takes one field or a stack of fields, and
 ``diagonalize_stack`` decomposes a stack in one LAPACK call; callers that
 evaluate many fields (``fieldmap``) feed it fixed-size blocks so that
-temporaries stay small. The field grids ``AxisGrid`` and ``FieldGrid``
-live here, next to ``as_field``, so that a module that only takes a grid
-(``transitions``) does not load ``fieldmap``.
+temporaries stay small. ``ion_levels`` is the one route from a
+``SpinParams`` and one field to a labelled ``LevelSet``. The field grids
+``AxisGrid`` and ``FieldGrid`` live here, next to ``as_field``, so that a
+module that only takes a grid (``transitions``) does not load ``fieldmap``.
 """
 
 from __future__ import annotations
@@ -252,17 +253,17 @@ class StateComponent(NamedTuple):
 
 @dataclass
 class LevelSet:
-    """Sorted eigenenergies (MHz) and gauge-fixed eigenvectors.
+    """Sorted eigenenergies (MHz) and gauge-fixed eigenvectors of one
+    electronic state at one field, as built by ``ion_levels``.
 
-    ``eigenvectors[:, k]`` belongs to ``energies[k]``; ``labels`` are 1-based
-    and ascend with energy. ``basis`` lists (M_I, M_S) per product-basis
-    index when the dimensions of a spin pair were supplied.
+    ``eigenvectors[:, k]`` belongs to ``energies[k]``, which is level
+    ``k + 1``: labels are 1-based and ascend with energy. ``basis`` lists
+    (M_I, M_S) per product-basis index.
     """
 
     energies: np.ndarray
     eigenvectors: np.ndarray
-    labels: np.ndarray
-    basis: list[tuple[float, float]] | None = None
+    basis: list[tuple[float, float]]
 
     @property
     def dimension(self) -> int:
@@ -344,34 +345,18 @@ def _gauge_fix(vectors: np.ndarray) -> np.ndarray:
     return vectors * (pivot.conj() / np.hypot(pivot.real, pivot.imag))
 
 
-def diagonalize(
-    hamiltonian: np.ndarray, *, basis: list[tuple[float, float]] | None = None
-) -> LevelSet:
-    """Full eigen-decomposition of a Hermitian matrix, sorted ascending.
+def ion_levels(params: SpinParams, field) -> LevelSet:
+    """Diagonalize one electronic state at one field (3,), with the
+    product-basis labels of its spin pair.
 
     One matrix through ``diagonalize_stack``: the same Hermiticity check
     and gauge fix, and within a degenerate cluster only the spanned
     subspace should be relied on.
     """
-    h = np.asarray(hamiltonian, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise InvalidParameterError(f"expected a square matrix, got shape {h.shape}")
-    if basis is not None and len(basis) != h.shape[0]:
-        raise InvalidParameterError(
-            f"basis has {len(basis)} labels for dimension {h.shape[0]}"
-        )
+    h = build_hamiltonian(params, as_field(field))
     energies, vectors = diagonalize_stack(h[None])
-    labels = np.arange(1, h.shape[0] + 1)
-    return LevelSet(
-        energies=energies[0], eigenvectors=vectors[0], labels=labels, basis=basis
-    )
-
-
-def ion_levels(params: SpinParams, field) -> LevelSet:
-    """Diagonalize one electronic state at a field, with basis labels."""
-    h = build_hamiltonian(params, field)
-    labels = product_basis(params.nuclear_spin, params.electron_spin)
-    return diagonalize(h, basis=labels)
+    basis = product_basis(params.nuclear_spin, params.electron_spin)
+    return LevelSet(energies=energies[0], eigenvectors=vectors[0], basis=basis)
 
 
 def state_composition(
@@ -385,10 +370,6 @@ def state_composition(
     """
     if not 0.0 <= threshold < 1.0:
         raise InvalidParameterError(f"threshold must lie in [0, 1), got {threshold!r}")
-    if levels.basis is None:
-        raise InvalidParameterError(
-            "level set carries no product-basis labels; build it via ion_levels()"
-        )
     vec = levels.vector(label)
     order = np.argsort(-np.abs(vec), kind="stable")
     out = []

@@ -156,10 +156,6 @@ def transition_table(
     Ground and excited level sets must come from the same field point and
     share one product basis, i.e. the same (S, I).
     """
-    if ground.basis is None or excited.basis is None:
-        raise InvalidParameterError(
-            "level sets need product-basis labels; build them via ion_levels()"
-        )
     if ground.basis != excited.basis:
         raise InvalidParameterError(
             "ground and excited level sets have different product bases (S, I)"

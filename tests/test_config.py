@@ -241,6 +241,29 @@ def test_ion_file_duplicate_and_unknown_keys_name_line_and_section():
     ]
 
 
+def test_a_key_spelled_like_a_header_is_an_unknown_key(ion_file):
+    # a header is its own record, so the key line '[section] = 3' stays a key
+    text = ION_TEXT.replace("I = 3.5\n", "I = 3.5\n[section] = 3\n", 1)
+    with pytest.raises(ConfigError) as err:
+        parse_ion_file(text)
+    assert err.value.problems == [(5, "unknown key '[section]' in [ground]")]
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"command = levels\nion_file = {ion_file}\n[section] = 3\n")
+    assert err.value.problems == [(3, "unknown key '[section]'")]
+
+
+def test_section_headers_are_read_as_headers(ion_file):
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"command = levels\n[ground]\nion_file = {ion_file}\n")
+    assert err.value.problems == [(2, "sections are not allowed in a run config")]
+    with pytest.raises(ConfigError) as err:
+        parse_ion_file(ION_TEXT.replace("[excited]", "[other]"))
+    problems = err.value.problems
+    assert problems[0] == (12, "unknown section [other]")
+    assert problems[1] == (13, "key 'S' appears outside any section")
+    assert (None, "missing section [excited]") in problems
+
+
 @pytest.mark.parametrize(
     "old, new, line, words",
     [
@@ -539,6 +562,36 @@ def test_cli_rejects_bad_values_at_parse_time(tmp_path, ion_file, capsys, comman
     assert f"config error: line 3: {entry.split(' = ')[0]}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, entry, line, message",
+    [
+        ("zefoz", "zefoz.start = 0 0 10", 3,
+         "zefoz.start: 0.0 0.0 10.0 lies outside zefoz.bounds"),
+        ("sweep", "zefoz.bounds.x = 0 0 1\nzefoz.bounds.y = 0 0 1\nzefoz.bounds.z = 60 60 1\n"
+         "zefoz.start = 0 0 60", 5, "zefoz.bounds: every axis has count 1, no free axis to search"),
+        # the default start: the bound that leaves it out is named
+        ("eit", "zefoz.bounds.z = 60 100 36", 3,
+         "zefoz.start: 0.0 0.0 50.0 lies outside zefoz.bounds"),
+    ],
+)
+def test_cli_rejects_an_unsearchable_zefoz_box_at_parse_time(
+    tmp_path, ion_file, capsys, command, entry, line, message
+):
+    body = f"command = {command}\nion_file = {ion_file}\n{entry}\n"
+    code = main(["--config", _config(tmp_path, body), "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: line {line}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [("levels", ""), ("eit", "noise.curvatures = -52.7 -52.7 185.3\ncomb.spacing = 2.8\n")],
+)
+def test_a_zefoz_box_is_checked_only_for_a_command_that_searches(ion_file, command, extra):
+    text = f"command = {command}\nion_file = {ion_file}\n{extra}zefoz.bounds.z = 60 60 1\n"
+    assert parse_config(text).zefoz_bounds_z == (60.0, 60.0, 1)
+
+
 def test_cli_zefoz_pair_beyond_the_ion_is_a_config_error(tmp_path, ion_file, capsys):
     body = f"command = zefoz\nion_file = {ion_file}\nzefoz.pair = 8 40\n"
     code = main(["--config", _config(tmp_path, body), "--out", str(tmp_path / "x.jsonl")])
@@ -623,6 +676,38 @@ def test_cli_default_outputs_match_golden_digests(tmp_path, monkeypatch):
         for output in GOLDEN_SHA256
     }
     assert digests == GOLDEN_SHA256
+
+
+def _readme_blocks() -> list[tuple[str, str]]:
+    """(info string, body) of each fenced block of the README."""
+    blocks, info, body = [], None, []
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        for line in handle:
+            if line.startswith("```"):
+                if info is None:
+                    info, body = line[3:].strip(), []
+                else:
+                    blocks.append((info, "".join(body)))
+                    info = None
+            elif info is not None:
+                body.append(line)
+    return blocks
+
+
+def test_readme_ion_file_is_the_golden_ion_file():
+    ion_blocks = [body for _, body in _readme_blocks() if body.startswith("# nd.ion")]
+    assert ion_blocks == [README_ION]
+
+
+def test_readme_python_example_runs(capsys):
+    (example,) = [body for info, body in _readme_blocks() if info == "python"]
+    namespace: dict = {}
+    exec(compile(example, "README.md", "exec"), namespace)
+    assert namespace["z"].omega0 == pytest.approx(2087.5, abs=0.01)
+    assert namespace["z"].field[2] == pytest.approx(63.628, abs=1e-3)
+    assert 0.0 < namespace["profile"].amplitude < 1.0
+    assert len(capsys.readouterr().out.splitlines()) == 3
 
 
 # zefoz modules each command needs: cli loads config, errors, output and

@@ -14,10 +14,10 @@ from zefoz import (
     AxisGrid,
     ComputationError,
     FieldGrid,
+    InvalidParameterError,
     SpinParams,
     TransitionSelector,
     build_hamiltonian,
-    diagonalize,
     diagonalize_stack,
     frequency_curvatures,
     frequency_gradient,
@@ -28,7 +28,13 @@ from zefoz import (
 )
 from zefoz import fieldmap, spins
 from zefoz.fieldmap import BLOCK, DEGENERACY_GAP
-from zefoz.operators import electron_operator, multiplicity, nuclear_operator, spin_matrices
+from zefoz.operators import (
+    electron_operator,
+    multiplicity,
+    nuclear_operator,
+    product_basis,
+    spin_matrices,
+)
 
 from conftest import ND_EXCITED, ND_GROUND, central_difference
 
@@ -214,10 +220,9 @@ def test_stacked_eigensystems_match_per_matrix_solves_bit_for_bit():
         energies, vectors = diagonalize_stack(stack)
         for k in range(len(fields)):
             oracle_e, oracle_v = column_by_column_eigensystem(stack[k].copy())
-            single = diagonalize(stack[k])
+            single_e, single_v = diagonalize_stack(stack[k][None])
             assert same_bits(energies[k], oracle_e) and same_bits(vectors[k], oracle_v)
-            assert same_bits(single.energies, oracle_e)
-            assert same_bits(single.eigenvectors, oracle_v)
+            assert same_bits(single_e[0], oracle_e) and same_bits(single_v[0], oracle_v)
             saw_cluster |= bool(np.any(np.diff(oracle_e) < 1e-6))
     # zero field leaves Kramers pairs, so degenerate clusters were exercised
     assert saw_cluster
@@ -237,6 +242,25 @@ def test_zero_field_clusters_are_orthonormal_and_stack_independent(state, nuclea
     for k in range(3):
         assert same_bits(energies[k], oracle_e) and same_bits(vectors[k], oracle_v)
         assert np.max(np.abs(vectors[k].conj().T @ vectors[k] - np.eye(dim))) < 1e-12
+
+
+def test_ion_levels_is_the_matching_row_of_a_stacked_solve():
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        params = awkward_params(rng)
+        fields = awkward_fields(rng)
+        energies, vectors = diagonalize_stack(build_hamiltonian(params, fields))
+        basis = product_basis(params.nuclear_spin, params.electron_spin)
+        for k, field in enumerate(fields):
+            levels = ion_levels(params, field)
+            assert same_bits(levels.energies, energies[k])
+            assert same_bits(levels.eigenvectors, vectors[k])
+            assert levels.basis == basis
+
+
+def test_ion_levels_takes_one_field_not_a_stack(nd_ground):
+    with pytest.raises(InvalidParameterError, match="3 components"):
+        ion_levels(nd_ground, np.zeros((2, 3)))
 
 
 @pytest.mark.parametrize("where", [0, 4, 9])

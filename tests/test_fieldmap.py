@@ -366,7 +366,7 @@ def test_level_diagram_excited_slope_bound(nd_ion):
     grid = FieldGrid(
         x=AxisGrid(0.0, 0.0, 1), y=AxisGrid(0.0, 0.0, 1), z=AxisGrid(0.0, 100.0, 201)
     )
-    diagram = level_diagram(nd_ion, grid, manifold="excited")
+    diagram = level_diagram(nd_ion.excited, grid)
     step = 100.0 / 200
     slopes = np.abs(np.diff(diagram.energies, axis=0)) / step
     assert slopes.max() <= 0.18 * 14.0 / 2.0 + 1e-9
@@ -400,38 +400,40 @@ def _perturbed_case(seed: int):
 
     ion = IonParams(ground=manifold(ND_GROUND), excited=manifold(ND_EXCITED))
     axis = "xyz"[rng.integers(3)]
-    return ion, "ground", _scan(axis, 0.0, 100.0, 201), 0.6
+    return ion.ground, _scan(axis, 0.0, 100.0, 201), 0.6
 
 
-_README_ION = IonParams(ground=SpinParams(**ND_GROUND), excited=SpinParams(**ND_EXCITED))
+_GROUND, _EXCITED = SpinParams(**ND_GROUND), SpinParams(**ND_EXCITED)
+# (manifold parameters, grid, low-overlap threshold); the 0.99 cases run
+# with fieldmap.OVERLAP_THRESHOLD patched, the others with its value 0.6
 TRACKING_CASES = {
-    "readme-x": lambda: (_README_ION, "ground", _scan("x", 0.0, 100.0, 201), 0.6),
-    "readme-y": lambda: (_README_ION, "ground", _scan("y", 0.0, 100.0, 201), 0.6),
-    "readme-z": lambda: (_README_ION, "ground", _scan("z", 0.0, 100.0, 201), 0.6),
-    "readme-z-1001": lambda: (_README_ION, "ground", _scan("z", 0.0, 100.0, 1001), 0.6),
-    "excited": lambda: (_README_ION, "excited", _scan("z", 0.0, 100.0, 201), 0.6),
+    "readme-x": lambda: (_GROUND, _scan("x", 0.0, 100.0, 201), 0.6),
+    "readme-y": lambda: (_GROUND, _scan("y", 0.0, 100.0, 201), 0.6),
+    "readme-z": lambda: (_GROUND, _scan("z", 0.0, 100.0, 201), 0.6),
+    "readme-z-1001": lambda: (_GROUND, _scan("z", 0.0, 100.0, 1001), 0.6),
+    "excited": lambda: (_EXCITED, _scan("z", 0.0, 100.0, 201), 0.6),
     "spin-half": lambda: (
-        SpinParams(**{**ND_GROUND, "nuclear_spin": 0.5}), "ground",
-        _scan("x", 0.0, 100.0, 201), 0.6,
+        SpinParams(**{**ND_GROUND, "nuclear_spin": 0.5}), _scan("x", 0.0, 100.0, 201), 0.6,
     ),
     "quadrupole": lambda: (
-        SpinParams(**{**ND_GROUND, "P": 3.0}), "ground", _scan("y", 0.0, 100.0, 201), 0.6,
+        SpinParams(**{**ND_GROUND, "P": 3.0}), _scan("y", 0.0, 100.0, 201), 0.6,
     ),
-    "coarse-x": lambda: (_README_ION, "ground", _scan("x", 0.0, 100.0, 11), 0.6),
+    "coarse-x": lambda: (_GROUND, _scan("x", 0.0, 100.0, 11), 0.6),
     "perturbed-1": lambda: _perturbed_case(1),
     "perturbed-2": lambda: _perturbed_case(2),
     "perturbed-3": lambda: _perturbed_case(3),
-    "threshold-0.99-z": lambda: (_README_ION, "ground", _scan("z", 0.0, 100.0, 201), 0.99),
-    "threshold-0.99-x": lambda: (_README_ION, "ground", _scan("x", 0.0, 100.0, 201), 0.99),
+    "threshold-0.99-z": lambda: (_GROUND, _scan("z", 0.0, 100.0, 201), 0.99),
+    "threshold-0.99-x": lambda: (_GROUND, _scan("x", 0.0, 100.0, 201), 0.99),
 }
 
 
 @pytest.mark.parametrize("case", TRACKING_CASES)
-def test_level_tracking_matches_full_assignment_oracle(case):
-    params, manifold, grid, threshold = TRACKING_CASES[case]()
-    diagram = level_diagram(params, grid, manifold, overlap_threshold=threshold)
-    single = getattr(params, manifold) if isinstance(params, IonParams) else params
-    energies, flags = tracked_levels(single, grid, threshold)
+def test_level_tracking_matches_full_assignment_oracle(case, monkeypatch):
+    params, grid, threshold = TRACKING_CASES[case]()
+    if threshold != 0.6:
+        monkeypatch.setattr(fieldmap, "OVERLAP_THRESHOLD", threshold)
+    diagram = level_diagram(params, grid)
+    energies, flags = tracked_levels(params, grid, threshold)
     assert np.array_equal(diagram.energies, energies)
     assert np.array_equal(diagram.low_overlap, flags)
 
@@ -445,10 +447,10 @@ def test_level_tracking_solves_the_assignment_only_without_a_clear_argmax(nd_ion
         return original(cost)
 
     monkeypatch.setattr(fieldmap, "_min_cost_assignment", counting)
-    level_diagram(nd_ion, _scan("z", 0.0, 100.0, 201))
+    level_diagram(nd_ion.ground, _scan("z", 0.0, 100.0, 201))
     assert calls == []
     # a transverse field from zero starts inside the degenerate doublets
-    level_diagram(nd_ion, _scan("x", 0.0, 100.0, 201))
+    level_diagram(nd_ion.ground, _scan("x", 0.0, 100.0, 201))
     assert calls
 
 
