@@ -24,6 +24,11 @@ of its two levels' values; C is half that Hessian, in kHz. Only a
 gradient at a field where a connected level lies within
 ``DEGENERACY_GAP`` of a neighbour falls back to central differences.
 
+Each eigensystem is taken in its field's azimuthal frame (``spins``),
+where the field is (B_perp, 0, Bz), the vectors, M_x and M_z are real and
+M_y is imaginary, so the y slope and the xy and yz Hessian entries vanish.
+Slopes turn back to the lab as vectors, Hessians as R(phi) H R(phi)^T.
+
 Every multi-field evaluation (the search grid, the Newton steps of all
 search seeds, level diagrams, stacked frequencies) goes through
 ``_eigensystems``, which diagonalizes stacks of at most ``BLOCK`` fields
@@ -42,10 +47,10 @@ from .spins import (  # noqa: F401 - perfbench reads fieldmap.ion_levels
     FieldGrid,
     IonParams,
     SpinParams,
+    _axial_eigensystems,
+    _azimuthal_phases,
     as_field,
     as_fields,
-    build_hamiltonian,
-    diagonalize_stack,
     ion_levels,
 )
 
@@ -152,10 +157,12 @@ def _check_labels(sel: TransitionSelector, dim_i: int, dim_j: int):
 
 
 def _eigensystems(params: SpinParams, fields: np.ndarray):
-    """Yield (block slice, energies, eigenvectors) over ``fields`` in blocks."""
+    """Yield (block slice, energies, real eigenvectors, azimuths) over
+    ``fields`` in blocks; each block is diagonalized in the azimuthal
+    frames of its fields (``spins._axial_eigensystems``)."""
     for start in range(0, len(fields), BLOCK):
         block = slice(start, min(start + BLOCK, len(fields)))
-        yield (block, *diagonalize_stack(build_hamiltonian(params, fields[block])))
+        yield (block, *_axial_eigensystems(params, fields[block]))
 
 
 def _level_derivatives(
@@ -169,9 +176,10 @@ def _level_derivatives(
     out every level m closer than ``DEGENERACY_GAP`` to n. Parts above
     ``order`` are None.
 
-    The couplings <n|M_i|m> come from stacked products with one small
-    matrix product per field, level and axis, so every field gets the
-    same bits whatever stack it sits in.
+    The derivatives are taken in each field's azimuthal frame and turned
+    back to the lab (see the module docstring). The couplings come from
+    stacked products with one small matrix product per field, level and
+    axis, so every field gets the same bits whatever stack it sits in.
     """
     idx = np.array(labels) - 1
     shape = (len(fields), len(labels))
@@ -180,7 +188,9 @@ def _level_derivatives(
     gap = np.empty(shape) if order >= 1 else None
     hessian = np.empty(shape + (3, 3)) if order >= 2 else None
     zeeman = params.linear_terms.zeeman
-    for block, energies, vectors in _eigensystems(params, fields):
+    # M_x and M_z are real and M_y imaginary: (M_x, M_y / i, M_z)
+    real_zeeman = zeeman.real + zeeman.imag
+    for block, energies, vectors, azimuth in _eigensystems(params, fields):
         energy[block] = energies[:, idx]
         if order == 0:
             continue
@@ -188,17 +198,24 @@ def _level_derivatives(
         spacing = np.hstack([edge, np.diff(energies, axis=1), edge])
         gap[block] = np.minimum(spacing[:, idx], spacing[:, idx + 1])
         kets = vectors.transpose(0, 2, 1)[:, idx]  # |n>, (N, L, d)
-        bras = (kets.conj()[:, :, None, None, :] @ zeeman)[:, :, :, 0]  # <n|M_i, (N, L, 3, d)
-        coupling = bras @ vectors[:, None]  # <n|M_i|m>, (N, L, 3, d)
-        own = coupling[:, np.arange(len(idx)), :, idx]  # <n|M_i|n>, (L, N, 3)
-        slope[block] = own.real.transpose(1, 0, 2)
+        bras = (kets[:, :, None, None, :] @ real_zeeman)[:, :, :, 0]  # (N, L, 3, d)
+        coupling = bras @ vectors[:, None]  # <n|M_x|m>, <n|M_y|m>/i, <n|M_z|m>, (N, L, 3, d)
+        own = coupling[:, np.arange(len(idx)), :, idx].transpose(1, 0, 2)  # (N, L, 3)
+        own[..., 1] = 0.0  # <n|M_y|n> of a real |n>: i times an antisymmetric form
+        cos, sin = azimuth[:, 0], azimuth[:, 1]
+        turn = np.zeros((len(azimuth), 1, 3, 3))  # the rotation by phi about z
+        turn[:, 0, 0, 0] = turn[:, 0, 1, 1] = cos
+        turn[:, 0, 1, 0], turn[:, 0, 0, 1], turn[:, 0, 2, 2] = sin, -sin, 1.0
+        slope[block] = (turn @ own[..., None])[..., 0]
         if order == 2:
             split = energies[:, idx, None] - energies[:, None, :]  # E_n - E_m, (N, L, d)
             weight = np.divide(
                 1.0, split, out=np.zeros_like(split), where=np.abs(split) >= DEGENERACY_GAP
             )
             weighted = coupling * weight[:, :, None, :]
-            hessian[block] = 2.0 * (weighted @ coupling.conj().swapaxes(2, 3)).real
+            frame = 2.0 * (weighted @ coupling.swapaxes(2, 3))
+            frame[..., 1, [0, 2]] = frame[..., [0, 2], 1] = 0.0  # real times imaginary
+            hessian[block] = turn @ frame @ turn.swapaxes(2, 3)
     return energy, slope, gap, hessian
 
 
@@ -317,17 +334,17 @@ def quadratic_model(z: ZefozPoint, delta_field) -> float:
     return float(z.omega0 + np.sum(z.curvatures * 1e-3 * d**2))
 
 
-def _newton_step(jac: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Newton step -jac^-1 grad, or coordinate descent on the diagonal
-    curvature where ``jac`` is singular or near it."""
-    try:
-        if np.linalg.cond(jac) > 1e10:
-            raise np.linalg.LinAlgError("near-singular")
-        return np.linalg.solve(jac, -grad)
-    except np.linalg.LinAlgError:
-        diag = np.diag(jac)
-        safe = np.where(np.abs(diag) > 1e-12, diag, np.inf)
-        return -grad / safe
+def _newton_steps(jac: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Newton steps -jac^-1 grad of stacks jac (N, k, k) and grad (N, k), or
+    coordinate descent on the diagonal curvature where a ``jac`` is not
+    finite, singular or near it (condition number above 1e10; an LU zero
+    pivot needs one of order 1/eps, so ``solve`` sees only what it factors)."""
+    diag = np.diagonal(jac, axis1=1, axis2=2)
+    steps = -grad / np.where(np.abs(diag) > 1e-12, diag, np.inf)
+    solvable = np.all(np.isfinite(jac), axis=(1, 2))
+    solvable[solvable] = np.linalg.cond(jac[solvable]) <= 1e10
+    steps[solvable] = np.linalg.solve(jac[solvable], -grad[solvable, :, None])[..., 0]
+    return steps
 
 
 def _newton_refine(
@@ -366,7 +383,7 @@ def _newton_refine(
         if len(live) == 0:
             break
         jac = hessian[np.ix_(live, free, free)]  # MHz/mT^2
-        delta = np.array([_newton_step(j, g) for j, g in zip(jac, grad[live])])
+        delta = _newton_steps(jac, grad[live])
         finite = np.all(np.isfinite(delta), axis=1)
         failed[live[~finite]] = True
         live, delta = live[finite], delta[finite]
@@ -558,14 +575,6 @@ def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:
     return col4row
 
 
-def _best_assignment(tracked: np.ndarray, vectors: np.ndarray):
-    """Column of ``vectors`` assigned to each column of ``tracked`` by the
-    maximum summed overlap, and the smallest assigned overlap."""
-    overlap = np.abs(tracked.conj().T @ vectors)
-    order = _min_cost_assignment(-overlap)
-    return order, float(overlap[np.arange(len(order)), order].min())
-
-
 def level_diagram(params: SpinParams, grid: FieldGrid) -> LevelDiagram:
     """Track every level of one electronic state along a single-axis field
     grid.
@@ -582,23 +591,32 @@ def level_diagram(params: SpinParams, grid: FieldGrid) -> LevelDiagram:
     energies = np.zeros((len(points), params.dimension))
     flags = np.zeros(len(points), dtype=bool)
     order = np.arange(params.dimension)  # eigensolver column of each label
-    for block, block_energies, block_vectors in _eigensystems(params, points):
+    for block, block_energies, block_vectors, block_azimuth in _eigensystems(params, points):
         if block.start == 0:
             energies[0] = block_energies[0]
-            chain = block_vectors
+            chain, azimuth = block_vectors, block_azimuth
         else:
             chain = np.concatenate([last_vectors[None], block_vectors])
+            azimuth = np.concatenate([last_azimuth, block_azimuth])
         # overlaps[s] = |<a at one point|b at the next>| in eigensolver order
-        overlaps = np.abs(chain[:-1].conj().transpose(0, 2, 1) @ chain[1:])
+        overlaps = np.abs(chain[:-1].transpose(0, 2, 1) @ chain[1:])
+        turns = np.flatnonzero(np.any(azimuth[1:] != azimuth[:-1], axis=1))
+        if len(turns):  # the azimuthal frame changed: compare in the lab frame
+            phases = _azimuthal_phases(params, azimuth)
+            for s in turns:
+                turned = (phases[s].conj() * phases[s + 1])[:, None] * chain[s + 1]
+                overlaps[s] = np.abs(chain[s].T @ turned)
         lowest = overlaps.max(axis=2).min(axis=1)  # smallest row maximum
         first = block.stop - len(overlaps)  # grid index of the first step
         for s, (overlap, worst) in enumerate(zip(overlaps, lowest)):
             if worst > ARGMAX_OVERLAP:
                 order = overlap.argmax(axis=1)[order]
             else:
-                order, worst = _best_assignment(chain[s][:, order], chain[s + 1])
+                tracked = overlap[order]  # a row per label
+                order = _min_cost_assignment(-tracked)
+                worst = tracked[np.arange(len(order)), order].min()
             k = first + s
             energies[k] = block_energies[k - block.start][order]
             flags[k] = worst < OVERLAP_THRESHOLD
-        last_vectors = block_vectors[-1]
+        last_vectors, last_azimuth = block_vectors[-1], block_azimuth[-1:]
     return LevelDiagram(field_points=points, energies=energies, low_overlap=flags)

@@ -13,16 +13,17 @@ product basis (M_I outer descending, M_S inner descending).
 H is linear in the field, H(B) = H0 + sum_i B_i M_i. The angular-momentum
 operators depend on (S, I) alone: they are built once per spin pair and
 shared read-only by every ``SpinParams`` with those spins, in a small
-module-level cache. Each ``SpinParams`` caches only its scaled terms, the
-field-free terms of H0 and the Zeeman operators M_i = dH/dB_i, read-only
-(``SpinParams.linear_terms``).
-``build_hamiltonian`` takes one field or a stack of fields, and
-``diagonalize_stack`` decomposes a stack in one LAPACK call; callers that
-evaluate many fields (``fieldmap``) feed it fixed-size blocks so that
-temporaries stay small. ``ion_levels`` is the one route from a
-``SpinParams`` and one field to a labelled ``LevelSet``. The field grids
-``AxisGrid`` and ``FieldGrid`` live here, next to ``as_field``, so that a
-module that only takes a grid (``transitions``) does not load ``fieldmap``.
+module-level cache. Each ``SpinParams`` caches its real H0, summed once,
+and the Zeeman operators M_i = dH/dB_i, read-only (``linear_terms``).
+H is axial, so every eigensystem that starts from a ``SpinParams`` is
+solved in the field's azimuthal frame, where the field is (B_perp, 0, Bz)
+and H is real symmetric (``_axial_eigensystems``; ``fieldmap`` feeds it
+fixed-size blocks). ``ion_levels``, the one route from a ``SpinParams``
+and one field to a labelled ``LevelSet``, maps its vectors to the lab.
+``build_hamiltonian`` and ``diagonalize_stack`` serve lab-frame matrices.
+The field grids ``AxisGrid`` and ``FieldGrid`` live here, next to
+``as_field``, so that a module that only takes a grid (``transitions``)
+does not load ``fieldmap``.
 """
 
 from __future__ import annotations
@@ -102,16 +103,12 @@ class SpinParams:
 
     @cached_property
     def linear_terms(self) -> LinearTerms:
-        """H0 terms and Zeeman operators of this parameter set, built once."""
-        spin, axial, transverse, quadrupole = _spin_basis(self.electron_spin, self.nuclear_spin)
+        """H0 and the Zeeman operators of this parameter set, built once."""
+        spin, axial, transverse, quadrupole, _ = _spin_basis(self.electron_spin, self.nuclear_spin)
+        h0 = self.A * axial + self.B_hf * transverse + self.P * quadrupole
         scale = np.array([self.g_perp, self.g_perp, self.g_par]) * self.mu_B
-        zero_field = [self.A * axial + self.B_hf * transverse]
-        if self.P != 0.0:
-            zero_field.append(self.P * quadrupole)
-        terms = LinearTerms(
-            zero_field=tuple(zero_field), spin=spin, zeeman=scale[:, None, None] * spin
-        )
-        for array in (*terms.zero_field, terms.zeeman):
+        terms = LinearTerms(h0=h0, zeeman=scale[:, None, None] * spin)
+        for array in terms:
             array.flags.writeable = False
         return terms
 
@@ -121,18 +118,21 @@ def _spin_basis(electron_spin: float, nuclear_spin: float) -> tuple[np.ndarray, 
     """The parameter-free operators of one spin pair, shared read-only.
 
     Returns the lifted electron operators (Sx, Sy, Sz) stacked (3, d, d),
-    Iz Sz, Ix Sx + Iy Sy, and the lifted quadrupole Iz^2 - I(I+1)/3.
+    the real matrices Iz Sz, Ix Sx + Iy Sy and the lifted quadrupole
+    Iz^2 - I(I+1)/3, and m_F = M_I + M_S of each basis state (d,).
     """
     sx, sy, sz = spin_matrices(electron_spin)
     ix, iy, iz = spin_matrices(nuclear_spin)
     dim_s = multiplicity(electron_spin)
     dim_i = multiplicity(nuclear_spin)
     quad = iz @ iz - nuclear_spin * (nuclear_spin + 1.0) / 3.0 * np.eye(dim_i)
+    spin = np.stack([electron_operator(s, dim_i) for s in (sx, sy, sz)])
     basis = (
-        np.stack([electron_operator(s, dim_i) for s in (sx, sy, sz)]),
-        np.kron(iz, sz),
-        np.kron(ix, sx) + np.kron(iy, sy),
-        nuclear_operator(quad, dim_s),
+        spin,
+        np.kron(iz, sz).real,
+        (np.kron(ix, sx) + np.kron(iy, sy)).real,
+        nuclear_operator(quad, dim_s).real,
+        np.diagonal(nuclear_operator(iz, dim_s) + spin[2]).real,
     )
     for array in basis:
         array.flags.writeable = False
@@ -142,18 +142,13 @@ def _spin_basis(electron_spin: float, nuclear_spin: float) -> tuple[np.ndarray, 
 class LinearTerms(NamedTuple):
     """The field-linear form H(B) = H0 + sum_i B_i M_i of one parameter set.
 
-    ``zeeman`` is M = dH/dB, shape (3, d, d) in MHz/mT, with M_i the
-    lifted electron spin operator ``spin[i]`` times g_i mu_B; ``spin`` is
-    the one array shared by every parameter set with the same (S, I).
-    ``zero_field`` holds the terms of H0 in the order they are added:
-    hyperfine, then the quadrupole term when P != 0. ``build_hamiltonian``
-    multiplies g_i mu_B B_i into ``spin[i]`` and adds the H0 terms one by
-    one after the Zeeman terms; that association keeps every matrix, signed
-    zeros included, bit-identical to term-by-term assembly.
+    ``h0`` is the real (d, d) zero-field Hamiltonian, hyperfine plus
+    quadrupole, summed once. ``zeeman`` is M = dH/dB, shape (3, d, d) in
+    MHz/mT: M_i is g_i mu_B times the lifted electron spin operator, so
+    M_x and M_z are real and M_y is i times a real antisymmetric matrix.
     """
 
-    zero_field: tuple[np.ndarray, ...]
-    spin: np.ndarray
+    h0: np.ndarray
     zeeman: np.ndarray
 
 
@@ -287,21 +282,14 @@ def build_hamiltonian(params: SpinParams, field) -> np.ndarray:
     """Assemble the effective Hamiltonian matrix (MHz) at the given field.
 
     ``field`` is one field (3,) or a stack (N, 3); the result is (d, d) or
-    (N, d, d). H(B) = H0 + sum_i B_i M_i is summed from the cached terms of
-    ``params.linear_terms`` in a fixed order (z-Zeeman, transverse Zeeman,
-    hyperfine, quadrupole), so a stack of fields gives bit for bit the
-    matrices of one field at a time. The result is exactly Hermitian by
-    construction and traceless whenever the quadrupole term enters through
-    its traceless form.
+    (N, d, d), H(B) = H0 + sum_i B_i M_i from ``params.linear_terms`` as
+    one matrix product. The result is exactly Hermitian and traceless
+    whenever the quadrupole term enters through its traceless form.
     """
-    b = (as_fields(field) if np.ndim(field) == 2 else as_field(field))[..., None, None]
+    b = as_fields(field) if np.ndim(field) == 2 else as_field(field)
     terms = params.linear_terms
-    bx, by, bz = b[..., 0, :, :], b[..., 1, :, :], b[..., 2, :, :]
-    h = params.g_par * params.mu_B * bz * terms.spin[2]
-    h = h + params.g_perp * params.mu_B * (bx * terms.spin[0] + by * terms.spin[1])
-    for term in terms.zero_field:
-        h = h + term
-    return h
+    d = params.dimension
+    return (b @ terms.zeeman.reshape(3, d * d)).reshape(b.shape[:-1] + (d, d)) + terms.h0
 
 
 def diagonalize_stack(hamiltonians: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -345,18 +333,49 @@ def _gauge_fix(vectors: np.ndarray) -> np.ndarray:
     return vectors * (pivot.conj() / np.hypot(pivot.real, pivot.imag))
 
 
+def _axial_eigensystems(params: SpinParams, fields: np.ndarray):
+    """Energies (N, d), real eigenvectors (N, d, d) and azimuths (N, 2) of
+    a stack of fields (N, 3), each in its field's azimuthal frame: H(B) =
+    U H(B') U^dagger with U = exp(-i phi F_z), (cos phi, sin phi) = (Bx, By)
+    / B_perp, or (1, 0) on the z axis, and B' = (B_perp, 0, Bz). H(B') is
+    summed element by element from real terms, so it is exactly symmetric
+    and a field gets the same bits in any stack."""
+    terms = params.linear_terms
+    b_perp = np.hypot(fields[:, 0], fields[:, 1])[:, None]
+    azimuth = np.zeros((len(fields), 2))
+    azimuth[:, 0] = 1.0
+    np.divide(fields[:, :2], b_perp, out=azimuth, where=b_perp > 0.0)
+    h = (terms.h0 + b_perp[:, :, None] * terms.zeeman[0].real
+         + fields[:, 2, None, None] * terms.zeeman[2].real)
+    energies, vectors = np.linalg.eigh(h)
+    return energies, vectors, azimuth
+
+
+def _azimuthal_phases(params: SpinParams, azimuth: np.ndarray) -> np.ndarray:
+    """exp(-i phi m_F) per basis state for azimuths (..., 2), shape
+    (..., d): the diagonal of U = exp(-i phi F_z), which maps vectors of
+    the azimuthal frame to the lab frame."""
+    m_f = _spin_basis(params.electron_spin, params.nuclear_spin)[-1]
+    phi = np.arctan2(azimuth[..., 1], azimuth[..., 0])
+    return np.exp(-1j * np.multiply.outer(phi, m_f))
+
+
 def ion_levels(params: SpinParams, field) -> LevelSet:
     """Diagonalize one electronic state at one field (3,), with the
     product-basis labels of its spin pair.
 
-    One matrix through ``diagonalize_stack``: the same Hermiticity check
-    and gauge fix, and within a degenerate cluster only the spanned
+    The real eigensystem of the field's azimuthal frame, mapped to the lab
+    frame and gauge-fixed; within a degenerate cluster only the spanned
     subspace should be relied on.
     """
-    h = build_hamiltonian(params, as_field(field))
-    energies, vectors = diagonalize_stack(h[None])
+    energies, vectors, azimuth = _axial_eigensystems(params, as_field(field)[None])
+    vectors, phases = vectors[0], _azimuthal_phases(params, azimuth[0])
+    # the gauge of _gauge_fix: each column's largest component real, >= 0
+    pivot = np.argmax(np.abs(vectors), axis=0)
+    gauge = np.sign(vectors[pivot, np.arange(len(pivot))]) * phases[pivot].conj()
     basis = product_basis(params.nuclear_spin, params.electron_spin)
-    return LevelSet(energies=energies[0], eigenvectors=vectors[0], basis=basis)
+    return LevelSet(energies=energies[0], eigenvectors=phases[:, None] * vectors * gauge,
+                    basis=basis)
 
 
 def state_composition(

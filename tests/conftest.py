@@ -23,12 +23,21 @@ from zefoz import (
     TransitionLine,
     TransitionSelector,
     boltzmann_weights,
+    build_hamiltonian,
+    diagonalize_stack,
     ion_levels,
     transition_frequency,
     zefoz_search,
 )
 from zefoz.eit import _WEIDEMAN_COEFFICIENTS, _WEIDEMAN_L, GAUSSIAN_FWHM_TO_SIGMA
-from zefoz.fieldmap import ZefozPoint, _curvature_matrix, _eigensystems, _transition
+from zefoz.fieldmap import (
+    DEGENERACY_GAP,
+    ZefozPoint,
+    _curvature_matrix,
+    _eigensystems,
+    _transition,
+)
+from zefoz.spins import _azimuthal_phases
 from zefoz.transitions import gaussian_profile, lorentzian_profile
 
 ND_GROUND = dict(
@@ -151,15 +160,16 @@ def feature_fwhm(x: np.ndarray, y: np.ndarray) -> float:
 def tracked_levels(single: SpinParams, grid: FieldGrid, overlap_threshold: float):
     """Level-tracking oracle: energies and low-overlap flags of a level
     diagram from a full ``linear_sum_assignment`` at every grid step, on
-    the eigensystems ``level_diagram`` sees."""
+    the eigensystems ``level_diagram`` sees, each mapped to the lab frame."""
     points = grid.points()
     dim = single.dimension
     energies = np.zeros((len(points), dim))
     flags = np.zeros(len(points), dtype=bool)
     prev_vectors = None
-    for block, block_energies, block_vectors in _eigensystems(single, points):
+    for block, block_energies, block_vectors, azimuth in _eigensystems(single, points):
+        lab = _azimuthal_phases(single, azimuth)[:, :, None] * block_vectors
         for k, (level_energies, vectors) in enumerate(
-            zip(block_energies, block_vectors), start=block.start
+            zip(block_energies, lab), start=block.start
         ):
             if prev_vectors is None:
                 energies[0] = level_energies
@@ -174,6 +184,36 @@ def tracked_levels(single: SpinParams, grid: FieldGrid, overlap_threshold: float
             if float(overlap[rows, cols].min()) < overlap_threshold:
                 flags[k] = True
     return energies, flags
+
+
+def lab_frame_derivatives(params: SpinParams, field):
+    """Derivative oracle on the complex lab-frame eigensystem of one field:
+    energies (d,), slopes <n|M_a|n> (d, 3) and Hessians (d, 3, 3)
+    2 Re sum_m <n|M_a|m><m|M_b|n> / (E_n - E_m) over every m farther than
+    ``DEGENERACY_GAP`` from n, as fieldmap took them before it worked in
+    each field's azimuthal frame."""
+    energies, vectors = diagonalize_stack(build_hamiltonian(params, field)[None])
+    energies, vectors = energies[0], vectors[0]
+    coupling = np.einsum("in,aij,jm->nam", vectors.conj(), params.linear_terms.zeeman, vectors)
+    split = energies[:, None] - energies[None, :]
+    weight = np.divide(1.0, split, out=np.zeros_like(split),
+                       where=np.abs(split) >= DEGENERACY_GAP)
+    hessian = 2.0 * np.einsum("nam,nm,nbm->nab", coupling, weight, coupling.conj()).real
+    return energies, np.einsum("nan->na", coupling).real, hessian
+
+
+def newton_step_oracle(jac: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """One seed's Newton step as it was taken before the steps were
+    stacked: -jac^-1 grad, or coordinate descent on the diagonal where
+    ``cond`` or ``solve`` gives up or the condition number exceeds 1e10."""
+    try:
+        if np.linalg.cond(jac) > 1e10:
+            raise np.linalg.LinAlgError("near-singular")
+        return np.linalg.solve(jac, -grad)
+    except np.linalg.LinAlgError:
+        diag = np.diag(jac)
+        safe = np.where(np.abs(diag) > 1e-12, diag, np.inf)
+        return -grad / safe
 
 
 def newton_refine_oracle(params, sel, start, bounds, free, tol, max_iter):
@@ -192,15 +232,7 @@ def newton_refine_oracle(params, sel, start, bounds, free, tol, max_iter):
     for _ in range(max_iter):
         if np.max(np.abs(grad)) <= tol:
             break
-        jac = state.hessian[0][np.ix_(free, free)]
-        try:
-            if np.linalg.cond(jac) > 1e10:
-                raise np.linalg.LinAlgError("near-singular")
-            delta = np.linalg.solve(jac, -grad)
-        except np.linalg.LinAlgError:
-            diag = np.diag(jac)
-            safe = np.where(np.abs(diag) > 1e-12, diag, np.inf)
-            delta = -grad / safe
+        delta = newton_step_oracle(state.hessian[0][np.ix_(free, free)], grad)
         if not np.all(np.isfinite(delta)):
             return None, clipped
         improved = False

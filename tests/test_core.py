@@ -36,7 +36,7 @@ from zefoz.operators import (
     spin_matrices,
 )
 
-from conftest import ND_EXCITED, ND_GROUND, central_difference
+from conftest import ND_EXCITED, ND_GROUND, central_difference, lab_frame_derivatives
 
 
 def same_bits(a, b) -> bool:
@@ -146,36 +146,44 @@ def awkward_fields(rng, count: int = 12) -> np.ndarray:
 
 
 def test_hamiltonian_matches_term_by_term_assembly():
+    # H(B) = H0 + B.M as one matrix product: exactly Hermitian, the same
+    # bits whatever stack a field sits in, and the term-by-term sum to
+    # round-off (a few roundings of terms no larger than the largest entry)
     rng = np.random.default_rng(11)
     for _ in range(40):
         params = awkward_params(rng)
         fields = awkward_fields(rng)
         stacked = build_hamiltonian(params, fields)
         for k, field in enumerate(fields):
+            single = build_hamiltonian(params, field)
+            assert np.array_equal(single, single.conj().T)
+            assert same_bits(stacked[k], single)
             oracle = term_by_term_hamiltonian(params, field)
-            assert same_bits(build_hamiltonian(params, field), oracle)
-            assert same_bits(stacked[k], oracle)
+            bound = 8.0 * np.finfo(float).eps * max(1.0, np.max(np.abs(oracle)))
+            assert np.max(np.abs(single - oracle)) <= bound
 
 
 def test_linear_terms_are_cached_and_read_only():
     params = SpinParams(**{**ND_GROUND, "P": 3.0})
     terms = params.linear_terms
     assert params.linear_terms is terms
+    assert terms.h0.shape == (16, 16) and terms.h0.dtype == np.float64
     assert terms.zeeman.shape == (3, 16, 16)
-    assert len(terms.zero_field) == 2  # hyperfine, quadrupole
-    for array in (*terms.zero_field, terms.spin, terms.zeeman):
+    for array in terms:
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0, 0] = 1.0
     # H0 is the zero-field Hamiltonian, M the exact field derivative
-    h0 = terms.zero_field[0] + terms.zero_field[1]
-    assert np.array_equal(build_hamiltonian(params, (0.0, 0.0, 0.0)), h0)
+    assert np.array_equal(build_hamiltonian(params, (0.0, 0.0, 0.0)), terms.h0)
     for axis in range(3):
         field = np.zeros(3)
         field[axis] = 1.0
-        assert np.allclose(build_hamiltonian(params, field) - h0, terms.zeeman[axis], atol=1e-12)
+        assert np.allclose(build_hamiltonian(params, field) - terms.h0, terms.zeeman[axis],
+                           atol=1e-12)
     # a changed parameter set builds its own terms
-    assert len(replace(params, P=0.0).linear_terms.zero_field) == 1
+    other = replace(params, P=0.0).linear_terms
+    assert not np.array_equal(other.h0, terms.h0)
+    assert np.array_equal(other.zeeman, terms.zeeman)
 
 
 def test_spin_operators_are_built_once_per_spin_pair(monkeypatch):
@@ -188,22 +196,19 @@ def test_spin_operators_are_built_once_per_spin_pair(monkeypatch):
     monkeypatch.setattr(spins, "spin_matrices", counted)
     spins._spin_basis.cache_clear()
     first = SpinParams(**{**ND_GROUND, "P": 3.0})
-    spin = first.linear_terms.spin
+    assert first.linear_terms.h0.shape == (16, 16)
     assert calls == [0.5, 3.5]
     second = SpinParams(**{**ND_GROUND, "A": -257.0, "B_hf": -456.0, "P": -1.5,
                            "g_par": 0.18, "g_perp": 0.7})
-    assert second.linear_terms.spin is spin
+    assert ion_levels(second, (1.0, 2.0, 3.0)).dimension == 16
     assert calls == [0.5, 3.5]
-    basis = spins._spin_basis(0.5, 3.5)
-    assert basis[0] is spin
-    for array in basis:
+    for array in spins._spin_basis(0.5, 3.5):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
-            array[0, 0] = 1.0
+            array[0] = 1.0
     # another spin pair gets its own operators
     other = SpinParams(**{**ND_GROUND, "nuclear_spin": 2.5})
-    assert other.linear_terms.spin.shape == (3, 12, 12)
-    assert other.linear_terms.spin is not spin
+    assert other.linear_terms.zeeman.shape == (3, 12, 12)
     assert calls == [0.5, 3.5, 0.5, 2.5]
 
 
@@ -244,18 +249,95 @@ def test_zero_field_clusters_are_orthonormal_and_stack_independent(state, nuclea
         assert np.max(np.abs(vectors[k].conj().T @ vectors[k] - np.eye(dim))) < 1e-12
 
 
+def axis_fields(rng) -> np.ndarray:
+    """Fields on +-x, +-y and +-z, where the azimuth is a multiple of pi/2,
+    then the awkward ones: zero, signed zeros, random."""
+    magnitudes = rng.uniform(0.5, 100.0, 6)
+    on_axes = np.concatenate([np.diag(magnitudes[:3]), -np.diag(magnitudes[3:])])
+    return np.concatenate([on_axes, awkward_fields(rng)])
+
+
 def test_ion_levels_is_the_matching_row_of_a_stacked_solve():
     rng = np.random.default_rng(11)
     for _ in range(5):
         params = awkward_params(rng)
-        fields = awkward_fields(rng)
-        energies, vectors = diagonalize_stack(build_hamiltonian(params, fields))
+        fields = axis_fields(rng)
+        energies, vectors, azimuth = spins._axial_eigensystems(params, fields)
+        lab = spins._azimuthal_phases(params, azimuth)[:, :, None] * vectors
         basis = product_basis(params.nuclear_spin, params.electron_spin)
         for k, field in enumerate(fields):
             levels = ion_levels(params, field)
             assert same_bits(levels.energies, energies[k])
-            assert same_bits(levels.eigenvectors, vectors[k])
             assert levels.basis == basis
+            # the lab-frame vectors, each times the unit phase that puts its
+            # largest component on the non-negative real axis
+            vectors = levels.eigenvectors
+            phase = np.sum(lab[k].conj() * vectors, axis=0)
+            assert np.allclose(np.abs(phase), 1.0, rtol=0.0, atol=1e-14)
+            assert np.max(np.abs(vectors - lab[k] * phase)) < 1e-14
+            pivot = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(len(vectors))]
+            assert np.all(pivot.real > 0.0) and np.max(np.abs(pivot.imag)) < 1e-15
+
+
+def test_azimuthal_frame_matrix_is_exactly_real_symmetric(monkeypatch):
+    # what eigh sees: real, equal to its transpose bit for bit, the same
+    # bits in any stack, and U^dagger H(B) U of the lab-frame matrix with
+    # U = exp(-i phi F_z), to the round-off of a product with two phases
+    seen = []
+    eigh = np.linalg.eigh
+
+    def capture(h):
+        seen.append(h)
+        return eigh(h)
+
+    monkeypatch.setattr(np.linalg, "eigh", capture)
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        params = awkward_params(rng)
+        fields = axis_fields(rng)
+        _, _, azimuth = spins._axial_eigensystems(params, fields)
+        stacked = seen.pop()
+        assert stacked.dtype == np.float64
+        assert np.array_equal(stacked, stacked.transpose(0, 2, 1))
+        phases = spins._azimuthal_phases(params, azimuth)
+        for k, field in enumerate(fields):
+            spins._axial_eigensystems(params, field[None])
+            assert same_bits(seen.pop()[0], stacked[k])
+            lab = build_hamiltonian(params, field)
+            turned = phases[k].conj()[:, None] * lab * phases[k][None, :]
+            bound = 8.0 * np.finfo(float).eps * max(1.0, np.max(np.abs(lab)))
+            assert np.max(np.abs(turned - stacked[k])) <= bound
+    # the turned field is (B_perp, 0, Bz): the azimuth is exact on the axes
+    assert np.array_equal(spins._axial_eigensystems(params, np.eye(3))[2],
+                          [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+
+
+def test_azimuthal_frame_matches_the_lab_frame_eigensystem():
+    # energies to 1e-12 relative, and the derivatives of every level clear
+    # of its neighbours to the round-off of two eigensolvers: an
+    # eigenvector moves by ~eps |H| / gap, so a slope by |M| times that
+    # and a Hessian by |M|^2 / gap times that
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(23)
+    checked = 0
+    for _ in range(30):
+        params = awkward_params(rng)
+        fields = axis_fields(rng)
+        labels = tuple(range(1, params.dimension + 1))
+        energy, slope, gap, hessian = fieldmap._level_derivatives(params, fields, labels, 2)
+        zeeman = max(np.linalg.norm(m, 2) for m in params.linear_terms.zeeman)
+        for k, field in enumerate(fields):
+            lab_energy, lab_slope, lab_hessian = lab_frame_derivatives(params, field)
+            scale = max(1.0, np.max(np.abs(lab_energy)))
+            assert np.max(np.abs(energy[k] - lab_energy)) <= 1e-12 * scale
+            clear = gap[k] >= DEGENERACY_GAP
+            growth = 64.0 * eps * (1.0 + scale / gap[k][clear])
+            assert np.all(np.abs(slope[k][clear] - lab_slope[clear])
+                          <= (zeeman * growth)[:, None])
+            assert np.all(np.abs(hessian[k][clear] - lab_hessian[clear])
+                          <= (zeeman**2 / gap[k][clear] * growth)[:, None, None])
+            checked += int(clear.sum())
+    assert checked > 1000
 
 
 def test_ion_levels_takes_one_field_not_a_stack(nd_ground):
@@ -357,14 +439,15 @@ def test_curvatures_match_pointwise_differences_on_awkward_parameters():
 
 
 def count_diagonalizations(monkeypatch) -> list[int]:
-    """Matrices per diagonalize_stack call made by fieldmap from now on."""
+    """Matrices per stacked diagonalization made by fieldmap from now on."""
     sizes: list[int] = []
+    original = fieldmap._axial_eigensystems
 
-    def counting(hamiltonians, **kwargs):
-        sizes.append(len(hamiltonians))
-        return diagonalize_stack(hamiltonians, **kwargs)
+    def counting(params, fields):
+        sizes.append(len(fields))
+        return original(params, fields)
 
-    monkeypatch.setattr(fieldmap, "diagonalize_stack", counting)
+    monkeypatch.setattr(fieldmap, "_axial_eigensystems", counting)
     return sizes
 
 
@@ -383,14 +466,14 @@ def test_each_field_costs_one_diagonalization(nd_ground, zefoz_point, monkeypatc
     assert sum(sizes) <= 52  # the 36-field grid, then one field per Newton evaluation
 
 
-@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("order", [0, 1, 2])
 def test_level_derivatives_of_a_field_do_not_depend_on_its_stack(order):
     # lockstep Newton evaluates each seed in stacks of every size and
     # relies on each field getting the bits of a one-field call
     rng = np.random.default_rng(12)
     for labels in ((8, 10), (3,), (1, 16)):
         params = awkward_params(rng, nuclear_spin=3.5)
-        fields = np.concatenate([awkward_fields(rng), rng.uniform(-100.0, 100.0, (BLOCK, 3))])
+        fields = np.concatenate([axis_fields(rng), rng.uniform(-100.0, 100.0, (BLOCK, 3))])
         stacked = fieldmap._level_derivatives(params, fields, labels, order)
         for k in range(len(fields)):
             single = fieldmap._level_derivatives(params, fields[k:k + 1], labels, order)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,11 +21,15 @@ from zefoz import (
     ZefozPoint,
     frequency_curvatures,
     frequency_gradient,
+    ion_levels,
     level_diagram,
     quadratic_model,
     transition_frequency,
     zefoz_search,
 )
+
+from zefoz.fieldmap import DEGENERACY_GAP
+from zefoz.operators import spin_matrices
 
 from conftest import (
     ND_EXCITED,
@@ -32,6 +37,7 @@ from conftest import (
     analytic_clock_frequency,
     central_difference,
     newton_refine_oracle,
+    newton_step_oracle,
     tracked_levels,
 )
 
@@ -110,13 +116,13 @@ def test_curvatures_at_a_degenerate_field_skip_the_gradient_fallback(
         fieldmap._transition(nd_ground, field, clock_selector, 2).hessian[0]
     )
     sizes = []
-    original = fieldmap.diagonalize_stack
+    original = fieldmap._axial_eigensystems
 
-    def counting(hamiltonians, **kwargs):
-        sizes.append(len(hamiltonians))
-        return original(hamiltonians, **kwargs)
+    def counting(params, fields):
+        sizes.append(len(fields))
+        return original(params, fields)
 
-    monkeypatch.setattr(fieldmap, "diagonalize_stack", counting)
+    monkeypatch.setattr(fieldmap, "_axial_eigensystems", counting)
     matrix = frequency_curvatures(nd_ground, field[0], clock_selector)
     assert sizes == [1]
     assert np.array_equal(matrix, expected)
@@ -318,6 +324,28 @@ def test_lockstep_newton_keeps_failed_and_clipped_seeds_apart(nd_ground):
     assert any(point is not None and not clipped for point, clipped in oracle)
 
 
+def test_stacked_newton_steps_match_the_per_seed_step():
+    # regular, near-singular, singular, zero, NaN and infinite Jacobians
+    # and a NaN gradient in one stack: each seed gets the bits of its own
+    # step, the diagonal fallback included
+    rng = np.random.default_rng(4)
+    for k in (1, 2, 3):
+        jac = rng.normal(size=(12, k, k)) * 100.0
+        jac = jac + jac.transpose(0, 2, 1)
+        grad = rng.normal(size=(12, k))
+        jac[1] = np.outer(jac[1, 0], jac[1, 0]) + 1e-12 * np.eye(k)
+        jac[2] = np.outer(jac[2, 0], jac[2, 0])
+        jac[3] = 0.0
+        jac[4, 0, 0] = np.nan
+        jac[5, -1, 0] = np.inf
+        jac[6] = np.diag(np.arange(1.0, k + 1.0))
+        grad[7, 0] = np.nan
+        steps = fieldmap._newton_steps(jac, grad)
+        for j, g, step in zip(jac, grad, steps):
+            assert step.tobytes() == newton_step_oracle(j, g).tobytes()
+        assert fieldmap._newton_steps(jac[:0], grad[:0]).shape == (0, k)
+
+
 def test_quadratic_model_verified_on_probe_grid(nd_ground, clock_selector, zefoz_point):
     # the returned curvatures must reproduce the exact frequency within
     # 0.05 MHz everywhere inside a 2 mT ball, probed on a 5x5x5 lattice
@@ -337,8 +365,6 @@ def test_quadratic_model_verified_on_probe_grid(nd_ground, clock_selector, zefoz
 
 
 def test_level_diagram_single_point_matches_diagonalize(nd_ground):
-    from zefoz import ion_levels
-
     grid = FieldGrid(
         x=AxisGrid(0.0, 0.0, 1), y=AxisGrid(0.0, 0.0, 1), z=AxisGrid(63.6, 63.6, 1)
     )
@@ -424,6 +450,14 @@ TRACKING_CASES = {
     "perturbed-3": lambda: _perturbed_case(3),
     "threshold-0.99-z": lambda: (_GROUND, _scan("z", 0.0, 100.0, 201), 0.99),
     "threshold-0.99-x": lambda: (_GROUND, _scan("x", 0.0, 100.0, 201), 0.99),
+    # the field's azimuth jumps where a scan passes through zero, and
+    # turns at every step of a line that misses the z axis
+    "through-zero-x": lambda: (_GROUND, _scan("x", -50.0, 50.0, 201), 0.6),
+    "through-zero-y": lambda: (_GROUND, _scan("y", -50.0, 50.0, 201), 0.6),
+    "offset-x": lambda: (_GROUND, FieldGrid(AxisGrid(-50.0, 50.0, 11), AxisGrid(5.0, 5.0, 1),
+                                            AxisGrid(0.0, 0.0, 1)), 0.6),
+    "offset-y": lambda: (_GROUND, FieldGrid(AxisGrid(3.0, 3.0, 1), AxisGrid(-50.0, 50.0, 101),
+                                            AxisGrid(0.0, 0.0, 1)), 0.6),
 }
 
 
@@ -476,3 +510,62 @@ def test_min_cost_assignment_matches_linear_sum_assignment(d):
             assert cost[rows, order].sum() == pytest.approx(cost[rows, cols].sum(), abs=1e-12)
             if kind != "integer":  # continuous entries: the optimum is unique
                 assert np.array_equal(order, cols)
+
+
+@st.composite
+def symmetry_scans(draw):
+    """An Nd-like ground ion (each constant scaled by 0.9-1.1, I from 1/2 to
+    7/2) and a scan along one axis that does not pass through zero."""
+    scaled = {key: ND_GROUND[key] * draw(st.floats(0.9, 1.1))
+              for key in ("g_par", "g_perp", "A", "B_hf")}
+    params = SpinParams(**{**ND_GROUND, **scaled, "P": draw(st.floats(-5.0, 5.0)),
+                           "nuclear_spin": draw(st.sampled_from([0.5, 1.5, 2.5, 3.5]))})
+    start = draw(st.sampled_from([0.0, 5.0, 20.0]))
+    stop = start + draw(st.floats(20.0, 80.0))
+    axis = draw(st.sampled_from("xyz"))
+    return params, axis, _scan(axis, start, stop, draw(st.integers(21, 61)))
+
+
+def _symmetry_operator(params: SpinParams, axis: str) -> np.ndarray:
+    """F_z for a z scan, else the rotation exp(i pi F_axis), which commutes
+    with H for a field along that axis; F = I + S."""
+    def total(a):
+        nuclear = spin_matrices(params.nuclear_spin)[a]
+        electron = spin_matrices(params.electron_spin)[a]
+        return np.kron(nuclear, np.eye(len(electron))) + np.kron(np.eye(len(nuclear)), electron)
+
+    k = "xyz".index(axis)
+    return total(2) if axis == "z" else scipy.linalg.expm(1j * np.pi * total(k))
+
+
+@settings(derandomize=True, database=None, max_examples=15, deadline=None)
+@given(symmetry_scans())
+def test_tracked_levels_keep_their_symmetry_label(case):
+    # F_z commutes with H on the z axis, and exp(i pi F_x) with H on the
+    # x axis: tracking must keep each level in its symmetry sector. A
+    # level within DEGENERACY_GAP of another has no label and is skipped.
+    params, axis, grid = case
+    operator = _symmetry_operator(params, axis)
+    diagram = level_diagram(params, grid)
+    labels = np.full(diagram.energies.shape, np.nan, dtype=complex)
+    for k, (field, row) in enumerate(zip(diagram.field_points, diagram.energies)):
+        levels = ion_levels(params, field)
+        for column, energy in enumerate(row):
+            distance = np.abs(levels.energies - energy)
+            n = int(np.argmin(distance))
+            if np.partition(distance, 1)[1] < DEGENERACY_GAP:
+                continue
+            vector = levels.eigenvectors[:, n]
+            labels[k, column] = vector.conj() @ operator @ vector
+    checked = ~np.isnan(labels)
+    assert checked.sum() >= labels.shape[1]
+    for column in range(labels.shape[1]):
+        track = labels[checked[:, column], column]
+        if len(track):
+            # an eigenvalue of the symmetry (an integer m_F, or a unit-modulus
+            # phase), the same all along the track
+            assert np.allclose(track, track[0], atol=1e-6)
+            if axis == "z":
+                assert abs(track[0] - round(track[0].real)) < 1e-6
+            else:
+                assert abs(abs(track[0]) - 1.0) < 1e-6
