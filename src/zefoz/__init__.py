@@ -45,7 +45,6 @@ _EXPORTS = {
                 "SpinParams",
                 "StateComponent",
                 "build_hamiltonian",
-                "diagonalize_stack",
                 "ion_levels",
                 "state_composition",
             ),

@@ -98,6 +98,8 @@ def _comb_model(config: RunConfig, noise: NoiseModel, operating_field) -> CombMo
 
     spacing = config.comb_spacing
     if spacing is None:
+        if operating_field is None:
+            raise ComputationError("comb.spacing set to auto but no stationary point was found")
         spacing = FLUORINE_GAMMA_MHZ_PER_MT * float(np.linalg.norm(operating_field))
         if spacing == 0.0:
             field = " ".join(repr(float(b)) for b in operating_field)
@@ -246,8 +248,7 @@ def _run_eit(config: RunConfig, ion: IonParams):
     points = _find_zefoz(config, ion) if config.runs_search else []
     zefoz_point = points[0] if points else None
     noise = _noise_model(config, zefoz_point)
-    anchor = zefoz_point.field if zefoz_point is not None else np.array(config.field)
-    operating = anchor + np.array(config.eit_delta_b)
+    operating = None if zefoz_point is None else zefoz_point.field + np.array(config.eit_delta_b)
     comb = _comb_model(config, noise, operating)
     grid = AxisGrid(*config.eit_grid).values()
     profile = eit_profile(comb, _lambda_params(config), config.eit_delta_b, grid)

@@ -15,15 +15,16 @@ operators depend on (S, I) alone: they are built once per spin pair and
 shared read-only by every ``SpinParams`` with those spins, in a small
 module-level cache. Each ``SpinParams`` caches its real H0, summed once,
 and the Zeeman operators M_i = dH/dB_i, read-only (``linear_terms``).
-H is axial, so every eigensystem that starts from a ``SpinParams`` is
-solved in the field's azimuthal frame, where the field is (B_perp, 0, Bz)
-and H is real symmetric (``_axial_eigensystems``; ``fieldmap`` feeds it
-fixed-size blocks). ``ion_levels``, the one route from a ``SpinParams``
-and one field to a labelled ``LevelSet``, maps its vectors to the lab.
-``build_hamiltonian`` and ``diagonalize_stack`` serve lab-frame matrices.
-The field grids ``AxisGrid`` and ``FieldGrid`` live here, next to
-``as_field``, so that a module that only takes a grid (``transitions``)
-does not load ``fieldmap``.
+H is axial, so every eigensystem is solved in the field's azimuthal
+frame, where the field is (B_perp, 0, Bz) and H is real symmetric: the
+package has one eigensolver, ``_axial_eigensystems`` (``fieldmap`` feeds
+it fixed-size blocks). ``ion_levels``, the one route from a
+``SpinParams`` and one field to a labelled ``LevelSet``, maps its vectors
+to the lab frame and is the one place that fixes their gauge.
+``build_hamiltonian`` assembles the lab-frame matrix H(B). The field
+grids ``AxisGrid`` and ``FieldGrid`` live here, next to ``as_field``, so
+that a module that only takes a grid (``transitions``) does not load
+``fieldmap``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ComputationError, InvalidParameterError
+from .errors import InvalidParameterError
 from .operators import (
     electron_operator,
     is_half_integer,
@@ -53,9 +54,6 @@ MAX_DIMENSION = 256
 # Spin pairs whose parameter-free operators stay cached; the largest entry
 # (S = I = 15/2) holds about 6 MB.
 BASIS_CACHE_SIZE = 4
-# Largest anti-Hermitian residual accepted by the eigensolver, relative to
-# the matrix's largest entry (or 1 MHz, whichever is more).
-HERMITICITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -252,7 +250,8 @@ class LevelSet:
     electronic state at one field, as built by ``ion_levels``.
 
     ``eigenvectors[:, k]`` belongs to ``energies[k]``, which is level
-    ``k + 1``: labels are 1-based and ascend with energy. ``basis`` lists
+    ``k + 1``: labels are 1-based and ascend with energy. Each column's
+    largest component is real and >= 0 (the gauge). ``basis`` lists
     (M_I, M_S) per product-basis index.
     """
 
@@ -292,47 +291,6 @@ def build_hamiltonian(params: SpinParams, field) -> np.ndarray:
     return (b @ terms.zeeman.reshape(3, d * d)).reshape(b.shape[:-1] + (d, d)) + terms.h0
 
 
-def diagonalize_stack(hamiltonians: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decompose a stack (N, d, d) of Hermitian matrices in one call.
-
-    Returns energies (N, d), ascending per matrix, and eigenvectors
-    (N, d, d) with ``vectors[n, :, k]`` belonging to ``energies[n, k]``.
-    Every matrix is checked for Hermiticity first (``HERMITICITY_TOL``
-    relative); every vector is then gauge-fixed so that its largest
-    component is real and non-negative. LAPACK returns orthonormal vectors
-    in every case; inside a degenerate cluster (the level pairs at zero
-    field) only the subspace they span is meaningful, not the individual
-    vectors.
-    """
-    h = np.asarray(hamiltonians, dtype=complex)
-    if h.ndim != 3 or h.shape[1] != h.shape[2]:
-        raise InvalidParameterError(
-            f"expected a stack of square matrices, got shape {h.shape}"
-        )
-    scale = np.maximum(1.0, np.max(np.abs(h), axis=(1, 2)))
-    residual = np.max(np.abs(h - h.conj().transpose(0, 2, 1)), axis=(1, 2))
-    bad = residual > HERMITICITY_TOL * scale
-    if np.any(bad):
-        worst = float(residual[np.argmax(bad)])
-        raise ComputationError(
-            f"matrix is not Hermitian: residual {worst:.3e} exceeds "
-            f"{HERMITICITY_TOL:.1e} relative"
-        )
-    energies, vectors = np.linalg.eigh(h)
-    return energies, _gauge_fix(vectors)
-
-
-def _gauge_fix(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each unit column's phase so its largest component is real >= 0.
-
-    The pivot modulus is taken with ``hypot``, as the scalar ``abs`` does,
-    so the phases match a column-by-column fix bit for bit.
-    """
-    idx = np.argmax(np.abs(vectors), axis=-2)
-    pivot = np.take_along_axis(vectors, idx[..., None, :], axis=-2)
-    return vectors * (pivot.conj() / np.hypot(pivot.real, pivot.imag))
-
-
 def _axial_eigensystems(params: SpinParams, fields: np.ndarray):
     """Energies (N, d), real eigenvectors (N, d, d) and azimuths (N, 2) of
     a stack of fields (N, 3), each in its field's azimuthal frame: H(B) =
@@ -365,12 +323,13 @@ def ion_levels(params: SpinParams, field) -> LevelSet:
     product-basis labels of its spin pair.
 
     The real eigensystem of the field's azimuthal frame, mapped to the lab
-    frame and gauge-fixed; within a degenerate cluster only the spanned
-    subspace should be relied on.
+    frame and gauge-fixed: each column is turned by the unit phase that
+    makes its largest component real and >= 0. Within a degenerate
+    cluster only the spanned subspace should be relied on.
     """
     energies, vectors, azimuth = _axial_eigensystems(params, as_field(field)[None])
     vectors, phases = vectors[0], _azimuthal_phases(params, azimuth[0])
-    # the gauge of _gauge_fix: each column's largest component real, >= 0
+    # the lab-frame pivot is phases[pivot] * vectors[pivot]: undo its phase
     pivot = np.argmax(np.abs(vectors), axis=0)
     gauge = np.sign(vectors[pivot, np.arange(len(pivot))]) * phases[pivot].conj()
     basis = product_basis(params.nuclear_spin, params.electron_spin)

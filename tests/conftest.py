@@ -24,7 +24,6 @@ from zefoz import (
     TransitionSelector,
     boltzmann_weights,
     build_hamiltonian,
-    diagonalize_stack,
     ion_levels,
     transition_frequency,
     zefoz_search,
@@ -192,8 +191,7 @@ def lab_frame_derivatives(params: SpinParams, field):
     2 Re sum_m <n|M_a|m><m|M_b|n> / (E_n - E_m) over every m farther than
     ``DEGENERACY_GAP`` from n, as fieldmap took them before it worked in
     each field's azimuthal frame."""
-    energies, vectors = diagonalize_stack(build_hamiltonian(params, field)[None])
-    energies, vectors = energies[0], vectors[0]
+    energies, vectors = np.linalg.eigh(build_hamiltonian(params, field))
     coupling = np.einsum("in,aij,jm->nam", vectors.conj(), params.linear_terms.zeeman, vectors)
     split = energies[:, None] - energies[None, :]
     weight = np.divide(1.0, split, out=np.zeros_like(split),

@@ -627,6 +627,23 @@ def test_cli_auto_comb_spacing_at_zero_field_names_the_field(tmp_path, ion_file,
     assert "got B = 0.0 0.0 0.0 mT" in err
 
 
+@pytest.mark.parametrize("field", ["", "field = 0 0 70\n"], ids=["no-field", "field"])
+def test_cli_auto_comb_spacing_without_stationary_point_fails(tmp_path, ion_file, capsys,
+                                                              field):
+    # the box Bz = 80..100 holds no stationary point; `field` is not an
+    # operating point for eit and must not stand in for one
+    body = (
+        f"command = eit\nion_file = {ion_file}\nnoise.curvatures = 1 1 1\n"
+        f"zefoz.start = 0 0 90\nzefoz.bounds.z = 80 100 5\n{field}"
+    )
+    out = tmp_path / "x.csv"
+    code = main(["--config", _config(tmp_path, body), "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "comb.spacing set to auto but no stationary point was found" in err
+    assert not out.exists()
+
+
 def test_cli_missing_config_file(tmp_path):
     assert main(["--config", str(tmp_path / "absent.cfg")]) == 2
 

@@ -11,6 +11,7 @@ import scipy.integrate
 import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.hermite_e import hermegauss
 
 import zefoz.eit
 from zefoz import (
@@ -21,6 +22,7 @@ from zefoz import (
     InvalidParameterError,
     LambdaParams,
     NoiseModel,
+    TransitionSelector,
     amplitude_vs_field,
     averaged_susceptibility,
     binomial_weights,
@@ -29,6 +31,7 @@ from zefoz import (
     spin_linewidth,
     parse_config,
     susceptibility,
+    transition_frequencies,
 )
 from zefoz.cli import _comb_model
 
@@ -89,6 +92,65 @@ def test_linewidth_monotone(noise):
         assert np.all(np.diff(values) > 0)
 
 
+# 60-node Gauss-Hermite rule for x ~ N(0, 1): E f(x) = sum_k w_k f(t_k),
+# exact for polynomials up to degree 119
+GAUSS_NODES, GAUSS_WEIGHTS = hermegauss(60)
+GAUSS_WEIGHTS = GAUSS_WEIGHTS / np.sqrt(2.0 * np.pi)
+
+
+def gaussian_std(values: np.ndarray) -> float:
+    """Standard deviation of f(x) from its values f(delta_b * t_k) at the nodes."""
+    mean = GAUSS_WEIGHTS @ values
+    return float(np.sqrt(GAUSS_WEIGHTS @ (values - mean) ** 2))
+
+
+def test_linewidth_is_the_spread_of_the_quadratic_model_under_gaussian_noise():
+    # Gamma - gamma0 = sum_i std of S2i (dB_i + x_i)^2 with x_i ~ N(0, deltaB_i^2)
+    rng = np.random.default_rng(41)
+    for case in range(40):
+        curvatures = tuple(rng.uniform(-300.0, 300.0, 3))
+        delta_b = tuple(rng.uniform(0.0, 2.0, 3) * (rng.random(3) > 0.2))
+        offset = rng.uniform(-10.0, 10.0, 3) * (rng.random(3) > 0.2)
+        noise = NoiseModel(curvatures=curvatures, gamma0=rng.uniform(0.0, 1.0),
+                           delta_b=delta_b)
+        spread = sum(
+            gaussian_std(1e-3 * s2 * (d + db * GAUSS_NODES) ** 2)
+            for s2, db, d in zip(curvatures, delta_b, offset)
+        )
+        scale = 1e-3 * sum(abs(s2) * (abs(d) + db) ** 2
+                           for s2, db, d in zip(curvatures, delta_b, offset))
+        model = spin_linewidth(noise, offset) - noise.gamma0
+        assert abs(model - spread) <= 1e-12 * max(1.0, scale)
+
+
+# Largest |Gamma_model / Gamma_exact - 1| accepted, per (deltaB, offset along
+# z): the measured deviations are 7.5e-6, 3.0e-3 and 6.9e-3 at 0.1 mT and
+# 7.5e-4, 2.25e-2 and 2.9e-2 at 1 mT
+EXACT_SPREAD_BOUNDS = {
+    (0.1, 0.0): 2e-5, (0.1, 2.0): 5e-3, (0.1, 7.0): 1e-2,
+    (1.0, 0.0): 1.5e-3, (1.0, 2.0): 3e-2, (1.0, 7.0): 4e-2,
+}
+
+
+@pytest.mark.parametrize("delta_b, offset", list(EXACT_SPREAD_BOUNDS))
+def test_linewidth_against_the_exact_clock_frequency_under_gaussian_noise(
+    nd_ground, zefoz_point, delta_b, offset
+):
+    # the spread of the exact omega12(B) of the reference ion, noise on one
+    # axis at a time, against the quadratic model; the model only ever
+    # overestimates it, since omega12 bends away from its parabola
+    sel = TransitionSelector("ground", 8, 10)
+    centre = zefoz_point.field + np.array([0.0, 0.0, offset])
+    exact = 0.0
+    for axis in range(3):
+        fields = centre + np.outer(delta_b * GAUSS_NODES, np.eye(3)[axis])
+        exact += gaussian_std(transition_frequencies(nd_ground, fields, sel))
+    noise = NoiseModel(curvatures=tuple(zefoz_point.curvatures), gamma0=0.0,
+                       delta_b=(delta_b,) * 3)
+    model = spin_linewidth(noise, (0.0, 0.0, offset))
+    assert 0.0 <= model / exact - 1.0 <= EXACT_SPREAD_BOUNDS[delta_b, offset]
+
+
 def test_dark_state_transparency():
     p = LambdaParams(rabi_coupling=1.0, optical_dephasing=2.0, spin_dephasing=0.0)
     chi = susceptibility(0.7, 0.0, p)
@@ -141,6 +203,74 @@ def test_symmetry_in_probe_detuning():
         chi_neg = susceptibility(-detunings, 0.0, p)
         assert np.max(np.abs(chi_pos.real + chi_neg.real)) < 1e-9
         assert np.max(np.abs(chi_pos.imag - chi_neg.imag)) < 1e-9
+
+
+def lambda_master_equation_chi(dp, d2, p: LambdaParams, decay) -> complex:
+    """chi from the steady state of the three-level Lindblad equation.
+
+    Levels g, s (spin) and e in the frame rotating with probe and coupling,
+    H = dp |e><e| + d2 |s><s| - (Omega_c/2)(|s><e| + h.c.)
+    - (Omega_p/2)(|g><e| + h.c.). Jumps: e -> g and e -> s at the rates
+    ``decay``, with pure dephasing of e and s that makes the coherences
+    e-g and s-g decay at gamma_ge and gamma_gs. To first order in Omega_p,
+    L0 rho1 = -L1 rho0 with rho0 = |g><g|, and chi = 2 gamma_ge rho1_eg.
+    """
+    g, s, e = np.eye(3)[:, :, None]
+
+    def op(ket, bra):  # |ket><bra| from two column vectors
+        return ket @ bra.T
+
+    def liouvillian(h, jumps=()):
+        eye = np.eye(3)  # row-major vec: vec(A rho B) = kron(A, B.T) vec(rho)
+        out = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+        for c in jumps:
+            cc = c.conj().T @ c
+            out += np.kron(c, c.conj()) - 0.5 * (np.kron(cc, eye) + np.kron(eye, cc.T))
+        return out
+
+    to_g, to_s = decay
+    h0 = dp * op(e, e) + d2 * op(s, s) - p.rabi_coupling / 2.0 * (op(s, e) + op(e, s))
+    jumps = (np.sqrt(to_g) * op(g, e), np.sqrt(to_s) * op(s, e),
+             np.sqrt(2.0 * p.optical_dephasing - to_g - to_s) * op(e, e),
+             np.sqrt(2.0 * p.spin_dephasing) * op(s, s))
+    l0 = liouvillian(h0, jumps)
+    rhs = -liouvillian(-0.5 * (op(g, e) + op(e, g))) @ op(g, g).reshape(9)
+    rho1 = np.linalg.lstsq(l0, rhs, rcond=None)[0]
+    # L0 is singular (trace, dark populations), but the system is consistent
+    assert np.max(np.abs(l0 @ rho1 - rhs)) < 1e-12
+    return 2.0 * p.optical_dephasing * rho1.reshape(3, 3)[2, 0]
+
+
+def master_equation_cases():
+    """Random rates and detunings, then the edges: coupling off, no spin
+    dephasing off two-photon resonance, two-photon resonance."""
+    rng = np.random.default_rng(29)
+    for case in range(40):
+        rates = dict(rabi_coupling=rng.uniform(0.0, 8.0), optical_dephasing=rng.uniform(0.05, 5.0),
+                     spin_dephasing=rng.uniform(0.0, 2.0))
+        dp, d2 = rng.uniform(-20.0, 20.0, 2)
+        if case % 4 == 1:
+            rates["rabi_coupling"] = 0.0
+        elif case % 4 == 2:
+            rates["spin_dephasing"] = 0.0
+        elif case % 4 == 3:
+            d2 = 0.0
+        yield dp, d2, LambdaParams(**rates), rng.uniform(0.0, rates["optical_dephasing"], 2)
+
+
+def test_susceptibility_is_the_lambda_master_equation_steady_state():
+    for dp, d2, p, decay in master_equation_cases():
+        chi = susceptibility(dp, d2, p)
+        oracle = lambda_master_equation_chi(dp, d2, p, decay)
+        assert abs(chi - oracle) <= 1e-12 * max(1.0, abs(oracle))
+
+
+def test_coupling_off_absorption_is_one_at_line_center():
+    for gamma_ge, gamma_gs, d2 in ((0.5, 0.0, 0.0), (2.0, 0.3, 1.7), (0.05, 1.0, -4.0)):
+        p = LambdaParams(rabi_coupling=0.0, optical_dephasing=gamma_ge, spin_dephasing=gamma_gs)
+        assert susceptibility(0.0, d2, p).imag == 1.0
+        oracle = lambda_master_equation_chi(0.0, d2, p, (gamma_ge, 0.0))
+        assert abs(oracle - 1j) <= 1e-12
 
 
 def test_wofz_matches_scipy_faddeeva_on_the_upper_half_plane():

@@ -8,11 +8,9 @@ import scipy.linalg
 
 from zefoz import (
     AxisGrid,
-    ComputationError,
     InvalidParameterError,
     SpinParams,
     build_hamiltonian,
-    diagonalize_stack,
     ion_levels,
     state_composition,
 )
@@ -62,18 +60,17 @@ def test_invalid_spins_rejected():
 
 
 def test_diagonalize_sorts_and_permutes():
-    energies, vectors = diagonalize_stack(np.diag([3.0, 1.0, 2.0]).astype(complex)[None])
-    assert np.allclose(energies[0], [1.0, 2.0, 3.0])
-    # eigenvectors are gauge-fixed unit basis vectors, permuted to match
-    perm = np.abs(vectors[0])
-    assert np.allclose(perm[1, 0], 1.0) and np.allclose(perm[2, 1], 1.0)
-    assert np.allclose(perm[0, 2], 1.0)
-
-
-def test_diagonalize_rejects_non_hermitian():
-    bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    with pytest.raises(ComputationError):
-        diagonalize_stack(bad[None])
+    # with g_perp = B_hf = 0 and B along z the Hamiltonian is diagonal, so
+    # the levels are its diagonal in ascending order and the eigenvectors
+    # are the unit basis vectors, permuted to match, each with component +1
+    params = SpinParams(
+        electron_spin=0.5, nuclear_spin=1.5, g_par=1.0, g_perp=0.0, A=10.0, B_hf=0.0
+    )
+    diagonal = np.diag(build_hamiltonian(params, (0.0, 0.0, 1.0))).real
+    order = np.argsort(diagonal)
+    levels = ion_levels(params, (0.0, 0.0, 1.0))
+    assert np.array_equal(levels.energies, diagonal[order])
+    assert np.array_equal(levels.eigenvectors, np.eye(8)[:, order])
 
 
 def test_clock_splitting_near_2087(nd_ground):
@@ -85,7 +82,7 @@ def test_zero_field_structure_matches_independent_solver(nd_ground):
     # cross-check the numpy eigensolver against scipy's separate LAPACK
     # driver on the zero-field hyperfine structure
     h = build_hamiltonian(nd_ground, (0.0, 0.0, 0.0))
-    ours = diagonalize_stack(h[None])[0][0]
+    ours = ion_levels(nd_ground, (0.0, 0.0, 0.0)).energies
     reference = scipy.linalg.eigh(h, driver="evr", eigvals_only=True)
     assert np.max(np.abs(ours - reference)) < 1e-9
     spacings = np.diff(ours)
@@ -95,7 +92,7 @@ def test_zero_field_structure_matches_independent_solver(nd_ground):
 
 def test_energy_sum_equals_trace(nd_ground):
     h = build_hamiltonian(nd_ground, (5.0, -3.0, 40.0))
-    energies = diagonalize_stack(h[None])[0][0]
+    energies = ion_levels(nd_ground, (5.0, -3.0, 40.0)).energies
     scale = max(1.0, float(np.sum(np.abs(energies))))
     assert abs(np.sum(energies) - np.trace(h).real) < 1e-9 * scale
 

@@ -1,0 +1,92 @@
+"""Compare the CLI outputs of a parent commit and of the working tree byte
+for byte.
+
+    python3 tools/compare_outputs.py --parent HEAD
+
+Run it from the root of a checkout. Both sides are snapshotted as
+``tools/bench_pairs.py`` does it, before the first run. For each of the
+cli-suite seeds 1-5, ``perfbench/inputs.cli_case`` gives an ion file and
+the seven README configs; each side runs ``python -m zefoz.cli`` on every
+config from its own ``src`` in a directory of its own. Every output that
+differs is printed with its first differing line, and so is a command
+whose exit code differs or that writes no output on either side. Exits 0
+when all outputs are identical, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+
+from bench_pairs import snapshot_parent, snapshot_worktree
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "perfbench"))
+import inputs  # noqa: E402  (perfbench/inputs.py, read only)
+
+SEEDS = range(1, 6)
+
+
+def run_case(root: str, case_dir: str, files: dict) -> dict:
+    """Write one case's files, run its seven commands; {output: (exit, bytes)}."""
+    os.makedirs(case_dir)
+    for name, text in files.items():
+        with open(os.path.join(case_dir, name), "w", encoding="utf-8") as handle:
+            handle.write(text)
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    results = {}
+    for command in inputs.COMMANDS:
+        done = subprocess.run([sys.executable, "-m", "zefoz.cli", "--config", f"{command}.cfg"],
+                              cwd=case_dir, env=env, capture_output=True)
+        path = os.path.join(case_dir, inputs.OUTPUTS[command])
+        data = None
+        if os.path.exists(path):
+            with open(path, "rb") as handle:
+                data = handle.read()
+        results[inputs.OUTPUTS[command]] = (done.returncode, data)
+    return results
+
+
+def first_difference(parent: tuple, change: tuple) -> str | None:
+    if parent[0] != change[0]:
+        return f"exit {parent[0]} at the parent, {change[0]} here"
+    if parent[1] is None:
+        return f"no output on either side (exit {parent[0]})"
+    if parent[1] == change[1]:
+        return None
+    old = parent[1].splitlines()
+    new = (change[1] or b"").splitlines()
+    for number, (a, b) in enumerate(zip(old, new), start=1):
+        if a != b:
+            return f"line {number}\n  parent: {a.decode()}\n  change: {b.decode()}"
+    return f"{len(old)} lines at the parent, {len(new)} here"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="git revision of the parent")
+    args = parser.parse_args(argv)
+    differ = compared = 0
+    with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
+        roots = {"parent": os.path.join(tmp, "parent"), "change": os.path.join(tmp, "change")}
+        snapshot_parent(args.parent, roots["parent"])
+        snapshot_worktree(roots["change"])
+        for seed in SEEDS:
+            files = inputs.cli_case(seed)["files"]
+            parent, change = (run_case(roots[side], os.path.join(tmp, f"{side}-{seed}"), files)
+                              for side in ("parent", "change"))
+            for output in parent:
+                compared += 1
+                difference = first_difference(parent[output], change[output])
+                if difference is not None:
+                    differ += 1
+                    print(f"seed {seed} {output}: {difference}")
+    print(f"{compared} outputs compared, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
