@@ -186,7 +186,12 @@ def susceptibility(probe_detuning, two_photon_detuning, p: LambdaParams):
         # exact algebraic limit of the formula above
         return 1j * g_ge / (g_ge + 1j * dp) * np.ones_like(d2)
     z = g_gs + 1j * d2
-    return 1j * g_ge * z / ((g_ge + 1j * dp) * z + (omega / 2.0) ** 2)
+    numerator = 1j * g_ge * z
+    # chi is exactly 0 where the numerator is (the dark state), also when
+    # a tiny coupling's (Omega_c/2)^2 underflows and would give 0/0
+    chi = np.zeros(np.broadcast_shapes(dp.shape, d2.shape), dtype=complex)
+    denominator = (g_ge + 1j * dp) * z + (omega / 2.0) ** 2
+    return np.divide(numerator, denominator, out=chi, where=numerator != 0)[()]
 
 
 def _pole_offset(d2: np.ndarray, p: LambdaParams) -> np.ndarray:

@@ -20,9 +20,10 @@ H(B) = H0 + sum_i B_i M_i is linear in the field, so one eigensystem
 
 The sum leaves out every m with |E_n - E_m| < ``DEGENERACY_GAP``, n
 itself included. A transition's gradient and C follow as the differences
-of its two levels' values; C is half that Hessian, in kHz. Only a
-gradient at a field where a connected level lies within
-``DEGENERACY_GAP`` of a neighbour falls back to central differences.
+of its two levels' values; C is half that Hessian, in kHz. A gradient
+is flagged where a connected level lies within ``DEGENERACY_GAP`` of a
+neighbour (its slope then depends on the eigensolver's basis, e.g. at a
+Kramers doublet at B = 0), and the search drops a flagged endpoint.
 
 Each eigensystem is taken in its field's azimuthal frame (``spins``),
 where the field is (B_perp, 0, Bz), the vectors, M_x and M_z are real and
@@ -104,8 +105,8 @@ class GradientResult:
 
     ``vector`` is the Hellmann-Feynman value. ``min_gap`` (MHz) is the
     smallest gap from either level of the pair to its nearer neighbour;
-    ``flagged`` is set when it is below ``DEGENERACY_GAP``, and ``vector``
-    is then a central finite difference instead.
+    ``flagged`` is set when it is below ``DEGENERACY_GAP``: ``vector`` then
+    depends on the basis the eigensolver picked inside a degenerate cluster.
     """
 
     vector: np.ndarray
@@ -229,18 +230,14 @@ class _Transition(NamedTuple):
     hessian: np.ndarray | None
 
 
-def _transition(
-    params, fields: np.ndarray, sel: TransitionSelector, order: int, *, gradient: bool = True
-) -> _Transition:
+def _transition(params, fields: np.ndarray, sel: TransitionSelector, order: int) -> _Transition:
     """E_j - E_i and its derivatives up to ``order`` at each field of a stack
     (N, 3), from one stacked diagonalization per manifold.
 
-    Where a connected level lies closer than ``DEGENERACY_GAP`` to a
-    neighbour the gradient is flagged and taken from central differences
-    (step 0.01 mT): inside a degenerate cluster the Hellmann-Feynman slope
-    depends on the basis the eigensolver picked. With ``gradient`` False
-    (a caller that needs only the Hessian) the result carries no
-    GradientResult and no central differences are run.
+    The gradient is the Hellmann-Feynman difference everywhere. It is
+    flagged where a connected level lies closer than ``DEGENERACY_GAP`` to
+    a neighbour: inside a degenerate cluster the slope depends on the basis
+    the eigensolver picked.
     """
     p_i, p_j = _split_params(params, sel)
     if sel.manifold == "optical":
@@ -255,24 +252,15 @@ def _transition(
         parts = _level_derivatives(p_i, fields, (sel.level_i, sel.level_j), order)
     energy, slope, gap, hessian = parts
     frequency = energy[:, 1] - energy[:, 0]
-    transition_hessian = None if hessian is None else hessian[:, 1] - hessian[:, 0]
-    if order == 0 or not gradient:
-        return _Transition(frequency, None, transition_hessian)
-    vector = slope[:, 1] - slope[:, 0]
+    if order == 0:
+        return _Transition(frequency, None, None)
     min_gap = np.min(gap, axis=1)
-    flagged = min_gap < DEGENERACY_GAP
-    if np.any(flagged):
-        step = 0.01
-        # per field the order is +x, -x, +y, -y, +z, -z
-        offsets = step * np.eye(3)
-        near = fields[flagged][:, None, :]
-        stencil = np.stack([near + offsets, near - offsets], axis=2).reshape(-1, 3)
-        f = _transition(params, stencil, sel, 0).frequency.reshape(-1, 3, 2)
-        vector[flagged] = (f[..., 0] - f[..., 1]) / (2.0 * step)
     return _Transition(
         frequency,
-        GradientResult(vector=vector, flagged=flagged, min_gap=min_gap),
-        transition_hessian,
+        GradientResult(
+            vector=slope[:, 1] - slope[:, 0], flagged=min_gap < DEGENERACY_GAP, min_gap=min_gap
+        ),
+        None if hessian is None else hessian[:, 1] - hessian[:, 0],
     )
 
 
@@ -299,9 +287,9 @@ def frequency_gradient(params, field, sel: TransitionSelector) -> GradientResult
     """Gradient of the selected transition frequency (MHz/mT).
 
     The Hellmann-Feynman difference <j|M|j> - <i|M|i> on the eigenstates at
-    ``field``, one diagonalization per manifold. Flagged, and replaced by
-    a central difference, where a connected level lies closer than
-    ``DEGENERACY_GAP`` MHz to a neighbour.
+    ``field``, one diagonalization per manifold. Flagged where a connected
+    level lies closer than ``DEGENERACY_GAP`` MHz to a neighbour: the value
+    then depends on the eigensolver's basis inside the degenerate cluster.
     """
     g = _transition(params, as_field(field)[None], sel, 1).gradient
     return GradientResult(
@@ -324,7 +312,7 @@ def frequency_curvatures(params, field, sel: TransitionSelector) -> np.ndarray:
     out of the sum, so C stays finite at a level crossing, where it
     describes only the branch the eigensolver picked.
     """
-    hessian = _transition(params, as_field(field)[None], sel, 2, gradient=False).hessian
+    hessian = _transition(params, as_field(field)[None], sel, 2).hessian
     return _curvature_matrix(hessian[0])
 
 
@@ -367,7 +355,8 @@ def _newton_refine(
     its gradient is within ``tol``, when no damped step shrinks it, or
     after ``max_iter`` iterations. A field's result does not depend on the
     stack it sits in, so every seed takes the steps it would take alone.
-    Returns, in seed order, each converged point or None.
+    Returns, in seed order, each converged point or None, also where the
+    endpoint's gradient is flagged (a degenerate level, e.g. the kink at B = 0).
     """
     points = np.array(seeds, dtype=float)
     start = np.array([bounds.axis(k).start for k in free])
@@ -376,6 +365,7 @@ def _newton_refine(
     frequency, hessian = state.frequency, state.hessian
     grad = state.gradient.vector[:, free]
     norm = np.max(np.abs(grad), axis=1)
+    flagged = state.gradient.flagged
     failed = np.zeros(len(points), dtype=bool)
     live = np.arange(len(points))
     for _ in range(max_iter):
@@ -407,12 +397,13 @@ def _newton_refine(
             hessian[took] = trial_state.hessian[better]
             grad[took] = trial_grad[better]
             norm[took] = trial_norm[better]
+            flagged[took] = trial_state.gradient.flagged[better]
             pending[pending] = ~better
         live = live[~pending]  # no damped step helped: the seed stops
     found: list[ZefozPoint | None] = []
     for s in range(len(points)):
         residual = float(norm[s])
-        if failed[s] or residual > tol:
+        if failed[s] or flagged[s] or residual > tol:
             found.append(None)
             continue
         curv = _curvature_matrix(hessian[s])
@@ -468,10 +459,11 @@ def zefoz_search(
     damping level of an iteration diagonalizes the trial points of the
     live seeds as one stack. Stationary points of any Hessian signature
     are reported (field-insensitive transitions are generically saddle
-    points). Newton endpoints closer than ``MERGE_DISTANCE`` mT are one
-    point, reported once with the lowest gradient residual. Returns the
-    distinct points found inside the bounds, sorted by gradient residual;
-    an empty list means none.
+    points), but not an endpoint at a degenerate level, whose gradient is
+    flagged. Newton clips every step into ``bounds``. Endpoints closer than
+    ``MERGE_DISTANCE`` mT are one point, reported once with the lowest
+    gradient residual. Returns the distinct points, sorted by gradient
+    residual; an empty list means none.
     """
     if tol <= 0:
         raise InvalidParameterError(f"tol must be positive, got {tol}")
@@ -483,10 +475,8 @@ def zefoz_search(
         raise InvalidParameterError("search bounds leave no free axis to vary")
 
     seeds = _search_seeds(params, sel, start, bounds, free)
-    endpoints = [
-        z for z in _newton_refine(params, sel, seeds, bounds, free, tol, NEWTON_ITERATIONS)
-        if z is not None and bounds.contains(z.field, margin=1e-6)
-    ]
+    refined = _newton_refine(params, sel, seeds, bounds, free, tol, NEWTON_ITERATIONS)
+    endpoints = [z for z in refined if z is not None]
     endpoints.sort(key=lambda z: z.gradient_residual)  # stable: ties keep seed order
     found: list[ZefozPoint] = []
     for z in endpoints:

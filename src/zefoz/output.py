@@ -6,8 +6,9 @@ bytes; headers carry no timestamps for exactly that reason.
 
 Cells are formatted by exact type: ``float`` with ``f"{x:.9g}"`` (which
 already prints ``nan``, ``inf`` and ``-inf``), ``int`` with ``str`` and
-``str`` as is, with no numpy call per cell. Bools print as ``1``/``0``,
-numpy integers as ints and any other number through ``float``.
+``str`` as is, with no numpy call per cell. Other integers, ``bool``
+included, print through ``int`` and any other number, ``np.bool_``
+included, through ``float``: a bool prints as ``1`` or ``0``.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ def format_cell(value) -> str:
         return str(value)
     if isinstance(value, str):
         return value
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return f"{float(value):.9g}"

@@ -218,10 +218,11 @@ class FieldGrid:
         gx, gy, gz = np.meshgrid(vx, vy, vz, indexing="ij")
         return np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
 
-    def contains(self, point: np.ndarray, margin: float = 1e-9) -> bool:
+    def contains(self, point: np.ndarray) -> bool:
+        """Whether ``point`` lies in the box, to within 1e-9 mT of its edges."""
         for k in range(3):
             ax = self.axis(k)
-            if not (ax.start - margin <= point[k] <= ax.stop + margin):
+            if not (ax.start - 1e-9 <= point[k] <= ax.stop + 1e-9):
                 return False
         return True
 

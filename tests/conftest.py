@@ -217,8 +217,9 @@ def newton_step_oracle(jac: np.ndarray, grad: np.ndarray) -> np.ndarray:
 def newton_refine_oracle(params, sel, start, bounds, free, tol, max_iter):
     """Newton oracle: the damped Newton loop of one seed as it ran before
     the seeds went in lockstep, one ``_transition`` call per evaluated
-    field. Returns the converged point (or None) and whether a trial point
-    was clipped into the bounds."""
+    field. Returns the converged point (or None, also where the endpoint's
+    gradient is flagged) and whether a trial point was clipped into the
+    bounds."""
 
     def evaluate(point):
         state = _transition(params, point[None], sel, 2)
@@ -250,7 +251,7 @@ def newton_refine_oracle(params, sel, start, bounds, free, tol, max_iter):
         if not improved:
             break
     residual = float(np.max(np.abs(grad)))
-    if residual > tol:
+    if residual > tol or state.gradient.flagged[0]:
         return None, clipped
     curv = _curvature_matrix(state.hessian[0])
     diag = np.diag(curv).copy()

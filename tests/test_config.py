@@ -614,17 +614,40 @@ def test_cli_ground_and_excited_spins_must_match(tmp_path, command, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
-def test_cli_auto_comb_spacing_at_zero_field_names_the_field(tmp_path, ion_file, capsys):
-    # the search over Bz = 0..10 finds the trivial stationary point at B = 0
-    body = (
-        f"command = eit\nion_file = {ion_file}\n"
-        "zefoz.start = 0 0 0\nzefoz.bounds.z = 0 10 3\n"
-    )
+def test_cli_auto_comb_spacing_at_zero_field_names_the_field(
+    tmp_path, ion_file, capsys, zefoz_point
+):
+    # eit.delta_b cancels the field of the default search's stationary
+    # point exactly, so the operating field is B = 0
+    offset = " ".join(repr(-float(b)) for b in zefoz_point.field)
+    body = f"command = eit\nion_file = {ion_file}\neit.delta_b = {offset}\n"
     code = main(["--config", _config(tmp_path, body), "--out", str(tmp_path / "x.csv")])
     assert code == 3
     err = capsys.readouterr().err
     assert "comb.spacing = auto needs a nonzero operating field" in err
     assert "got B = 0.0 0.0 0.0 mT" in err
+
+
+# a box reaching B = 0, where the clock pair's levels are Kramers doublets:
+# the gradient there is flagged, so B = 0 is not a stationary point
+ZERO_BOX = "zefoz.start = 0 0 0\nzefoz.bounds.z = 0 10 3\n"
+
+
+def test_cli_zefoz_box_at_zero_field_finds_no_point(tmp_path, ion_file):
+    out = tmp_path / "z.jsonl"
+    body = f"command = zefoz\nion_file = {ion_file}\n{ZERO_BOX}"
+    assert main(["--config", _config(tmp_path, body), "--out", str(out)]) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert lines and all(line.startswith("# ") for line in lines)
+
+
+def test_cli_eit_with_a_zero_field_box_finds_no_stationary_point(tmp_path, ion_file, capsys):
+    out = tmp_path / "x.csv"
+    body = f"command = eit\nion_file = {ion_file}\n{ZERO_BOX}"
+    assert main(["--config", _config(tmp_path, body), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "noise curvatures set to auto but no stationary point was found" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("field", ["", "field = 0 0 70\n"], ids=["no-field", "field"])

@@ -34,7 +34,7 @@ from zefoz.operators import (
     spin_matrices,
 )
 
-from conftest import ND_EXCITED, ND_GROUND, central_difference, lab_frame_derivatives
+from conftest import ND_EXCITED, ND_GROUND, lab_frame_derivatives
 
 
 def same_bits(a, b) -> bool:
@@ -361,11 +361,9 @@ def test_gradient_stencil_matches_pointwise_differences(nd_ion):
         for field in awkward_fields(rng, 6):
             result = frequency_gradient(nd_ion, field, sel)
             assert result.flagged == (result.min_gap < DEGENERACY_GAP)
-            if result.flagged:
-                # degenerate cluster: the central-difference fallback
-                saw_flag = True
-                assert same_bits(result.vector, central_difference(nd_ion, field, sel, step=0.01))
-                continue
+            # a flagged field (a degenerate cluster) takes the same check:
+            # both sides read the slope of the vector the eigensolver picked
+            saw_flag |= result.flagged
 
             def slope(params, label):
                 vec = ion_levels(params, field).vector(label)

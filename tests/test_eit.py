@@ -22,6 +22,7 @@ from zefoz import (
     InvalidParameterError,
     LambdaParams,
     NoiseModel,
+    SpinParams,
     TransitionSelector,
     amplitude_vs_field,
     averaged_susceptibility,
@@ -32,10 +33,13 @@ from zefoz import (
     parse_config,
     susceptibility,
     transition_frequencies,
+    zefoz_search,
 )
 from zefoz.cli import _comb_model
 
 from conftest import (
+    ND_GROUND,
+    analytic_zefoz_bz,
     assert_same_bits,
     averaged_susceptibility_oracle,
     feature_fwhm,
@@ -155,6 +159,13 @@ def test_dark_state_transparency():
     p = LambdaParams(rabi_coupling=1.0, optical_dephasing=2.0, spin_dephasing=0.0)
     chi = susceptibility(0.7, 0.0, p)
     assert chi.imag == pytest.approx(0.0, abs=1e-15)
+    # a coupling whose (Omega_c/2)^2 underflows is still dark: exactly 0,
+    # with no warning (the suite turns warnings into errors), like the
+    # inhomogeneous average
+    tiny = LambdaParams(rabi_coupling=1e-170, optical_dephasing=0.5, spin_dephasing=0.0)
+    assert susceptibility(0.0, 0.0, tiny) == 0j
+    assert np.array_equal(susceptibility(np.array([-0.3, 0.0, 2.0]), 0.0, tiny), np.zeros(3))
+    assert averaged_susceptibility(0.0, 0.0, tiny) == 0j
 
 
 def test_two_level_limit_lorentzian():
@@ -668,6 +679,41 @@ def test_amplitude_vs_field_peaks_at_the_stationary_point(
     for row in rows:
         if abs(row.field[2] - zefoz_point.field[2]) <= 2.0:
             assert abs(row.omega12 - row.omega12_exact) < 0.05
+
+
+@st.composite
+def sweep_cases(draw):
+    """An Nd-like ground ion (each constant scaled by 0.9-1.1, |P| <= 5 MHz)
+    and a 5-point sweep along one axis, offset in the other two, near the
+    clock point."""
+    scaled = {key: ND_GROUND[key] * draw(st.floats(0.9, 1.1))
+              for key in ("g_par", "g_perp", "A", "B_hf")}
+    params = SpinParams(**{**ND_GROUND, **scaled, "P": draw(st.floats(-5.0, 5.0))})
+    axis = draw(st.integers(0, 2))
+    center = [draw(st.floats(-2.0, 2.0)) for _ in range(3)]
+    half = draw(st.floats(0.0, 2.0))
+    return params, axis, center, half
+
+
+@settings(derandomize=True, database=None, max_examples=24, deadline=None)
+@given(sweep_cases())
+def test_sweep_quadratic_model_holds_within_2_mt_on_nd_like_ions(case):
+    # the quadratic model omega12 and the exact omega12_exact agree to
+    # better than 0.05 MHz at every sweep point within 2 mT of the point
+    params, axis, center, half = case
+    sel = TransitionSelector("ground", 8, 10)
+    bz = analytic_zefoz_bz(params)
+    box = FieldGrid(AxisGrid(0.0, 0.0, 1), AxisGrid(0.0, 0.0, 1), AxisGrid(bz - 2.0, bz + 2.0, 3))
+    (z,) = zefoz_search(params, sel, (0.0, 0.0, bz), box)
+    offset = np.array(center)
+    axes = [AxisGrid(c, c, 1) for c in z.field + offset]
+    axes[axis] = AxisGrid(z.field[axis] + offset[axis] - half,
+                          z.field[axis] + offset[axis] + half, 5)
+    comb = CombModel(spacing=2.8, n_lines=1, noise=NoiseModel(curvatures=tuple(z.curvatures)))
+    rows = amplitude_vs_field(params, z, comb.noise, LambdaParams(), comb, FieldGrid(*axes))
+    near = [row for row in rows if np.linalg.norm(row.field - z.field) <= 2.0]
+    for row in near:
+        assert abs(row.omega12 - row.omega12_exact) < 0.05
 
 
 def test_zero_extent_sweep_reproduces_point_values(nd_ground, zefoz_point, noise):

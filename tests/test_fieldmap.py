@@ -91,7 +91,8 @@ def test_gradient_flags_degenerate_levels():
     sel = TransitionSelector("ground", 8, 10)
     result = frequency_gradient(params, (0.0, 0.0, 50.0), sel)
     assert result.flagged
-    # the finite-difference fallback still sees the linear Zeeman slope
+    # every vector of a cluster has the same electron spin, so the
+    # Hellmann-Feynman slope is the linear Zeeman one whatever the basis
     assert result.vector[2] == pytest.approx(2.0 * 14.0, rel=1e-6)
 
 
@@ -105,12 +106,12 @@ def test_optical_gradient_near_stationary_point(nd_ion, zefoz_point):
         assert grad.vector[2] == pytest.approx(expected, abs=1e-3)
 
 
-def test_curvatures_at_a_degenerate_field_skip_the_gradient_fallback(
+def test_derivatives_at_a_degenerate_field_take_one_eigensystem(
     nd_ground, clock_selector, monkeypatch
 ):
     # B = 0: the clock pair's levels sit in Kramers doublets, so the gradient
-    # is flagged and falls back to central differences; C needs only the
-    # one eigensystem and keeps the value the Newton path computes
+    # is flagged; it and C come from the one eigensystem, and C keeps the
+    # value the Newton path computes
     field = np.zeros((1, 3))
     expected = fieldmap._curvature_matrix(
         fieldmap._transition(nd_ground, field, clock_selector, 2).hessian[0]
@@ -128,7 +129,7 @@ def test_curvatures_at_a_degenerate_field_skip_the_gradient_fallback(
     assert np.array_equal(matrix, expected)
     sizes.clear()
     assert frequency_gradient(nd_ground, field[0], clock_selector).flagged
-    assert sizes == [1, 6]
+    assert sizes == [1]
 
 
 def test_curvatures_at_stationary_point(nd_ground, clock_selector, zefoz_point):
@@ -253,6 +254,37 @@ def test_search_reports_no_point_for_linear_zeeman():
     sel = TransitionSelector("ground", 8, 10)
     points = zefoz_search(params, sel, (0.0, 0.0, 50.0), bounds)
     assert points == []
+
+
+def test_search_drops_endpoints_inside_a_degenerate_cluster():
+    # pure electron Zeeman: levels 1 and 2 lie in one degenerate branch, so
+    # their gradient is 0 and flagged at every field; each seed stops at
+    # once with residual 0, and lockstep Newton and the oracle drop it alike
+    params = SpinParams(
+        electron_spin=0.5, nuclear_spin=3.5, g_par=2.0, g_perp=2.0, A=0.0, B_hf=0.0
+    )
+    sel = TransitionSelector("ground", 1, 2)
+    bounds = FieldGrid(AxisGrid(-1.0, 1.0, 3), AxisGrid(0.0, 0.0, 1), AxisGrid(30.0, 100.0, 8))
+    oracle = newton_from_search_seeds(params, sel, (0.0, 0.0, 50.0), bounds)
+    assert [point for point, _ in oracle] == [None]
+    assert frequency_gradient(params, (0.0, 0.0, 50.0), sel).flagged
+    assert zefoz_search(params, sel, (0.0, 0.0, 50.0), bounds) == []
+
+
+def test_search_drops_the_degenerate_zero_field_endpoint(nd_ground, clock_selector):
+    # at B = 0 the clock pair's levels are Kramers doublets and the
+    # frequency has a kink: the gradient is flagged, as it reads the slope
+    # of whichever vector of each doublet the eigensolver picked
+    assert frequency_gradient(nd_ground, (0.0, 0.0, 0.0), clock_selector).flagged
+    box = FieldGrid(AxisGrid(0.0, 0.0, 1), AxisGrid(0.0, 0.0, 1), AxisGrid(0.0, 10.0, 3))
+    oracle = newton_from_search_seeds(nd_ground, clock_selector, (0.0, 0.0, 0.0), box)
+    assert oracle[0][0] is None  # the seed at B = 0
+    assert zefoz_search(nd_ground, clock_selector, (0.0, 0.0, 0.0), box) == []
+    wide = FieldGrid(AxisGrid(0.0, 0.0, 1), AxisGrid(0.0, 0.0, 1), AxisGrid(0.0, 100.0, 51))
+    points = zefoz_search(nd_ground, clock_selector, (0.0, 0.0, 0.0), wide)
+    assert [z.field[2] for z in points] == [pytest.approx(63.628, abs=1e-3)]
+    for z in points:
+        assert not frequency_gradient(nd_ground, z.field, clock_selector).flagged
 
 
 def test_search_validates_inputs(nd_ground, clock_selector, search_bounds):

@@ -6,7 +6,8 @@ for byte.
 Run it from the root of a checkout. Both sides are snapshotted as
 ``tools/bench_pairs.py`` does it, before the first run. For each of the
 cli-suite seeds 1-5, ``perfbench/inputs.cli_case`` gives an ion file and
-the seven README configs; each side runs ``python -m zefoz.cli`` on every
+the seven README configs, and ``EDGE_CONFIGS`` adds four edge cases on
+the same ion file; each side runs ``python -m zefoz.cli`` on every
 config from its own ``src`` in a directory of its own. Every output that
 differs is printed with its first differing line, and so is a command
 whose exit code differs or that writes no output on either side. Exits 0
@@ -28,25 +29,46 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 import inputs  # noqa: E402  (perfbench/inputs.py, read only)
 
 SEEDS = range(1, 6)
+# Edge cases, {output: config}: a search box reaching the Kramers doublets
+# at B = 0, lambda at B = 0, the excited diagram along x (g_perp = 0, so
+# degenerate at every field) and an EIT grid far coarser than the comb.
+EDGE_CONFIGS = {
+    "zefoz-zero-box.jsonl": "command = zefoz\nzefoz.start = 0 0 0\nzefoz.bounds.z = 0 10 3\n",
+    "lambda-zero-field.jsonl": "command = lambda\nfield = 0 0 0\n",
+    "diagram-excited-x.csv": "command = diagram\nmanifold = excited\ndiagram.axis = x\n",
+    "eit-coarse-grid.csv": "command = eit\neit.grid = -1000 1000 5\n",
+}
 
 
-def run_case(root: str, case_dir: str, files: dict) -> dict:
-    """Write one case's files, run its seven commands; {output: (exit, bytes)}."""
+def seed_case(seed: int) -> tuple[dict, dict]:
+    """One seed's files and its {config: output} runs: the seven README
+    configs, then the edge configs on the same ion file."""
+    files = dict(inputs.cli_case(seed)["files"])
+    runs = {f"{command}.cfg": inputs.OUTPUTS[command] for command in inputs.COMMANDS}
+    for output, body in EDGE_CONFIGS.items():
+        config = output.rsplit(".", 1)[0] + ".cfg"
+        files[config] = f"{body}ion_file = ion.ion\noutput = {output}\n"
+        runs[config] = output
+    return files, runs
+
+
+def run_case(root: str, case_dir: str, files: dict, runs: dict) -> dict:
+    """Write one case's files, run each config; {output: (exit, bytes)}."""
     os.makedirs(case_dir)
     for name, text in files.items():
         with open(os.path.join(case_dir, name), "w", encoding="utf-8") as handle:
             handle.write(text)
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     results = {}
-    for command in inputs.COMMANDS:
-        done = subprocess.run([sys.executable, "-m", "zefoz.cli", "--config", f"{command}.cfg"],
+    for config, output in runs.items():
+        done = subprocess.run([sys.executable, "-m", "zefoz.cli", "--config", config],
                               cwd=case_dir, env=env, capture_output=True)
-        path = os.path.join(case_dir, inputs.OUTPUTS[command])
+        path = os.path.join(case_dir, output)
         data = None
         if os.path.exists(path):
             with open(path, "rb") as handle:
                 data = handle.read()
-        results[inputs.OUTPUTS[command]] = (done.returncode, data)
+        results[output] = (done.returncode, data)
     return results
 
 
@@ -75,8 +97,9 @@ def main(argv=None) -> int:
         snapshot_parent(args.parent, roots["parent"])
         snapshot_worktree(roots["change"])
         for seed in SEEDS:
-            files = inputs.cli_case(seed)["files"]
-            parent, change = (run_case(roots[side], os.path.join(tmp, f"{side}-{seed}"), files)
+            files, runs = seed_case(seed)
+            parent, change = (run_case(roots[side], os.path.join(tmp, f"{side}-{seed}"), files,
+                                       runs)
                               for side in ("parent", "change"))
             for output in parent:
                 compared += 1
