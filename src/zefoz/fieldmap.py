@@ -30,10 +30,14 @@ where the field is (B_perp, 0, Bz), the vectors, M_x and M_z are real and
 M_y is imaginary, so the y slope and the xy and yz Hessian entries vanish.
 Slopes turn back to the lab as vectors, Hessians as R(phi) H R(phi)^T.
 
-Every multi-field evaluation (the search grid, the Newton steps of all
-search seeds, level diagrams, stacked frequencies) goes through
-``_eigensystems``, which diagonalizes stacks of at most ``BLOCK`` fields
-per call.
+H is axial, so the frame matrix H(B_perp, 0, Bz) does not depend on the
+azimuth: a stack of fields (the search grid, the Newton steps of all
+search seeds, stacked frequencies) is diagonalized once per distinct
+(B_perp, Bz) frame, equal bit for bit, at most ``BLOCK`` frames per call,
+and each field turns its frame's slopes and Hessians by its own azimuth.
+A level diagram takes one eigensystem per field, ``BLOCK`` fields per call
+(``_eigensystems``): its frames along a scan are distinct unless the scan
+crosses zero on x or y.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ from .spins import (  # noqa: F401 - perfbench reads fieldmap.ion_levels
     IonParams,
     SpinParams,
     _axial_eigensystems,
+    _azimuthal_frames,
     _azimuthal_phases,
     as_field,
     as_fields,
@@ -56,9 +61,9 @@ from .spins import (  # noqa: F401 - perfbench reads fieldmap.ion_levels
 )
 
 MANIFOLDS = ("ground", "excited", "optical")
-# Fields per stacked diagonalization: enough to amortize the per-call
-# overhead, few enough that the temporaries (tens of kB per 16x16 field)
-# keep the peak memory of a large grid near that of a single field.
+# Frames (or level-diagram fields) per stacked diagonalization: enough to
+# amortize the per-call overhead, few enough that the eigensolver's
+# temporaries (tens of kB per 16x16 frame) stay small on a large grid.
 BLOCK = 64
 # Newton endpoints closer than this (mT, in every component) are one point.
 MERGE_DISTANCE = 1e-3
@@ -166,6 +171,40 @@ def _eigensystems(params: SpinParams, fields: np.ndarray):
         yield (block, *_axial_eigensystems(params, fields[block]))
 
 
+def _frame_derivatives(params: SpinParams, energies: np.ndarray, vectors: np.ndarray,
+                       idx: np.ndarray, order: int):
+    """``_level_derivatives`` of the levels ``idx`` (0-based) from a stack of
+    frame eigensystems, energies (U, d) and real vectors (U, d, d): energies
+    (U, L), by order the frame slopes <n|M_i|n> (U, L, 3), gaps (U, L) and
+    frame Hessians (U, L, 3, 3). The couplings come from stacked products
+    with one small matrix product per frame, level and axis, so every frame
+    gets the same bits whatever stack it sits in."""
+    energy = energies[:, idx]
+    if order == 0:
+        return energy, None, None, None
+    edge = np.full((len(energies), 1), np.inf)
+    spacing = np.hstack([edge, np.diff(energies, axis=1), edge])
+    gap = np.minimum(spacing[:, idx], spacing[:, idx + 1])
+    zeeman = params.linear_terms.zeeman
+    # M_x and M_z are real and M_y imaginary: (M_x, M_y / i, M_z)
+    real_zeeman = zeeman.real + zeeman.imag
+    kets = vectors.transpose(0, 2, 1)[:, idx]  # |n>, (U, L, d)
+    bras = (kets[:, :, None, None, :] @ real_zeeman)[:, :, :, 0]  # (U, L, 3, d)
+    coupling = bras @ vectors[:, None]  # <n|M_x|m>, <n|M_y|m>/i, <n|M_z|m>, (U, L, 3, d)
+    own = coupling[:, np.arange(len(idx)), :, idx].transpose(1, 0, 2)  # (U, L, 3)
+    own[..., 1] = 0.0  # <n|M_y|n> of a real |n>: i times an antisymmetric form
+    frame = None
+    if order == 2:
+        split = energies[:, idx, None] - energies[:, None, :]  # E_n - E_m, (U, L, d)
+        weight = np.divide(
+            1.0, split, out=np.zeros_like(split), where=np.abs(split) >= DEGENERACY_GAP
+        )
+        weighted = coupling * weight[:, :, None, :]
+        frame = 2.0 * (weighted @ coupling.swapaxes(2, 3))
+        frame[..., 1, [0, 2]] = frame[..., [0, 2], 1] = 0.0  # real times imaginary
+    return energy, own, gap, frame
+
+
 def _level_derivatives(
     params: SpinParams, fields: np.ndarray, labels: tuple[int, ...], order: int
 ):
@@ -177,46 +216,34 @@ def _level_derivatives(
     out every level m closer than ``DEGENERACY_GAP`` to n. Parts above
     ``order`` are None.
 
-    The derivatives are taken in each field's azimuthal frame and turned
-    back to the lab (see the module docstring). The couplings come from
-    stacked products with one small matrix product per field, level and
-    axis, so every field gets the same bits whatever stack it sits in.
+    Fields whose B_perp and Bz are equal bit for bit share one azimuthal
+    frame. Each distinct frame is diagonalized once, ``BLOCK`` frames per
+    call (``_eigensystems``), and ``_frame_derivatives`` takes its
+    derivatives. Each field then turns its frame's slopes and Hessians back
+    to the lab by its own azimuth (see the module docstring), one small
+    matrix product per field, so every field gets the same bits whatever
+    stack it sits in.
     """
     idx = np.array(labels) - 1
-    shape = (len(fields), len(labels))
-    energy = np.empty(shape)
-    slope = np.empty(shape + (3,)) if order >= 1 else None
-    gap = np.empty(shape) if order >= 1 else None
-    hessian = np.empty(shape + (3, 3)) if order >= 2 else None
-    zeeman = params.linear_terms.zeeman
-    # M_x and M_z are real and M_y imaginary: (M_x, M_y / i, M_z)
-    real_zeeman = zeeman.real + zeeman.imag
-    for block, energies, vectors, azimuth in _eigensystems(params, fields):
-        energy[block] = energies[:, idx]
-        if order == 0:
-            continue
-        edge = np.full((len(energies), 1), np.inf)
-        spacing = np.hstack([edge, np.diff(energies, axis=1), edge])
-        gap[block] = np.minimum(spacing[:, idx], spacing[:, idx + 1])
-        kets = vectors.transpose(0, 2, 1)[:, idx]  # |n>, (N, L, d)
-        bras = (kets[:, :, None, None, :] @ real_zeeman)[:, :, :, 0]  # (N, L, 3, d)
-        coupling = bras @ vectors[:, None]  # <n|M_x|m>, <n|M_y|m>/i, <n|M_z|m>, (N, L, 3, d)
-        own = coupling[:, np.arange(len(idx)), :, idx].transpose(1, 0, 2)  # (N, L, 3)
-        own[..., 1] = 0.0  # <n|M_y|n> of a real |n>: i times an antisymmetric form
-        cos, sin = azimuth[:, 0], azimuth[:, 1]
-        turn = np.zeros((len(azimuth), 1, 3, 3))  # the rotation by phi about z
-        turn[:, 0, 0, 0] = turn[:, 0, 1, 1] = cos
-        turn[:, 0, 1, 0], turn[:, 0, 0, 1], turn[:, 0, 2, 2] = sin, -sin, 1.0
-        slope[block] = (turn @ own[..., None])[..., 0]
-        if order == 2:
-            split = energies[:, idx, None] - energies[:, None, :]  # E_n - E_m, (N, L, d)
-            weight = np.divide(
-                1.0, split, out=np.zeros_like(split), where=np.abs(split) >= DEGENERACY_GAP
-            )
-            weighted = coupling * weight[:, :, None, :]
-            frame = 2.0 * (weighted @ coupling.swapaxes(2, 3))
-            frame[..., 1, [0, 2]] = frame[..., [0, 2], 1] = 0.0  # real times imaginary
-            hessian[block] = turn @ frame @ turn.swapaxes(2, 3)
+    if len(fields) < 2:  # one field is its own frame
+        energies, vectors, azimuth = _axial_eigensystems(params, fields)
+        energy, own, gap, frame = _frame_derivatives(params, energies, vectors, idx, order)
+    else:
+        b_perp, azimuth = _azimuthal_frames(fields)
+        bits = np.stack([b_perp, fields[:, 2]], axis=1).view("V16")[:, 0]  # compared bytewise
+        _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
+        blocks = [_frame_derivatives(params, energies, vectors, idx, order)
+                  for _, energies, vectors, _ in _eigensystems(params, fields[first])]
+        energy, own, gap, frame = (None if parts[0] is None else np.concatenate(parts)[inverse]
+                                   for parts in zip(*blocks))
+    if order == 0:
+        return energy, None, None, None
+    cos, sin = azimuth[:, 0], azimuth[:, 1]
+    turn = np.zeros((len(azimuth), 1, 3, 3))  # the rotation by phi about z
+    turn[:, 0, 0, 0] = turn[:, 0, 1, 1] = cos
+    turn[:, 0, 1, 0], turn[:, 0, 0, 1], turn[:, 0, 2, 2] = sin, -sin, 1.0
+    slope = (turn @ own[..., None])[..., 0]
+    hessian = None if frame is None else turn @ frame @ turn.swapaxes(2, 3)
     return energy, slope, gap, hessian
 
 

@@ -292,19 +292,26 @@ def build_hamiltonian(params: SpinParams, field) -> np.ndarray:
     return (b @ terms.zeeman.reshape(3, d * d)).reshape(b.shape[:-1] + (d, d)) + terms.h0
 
 
+def _azimuthal_frames(fields: np.ndarray):
+    """B_perp (N,) and azimuths (N, 2) of a stack of fields (N, 3):
+    (cos phi, sin phi) = (Bx, By) / B_perp, or (1, 0) on the z axis."""
+    b_perp = np.hypot(fields[:, 0], fields[:, 1])
+    azimuth = np.zeros((len(fields), 2))
+    azimuth[:, 0] = 1.0
+    np.divide(fields[:, :2], b_perp[:, None], out=azimuth, where=b_perp[:, None] > 0.0)
+    return b_perp, azimuth
+
+
 def _axial_eigensystems(params: SpinParams, fields: np.ndarray):
     """Energies (N, d), real eigenvectors (N, d, d) and azimuths (N, 2) of
     a stack of fields (N, 3), each in its field's azimuthal frame: H(B) =
-    U H(B') U^dagger with U = exp(-i phi F_z), (cos phi, sin phi) = (Bx, By)
-    / B_perp, or (1, 0) on the z axis, and B' = (B_perp, 0, Bz). H(B') is
-    summed element by element from real terms, so it is exactly symmetric
-    and a field gets the same bits in any stack."""
+    U H(B') U^dagger with U = exp(-i phi F_z), the azimuth phi of
+    ``_azimuthal_frames`` and B' = (B_perp, 0, Bz). H(B') is summed element
+    by element from real terms, so it is exactly symmetric and a field
+    gets the same bits in any stack."""
     terms = params.linear_terms
-    b_perp = np.hypot(fields[:, 0], fields[:, 1])[:, None]
-    azimuth = np.zeros((len(fields), 2))
-    azimuth[:, 0] = 1.0
-    np.divide(fields[:, :2], b_perp, out=azimuth, where=b_perp > 0.0)
-    h = (terms.h0 + b_perp[:, :, None] * terms.zeeman[0].real
+    b_perp, azimuth = _azimuthal_frames(fields)
+    h = (terms.h0 + b_perp[:, None, None] * terms.zeeman[0].real
          + fields[:, 2, None, None] * terms.zeeman[2].real)
     energies, vectors = np.linalg.eigh(h)
     return energies, vectors, azimuth

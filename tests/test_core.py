@@ -441,34 +441,57 @@ def test_each_field_costs_one_diagonalization(nd_ground, zefoz_point, monkeypatc
     assert sum(sizes) <= 52  # the 36-field grid, then one field per Newton evaluation
 
 
+def frame_images(fields: np.ndarray) -> np.ndarray:
+    """Each field with the images of its (Bx, By) under sign flips and
+    swaps, each at its own Bz and at Bz = +0.0 and -0.0: the images share
+    the field's (B_perp, Bz) frame, the zeros are frames of their own."""
+    images = [(sx * x, sy * y, z)
+              for bx, by, bz in fields
+              for z in (bz, 0.0, -0.0)
+              for x, y in ((bx, by), (by, bx))
+              for sx in (1.0, -1.0)
+              for sy in (1.0, -1.0)]
+    return np.array(images)
+
+
 @pytest.mark.parametrize("order", [0, 1, 2])
-def test_level_derivatives_of_a_field_do_not_depend_on_its_stack(order):
+def test_level_derivatives_of_a_field_do_not_depend_on_its_stack(order, monkeypatch):
     # lockstep Newton evaluates each seed in stacks of every size and
-    # relies on each field getting the bits of a one-field call
+    # relies on each field getting the bits of a one-field call, also
+    # where fields of the stack share one diagonalized frame
     rng = np.random.default_rng(12)
+    sizes = count_diagonalizations(monkeypatch)
     for labels in ((8, 10), (3,), (1, 16)):
         params = awkward_params(rng, nuclear_spin=3.5)
         fields = np.concatenate([axis_fields(rng), rng.uniform(-100.0, 100.0, (BLOCK, 3))])
-        stacked = fieldmap._level_derivatives(params, fields, labels, order)
-        for k in range(len(fields)):
-            single = fieldmap._level_derivatives(params, fields[k:k + 1], labels, order)
-            for whole, part in zip(stacked, single):
-                if whole is None:
-                    assert part is None
-                else:
-                    assert same_bits(whole[k:k + 1], part)
+        mirrored = frame_images(fields[:28])
+        frames = np.stack([np.hypot(mirrored[:, 0], mirrored[:, 1]), mirrored[:, 2]], axis=1)
+        for stack in (fields, mirrored):
+            sizes.clear()
+            stacked = fieldmap._level_derivatives(params, stack, labels, order)
+            if stack is mirrored:
+                assert sum(sizes) == len(set(map(bytes, frames)))
+            for k in range(len(stack)):
+                single = fieldmap._level_derivatives(params, stack[k:k + 1], labels, order)
+                for whole, part in zip(stacked, single):
+                    if whole is None:
+                        assert part is None
+                    else:
+                        assert same_bits(whole[k:k + 1], part)
 
 
 def test_search_diagonalizes_each_newton_step_of_every_seed_at_once(nd_ground, monkeypatch):
-    # the 3x3x26 box of the field-study search: 234 grid fields in 4 stacks,
-    # then one stack per damping level of each Newton iteration; searching
-    # one seed at a time took 43 calls for the same 273 matrices
+    # the 3x3x26 box of the field-study search: its 234 grid fields have
+    # 3 distinct B_perp, so 78 distinct frames in 2 stacks, then one stack
+    # per damping level of each Newton iteration, where mirrored seeds share
+    # frames too; one diagonalization per field took 273 matrices, and
+    # searching one seed at a time took 43 calls
     sel = TransitionSelector("ground", 8, 10)
     bounds = FieldGrid(AxisGrid(-2.0, 2.0, 3), AxisGrid(-2.0, 2.0, 3), AxisGrid(45.0, 80.0, 26))
     sizes = count_diagonalizations(monkeypatch)
     points = zefoz_search(nd_ground, sel, (0.0, 0.0, 50.0), bounds)
     assert len(points) == 1
-    assert sum(sizes) == 273
+    assert sum(sizes) == 93
     assert len(sizes) <= 10
 
 

@@ -6,7 +6,7 @@ for byte.
 Run it from the root of a checkout. Both sides are snapshotted as
 ``tools/bench_pairs.py`` does it, before the first run. For each of the
 cli-suite seeds 1-5, ``perfbench/inputs.cli_case`` gives an ion file and
-the seven README configs, and ``EDGE_CONFIGS`` adds four edge cases on
+the seven README configs, and ``EDGE_CONFIGS`` adds five edge cases on
 the same ion file; each side runs ``python -m zefoz.cli`` on every
 config from its own ``src`` in a directory of its own. Every output that
 differs is printed with its first differing line, and so is a command
@@ -30,10 +30,13 @@ import inputs  # noqa: E402  (perfbench/inputs.py, read only)
 
 SEEDS = range(1, 6)
 # Edge cases, {output: config}: a search box reaching the Kramers doublets
-# at B = 0, lambda at B = 0, the excited diagram along x (g_perp = 0, so
-# degenerate at every field) and an EIT grid far coarser than the comb.
+# at B = 0, a 3-D box symmetric in Bx and By (its mirrored fields share
+# azimuthal frames), lambda at B = 0, the excited diagram along x
+# (g_perp = 0, so degenerate at every field) and an EIT grid far coarser
+# than the comb.
 EDGE_CONFIGS = {
     "zefoz-zero-box.jsonl": "command = zefoz\nzefoz.start = 0 0 0\nzefoz.bounds.z = 0 10 3\n",
+    "zefoz-3d-box.jsonl": "command = zefoz\nzefoz.bounds.x = -2 2 5\nzefoz.bounds.y = -1.5 1.5 5\n",
     "lambda-zero-field.jsonl": "command = lambda\nfield = 0 0 0\n",
     "diagram-excited-x.csv": "command = diagram\nmanifold = excited\ndiagram.axis = x\n",
     "eit-coarse-grid.csv": "command = eit\neit.grid = -1000 1000 5\n",
