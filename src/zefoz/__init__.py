@@ -60,7 +60,6 @@ _EXPORTS = {
                 "frequency_gradient",
                 "level_diagram",
                 "quadratic_model",
-                "transition_frequency",
                 "transition_frequencies",
                 "zefoz_search",
             ),

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 import numpy as np
@@ -287,8 +288,26 @@ _RUNNERS = {
 }
 
 
+def _check_paths(config: RunConfig) -> None:
+    """Reject a run whose ion file, output and line table are not different
+    files: one write would replace another file of the run."""
+    named = {"ion_file": config.ion_file, "output": config.output}
+    if config.spectrum_table_output is not None:
+        named["spectrum.table_output"] = config.spectrum_table_output
+    seen: dict[str, str] = {}  # real path -> key
+    for key, path in named.items():
+        real = os.path.realpath(path)
+        if real in seen:
+            other = seen[real]
+            message = f"{key} {path!r} names the same file as {other} {named[other]!r}"
+            raise ConfigError([(None, message)])
+        seen[real] = key
+
+
 def run(config: RunConfig) -> str:
-    """Execute one config and write its output file; returns the path."""
+    """Execute one config and write its output file; returns the path.
+    The ion file, the output and the line table must be different files."""
+    _check_paths(config)
     try:
         with open(config.ion_file, "r", encoding="utf-8") as handle:
             ion_text = handle.read()

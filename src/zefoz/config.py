@@ -127,6 +127,8 @@ def _axis(min_count: int):
             raise ValueError(f"count must be >= {min_count}, got {count}")
         if stop < start:
             raise ValueError("stop must not be below start")
+        if count > 1 and stop == start:
+            raise ValueError(f"stop must be above start for {count} points")
         return (start, stop, count)
 
     return parse
@@ -243,8 +245,10 @@ class RunConfig:
 
 
 _FIELDS = {f.metadata["key"]: f for f in dataclasses.fields(RunConfig)}
-# (start, stop) key pairs of 1-D scans: stop must not be below start.
-_RANGES = (("diagram.start", "diagram.stop"), ("sweep.start", "sweep.stop"))
+# (start, stop, count) keys of 1-D scans: stop must not be below start, and
+# must be above it when count > 1.
+_RANGES = (("diagram.start", "diagram.stop", "diagram.count"),
+           ("sweep.start", "sweep.stop", "sweep.count"))
 _BOUNDS = ("zefoz.bounds.x", "zefoz.bounds.y", "zefoz.bounds.z")
 
 
@@ -323,11 +327,11 @@ def parse_config(text: str) -> RunConfig:
     for keys in _RANGES:
         if any(key in seen and key not in values for key in keys):
             continue  # already reported as a bad value
-        start, stop = (values.get(key, _FIELDS[key].default) for key in keys)
-        if stop < start:
-            no = seen.get(keys[1], seen.get(keys[0]))
-            message = f"must not be below {keys[0]} = {start!r}, got {stop!r}"
-            errors.append((no, f"{keys[1]}: {message}"))
+        start, stop, count = (values.get(key, _FIELDS[key].default) for key in keys)
+        if stop < start or (count > 1 and stop == start):
+            no = seen.get(keys[1], seen.get(keys[0], seen.get(keys[2])))
+            rule = "must not be below" if stop < start else f"for {count} points must be above"
+            errors.append((no, f"{keys[1]}: {rule} {keys[0]} = {start!r}, got {stop!r}"))
     if errors:
         raise ConfigError(errors)
     config = RunConfig(**{_FIELDS[key].name: value for key, value in values.items()})

@@ -31,13 +31,14 @@ M_y is imaginary, so the y slope and the xy and yz Hessian entries vanish.
 Slopes turn back to the lab as vectors, Hessians as R(phi) H R(phi)^T.
 
 H is axial, so the frame matrix H(B_perp, 0, Bz) does not depend on the
-azimuth: a stack of fields (the search grid, the Newton steps of all
-search seeds, stacked frequencies) is diagonalized once per distinct
-(B_perp, Bz) frame, equal bit for bit, at most ``BLOCK`` frames per call,
-and each field turns its frame's slopes and Hessians by its own azimuth.
-A level diagram takes one eigensystem per field, ``BLOCK`` fields per call
-(``_eigensystems``): its frames along a scan are distinct unless the scan
-crosses zero on x or y.
+azimuth: ``_transition``, the one route from a stack of fields (the
+search grid, the Newton steps of all search seeds, stacked frequencies)
+to transition derivatives, keys the stack's distinct (B_perp, Bz) frames
+once, and each manifold diagonalizes each of them once, equal bit for
+bit, at most ``BLOCK`` frames per call; each field turns its frame's
+slopes and Hessians by its own azimuth. A level diagram takes one
+eigensystem per field, ``BLOCK`` fields per call: its frames along a scan
+are distinct unless the scan crosses zero on x or y.
 """
 
 from __future__ import annotations
@@ -162,152 +163,117 @@ def _check_labels(sel: TransitionSelector, dim_i: int, dim_j: int):
         )
 
 
-def _eigensystems(params: SpinParams, fields: np.ndarray):
-    """Yield (block slice, energies, real eigenvectors, azimuths) over
-    ``fields`` in blocks; each block is diagonalized in the azimuthal
-    frames of its fields (``spins._axial_eigensystems``)."""
-    for start in range(0, len(fields), BLOCK):
-        block = slice(start, min(start + BLOCK, len(fields)))
-        yield (block, *_axial_eigensystems(params, fields[block]))
-
-
-def _frame_derivatives(params: SpinParams, energies: np.ndarray, vectors: np.ndarray,
+def _frame_derivatives(params: SpinParams, b_perp: np.ndarray, bz: np.ndarray,
                        idx: np.ndarray, order: int):
-    """``_level_derivatives`` of the levels ``idx`` (0-based) from a stack of
-    frame eigensystems, energies (U, d) and real vectors (U, d, d): energies
-    (U, L), by order the frame slopes <n|M_i|n> (U, L, 3), gaps (U, L) and
-    frame Hessians (U, L, 3, 3). The couplings come from stacked products
-    with one small matrix product per frame, level and axis, so every frame
-    gets the same bits whatever stack it sits in."""
-    energy = energies[:, idx]
-    if order == 0:
-        return energy, None, None, None
-    edge = np.full((len(energies), 1), np.inf)
-    spacing = np.hstack([edge, np.diff(energies, axis=1), edge])
-    gap = np.minimum(spacing[:, idx], spacing[:, idx + 1])
+    """Energies (U, L) of the levels ``idx`` (0-based) in each frame
+    (B_perp, 0, Bz) of 1-D stacks ``b_perp`` and ``bz`` (U,), diagonalized
+    ``BLOCK`` frames per call; by order, the frame slopes <n|M_i|n> (U, L, 3),
+    the gap (U, L) from each level to its nearer neighbour and the frame
+    Hessians (U, L, 3, 3) of the perturbation sum, which leaves out every
+    level m closer than ``DEGENERACY_GAP`` to n. Parts above ``order`` are
+    None. The couplings come from stacked products with one small matrix
+    product per frame, level and axis, so every frame gets the same bits
+    whatever stack it sits in."""
     zeeman = params.linear_terms.zeeman
     # M_x and M_z are real and M_y imaginary: (M_x, M_y / i, M_z)
     real_zeeman = zeeman.real + zeeman.imag
-    kets = vectors.transpose(0, 2, 1)[:, idx]  # |n>, (U, L, d)
-    bras = (kets[:, :, None, None, :] @ real_zeeman)[:, :, :, 0]  # (U, L, 3, d)
-    coupling = bras @ vectors[:, None]  # <n|M_x|m>, <n|M_y|m>/i, <n|M_z|m>, (U, L, 3, d)
-    own = coupling[:, np.arange(len(idx)), :, idx].transpose(1, 0, 2)  # (U, L, 3)
-    own[..., 1] = 0.0  # <n|M_y|n> of a real |n>: i times an antisymmetric form
-    frame = None
-    if order == 2:
-        split = energies[:, idx, None] - energies[:, None, :]  # E_n - E_m, (U, L, d)
-        weight = np.divide(
-            1.0, split, out=np.zeros_like(split), where=np.abs(split) >= DEGENERACY_GAP
-        )
-        weighted = coupling * weight[:, :, None, :]
-        frame = 2.0 * (weighted @ coupling.swapaxes(2, 3))
-        frame[..., 1, [0, 2]] = frame[..., [0, 2], 1] = 0.0  # real times imaginary
-    return energy, own, gap, frame
+    blocks = []
+    for start in range(0, len(b_perp), BLOCK):
+        block = slice(start, start + BLOCK)
+        energies, vectors = _axial_eigensystems(params, b_perp[block], bz[block])
+        energy = energies[:, idx]
+        if order == 0:
+            blocks.append((energy, None, None, None))
+            continue
+        edge = np.full((len(energies), 1), np.inf)
+        spacing = np.hstack([edge, np.diff(energies, axis=1), edge])
+        gap = np.minimum(spacing[:, idx], spacing[:, idx + 1])
+        kets = vectors.transpose(0, 2, 1)[:, idx]  # |n>, (U, L, d)
+        bras = (kets[:, :, None, None, :] @ real_zeeman)[:, :, :, 0]  # (U, L, 3, d)
+        coupling = bras @ vectors[:, None]  # <n|M_x|m>, <n|M_y|m>/i, <n|M_z|m>, (U, L, 3, d)
+        own = coupling[:, np.arange(len(idx)), :, idx].transpose(1, 0, 2)  # (U, L, 3)
+        own[..., 1] = 0.0  # <n|M_y|n> of a real |n>: i times an antisymmetric form
+        frame = None
+        if order == 2:
+            split = energies[:, idx, None] - energies[:, None, :]  # E_n - E_m, (U, L, d)
+            weight = np.divide(
+                1.0, split, out=np.zeros_like(split), where=np.abs(split) >= DEGENERACY_GAP
+            )
+            weighted = coupling * weight[:, :, None, :]
+            frame = 2.0 * (weighted @ coupling.swapaxes(2, 3))
+            frame[..., 1, [0, 2]] = frame[..., [0, 2], 1] = 0.0  # real times imaginary
+        blocks.append((energy, own, gap, frame))
+    if len(blocks) == 1:
+        return blocks[0]
+    return [None if parts[0] is None else np.concatenate(parts) for parts in zip(*blocks)]
 
 
-def _level_derivatives(
-    params: SpinParams, fields: np.ndarray, labels: tuple[int, ...], order: int
-):
-    """Energies (N, L) of the labelled levels at each field of a stack.
+class _Transition(NamedTuple):
+    """Frequency (N,) in MHz of the selected transition at each field of a
+    stack and, by order, its Hellmann-Feynman slope (N, 3) in MHz/mT, the
+    smallest gap (N,) in MHz from either level to its nearer neighbour, and
+    its Hessian (N, 3, 3) in MHz/mT^2."""
 
-    ``order`` 1 adds the Hellmann-Feynman slopes <n|M_i|n> (N, L, 3) and
-    the gap (N, L) from each level to its nearer neighbour; ``order`` 2
-    adds the Hessians (N, L, 3, 3) of the perturbation sum, which leaves
-    out every level m closer than ``DEGENERACY_GAP`` to n. Parts above
-    ``order`` are None.
+    frequency: np.ndarray
+    slope: np.ndarray | None
+    min_gap: np.ndarray | None
+    hessian: np.ndarray | None
+
+
+def _transition(params, fields: np.ndarray, sel: TransitionSelector, order: int) -> _Transition:
+    """E_j - E_i and its derivatives up to ``order`` at each field of a stack
+    (N, 3).
 
     Fields whose B_perp and Bz are equal bit for bit share one azimuthal
-    frame. Each distinct frame is diagonalized once, ``BLOCK`` frames per
-    call (``_eigensystems``), and ``_frame_derivatives`` takes its
-    derivatives. Each field then turns its frame's slopes and Hessians back
-    to the lab by its own azimuth (see the module docstring), one small
-    matrix product per field, so every field gets the same bits whatever
-    stack it sits in.
+    frame: a stack of two or more is keyed once, and each manifold
+    diagonalizes each distinct frame once (``_frame_derivatives``). Each
+    field then turns its frame's slopes and Hessians back to the lab by its
+    own azimuth (see the module docstring), one small matrix product per
+    field, so every field gets the same bits whatever stack it sits in.
+    The slope is the Hellmann-Feynman difference everywhere; where
+    ``min_gap`` is below ``DEGENERACY_GAP`` it depends on the basis the
+    eigensolver picked inside a degenerate cluster.
     """
-    idx = np.array(labels) - 1
-    if len(fields) < 2:  # one field is its own frame
-        energies, vectors, azimuth = _axial_eigensystems(params, fields)
-        energy, own, gap, frame = _frame_derivatives(params, energies, vectors, idx, order)
-    else:
-        b_perp, azimuth = _azimuthal_frames(fields)
-        bits = np.stack([b_perp, fields[:, 2]], axis=1).view("V16")[:, 0]  # compared bytewise
+    p_i, p_j = _split_params(params, sel)
+    _check_labels(sel, p_i.dimension, (p_j or p_i).dimension)
+    b_perp, azimuth = _azimuthal_frames(fields)
+    bz = fields[:, 2]
+    if len(fields) > 1:
+        bits = np.stack([b_perp, bz], axis=1).view("V16")[:, 0]  # compared bytewise
         _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
-        blocks = [_frame_derivatives(params, energies, vectors, idx, order)
-                  for _, energies, vectors, _ in _eigensystems(params, fields[first])]
-        energy, own, gap, frame = (None if parts[0] is None else np.concatenate(parts)[inverse]
-                                   for parts in zip(*blocks))
+        b_perp, bz = b_perp[first], bz[first]
+    if p_j is None:
+        parts = _frame_derivatives(p_i, b_perp, bz, np.array([sel.level_i, sel.level_j]) - 1,
+                                   order)
+    else:
+        lower = _frame_derivatives(p_i, b_perp, bz, np.array([sel.level_i - 1]), order)
+        upper = _frame_derivatives(p_j, b_perp, bz, np.array([sel.level_j - 1]), order)
+        parts = [None if a is None else np.concatenate([a, b], axis=1) for a, b in zip(lower, upper)]
+    if len(fields) > 1:
+        parts = [None if part is None else part[inverse] for part in parts]
+    energy, own, gap, frame = parts
+    frequency = energy[:, 1] - energy[:, 0]
     if order == 0:
-        return energy, None, None, None
+        return _Transition(frequency, None, None, None)
     cos, sin = azimuth[:, 0], azimuth[:, 1]
     turn = np.zeros((len(azimuth), 1, 3, 3))  # the rotation by phi about z
     turn[:, 0, 0, 0] = turn[:, 0, 1, 1] = cos
     turn[:, 0, 1, 0], turn[:, 0, 0, 1], turn[:, 0, 2, 2] = sin, -sin, 1.0
     slope = (turn @ own[..., None])[..., 0]
     hessian = None if frame is None else turn @ frame @ turn.swapaxes(2, 3)
-    return energy, slope, gap, hessian
-
-
-class _Transition(NamedTuple):
-    """Frequency (N,) in MHz of the selected transition at each field of a
-    stack and, by order, its GradientResult and Hessian (N, 3, 3) in
-    MHz/mT^2."""
-
-    frequency: np.ndarray
-    gradient: GradientResult | None
-    hessian: np.ndarray | None
-
-
-def _transition(params, fields: np.ndarray, sel: TransitionSelector, order: int) -> _Transition:
-    """E_j - E_i and its derivatives up to ``order`` at each field of a stack
-    (N, 3), from one stacked diagonalization per manifold.
-
-    The gradient is the Hellmann-Feynman difference everywhere. It is
-    flagged where a connected level lies closer than ``DEGENERACY_GAP`` to
-    a neighbour: inside a degenerate cluster the slope depends on the basis
-    the eigensolver picked.
-    """
-    p_i, p_j = _split_params(params, sel)
-    if sel.manifold == "optical":
-        _check_labels(sel, p_i.dimension, p_j.dimension)
-        lower = _level_derivatives(p_i, fields, (sel.level_i,), order)
-        upper = _level_derivatives(p_j, fields, (sel.level_j,), order)
-        parts = [
-            None if a is None else np.concatenate([a, b], axis=1) for a, b in zip(lower, upper)
-        ]
-    else:
-        _check_labels(sel, p_i.dimension, p_i.dimension)
-        parts = _level_derivatives(p_i, fields, (sel.level_i, sel.level_j), order)
-    energy, slope, gap, hessian = parts
-    frequency = energy[:, 1] - energy[:, 0]
-    if order == 0:
-        return _Transition(frequency, None, None)
-    min_gap = np.min(gap, axis=1)
-    return _Transition(
-        frequency,
-        GradientResult(
-            vector=slope[:, 1] - slope[:, 0], flagged=min_gap < DEGENERACY_GAP, min_gap=min_gap
-        ),
-        None if hessian is None else hessian[:, 1] - hessian[:, 0],
-    )
+    return _Transition(frequency, slope[:, 1] - slope[:, 0], np.min(gap, axis=1),
+                       None if hessian is None else hessian[:, 1] - hessian[:, 0])
 
 
 def transition_frequencies(params, fields, sel: TransitionSelector) -> np.ndarray:
-    """Frequencies E_j - E_i (MHz) at each field of a stack (N, 3).
-
-    The stacked form of ``transition_frequency``, with the same result
-    bit for bit at every field.
-    """
-    return _transition(params, as_fields(fields), sel, 0).frequency
-
-
-def transition_frequency(params, field, sel: TransitionSelector) -> float:
-    """Frequency E_j - E_i (MHz) from fresh diagonalization at ``field``.
+    """Frequencies E_j - E_i (MHz) at each field of a stack (N, 3), each
+    the same bits as in a one-field stack.
 
     Optical selectors return E_excited - E_ground. ``params`` may be a
     SpinParams (same-manifold selectors) or an IonParams (required for
     optical).
     """
-    return float(transition_frequencies(params, as_field(field)[None], sel)[0])
+    return _transition(params, as_fields(fields), sel, 0).frequency
 
 
 def frequency_gradient(params, field, sel: TransitionSelector) -> GradientResult:
@@ -318,10 +284,10 @@ def frequency_gradient(params, field, sel: TransitionSelector) -> GradientResult
     level lies closer than ``DEGENERACY_GAP`` MHz to a neighbour: the value
     then depends on the eigensolver's basis inside the degenerate cluster.
     """
-    g = _transition(params, as_field(field)[None], sel, 1).gradient
-    return GradientResult(
-        vector=g.vector[0], flagged=bool(g.flagged[0]), min_gap=float(g.min_gap[0])
-    )
+    state = _transition(params, as_field(field)[None], sel, 1)
+    min_gap = float(state.min_gap[0])
+    return GradientResult(vector=state.slope[0], flagged=min_gap < DEGENERACY_GAP,
+                          min_gap=min_gap)
 
 
 def _curvature_matrix(hessian: np.ndarray) -> np.ndarray:
@@ -390,9 +356,9 @@ def _newton_refine(
     stop = np.array([bounds.axis(k).stop for k in free])
     state = _transition(params, points, sel, 2)
     frequency, hessian = state.frequency, state.hessian
-    grad = state.gradient.vector[:, free]
+    grad = state.slope[:, free]
     norm = np.max(np.abs(grad), axis=1)
-    flagged = state.gradient.flagged
+    flagged = state.min_gap < DEGENERACY_GAP
     failed = np.zeros(len(points), dtype=bool)
     live = np.arange(len(points))
     for _ in range(max_iter):
@@ -415,7 +381,7 @@ def _newton_refine(
             moved = np.where(start > moved, start, moved)  # clip into bounds
             trial[:, free] = np.where(stop < moved, stop, moved)
             trial_state = _transition(params, trial, sel, 2)
-            trial_grad = trial_state.gradient.vector[:, free]
+            trial_grad = trial_state.slope[:, free]
             trial_norm = np.max(np.abs(trial_grad), axis=1)
             better = trial_norm < norm[trying]
             took = trying[better]
@@ -424,7 +390,7 @@ def _newton_refine(
             hessian[took] = trial_state.hessian[better]
             grad[took] = trial_grad[better]
             norm[took] = trial_norm[better]
-            flagged[took] = trial_state.gradient.flagged[better]
+            flagged[took] = trial_state.min_gap[better] < DEGENERACY_GAP
             pending[pending] = ~better
         live = live[~pending]  # no damped step helped: the seed stops
     found: list[ZefozPoint | None] = []
@@ -454,7 +420,7 @@ def _search_seeds(params, sel: TransitionSelector, start: np.ndarray, bounds: Fi
     """``start``, then the midpoint of every bracket where a free gradient
     component changes sign between neighbours of the ``bounds`` grid."""
     grid_points = bounds.points()
-    grads = _transition(params, grid_points, sel, 1).gradient.vector[:, free]
+    grads = _transition(params, grid_points, sel, 1).slope[:, free]
     seeds = [start]
     shape = tuple(bounds.axis(k).count for k in range(3))
     grads_nd = grads.reshape(shape + (len(free),))
@@ -608,8 +574,13 @@ def level_diagram(params: SpinParams, grid: FieldGrid) -> LevelDiagram:
     energies = np.zeros((len(points), params.dimension))
     flags = np.zeros(len(points), dtype=bool)
     order = np.arange(params.dimension)  # eigensolver column of each label
-    for block, block_energies, block_vectors, block_azimuth in _eigensystems(params, points):
-        if block.start == 0:
+    b_perp, azimuths = _azimuthal_frames(points)
+    for start in range(0, len(points), BLOCK):
+        block = slice(start, min(start + BLOCK, len(points)))
+        block_energies, block_vectors = _axial_eigensystems(params, b_perp[block],
+                                                            points[block, 2])
+        block_azimuth = azimuths[block]
+        if start == 0:
             energies[0] = block_energies[0]
             chain, azimuth = block_vectors, block_azimuth
         else:
@@ -633,7 +604,7 @@ def level_diagram(params: SpinParams, grid: FieldGrid) -> LevelDiagram:
                 order = _min_cost_assignment(-tracked)
                 worst = tracked[np.arange(len(order)), order].min()
             k = first + s
-            energies[k] = block_energies[k - block.start][order]
+            energies[k] = block_energies[k - start][order]
             flags[k] = worst < OVERLAP_THRESHOLD
         last_vectors, last_azimuth = block_vectors[-1], block_azimuth[-1:]
     return LevelDiagram(field_points=points, energies=energies, low_overlap=flags)

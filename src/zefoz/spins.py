@@ -17,8 +17,9 @@ module-level cache. Each ``SpinParams`` caches its real H0, summed once,
 and the Zeeman operators M_i = dH/dB_i, read-only (``linear_terms``).
 H is axial, so every eigensystem is solved in the field's azimuthal
 frame, where the field is (B_perp, 0, Bz) and H is real symmetric: the
-package has one eigensolver, ``_axial_eigensystems`` (``fieldmap`` feeds
-it fixed-size blocks). ``ion_levels``, the one route from a
+package has one eigensolver, ``_axial_eigensystems``, on the (B_perp, Bz)
+frames that ``_azimuthal_frames`` gives (``fieldmap`` feeds it blocks of
+frames). ``ion_levels``, the one route from a
 ``SpinParams`` and one field to a labelled ``LevelSet``, maps its vectors
 to the lab frame and is the one place that fixes their gauge.
 ``build_hamiltonian`` assembles the lab-frame matrix H(B). The field
@@ -219,10 +220,11 @@ class FieldGrid:
         return np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
 
     def contains(self, point: np.ndarray) -> bool:
-        """Whether ``point`` lies in the box, to within 1e-9 mT of its edges."""
+        """Whether ``point`` lies between the first and last grid values of
+        every axis (on a one-point axis, at its value), to within 1e-9 mT."""
         for k in range(3):
-            ax = self.axis(k)
-            if not (ax.start - 1e-9 <= point[k] <= ax.stop + 1e-9):
+            values = self.axis(k).values()
+            if not (values[0] - 1e-9 <= point[k] <= values[-1] + 1e-9):
                 return False
         return True
 
@@ -302,19 +304,17 @@ def _azimuthal_frames(fields: np.ndarray):
     return b_perp, azimuth
 
 
-def _axial_eigensystems(params: SpinParams, fields: np.ndarray):
-    """Energies (N, d), real eigenvectors (N, d, d) and azimuths (N, 2) of
-    a stack of fields (N, 3), each in its field's azimuthal frame: H(B) =
-    U H(B') U^dagger with U = exp(-i phi F_z), the azimuth phi of
-    ``_azimuthal_frames`` and B' = (B_perp, 0, Bz). H(B') is summed element
-    by element from real terms, so it is exactly symmetric and a field
-    gets the same bits in any stack."""
+def _axial_eigensystems(params: SpinParams, b_perp: np.ndarray, bz: np.ndarray):
+    """Energies (N, d) and real eigenvectors (N, d, d) of the frame matrices
+    H(B_perp, 0, Bz) of 1-D stacks ``b_perp`` and ``bz`` (N,). A field B
+    with the B_perp and azimuth phi of ``_azimuthal_frames`` has H(B) =
+    U H(B_perp, 0, Bz) U^dagger with U = exp(-i phi F_z). The frame matrix
+    is summed element by element from real terms, so it is exactly
+    symmetric and a frame gets the same bits in any stack."""
     terms = params.linear_terms
-    b_perp, azimuth = _azimuthal_frames(fields)
     h = (terms.h0 + b_perp[:, None, None] * terms.zeeman[0].real
-         + fields[:, 2, None, None] * terms.zeeman[2].real)
-    energies, vectors = np.linalg.eigh(h)
-    return energies, vectors, azimuth
+         + bz[:, None, None] * terms.zeeman[2].real)
+    return np.linalg.eigh(h)
 
 
 def _azimuthal_phases(params: SpinParams, azimuth: np.ndarray) -> np.ndarray:
@@ -335,7 +335,9 @@ def ion_levels(params: SpinParams, field) -> LevelSet:
     makes its largest component real and >= 0. Within a degenerate
     cluster only the spanned subspace should be relied on.
     """
-    energies, vectors, azimuth = _axial_eigensystems(params, as_field(field)[None])
+    fields = as_field(field)[None]
+    b_perp, azimuth = _azimuthal_frames(fields)
+    energies, vectors = _axial_eigensystems(params, b_perp, fields[:, 2])
     vectors, phases = vectors[0], _azimuthal_phases(params, azimuth[0])
     # the lab-frame pivot is phases[pivot] * vectors[pivot]: undo its phase
     pivot = np.argmax(np.abs(vectors), axis=0)

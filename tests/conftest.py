@@ -25,18 +25,18 @@ from zefoz import (
     boltzmann_weights,
     build_hamiltonian,
     ion_levels,
-    transition_frequency,
+    transition_frequencies,
     zefoz_search,
 )
+from zefoz import fieldmap
 from zefoz.eit import _WEIDEMAN_COEFFICIENTS, _WEIDEMAN_L, GAUSSIAN_FWHM_TO_SIGMA
 from zefoz.fieldmap import (
     DEGENERACY_GAP,
     ZefozPoint,
     _curvature_matrix,
-    _eigensystems,
     _transition,
 )
-from zefoz.spins import _azimuthal_phases
+from zefoz.spins import _axial_eigensystems, _azimuthal_frames, _azimuthal_phases
 from zefoz.transitions import gaussian_profile, lorentzian_profile
 
 ND_GROUND = dict(
@@ -110,14 +110,20 @@ def analytic_clock_frequency(params: SpinParams, bz: float) -> float:
     return float(np.sqrt(detuning**2 + 7.0 * params.B_hf**2))
 
 
+def frequency_at(params, field, sel) -> float:
+    """The selected transition frequency (MHz) at one field, as a
+    one-field stack."""
+    return float(transition_frequencies(params, np.asarray(field, dtype=float)[None], sel)[0])
+
+
 def central_difference(params, field, sel, step: float) -> np.ndarray:
     """Gradient oracle (MHz/mT): central first differences, one
-    transition_frequency call per point."""
+    ``frequency_at`` call per point."""
     field = np.asarray(field, dtype=float)
     return np.array(
         [
-            (transition_frequency(params, field + offset, sel)
-             - transition_frequency(params, field - offset, sel)) / (2.0 * step)
+            (frequency_at(params, field + offset, sel)
+             - frequency_at(params, field - offset, sel)) / (2.0 * step)
             for offset in step * np.eye(3)
         ]
     )
@@ -164,24 +170,20 @@ def tracked_levels(single: SpinParams, grid: FieldGrid, overlap_threshold: float
     dim = single.dimension
     energies = np.zeros((len(points), dim))
     flags = np.zeros(len(points), dtype=bool)
-    prev_vectors = None
-    for block, block_energies, block_vectors, azimuth in _eigensystems(single, points):
-        lab = _azimuthal_phases(single, azimuth)[:, :, None] * block_vectors
-        for k, (level_energies, vectors) in enumerate(
-            zip(block_energies, lab), start=block.start
-        ):
-            if prev_vectors is None:
-                energies[0] = level_energies
-                prev_vectors = vectors
-                continue
-            overlap = np.abs(prev_vectors.conj().T @ vectors)
-            rows, cols = linear_sum_assignment(-overlap)
-            order = np.empty(dim, dtype=int)
-            order[rows] = cols
-            energies[k] = level_energies[order]
-            prev_vectors = vectors[:, order]
-            if float(overlap[rows, cols].min()) < overlap_threshold:
-                flags[k] = True
+    b_perp, azimuth = _azimuthal_frames(points)
+    all_energies, all_vectors = _axial_eigensystems(single, b_perp, points[:, 2])
+    lab = _azimuthal_phases(single, azimuth)[:, :, None] * all_vectors
+    energies[0] = all_energies[0]
+    prev_vectors = lab[0]
+    for k in range(1, len(points)):
+        overlap = np.abs(prev_vectors.conj().T @ lab[k])
+        rows, cols = linear_sum_assignment(-overlap)
+        order = np.empty(dim, dtype=int)
+        order[rows] = cols
+        energies[k] = all_energies[k][order]
+        prev_vectors = lab[k][:, order]
+        if float(overlap[rows, cols].min()) < overlap_threshold:
+            flags[k] = True
     return energies, flags
 
 
@@ -198,6 +200,19 @@ def lab_frame_derivatives(params: SpinParams, field):
                        where=np.abs(split) >= DEGENERACY_GAP)
     hessian = 2.0 * np.einsum("nam,nm,nbm->nab", coupling, weight, coupling.conj()).real
     return energies, np.einsum("nan->na", coupling).real, hessian
+
+
+def count_diagonalizations(monkeypatch) -> list[int]:
+    """Frames per stacked diagonalization made by fieldmap from now on."""
+    sizes: list[int] = []
+    original = fieldmap._axial_eigensystems
+
+    def counting(params, b_perp, bz):
+        sizes.append(len(b_perp))
+        return original(params, b_perp, bz)
+
+    monkeypatch.setattr(fieldmap, "_axial_eigensystems", counting)
+    return sizes
 
 
 def newton_step_oracle(jac: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -223,7 +238,7 @@ def newton_refine_oracle(params, sel, start, bounds, free, tol, max_iter):
 
     def evaluate(point):
         state = _transition(params, point[None], sel, 2)
-        return state, state.gradient.vector[0, free]
+        return state, state.slope[0, free]
 
     clipped = False
     point = start.copy()
@@ -251,7 +266,7 @@ def newton_refine_oracle(params, sel, start, bounds, free, tol, max_iter):
         if not improved:
             break
     residual = float(np.max(np.abs(grad)))
-    if residual > tol or state.gradient.flagged[0]:
+    if residual > tol or state.min_gap[0] < DEGENERACY_GAP:
         return None, clipped
     curv = _curvature_matrix(state.hessian[0])
     diag = np.diag(curv).copy()

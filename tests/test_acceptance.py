@@ -26,12 +26,11 @@ from zefoz import (
     quadratic_model,
     spin_linewidth,
     state_composition,
-    transition_frequency,
     transition_table,
     zefoz_search,
 )
 
-from conftest import feature_fwhm, local_max_indices
+from conftest import feature_fwhm, frequency_at, local_max_indices
 from test_properties import gradient_deviations, random_params
 
 
@@ -243,7 +242,7 @@ def test_criterion_9_property_suite(nd_ground, clock_selector, timed_search):
                 offset = np.array([dx, dy, dz])
                 if np.linalg.norm(offset) > 2.0:
                     continue
-                exact = transition_frequency(
+                exact = frequency_at(
                     nd_ground, z.field + offset, clock_selector
                 )
                 worst_quad = max(worst_quad, abs(quadratic_model(z, offset) - exact))

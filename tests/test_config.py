@@ -180,6 +180,24 @@ def test_inverted_scan_range_reports_the_line_of_the_key_given(ion_file):
     assert [line for line, _ in err.value.problems] == [3]  # only the bad number
 
 
+def test_a_scan_of_several_points_needs_stop_above_start(ion_file):
+    body = f"command = diagram\nion_file = {ion_file}\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(body + "diagram.start = 5\ndiagram.count = 3\ndiagram.stop = 5\n")
+    assert err.value.problems == [
+        (5, "diagram.stop: for 3 points must be above diagram.start = 5.0, got 5.0")
+    ]
+    with pytest.raises(ConfigError) as err:
+        parse_config(body + "spectrum.grid = 5 5 3\n")
+    assert err.value.problems == [
+        (3, "spectrum.grid: stop must be above start for 3 points")
+    ]
+    # one point: stop may equal start
+    one = parse_config(body + "diagram.start = 5\ndiagram.stop = 5\ndiagram.count = 1\n"
+                       "spectrum.grid = 5 5 1\nzefoz.bounds.z = 50 50 1\n")
+    assert (one.diagram_start, one.diagram_stop, one.spectrum_grid) == (5.0, 5.0, (5.0, 5.0, 1))
+
+
 def test_zefoz_and_lambda_default_to_records(ion_file):
     cfg = parse_config(f"command = zefoz\nion_file = {ion_file}\n")
     assert cfg.out_format == "json-records"
@@ -524,6 +542,35 @@ def test_cli_spectrum_also_writes_line_table(tmp_path, ion_file):
     assert sum(weights.values()) == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize(
+    "command, entry, out, message",
+    [
+        ("levels", "output = {ion}", None, "output {ion!r} names the same file as ion_file"),
+        ("zefoz", "", "{ion}", "output {ion!r} names the same file as ion_file"),
+        ("levels", "", "{dir}/./nd.ion",
+         "output '{dir}/./nd.ion' names the same file as ion_file {ion!r}"),
+        ("spectrum", "spectrum.table_output = {ion}", "{dir}/out.csv",
+         "spectrum.table_output {ion!r} names the same file as ion_file"),
+        ("spectrum", "spectrum.table_output = {dir}/out.csv", "{dir}/out.csv",
+         "spectrum.table_output '{dir}/out.csv' names the same file as output"),
+    ],
+    ids=["output-key", "out-flag", "other-spelling", "table-on-ion-file", "table-on-output"],
+)
+def test_cli_rejects_an_output_that_names_another_file_of_the_run(
+    tmp_path, ion_file, capsys, command, entry, out, message
+):
+    # before writing anything: the ion file stays as it was, no table is written
+    names = {"ion": ion_file, "dir": str(tmp_path)}
+    body = f"command = {command}\nion_file = {ion_file}\n{entry.format(**names)}\n"
+    argv = ["--config", _config(tmp_path, body)]
+    if out is not None:
+        argv += ["--out", out.format(**names)]
+    assert main(argv) == 2
+    assert f"config error: {message.format(**names)}" in capsys.readouterr().err
+    assert open(ion_file, encoding="utf-8").read() == ION_TEXT
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["nd.ion", "run.cfg"]
+
+
 def test_cli_exit_code_config_error(tmp_path, capsys):
     code = main(["--config", _config(tmp_path, "command = levels\nbogus = 1\n")])
     assert code == 2
@@ -553,6 +600,12 @@ def test_cli_exit_code_computation_error(tmp_path, ion_file):
         ("sweep", "sweep.stop = 50"),
         # the stop key's line is reported, wherever the start key is
         ("diagram", "diagram.stop = 1\ndiagram.start = 5"),
+        # a scan of several points needs stop above start
+        ("eit", "eit.grid = 5 5 3"),
+        ("spectrum", "spectrum.grid = 5 5 3"),
+        ("zefoz", "zefoz.bounds.z = 50 50 3"),
+        ("diagram", "diagram.stop = 5\ndiagram.start = 5"),
+        ("sweep", "sweep.stop = 60\nsweep.start = 60"),
     ],
 )
 def test_cli_rejects_bad_values_at_parse_time(tmp_path, ion_file, capsys, command, entry):
@@ -572,6 +625,9 @@ def test_cli_rejects_bad_values_at_parse_time(tmp_path, ion_file, capsys, comman
         # the default start: the bound that leaves it out is named
         ("eit", "zefoz.bounds.z = 60 100 36", 3,
          "zefoz.start: 0.0 0.0 50.0 lies outside zefoz.bounds"),
+        # a one-point axis holds its start only, not the range up to its stop
+        ("zefoz", "zefoz.bounds.x = 0 5 1\nzefoz.start = 3 0 50", 4,
+         "zefoz.start: 3.0 0.0 50.0 lies outside zefoz.bounds"),
     ],
 )
 def test_cli_rejects_an_unsearchable_zefoz_box_at_parse_time(

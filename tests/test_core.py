@@ -14,6 +14,7 @@ from zefoz import (
     AxisGrid,
     FieldGrid,
     InvalidParameterError,
+    IonParams,
     SpinParams,
     TransitionSelector,
     build_hamiltonian,
@@ -21,7 +22,6 @@ from zefoz import (
     frequency_gradient,
     ion_levels,
     transition_frequencies,
-    transition_frequency,
     zefoz_search,
 )
 from zefoz import fieldmap, spins
@@ -34,7 +34,13 @@ from zefoz.operators import (
     spin_matrices,
 )
 
-from conftest import ND_EXCITED, ND_GROUND, lab_frame_derivatives
+from conftest import (
+    ND_EXCITED,
+    ND_GROUND,
+    count_diagonalizations,
+    frequency_at,
+    lab_frame_derivatives,
+)
 
 
 def same_bits(a, b) -> bool:
@@ -67,11 +73,11 @@ def term_by_term_hamiltonian(params: SpinParams, field) -> np.ndarray:
 
 def pointwise_curvatures(params, field, sel, step: float = 0.5) -> np.ndarray:
     """Richardson-extrapolated central second differences, one
-    transition_frequency call per stencil point."""
+    ``frequency_at`` call per stencil point."""
     b = np.asarray(field, dtype=float)
 
     def freq(point):
-        return transition_frequency(params, point, sel)
+        return frequency_at(params, point, sel)
 
     def unit(axis, h):
         e = np.zeros(3)
@@ -202,6 +208,13 @@ def test_spin_operators_are_built_once_per_spin_pair(monkeypatch):
 # ------------------------------------------------------------- eigen kernel
 
 
+def frame_eigensystems(params: SpinParams, fields: np.ndarray):
+    """Energies (N, d), real vectors (N, d, d) and azimuths (N, 2) of a
+    field stack, each field diagonalized in its azimuthal frame."""
+    b_perp, azimuth = spins._azimuthal_frames(fields)
+    return (*spins._axial_eigensystems(params, b_perp, fields[:, 2]), azimuth)
+
+
 def test_stacked_eigensystems_match_per_matrix_solves_bit_for_bit():
     # lockstep Newton solves the trial points of every seed in one stack,
     # so a field's energies, vectors and azimuth must not depend on it
@@ -210,9 +223,9 @@ def test_stacked_eigensystems_match_per_matrix_solves_bit_for_bit():
     for _ in range(30):
         params = awkward_params(rng, nuclear_spin=3.5)
         fields = awkward_fields(rng)
-        stacked = spins._axial_eigensystems(params, fields)
+        stacked = frame_eigensystems(params, fields)
         for k in range(len(fields)):
-            single = spins._axial_eigensystems(params, fields[k][None])
+            single = frame_eigensystems(params, fields[k][None])
             for whole, alone in zip(stacked, single):
                 assert same_bits(whole[k], alone[0])
             saw_cluster |= bool(np.any(np.diff(stacked[0][k]) < 1e-6))
@@ -225,11 +238,11 @@ def test_stacked_eigensystems_match_per_matrix_solves_bit_for_bit():
 def test_zero_field_clusters_are_orthonormal_and_stack_independent(state, nuclear_spin):
     params = SpinParams(**{**state, "nuclear_spin": nuclear_spin})
     dim = params.dimension
-    energies, vectors, _ = spins._axial_eigensystems(params, np.zeros((3, 3)))
+    energies, vectors = spins._axial_eigensystems(params, np.zeros(3), np.zeros(3))
     # every |m_F| > 0 pair is degenerate, two m_F = 0 levels are not:
     # seven exact pairs at I = 7/2
     assert np.sum(np.diff(energies[0]) < 1e-6) == dim // 2 - 1
-    single_e, single_v, _ = spins._axial_eigensystems(params, np.zeros((1, 3)))
+    single_e, single_v = spins._axial_eigensystems(params, np.zeros(1), np.zeros(1))
     for k in range(3):
         assert same_bits(energies[k], single_e[0]) and same_bits(vectors[k], single_v[0])
         assert np.max(np.abs(vectors[k].T @ vectors[k] - np.eye(dim))) < 1e-12
@@ -248,7 +261,7 @@ def test_ion_levels_is_the_matching_row_of_a_stacked_solve():
     for _ in range(5):
         params = awkward_params(rng)
         fields = axis_fields(rng)
-        energies, vectors, azimuth = spins._axial_eigensystems(params, fields)
+        energies, vectors, azimuth = frame_eigensystems(params, fields)
         lab = spins._azimuthal_phases(params, azimuth)[:, :, None] * vectors
         basis = product_basis(params.nuclear_spin, params.electron_spin)
         for k, field in enumerate(fields):
@@ -281,20 +294,20 @@ def test_azimuthal_frame_matrix_is_exactly_real_symmetric(monkeypatch):
     for _ in range(20):
         params = awkward_params(rng)
         fields = axis_fields(rng)
-        _, _, azimuth = spins._axial_eigensystems(params, fields)
+        _, _, azimuth = frame_eigensystems(params, fields)
         stacked = seen.pop()
         assert stacked.dtype == np.float64
         assert np.array_equal(stacked, stacked.transpose(0, 2, 1))
         phases = spins._azimuthal_phases(params, azimuth)
         for k, field in enumerate(fields):
-            spins._axial_eigensystems(params, field[None])
+            frame_eigensystems(params, field[None])
             assert same_bits(seen.pop()[0], stacked[k])
             lab = build_hamiltonian(params, field)
             turned = phases[k].conj()[:, None] * lab * phases[k][None, :]
             bound = 8.0 * np.finfo(float).eps * max(1.0, np.max(np.abs(lab)))
             assert np.max(np.abs(turned - stacked[k])) <= bound
     # the turned field is (B_perp, 0, Bz): the azimuth is exact on the axes
-    assert np.array_equal(spins._axial_eigensystems(params, np.eye(3))[2],
+    assert np.array_equal(spins._azimuthal_frames(np.eye(3))[1],
                           [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
 
 
@@ -309,18 +322,24 @@ def test_azimuthal_frame_matches_the_lab_frame_eigensystem():
     for _ in range(30):
         params = awkward_params(rng)
         fields = axis_fields(rng)
-        labels = tuple(range(1, params.dimension + 1))
-        energy, slope, gap, hessian = fieldmap._level_derivatives(params, fields, labels, 2)
+        b_perp, azimuth = spins._azimuthal_frames(fields)
+        energy, own, gap, frame = fieldmap._frame_derivatives(
+            params, b_perp, fields[:, 2], np.arange(params.dimension), 2
+        )
         zeeman = max(np.linalg.norm(m, 2) for m in params.linear_terms.zeeman)
         for k, field in enumerate(fields):
+            # R(phi) turns the frame's slopes and Hessians back to the lab
+            cos, sin = azimuth[k]
+            turn = np.array([[cos, -sin, 0.0], [sin, cos, 0.0], [0.0, 0.0, 1.0]])
+            slope, hessian = own[k] @ turn.T, turn @ frame[k] @ turn.T
             lab_energy, lab_slope, lab_hessian = lab_frame_derivatives(params, field)
             scale = max(1.0, np.max(np.abs(lab_energy)))
             assert np.max(np.abs(energy[k] - lab_energy)) <= 1e-12 * scale
             clear = gap[k] >= DEGENERACY_GAP
             growth = 64.0 * eps * (1.0 + scale / gap[k][clear])
-            assert np.all(np.abs(slope[k][clear] - lab_slope[clear])
+            assert np.all(np.abs(slope[clear] - lab_slope[clear])
                           <= (zeeman * growth)[:, None])
-            assert np.all(np.abs(hessian[k][clear] - lab_hessian[clear])
+            assert np.all(np.abs(hessian[clear] - lab_hessian[clear])
                           <= (zeeman**2 / gap[k][clear] * growth)[:, None, None])
             checked += int(clear.sum())
     assert checked > 1000
@@ -339,7 +358,7 @@ def test_stacked_frequencies_match_single_fields_across_blocks(nd_ion):
     fields = rng.uniform(-80.0, 80.0, size=(2 * BLOCK + 5, 3))
     for sel in (TransitionSelector("ground", 8, 10), TransitionSelector("optical", 3, 9)):
         stacked = transition_frequencies(nd_ion, fields, sel)
-        pointwise = np.array([transition_frequency(nd_ion, f, sel) for f in fields])
+        pointwise = np.array([frequency_at(nd_ion, f, sel) for f in fields])
         assert same_bits(stacked, pointwise)
 
 
@@ -413,19 +432,6 @@ def test_curvatures_match_pointwise_differences_on_awkward_parameters():
         assert np.max(np.abs(analytic - oracle)) < 1e-3
 
 
-def count_diagonalizations(monkeypatch) -> list[int]:
-    """Matrices per stacked diagonalization made by fieldmap from now on."""
-    sizes: list[int] = []
-    original = fieldmap._axial_eigensystems
-
-    def counting(params, fields):
-        sizes.append(len(fields))
-        return original(params, fields)
-
-    monkeypatch.setattr(fieldmap, "_axial_eigensystems", counting)
-    return sizes
-
-
 def test_each_field_costs_one_diagonalization(nd_ground, zefoz_point, monkeypatch):
     sel = TransitionSelector("ground", 8, 10)
     sizes = count_diagonalizations(monkeypatch)
@@ -454,30 +460,71 @@ def frame_images(fields: np.ndarray) -> np.ndarray:
     return np.array(images)
 
 
+def frame_keys(fields: np.ndarray) -> set[bytes]:
+    """The distinct (B_perp, Bz) frames of a field stack, compared bytewise."""
+    return set(map(bytes, np.stack([np.hypot(fields[:, 0], fields[:, 1]), fields[:, 2]], 1)))
+
+
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_level_derivatives_of_a_field_do_not_depend_on_its_stack(order, monkeypatch):
     # lockstep Newton evaluates each seed in stacks of every size and
     # relies on each field getting the bits of a one-field call, also
-    # where fields of the stack share one diagonalized frame
+    # where fields of the stack share one diagonalized frame: each frame's
+    # level derivatives, and each field's transition derivatives
     rng = np.random.default_rng(12)
     sizes = count_diagonalizations(monkeypatch)
-    for labels in ((8, 10), (3,), (1, 16)):
-        params = awkward_params(rng, nuclear_spin=3.5)
+    for sel in (TransitionSelector("ground", 8, 10), TransitionSelector("optical", 3, 12),
+                TransitionSelector("ground", 1, 16)):
+        params = ground = awkward_params(rng, nuclear_spin=3.5)
+        if sel.manifold == "optical":
+            params = IonParams(ground, awkward_params(rng, nuclear_spin=3.5))
+        manifolds = 2 if sel.manifold == "optical" else 1
+        levels = np.array([sel.level_i, sel.level_j]) - 1
         fields = np.concatenate([axis_fields(rng), rng.uniform(-100.0, 100.0, (BLOCK, 3))])
         mirrored = frame_images(fields[:28])
-        frames = np.stack([np.hypot(mirrored[:, 0], mirrored[:, 1]), mirrored[:, 2]], axis=1)
         for stack in (fields, mirrored):
             sizes.clear()
-            stacked = fieldmap._level_derivatives(params, stack, labels, order)
+            stacked = fieldmap._transition(params, stack, sel, order)
             if stack is mirrored:
-                assert sum(sizes) == len(set(map(bytes, frames)))
+                assert sum(sizes) == manifolds * len(frame_keys(stack))
+            b_perp = np.hypot(stack[:, 0], stack[:, 1])
+            framed = fieldmap._frame_derivatives(ground, b_perp, stack[:, 2], levels, order)
             for k in range(len(stack)):
-                single = fieldmap._level_derivatives(params, stack[k:k + 1], labels, order)
-                for whole, part in zip(stacked, single):
+                single = fieldmap._transition(params, stack[k:k + 1], sel, order)
+                alone = fieldmap._frame_derivatives(
+                    ground, b_perp[k:k + 1], stack[k:k + 1, 2], levels, order
+                )
+                for whole, part in (*zip(stacked, single), *zip(framed, alone)):
                     if whole is None:
                         assert part is None
                     else:
                         assert same_bits(whole[k:k + 1], part)
+
+
+def test_an_optical_stack_is_keyed_once(nd_ion, monkeypatch):
+    # both manifolds diagonalize the same distinct frames: the stack's
+    # azimuthal frames and their key are computed once per call
+    calls = []
+    frames, unique = fieldmap._azimuthal_frames, np.unique
+
+    def counting_frames(fields):
+        calls.append("frames")
+        return frames(fields)
+
+    def counting_unique(*args, **kwargs):
+        calls.append("key")
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(fieldmap, "_azimuthal_frames", counting_frames)
+    monkeypatch.setattr(np, "unique", counting_unique)
+    sizes = count_diagonalizations(monkeypatch)
+    fields = frame_images(np.array([[1.0, 2.0, 60.0], [0.5, -3.0, 40.0]]))
+    sel = TransitionSelector("optical", 8, 9)
+    stacked = transition_frequencies(nd_ion, fields, sel)
+    assert calls == ["frames", "key"]
+    distinct = len(frame_keys(fields))
+    assert distinct < len(fields) and sizes == [distinct, distinct]
+    assert same_bits(stacked, np.array([frequency_at(nd_ion, f, sel) for f in fields]))
 
 
 def test_search_diagonalizes_each_newton_step_of_every_seed_at_once(nd_ground, monkeypatch):

@@ -24,7 +24,6 @@ from zefoz import (
     ion_levels,
     level_diagram,
     quadratic_model,
-    transition_frequency,
     zefoz_search,
 )
 
@@ -36,6 +35,8 @@ from conftest import (
     ND_GROUND,
     analytic_clock_frequency,
     central_difference,
+    count_diagonalizations,
+    frequency_at,
     newton_refine_oracle,
     newton_step_oracle,
     tracked_levels,
@@ -44,7 +45,7 @@ from conftest import (
 
 def test_transition_frequency_matches_block_formula(nd_ground, clock_selector):
     for bz in (40.0, 55.0, 63.6, 80.0, 100.0):
-        exact = transition_frequency(nd_ground, (0.0, 0.0, bz), clock_selector)
+        exact = frequency_at(nd_ground, (0.0, 0.0, bz), clock_selector)
         assert exact == pytest.approx(analytic_clock_frequency(nd_ground, bz), abs=1e-9)
 
 
@@ -56,14 +57,14 @@ def test_same_level_selector_rejected():
 def test_label_out_of_range(nd_ground):
     sel = TransitionSelector("ground", 1, 17)
     with pytest.raises(InvalidParameterError):
-        transition_frequency(nd_ground, (0.0, 0.0, 10.0), sel)
+        frequency_at(nd_ground, (0.0, 0.0, 10.0), sel)
 
 
 def test_optical_selector_needs_ion_params(nd_ground, nd_ion):
     sel = TransitionSelector("optical", 8, 9)
     with pytest.raises(InvalidParameterError):
-        transition_frequency(nd_ground, (0.0, 0.0, 10.0), sel)
-    freq = transition_frequency(nd_ion, (0.0, 0.0, 63.6), sel)
+        frequency_at(nd_ground, (0.0, 0.0, 10.0), sel)
+    freq = frequency_at(nd_ion, (0.0, 0.0, 63.6), sel)
     assert np.isfinite(freq)
 
 
@@ -116,14 +117,7 @@ def test_derivatives_at_a_degenerate_field_take_one_eigensystem(
     expected = fieldmap._curvature_matrix(
         fieldmap._transition(nd_ground, field, clock_selector, 2).hessian[0]
     )
-    sizes = []
-    original = fieldmap._axial_eigensystems
-
-    def counting(params, fields):
-        sizes.append(len(fields))
-        return original(params, fields)
-
-    monkeypatch.setattr(fieldmap, "_axial_eigensystems", counting)
+    sizes = count_diagonalizations(monkeypatch)
     matrix = frequency_curvatures(nd_ground, field[0], clock_selector)
     assert sizes == [1]
     assert np.array_equal(matrix, expected)
@@ -157,14 +151,14 @@ def test_curvatures_match_quadratic_fit(nd_ground, clock_selector, zefoz_point):
     # must reproduce the curvature matrix to 2%
     rng = np.random.default_rng(7)
     center = zefoz_point.field
-    w0 = transition_frequency(nd_ground, center, clock_selector)
+    w0 = frequency_at(nd_ground, center, clock_selector)
     offsets = rng.normal(size=(80, 3))
     offsets *= (2.0 * rng.uniform(0.3, 1.0, size=(80, 1))) / np.linalg.norm(
         offsets, axis=1, keepdims=True
     )
     values = np.array(
         [
-            transition_frequency(nd_ground, center + d, clock_selector) - w0
+            frequency_at(nd_ground, center + d, clock_selector) - w0
             for d in offsets
         ]
     )
@@ -205,7 +199,7 @@ def test_quadratic_model_values(clock_selector):
 
 
 def test_quadratic_model_tracks_exact_frequency(nd_ground, clock_selector, zefoz_point):
-    target = transition_frequency(nd_ground, (0.0, 0.0, 64.6), clock_selector)
+    target = frequency_at(nd_ground, (0.0, 0.0, 64.6), clock_selector)
     model = quadratic_model(z=zefoz_point, delta_field=(0.0, 0.0, 64.6) - zefoz_point.field)
     assert model == pytest.approx(target, abs=0.02)
 
@@ -292,6 +286,11 @@ def test_search_validates_inputs(nd_ground, clock_selector, search_bounds):
         zefoz_search(nd_ground, clock_selector, (0.0, 0.0, 200.0), search_bounds)
     with pytest.raises(InvalidParameterError):
         zefoz_search(nd_ground, clock_selector, (0.0, 0.0, 50.0), search_bounds, tol=-1.0)
+    # a one-point axis holds its start, whatever its stop
+    one_point = FieldGrid(AxisGrid(0.0, 5.0, 1), AxisGrid(0.0, 0.0, 1), AxisGrid(30.0, 100.0, 36))
+    assert one_point.contains(np.array([0.0, 0.0, 50.0]))
+    with pytest.raises(InvalidParameterError, match="outside the search bounds"):
+        zefoz_search(nd_ground, clock_selector, (3.0, 0.0, 50.0), one_point)
 
 
 def newton_from_search_seeds(params, sel, start, bounds, max_iter=60):
@@ -389,7 +388,7 @@ def test_quadratic_model_verified_on_probe_grid(nd_ground, clock_selector, zefoz
                 offset = np.array([dx, dy, dz])
                 if np.linalg.norm(offset) > 2.0:
                     continue
-                exact = transition_frequency(
+                exact = frequency_at(
                     nd_ground, zefoz_point.field + offset, clock_selector
                 )
                 worst = max(worst, abs(quadratic_model(zefoz_point, offset) - exact))
