@@ -125,10 +125,10 @@ def _axis(min_count: int):
             raise ValueError(f"could not parse count {parts[2]!r} as an integer") from None
         if count < min_count:
             raise ValueError(f"count must be >= {min_count}, got {count}")
-        if stop < start:
-            raise ValueError("stop must not be below start")
-        if count > 1 and stop == start:
-            raise ValueError(f"stop must be above start for {count} points")
+        try:
+            AxisGrid(start, stop, count)
+        except InvalidParameterError as exc:
+            raise ValueError(str(exc)) from None
         return (start, stop, count)
 
     return parse
@@ -245,8 +245,7 @@ class RunConfig:
 
 
 _FIELDS = {f.metadata["key"]: f for f in dataclasses.fields(RunConfig)}
-# (start, stop, count) keys of 1-D scans: stop must not be below start, and
-# must be above it when count > 1.
+# (start, stop, count) keys of 1-D scans, each checked as one ``AxisGrid``.
 _RANGES = (("diagram.start", "diagram.stop", "diagram.count"),
            ("sweep.start", "sweep.stop", "sweep.count"))
 _BOUNDS = ("zefoz.bounds.x", "zefoz.bounds.y", "zefoz.bounds.z")
@@ -327,11 +326,11 @@ def parse_config(text: str) -> RunConfig:
     for keys in _RANGES:
         if any(key in seen and key not in values for key in keys):
             continue  # already reported as a bad value
-        start, stop, count = (values.get(key, _FIELDS[key].default) for key in keys)
-        if stop < start or (count > 1 and stop == start):
+        try:
+            AxisGrid(*(values.get(key, _FIELDS[key].default) for key in keys))
+        except InvalidParameterError as exc:
             no = seen.get(keys[1], seen.get(keys[0], seen.get(keys[2])))
-            rule = "must not be below" if stop < start else f"for {count} points must be above"
-            errors.append((no, f"{keys[1]}: {rule} {keys[0]} = {start!r}, got {stop!r}"))
+            errors.append((no, f"{keys[1]}: {exc}"))
     if errors:
         raise ConfigError(errors)
     config = RunConfig(**{_FIELDS[key].name: value for key, value in values.items()})

@@ -19,7 +19,11 @@ H is axial, so every eigensystem is solved in the field's azimuthal
 frame, where the field is (B_perp, 0, Bz) and H is real symmetric: the
 package has one eigensolver, ``_axial_eigensystems``, on the (B_perp, Bz)
 frames that ``_azimuthal_frames`` gives (``fieldmap`` feeds it blocks of
-frames). ``ion_levels``, the one route from a
+frames). An in-plane frame (Bz = 0, B_perp > 0) is centrosymmetric in
+the product basis, as H commutes with the pi rotation about x, so the
+eigensolver splits it into two half-size blocks, from H0 and M_x blocks
+cached per ``SpinParams``; every other frame is solved whole.
+``ion_levels``, the one route from a
 ``SpinParams`` and one field to a labelled ``LevelSet``, maps its vectors
 to the lab frame and is the one place that fixes their gauge.
 ``build_hamiltonian`` assembles the lab-frame matrix H(B). The field
@@ -111,6 +115,20 @@ class SpinParams:
             array.flags.writeable = False
         return terms
 
+    @cached_property
+    def _in_plane_blocks(self) -> np.ndarray:
+        """H0 and M_x of an even dimension d = 2n split into their
+        centrosymmetric blocks, built once on first use: (2, 2, n, n),
+        [H0, M_x][+, -] = A +- B J, where A = X[:n, :n], B = X[:n, n:] and
+        J reverses the order of n states."""
+        n = self.dimension // 2
+        terms = self.linear_terms
+        pair = np.stack([terms.h0, terms.zeeman[0].real])
+        corner, mirrored = pair[:, :n, :n], pair[:, :n, n:][..., ::-1]
+        blocks = np.stack([corner + mirrored, corner - mirrored], axis=1)
+        blocks.flags.writeable = False
+        return blocks
+
 
 @lru_cache(maxsize=BASIS_CACHE_SIZE)
 def _spin_basis(electron_spin: float, nuclear_spin: float) -> tuple[np.ndarray, ...]:
@@ -175,7 +193,9 @@ def as_fields(fields) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AxisGrid:
-    """Inclusive 1-D grid specification along one field axis (mT)."""
+    """Inclusive 1-D grid specification along one field axis (mT): stop
+    must not be below start, and must be above it for two or more points.
+    The run-config parser reports these errors with their line."""
 
     start: float
     stop: float
@@ -190,6 +210,10 @@ class AxisGrid:
         if self.stop < self.start:
             raise InvalidParameterError(
                 f"grid stop {self.stop} is below start {self.start}"
+            )
+        if self.count > 1 and self.stop == self.start:
+            raise InvalidParameterError(
+                f"grid stop {self.stop} must be above start {self.start} for {self.count} points"
             )
 
     def values(self) -> np.ndarray:
@@ -254,8 +278,10 @@ class LevelSet:
 
     ``eigenvectors[:, k]`` belongs to ``energies[k]``, which is level
     ``k + 1``: labels are 1-based and ascend with energy. Each column's
-    largest component is real and >= 0 (the gauge). ``basis`` lists
-    (M_I, M_S) per product-basis index.
+    largest component is real and >= 0 (the gauge); at an in-plane field,
+    where mirror components |M_I, M_S> and |-M_I, -M_S> have equal
+    magnitudes, the first of them. ``basis`` lists (M_I, M_S) per
+    product-basis index.
     """
 
     energies: np.ndarray
@@ -310,11 +336,56 @@ def _axial_eigensystems(params: SpinParams, b_perp: np.ndarray, bz: np.ndarray):
     with the B_perp and azimuth phi of ``_azimuthal_frames`` has H(B) =
     U H(B_perp, 0, Bz) U^dagger with U = exp(-i phi F_z). The frame matrix
     is summed element by element from real terms, so it is exactly
-    symmetric and a frame gets the same bits in any stack."""
+    symmetric and a frame gets the same bits in any stack.
+
+    An in-plane frame (Bz == 0, B_perp > 0) of an even dimension d = 2n
+    is split in two. H0 and M_x commute with the pi rotation about x,
+    which in the product basis is +-J, the reversal k <-> d-1-k of the
+    states, so the frame matrix is centrosymmetric, J H J = H, and splits
+    by indexing alone into the n x n blocks h+- = A +- B J of its top rows
+    [A B]. They are assembled as h0+- + B_perp Mx+- from
+    ``SpinParams._in_plane_blocks``, and one stacked ``eigh`` solves both
+    blocks of every in-plane frame. An eigenvector a of h+- is the
+    product-basis vector (a, +-J a)/sqrt(2); the energies of the two
+    blocks are merged by a stable sort. Every other frame (B = 0, on the
+    axis, Bz != 0, or an odd dimension) is solved whole. The route is
+    chosen per frame, so a frame gets the same bits in a mixed stack too."""
+    # count_nonzero first: the cheapest test that no frame is in the plane
+    if np.count_nonzero(bz) < len(bz) and params.dimension % 2 == 0:
+        in_plane = (bz == 0.0) & (b_perp > 0.0)
+        if in_plane.all():
+            return _in_plane_eigensystems(params._in_plane_blocks, b_perp)
+        if in_plane.any():
+            dim, rest = params.dimension, ~in_plane
+            energies, vectors = np.empty((len(bz), dim)), np.empty((len(bz), dim, dim))
+            energies[rest], vectors[rest] = _axial_eigensystems(params, b_perp[rest], bz[rest])
+            energies[in_plane], vectors[in_plane] = _in_plane_eigensystems(
+                params._in_plane_blocks, b_perp[in_plane])
+            return energies, vectors
     terms = params.linear_terms
     h = (terms.h0 + b_perp[:, None, None] * terms.zeeman[0].real
          + bz[:, None, None] * terms.zeeman[2].real)
     return np.linalg.eigh(h)
+
+
+def _in_plane_eigensystems(blocks: np.ndarray, b_perp: np.ndarray):
+    """``_axial_eigensystems`` of in-plane frames: ``eigh`` of the blocks
+    h+- = h0+- + B_perp Mx+-, mapped back to sorted energies (N, 2n) and
+    product-basis vectors (N, 2n, 2n)."""
+    count, n = len(b_perp), blocks.shape[-1]
+    h = blocks[0][:, None] + b_perp[:, None, None] * blocks[1][:, None]  # (2, N, n, n)
+    energies, vectors = np.linalg.eigh(h.reshape(2 * count, n, n))
+    energies = energies.reshape(2, count, n).transpose(1, 0, 2).reshape(count, 2 * n)
+    # one row per level: (a, J a) of h+ levels, then (a, -J a) of h- levels
+    kets = vectors.reshape(2, count, n, n).transpose(0, 1, 3, 2)
+    rows = np.empty((count, 2 * n, 2 * n))
+    rows[:, :n, :n], rows[:, n:, :n] = kets
+    rows[:, :n, n:] = kets[0, ..., ::-1]
+    np.negative(kets[1, ..., ::-1], out=rows[:, n:, n:])
+    order = np.argsort(energies, axis=1, kind="stable")
+    frames = np.arange(count)[:, None]
+    return (energies[frames, order],
+            np.multiply(rows[frames, order].transpose(0, 2, 1), np.sqrt(0.5), order="C"))
 
 
 def _azimuthal_phases(params: SpinParams, azimuth: np.ndarray) -> np.ndarray:

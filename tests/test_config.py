@@ -173,7 +173,7 @@ def test_inverted_scan_range_reports_the_line_of_the_key_given(ion_file):
     with pytest.raises(ConfigError) as err:
         parse_config(body + "diagram.start = 150\n")  # below the default stop, 100
     assert err.value.problems == [
-        (3, "diagram.stop: must not be below diagram.start = 150.0, got 100.0")
+        (3, "diagram.stop: grid stop 100.0 is below start 150.0")
     ]
     with pytest.raises(ConfigError) as err:
         parse_config(body + "diagram.start = nan\ndiagram.stop = -5\n")
@@ -185,12 +185,12 @@ def test_a_scan_of_several_points_needs_stop_above_start(ion_file):
     with pytest.raises(ConfigError) as err:
         parse_config(body + "diagram.start = 5\ndiagram.count = 3\ndiagram.stop = 5\n")
     assert err.value.problems == [
-        (5, "diagram.stop: for 3 points must be above diagram.start = 5.0, got 5.0")
+        (5, "diagram.stop: grid stop 5.0 must be above start 5.0 for 3 points")
     ]
     with pytest.raises(ConfigError) as err:
         parse_config(body + "spectrum.grid = 5 5 3\n")
     assert err.value.problems == [
-        (3, "spectrum.grid: stop must be above start for 3 points")
+        (3, "spectrum.grid: grid stop 5.0 must be above start 5.0 for 3 points")
     ]
     # one point: stop may equal start
     one = parse_config(body + "diagram.start = 5\ndiagram.stop = 5\ndiagram.count = 1\n"

@@ -248,6 +248,76 @@ def test_zero_field_clusters_are_orthonormal_and_stack_independent(state, nuclea
         assert np.max(np.abs(vectors[k].T @ vectors[k] - np.eye(dim))) < 1e-12
 
 
+def full_frame_matrix(params: SpinParams, b_perp: float, bz: float) -> np.ndarray:
+    terms = params.linear_terms
+    return terms.h0 + b_perp * terms.zeeman[0].real + bz * terms.zeeman[2].real
+
+
+@pytest.mark.parametrize("electron_spin, nuclear_spin",
+                         [(0.5, 0.5), (0.5, 2.5), (0.5, 3.5), (1.5, 2.5)])
+def test_in_plane_blocks_match_the_full_frame_eigensystem(electron_spin, nuclear_spin):
+    # an in-plane frame (Bz == 0, B_perp > 0) is solved as the two blocks
+    # of a centrosymmetric matrix. Against eigh of the full d x d frame
+    # matrix: energies to 1e-12 relative; each cluster of levels closer
+    # than DEGENERACY_GAP spans the same subspace, its projector to the
+    # round-off of two eigensolvers, ~eps |H| / gap; and the vectors are
+    # orthonormal eigenvectors to round-off
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(int(4 * electron_spin + 2 * nuclear_spin))
+    clusters = 0
+    for state in [ND_GROUND, ND_EXCITED] * 4:
+        scaled = {key: state[key] * rng.uniform(0.8, 1.2)
+                  for key in ("g_par", "g_perp", "A", "B_hf")}
+        params = SpinParams(**{**state, **scaled, "P": rng.uniform(-5.0, 5.0),
+                               "electron_spin": electron_spin, "nuclear_spin": nuclear_spin})
+        terms = params.linear_terms
+        h0, mx, mz = terms.h0, terms.zeeman[0].real, terms.zeeman[2].real
+        # the premise: H0 and M_x equal their reversal J X J bit for bit,
+        # and M_z equals minus its reversal
+        assert np.array_equal(h0, h0[::-1, ::-1]) and np.array_equal(mx, mx[::-1, ::-1])
+        assert np.array_equal(mz, -mz[::-1, ::-1])
+        b_perp = np.concatenate([rng.uniform(0.1, 200.0, 7), [1e-9]])
+        energies, vectors = spins._axial_eigensystems(params, b_perp, np.zeros(len(b_perp)))
+        for k, field in enumerate(b_perp):
+            h = full_frame_matrix(params, field, 0.0)
+            oracle_energies, oracle_vectors = np.linalg.eigh(h)
+            scale = max(1.0, np.max(np.abs(oracle_energies)))
+            assert np.max(np.abs(energies[k] - oracle_energies)) <= 1e-12 * scale
+            own = vectors[k]
+            assert np.max(np.abs(own.T @ own - np.eye(params.dimension))) <= 1e-14
+            assert np.max(np.abs(h @ own - own * energies[k])) <= 64.0 * eps * scale
+            edges = np.flatnonzero(np.diff(oracle_energies) >= DEGENERACY_GAP) + 1
+            bounds = np.concatenate([[0], edges, [params.dimension]])
+            for first, last in zip(bounds[:-1], bounds[1:]):
+                cluster = slice(first, last)
+                outside = np.delete(oracle_energies, np.arange(first, last))
+                gap = np.min(np.abs(outside[:, None] - oracle_energies[cluster]))
+                projector = own[:, cluster] @ own[:, cluster].T
+                oracle = oracle_vectors[:, cluster] @ oracle_vectors[:, cluster].T
+                assert np.max(np.abs(projector - oracle)) <= 64.0 * eps * (1.0 + scale / gap)
+                clusters += last - first > 1
+    # g_perp = 0 leaves the excited Kramers pairs degenerate in the plane
+    assert clusters > 0
+
+
+def test_every_other_frame_keeps_the_full_frame_eigensystem():
+    # B = 0, the z axis, a field off the plane, and every frame of an odd
+    # dimension (integer S and I) are eigh of the full frame matrix, bit for
+    # bit, in a stack that also holds in-plane frames
+    rng = np.random.default_rng(29)
+    for spins_pair in [(0.5, 3.5), (0.5, 2.5), (1.0, 1.0)]:
+        params = replace(awkward_params(rng), electron_spin=spins_pair[0],
+                         nuclear_spin=spins_pair[1])
+        b_perp = np.array([30.0, 0.0, 0.0, 0.0, 45.0, 12.0, 80.0])
+        bz = np.array([0.0, 0.0, -0.0, 25.0, -3.0, 0.0, 1e-12])
+        energies, vectors = spins._axial_eigensystems(params, b_perp, bz)
+        split = (bz == 0.0) & (b_perp > 0.0) & (params.dimension % 2 == 0)
+        assert split.sum() == (2 if params.dimension % 2 == 0 else 0)
+        for k in np.flatnonzero(~split):
+            full = np.linalg.eigh(full_frame_matrix(params, b_perp[k], bz[k])[None])
+            assert same_bits(energies[k], full[0][0]) and same_bits(vectors[k], full[1][0])
+
+
 def axis_fields(rng) -> np.ndarray:
     """Fields on +-x, +-y and +-z, where the azimuth is a multiple of pi/2,
     then the awkward ones: zero, signed zeros, random."""
@@ -269,19 +339,26 @@ def test_ion_levels_is_the_matching_row_of_a_stacked_solve():
             assert same_bits(levels.energies, energies[k])
             assert levels.basis == basis
             # the lab-frame vectors, each times the unit phase that puts its
-            # largest component on the non-negative real axis
-            vectors = levels.eigenvectors
-            phase = np.sum(lab[k].conj() * vectors, axis=0)
+            # largest component on the non-negative real axis; where mirror
+            # components tie exactly (in-plane fields), the first of them
+            lab_vectors = levels.eigenvectors
+            phase = np.sum(lab[k].conj() * lab_vectors, axis=0)
             assert np.allclose(np.abs(phase), 1.0, rtol=0.0, atol=1e-14)
-            assert np.max(np.abs(vectors - lab[k] * phase)) < 1e-14
-            pivot = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(len(vectors))]
+            assert np.max(np.abs(lab_vectors - lab[k] * phase)) < 1e-14
+            columns = np.arange(len(lab_vectors))
+            pivot = lab_vectors[np.argmax(np.abs(vectors[k]), axis=0), columns]
+            largest = np.max(np.abs(lab_vectors), axis=0)
+            assert np.all(np.abs(pivot) >= largest * (1.0 - 4.0 * np.finfo(float).eps))
             assert np.all(pivot.real > 0.0) and np.max(np.abs(pivot.imag)) < 1e-15
 
 
 def test_azimuthal_frame_matrix_is_exactly_real_symmetric(monkeypatch):
     # what eigh sees: real, equal to its transpose bit for bit, the same
     # bits in any stack, and U^dagger H(B) U of the lab-frame matrix with
-    # U = exp(-i phi F_z), to the round-off of a product with two phases
+    # U = exp(-i phi F_z), to the round-off of a product with two phases.
+    # An in-plane frame (Bz == 0, B_perp > 0) is seen as the two blocks
+    # A +- B J of that matrix (A, B its top n = d/2 rows, J the reversal
+    # of n states), solved after the stack's other frames
     seen = []
     eigh = np.linalg.eigh
 
@@ -294,18 +371,33 @@ def test_azimuthal_frame_matrix_is_exactly_real_symmetric(monkeypatch):
     for _ in range(20):
         params = awkward_params(rng)
         fields = axis_fields(rng)
+        n = params.dimension // 2
+        in_plane = (fields[:, 2] == 0.0) & (np.hypot(fields[:, 0], fields[:, 1]) > 0.0)
         _, _, azimuth = frame_eigensystems(params, fields)
-        stacked = seen.pop()
-        assert stacked.dtype == np.float64
-        assert np.array_equal(stacked, stacked.transpose(0, 2, 1))
+        blocks = seen.pop().reshape(2, -1, n, n)  # [+, -], one per in-plane frame
+        full = seen.pop()
+        assert not seen
+        assert (len(full), blocks.shape[1]) == ((~in_plane).sum(), in_plane.sum())
+        for stacked in (full, blocks):
+            assert stacked.dtype == np.float64
+            assert np.array_equal(stacked, np.swapaxes(stacked, -1, -2))
         phases = spins._azimuthal_phases(params, azimuth)
         for k, field in enumerate(fields):
             frame_eigensystems(params, field[None])
-            assert same_bits(seen.pop()[0], stacked[k])
+            alone = seen.pop()
             lab = build_hamiltonian(params, field)
             turned = phases[k].conj()[:, None] * lab * phases[k][None, :]
             bound = 8.0 * np.finfo(float).eps * max(1.0, np.max(np.abs(lab)))
-            assert np.max(np.abs(turned - stacked[k])) <= bound
+            if in_plane[k]:
+                stacked = blocks[:, np.count_nonzero(in_plane[:k])]
+                assert same_bits(alone, stacked)
+                top, mirrored = turned[:n, :n], turned[:n, n:][:, ::-1]
+                assert np.max(np.abs(top + mirrored - stacked[0])) <= bound
+                assert np.max(np.abs(top - mirrored - stacked[1])) <= bound
+            else:
+                stacked = full[np.count_nonzero(~in_plane[:k])]
+                assert same_bits(alone[0], stacked)
+                assert np.max(np.abs(turned - stacked)) <= bound
     # the turned field is (B_perp, 0, Bz): the azimuth is exact on the axes
     assert np.array_equal(spins._azimuthal_frames(np.eye(3))[1],
                           [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])

@@ -684,8 +684,8 @@ def test_amplitude_vs_field_peaks_at_the_stationary_point(
 @st.composite
 def sweep_cases(draw):
     """An Nd-like ground ion (each constant scaled by 0.9-1.1, |P| <= 5 MHz)
-    and a 5-point sweep along one axis, offset in the other two, near the
-    clock point."""
+    and a 5-point sweep along one axis (one point where half = 0), offset
+    in the other two, near the clock point."""
     scaled = {key: ND_GROUND[key] * draw(st.floats(0.9, 1.1))
               for key in ("g_par", "g_perp", "A", "B_hf")}
     params = SpinParams(**{**ND_GROUND, **scaled, "P": draw(st.floats(-5.0, 5.0))})
@@ -707,8 +707,8 @@ def test_sweep_quadratic_model_holds_within_2_mt_on_nd_like_ions(case):
     (z,) = zefoz_search(params, sel, (0.0, 0.0, bz), box)
     offset = np.array(center)
     axes = [AxisGrid(c, c, 1) for c in z.field + offset]
-    axes[axis] = AxisGrid(z.field[axis] + offset[axis] - half,
-                          z.field[axis] + offset[axis] + half, 5)
+    start, stop = z.field[axis] + offset[axis] - half, z.field[axis] + offset[axis] + half
+    axes[axis] = AxisGrid(start, stop, 5 if stop > start else 1)  # zero extent: one point
     comb = CombModel(spacing=2.8, n_lines=1, noise=NoiseModel(curvatures=tuple(z.curvatures)))
     rows = amplitude_vs_field(params, z, comb.noise, LambdaParams(), comb, FieldGrid(*axes))
     near = [row for row in rows if np.linalg.norm(row.field - z.field) <= 2.0]

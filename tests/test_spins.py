@@ -198,3 +198,14 @@ def test_axis_grid_rejects_non_finite_ends(start, stop):
     # RuntimeWarning in linspace
     with pytest.raises(InvalidParameterError, match="must be finite"):
         AxisGrid(start, stop, 3)
+
+
+def test_axis_grid_of_several_points_needs_stop_above_start():
+    # AxisGrid(5, 5, 3) gave three equal points: a diagram of three equal
+    # rows, and a "free" search axis on which zefoz_search returned [];
+    # a fixed axis is one point
+    with pytest.raises(InvalidParameterError, match="must be above start 5.0 for 3 points"):
+        AxisGrid(5.0, 5.0, 3)
+    with pytest.raises(InvalidParameterError, match="is below start"):
+        AxisGrid(5.0, 4.0, 3)
+    assert AxisGrid(5.0, 5.0, 1).values().tolist() == [5.0]
