@@ -5,6 +5,15 @@ Rate convention, used at every interface here: all gamma parameters are
 Lorentzian half-widths in linear-frequency MHz (a bare optical line has
 FWHM 2*gamma_ge). The magnetic-noise linewidth Gamma is a FWHM, so the
 per-line spin dephasing entering the susceptibility is Gamma / 2.
+
+Every coupling-on profile goes through ``_profile``, which takes a stack
+of per-line spin dephasings: one for ``eit_profile``, one per field point
+for ``amplitude_vs_field``. It evaluates the stack in blocks of whole
+profiles of at most PROFILE_BLOCK (comb line, detuning) points, each
+element with the same ufuncs on the same operands in the same order as a
+profile of its own, so the results are bit-identical to one evaluation
+per profile. A sweep reads its amplitudes on a detuning window centred on
+the comb shifted by the two-photon offset.
 """
 
 from __future__ import annotations
@@ -23,6 +32,13 @@ from .spins import FieldGrid, as_field
 FLUORINE_GAMMA_MHZ_PER_MT = 0.04006
 
 GAUSSIAN_FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
+
+# At most this many (comb line, detuning) points go into one Faddeeva
+# evaluation of a profile stack, in whole profiles (at least one). The
+# Faddeeva passes cost the same per element in any block, and a block no
+# larger than one wide profile (13 lines over 1801 points) keeps a sweep's
+# peak memory below that profile's.
+PROFILE_BLOCK = 2**14
 
 
 # Weideman's rational expansion of the Faddeeva function with N = 40 terms
@@ -194,16 +210,38 @@ def susceptibility(probe_detuning, two_photon_detuning, p: LambdaParams):
     return np.divide(numerator, denominator, out=chi, where=numerator != 0)[()]
 
 
-def _pole_offset(d2: np.ndarray, p: LambdaParams) -> np.ndarray:
-    """Complex pole parameter: chi(dp) = g_ge / (dp - i*pole)."""
+def _average(detuning, iz, spin_dephasing, p: LambdaParams, pole: np.ndarray):
+    """The closed form of ``averaged_susceptibility`` from iz = i*d2.
+
+    ``spin_dephasing`` takes the place of p.spin_dephasing: a float, or an
+    array that broadcasts against iz (one row of profiles per entry).
+    The pole is built in ``pole``, an array of the broadcast shape that
+    may be iz itself, and zeta in the buffer of i*pole.
+    """
     g_ge = p.optical_dephasing
-    if p.rabi_coupling == 0.0:
-        return np.broadcast_to(g_ge + 0.0j, d2.shape).copy()
-    # g_ge + (Omega_c/2)^2 / (g_gs + i*d2), built in the buffer of i*d2
-    pole = np.asarray(1j * d2)
-    np.add(p.spin_dephasing, pole, out=pole)
-    np.divide((p.rabi_coupling / 2.0) ** 2, pole, out=pole)
-    return np.add(g_ge, pole, out=pole)
+    sigma = p.optical_inhom_fwhm * GAUSSIAN_FWHM_TO_SIGMA
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if p.rabi_coupling == 0.0:
+            # chi(dp) = g_ge / (dp - i*pole) with the pole g_ge alone
+            pole[...] = g_ge + 0.0j
+        else:
+            # g_ge + (Omega_c/2)^2 / (g_gs + i*d2)
+            np.add(spin_dephasing, iz, out=pole)
+            np.divide((p.rabi_coupling / 2.0) ** 2, pole, out=pole)
+            np.add(g_ge, pole, out=pole)
+        # (-f + i*pole) / (sigma*sqrt(2)) in the buffer of i*pole; -f is
+        # negated before broadcasting, so it costs one detuning-sized array
+        zeta = np.asarray(1j * pole)
+        np.add(-detuning, zeta, out=zeta)
+        np.divide(zeta, sigma * np.sqrt(2.0), out=zeta)
+    out = np.asarray(wofz(zeta))
+    np.multiply(g_ge * np.sqrt(np.pi) / (sigma * np.sqrt(2.0)) * 1j, out, out=out)
+    # zero spin dephasing at exact two-photon resonance: the pole diverges
+    # and the response is the dark-state limit, exactly zero
+    bad = ~np.isfinite(pole)
+    if np.any(bad):
+        out[bad] = 0.0
+    return out
 
 
 def averaged_susceptibility(detuning, two_photon_detuning, p: LambdaParams):
@@ -214,36 +252,23 @@ def averaged_susceptibility(detuning, two_photon_detuning, p: LambdaParams):
 
         <chi>(f, d2) = g_ge * sqrt(pi) / (sigma*sqrt(2)) * i * w(zeta),
         zeta = (-f + i*pole(d2)) / (sigma*sqrt(2)),
+        pole(d2) = g_ge + (Omega_c/2)^2 / (g_gs + i*d2),
 
     with w the Faddeeva function, because chi is a simple pole in the probe
-    detuning.
+    detuning: chi(dp) = g_ge / (dp - i*pole).
 
     The closed form is evaluated in place: the pole in the buffer of
     i*d2, zeta in that of i*pole and the prefactor into w's result, each
     step the same ufunc on the same operands in the same order as the
     formula above, so the result is bit-identical to the plain
     expressions with about two output-sized arrays fewer at its peak.
+    The EIT profiles use the same core for a stack of spin dephasings.
     """
     detuning = np.asarray(detuning, dtype=float)
     _, d2 = np.broadcast_arrays(detuning, np.asarray(two_photon_detuning, dtype=float))
-    sigma = p.optical_inhom_fwhm * GAUSSIAN_FWHM_TO_SIGMA
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pole = _pole_offset(d2, p)
-        # (-f + i*pole) / (sigma*sqrt(2)) in the buffer of i*pole; -f is
-        # negated before broadcasting, so it costs one detuning-sized array
-        zeta = np.asarray(1j * pole)
-        np.add(-detuning, zeta, out=zeta)
-        np.divide(zeta, sigma * np.sqrt(2.0), out=zeta)
-    out = np.asarray(wofz(zeta))
-    np.multiply(
-        p.optical_dephasing * np.sqrt(np.pi) / (sigma * np.sqrt(2.0)) * 1j, out, out=out
-    )
-    # zero spin dephasing at exact two-photon resonance: the pole diverges
-    # and the response is the dark-state limit, exactly zero
-    bad = ~np.isfinite(pole)
-    if np.any(bad):
-        out[bad] = 0.0
-    return out[()]
+    with np.errstate(invalid="ignore"):
+        iz = np.asarray(1j * d2)
+    return _average(detuning, iz, p.spin_dephasing, p, pole=iz)[()]
 
 
 def binomial_weights(n_lines: int) -> np.ndarray:
@@ -327,16 +352,23 @@ def _checked_grid(grid) -> np.ndarray:
     return grid
 
 
-def _per_line_params(p: LambdaParams, noise: NoiseModel, delta_field) -> LambdaParams:
-    """``p`` with the spin dephasing of one comb line at ``delta_field``."""
-    return replace(p, spin_dephasing=spin_linewidth(noise, delta_field) / 2.0)
+def _spin_dephasings(noise: NoiseModel, delta_fields) -> np.ndarray:
+    """Per-line spin dephasing Gamma/2 at each field offset, each checked
+    as ``LambdaParams`` checks its ``spin_dephasing``."""
+    dephasings = [spin_linewidth(noise, delta_field) / 2.0 for delta_field in delta_fields]
+    for dephasing in dephasings:
+        if not isfinite(dephasing):
+            raise InvalidParameterError("spin_dephasing must be finite")
+        if dephasing < 0:
+            raise InvalidParameterError("spin_dephasing must be non-negative")
+    return np.array(dephasings)
 
 
-def _coupling_off(grid: np.ndarray, per_line: LambdaParams):
+def _coupling_off(grid: np.ndarray, p: LambdaParams):
     """Coupling-off absorption on the grid and at line center, from one
     evaluation with 0 appended to the grid. With the coupling off the pole
     is gamma_ge alone, so neither depends on the spin dephasing."""
-    off_params = replace(per_line, rabi_coupling=0.0)
+    off_params = replace(p, rabi_coupling=0.0)
     alpha = averaged_susceptibility(np.append(grid, 0.0), 0.0, off_params).imag
     norm = float(alpha[-1])
     if not norm > 0.0:
@@ -348,26 +380,33 @@ def _coupling_off(grid: np.ndarray, per_line: LambdaParams):
 
 
 def _profile(
-    comb: CombModel, per_line: LambdaParams, grid: np.ndarray, alpha_off: np.ndarray,
-    norm: float,
-) -> EitProfile:
-    shifts = comb.shifts() + per_line.two_photon_offset
-    # every comb line over the whole grid in one evaluation, (lines, grid)
-    lines = averaged_susceptibility(grid, grid - shifts[:, None], per_line).imag
-    alpha_on = np.zeros_like(grid)
-    for w, line in zip(comb.weights, lines):
-        alpha_on += w * line
-    alpha_on = alpha_on / norm
-    transmission = (alpha_off - alpha_on) / alpha_off
-    covers = bool(grid[0] <= shifts.min() and grid[-1] >= shifts.max())
-    return EitProfile(
-        detuning=grid,
-        alpha_on=alpha_on,
-        alpha_off=alpha_off,
-        transmission=transmission,
-        amplitude=float(transmission.max()),
-        grid_covers_comb=covers,
-    )
+    comb: CombModel, p: LambdaParams, dephasings: np.ndarray, grid: np.ndarray, norm: float
+) -> np.ndarray:
+    """Coupling-on absorption alpha_on, (K, grid), of the K per-line spin
+    dephasings ``dephasings``, normalized by the coupling-off ``norm``.
+
+    Row k adds the comb lines with their weights, each line the average
+    <chi> at spin dephasing dephasings[k]. The rows are evaluated in
+    blocks of whole profiles of at most PROFILE_BLOCK (line, detuning)
+    points. Every element takes the same ufuncs on the same operands in
+    the same order as in a stack of one, so a row's bits do not depend on
+    the stack or the block it is in.
+    """
+    shifts = comb.shifts() + p.two_photon_offset
+    iz = 1j * (grid - shifts[:, None])  # i*d2 of every comb line, (lines, grid)
+    count = len(dephasings)
+    rows = max(1, PROFILE_BLOCK // iz.size)
+    # a single profile builds its poles in the buffer of i*d2
+    poles = iz[None] if count == 1 else np.empty((min(rows, count),) + iz.shape, dtype=complex)
+    alpha_on = np.zeros((count, grid.size))
+    for start in range(0, count, rows):
+        block = dephasings[start:start + rows, None, None]
+        lines = _average(grid, iz, block, p, poles[:len(block)]).imag
+        on = alpha_on[start:start + rows]
+        for w, line in zip(comb.weights, lines.swapaxes(0, 1)):
+            on += w * line
+    alpha_on /= norm
+    return alpha_on
 
 
 def eit_profile(comb: CombModel, p: LambdaParams, delta_field, grid) -> EitProfile:
@@ -375,13 +414,25 @@ def eit_profile(comb: CombModel, p: LambdaParams, delta_field, grid) -> EitProfi
 
     The per-line spin dephasing is spin_linewidth(comb.noise, delta_field)
     / 2, so the comb must carry a NoiseModel. alpha_on sums the comb
-    classes with their weights; alpha_off is the coupling-off response.
+    classes with their weights (a profile stack of one); alpha_off is the
+    coupling-off response.
     """
     if comb.noise is None:
         raise InvalidParameterError("eit_profile needs a comb with a NoiseModel")
     grid = _checked_grid(grid)
-    per_line = _per_line_params(p, comb.noise, delta_field)
-    return _profile(comb, per_line, grid, *_coupling_off(grid, per_line))
+    dephasings = _spin_dephasings(comb.noise, [delta_field])
+    alpha_off, norm = _coupling_off(grid, p)
+    (alpha_on,) = _profile(comb, p, dephasings, grid, norm)
+    transmission = (alpha_off - alpha_on) / alpha_off
+    shifts = comb.shifts() + p.two_photon_offset
+    return EitProfile(
+        detuning=grid,
+        alpha_on=alpha_on,
+        alpha_off=alpha_off,
+        transmission=transmission,
+        amplitude=float(transmission.max()),
+        grid_covers_comb=bool(grid[0] <= shifts.min() and grid[-1] >= shifts.max()),
+    )
 
 
 @dataclass(frozen=True)
@@ -406,25 +457,27 @@ def amplitude_vs_field(
     ``omega12_exact`` re-diagonalizes at each point as a cross-check (they
     agree to better than 0.05 MHz within 2 mT of the stationary point),
     all sweep points in one stacked evaluation. Each amplitude is read on
-    a 0.05 MHz detuning grid over the comb plus 10 MHz on either side.
+    a 0.05 MHz detuning grid over the comb plus 10 MHz on either side,
+    centred on the comb shifted by ``p.two_photon_offset``. The coupling-
+    off terms are evaluated once, and the profiles of all sweep points as
+    one stack (``_profile``), each bit-identical to a profile of its own.
     """
     if len(sweep.free_axes()) > 1:
         raise InvalidParameterError("field sweep must vary a single axis")
     half = float(np.max(np.abs(comb.shifts()))) + 10.0
-    grid = np.arange(-half, half + 1e-9, 0.05)
+    # with no offset, exactly the grid from -half to +half
+    grid = p.two_photon_offset + np.arange(-half, half + 1e-9, 0.05)
     points = sweep.points()
-    offsets = [point - z.field for point in points]
-    per_line = [_per_line_params(p, noise, offset) for offset in offsets]
-    # the coupling-off terms do not depend on the field point: evaluate once
-    off = _coupling_off(grid, per_line[0])
-    modelled = [
-        (quadratic_model(z, offset), _profile(comb, params_k, grid, *off).amplitude)
-        for offset, params_k in zip(offsets, per_line)
-    ]
+    offsets = points - z.field
+    dephasings = _spin_dephasings(noise, offsets)
+    alpha_off, norm = _coupling_off(grid, p)
+    alpha_on = _profile(comb, p, dephasings, grid, norm)
+    amplitudes = ((alpha_off - alpha_on) / alpha_off).max(axis=1).tolist()
     exact = transition_frequencies(params, points, z.selector)
     return [
         SweepPoint(
-            field=point, omega12=omega12, amplitude=amplitude, omega12_exact=float(w)
+            field=point, omega12=quadratic_model(z, offset), amplitude=amplitude,
+            omega12_exact=float(w),
         )
-        for point, (omega12, amplitude), w in zip(points, modelled, exact)
+        for point, offset, amplitude, w in zip(points, offsets, amplitudes, exact)
     ]

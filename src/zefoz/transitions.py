@@ -17,6 +17,7 @@ Lorentzian has no such reach and is evaluated on every point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -178,6 +179,16 @@ def transition_table(
     ]
 
 
+@cache
+def _ground_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ground positions (a, b), a < b, in (a, b) order; read-only, since
+    every call with the same n gets the same arrays."""
+    pairs = np.triu_indices(n, 1)
+    for positions in pairs:
+        positions.flags.writeable = False
+    return pairs
+
+
 def find_lambda_systems(
     table: Sequence[TransitionLine],
     *,
@@ -189,7 +200,9 @@ def find_lambda_systems(
 
     Keeps triples whose two strengths both reach ``min_strength``, whose
     asymmetry stays below ``max_asymmetry`` and whose leakage relative to
-    the weaker branch stays below ``max_leakage_ratio``. Sorted best-first
+    the weaker branch stays below ``max_leakage_ratio``; a (ground,
+    excited) pair the table does not list is no leg and counts as strength
+    0 in the leakage. Sorted best-first
     by (asymmetry, -weaker strength), each rounded to 12 decimals so that
     systems equal up to round-off (the degenerate levels at zero field)
     keep the (excited, ground_a, ground_b) order they are found in.
@@ -203,52 +216,54 @@ def find_lambda_systems(
     if min_strength < 0:
         raise InvalidParameterError("min_strength must be non-negative")
 
-    strengths: dict[tuple[int, int], float] = {}
-    freqs: dict[tuple[int, int], float] = {}
-    ground_labels: set[int] = set()
-    excited_labels: set[int] = set()
-    for line in table:
-        key = (line.ground_label, line.excited_label)
-        strengths[key] = line.strength
-        freqs[key] = line.frequency
-        ground_labels.add(line.ground_label)
-        excited_labels.add(line.excited_label)
+    if not table:
+        return []
+    ground_of = [line.ground_label for line in table]
+    excited_of = [line.excited_label for line in table]
+    grounds, excited = sorted(set(ground_of)), sorted(set(excited_of))
+    n = len(grounds)
+    column = {label: k for k, label in enumerate(grounds)}
+    row = {label: k * n for k, label in enumerate(excited)}
+    # one (excited, ground) array of strengths, a row per excited level, and
+    # the table index of each cell's line: np.put assigns in table order,
+    # so a pair listed twice keeps its last line, as a dict would; a pair
+    # not listed has strength 0 and is no leg
+    cells = np.array([row[e] + column[g] for g, e in zip(ground_of, excited_of)])
+    strengths = np.zeros((len(excited), n))
+    np.put(strengths, cells, [line.strength for line in table])
+    line_of = np.full(strengths.shape, -1)
+    np.put(line_of, cells, np.arange(len(table)))
+    # every (excited, a < b) pair whose legs pass the strength, sum and
+    # asymmetry tests, each written so that a nan passes it
+    legs = (line_of >= 0) & ~(strengths < min_strength)
+    a_of, b_of = _ground_pairs(n)
+    sa, sb = strengths[:, a_of], strengths[:, b_of]
+    with np.errstate(all="ignore"):  # inf or nan, as Python floats give them
+        total = sa + sb
+        asymmetry = np.abs(sa - sb) / total
+    passing = legs[:, a_of] & legs[:, b_of] & ~(total <= 0.0) & ~(asymmetry > max_asymmetry)
+    levels, pairs = np.nonzero(passing)
+    branches = strengths.tolist()
 
     systems = []
-    grounds = sorted(ground_labels)
-    for e in sorted(excited_labels):
-        branch = {g: strengths.get((g, e), 0.0) for g in grounds}
-        for ai, a in enumerate(grounds):
-            sa = branch[a]
-            if sa < min_strength:
-                continue
-            for b in grounds[ai + 1 :]:
-                sb = branch[b]
-                if sb < min_strength:
-                    continue
-                total = sa + sb
-                if total <= 0.0:
-                    continue
-                asym = abs(sa - sb) / total
-                if asym > max_asymmetry:
-                    continue
-                leak = max(
-                    (branch[g] for g in grounds if g not in (a, b)), default=0.0
-                )
-                if leak > max_leakage_ratio * min(sa, sb):
-                    continue
-                systems.append(
-                    LambdaSystem(
-                        ground_a=a,
-                        ground_b=b,
-                        excited=e,
-                        strength_a=sa,
-                        strength_b=sb,
-                        leakage=leak,
-                        asymmetry=asym,
-                        splitting=abs(freqs[(a, e)] - freqs[(b, e)]),
-                    )
-                )
+    for e, a, b in zip(levels.tolist(), a_of[pairs].tolist(), b_of[pairs].tolist()):
+        branch = branches[e]
+        sa, sb = branch[a], branch[b]
+        leak = max((s for g, s in enumerate(branch) if g != a and g != b), default=0.0)
+        if leak > max_leakage_ratio * min(sa, sb):
+            continue
+        systems.append(
+            LambdaSystem(
+                ground_a=grounds[a],
+                ground_b=grounds[b],
+                excited=excited[e],
+                strength_a=sa,
+                strength_b=sb,
+                leakage=leak,
+                asymmetry=abs(sa - sb) / (sa + sb),
+                splitting=abs(table[line_of[e, a]].frequency - table[line_of[e, b]].frequency),
+            )
+        )
     systems.sort(
         key=lambda s: (round(s.asymmetry, 12), -round(min(s.strength_a, s.strength_b), 12))
     )

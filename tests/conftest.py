@@ -9,6 +9,8 @@ an exactly closed two-dimensional block of the ground Hamiltonian.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
@@ -19,12 +21,15 @@ from zefoz import (
     InvalidParameterError,
     IonParams,
     LambdaParams,
+    LambdaSystem,
     SpinParams,
+    SweepPoint,
     TransitionLine,
     TransitionSelector,
     boltzmann_weights,
     build_hamiltonian,
     ion_levels,
+    spin_linewidth,
     transition_frequencies,
     zefoz_search,
 )
@@ -35,6 +40,7 @@ from zefoz.fieldmap import (
     ZefozPoint,
     _curvature_matrix,
     _transition,
+    quadratic_model,
 )
 from zefoz.spins import _axial_eigensystems, _azimuthal_frames, _azimuthal_phases
 from zefoz.transitions import gaussian_profile, lorentzian_profile
@@ -397,3 +403,97 @@ def assert_same_bits(got, expected):
     assert np.array_equal(
         np.atleast_1d(got).view(np.int64), np.atleast_1d(expected).view(np.int64)
     )
+
+
+def sweep_oracle(params, z, noise, p: LambdaParams, comb, sweep) -> list[SweepPoint]:
+    """Sweep oracle: ``amplitude_vs_field`` as it ran before it evaluated
+    the profiles as one stack, one ``replace``d LambdaParams and one
+    profile per sweep point, over the plain-expression average above. Its
+    window is the sweep's, centred on the comb shifted by the two-photon
+    offset (with no offset, the window the per-point loop used)."""
+    half = float(np.max(np.abs(comb.shifts()))) + 10.0
+    grid = p.two_photon_offset + np.arange(-half, half + 1e-9, 0.05)
+    points = sweep.points()
+    offsets = [point - z.field for point in points]
+    per_line = [replace(p, spin_dephasing=spin_linewidth(noise, offset) / 2.0)
+                for offset in offsets]
+    off = averaged_susceptibility_oracle(
+        np.append(grid, 0.0), 0.0, replace(per_line[0], rabi_coupling=0.0)
+    ).imag
+    norm = float(off[-1])
+    alpha_off = off[:-1] / norm
+    amplitudes = []
+    for params_k in per_line:
+        shifts = comb.shifts() + params_k.two_photon_offset
+        lines = averaged_susceptibility_oracle(grid, grid - shifts[:, None], params_k).imag
+        alpha_on = np.zeros_like(grid)
+        for w, line in zip(comb.weights, lines):
+            alpha_on += w * line
+        alpha_on = alpha_on / norm
+        amplitudes.append(float(((alpha_off - alpha_on) / alpha_off).max()))
+    exact = transition_frequencies(params, points, z.selector)
+    return [
+        SweepPoint(field=point, omega12=quadratic_model(z, offset), amplitude=amplitude,
+                   omega12_exact=float(w))
+        for point, offset, amplitude, w in zip(points, offsets, amplitudes, exact)
+    ]
+
+
+def find_lambda_systems_oracle(
+    table, *, max_asymmetry=0.01, max_leakage_ratio=0.01, min_strength=1e-6
+) -> list[LambdaSystem]:
+    """Lambda-system oracle: the loop ``find_lambda_systems`` ran before it
+    read the strengths from one array, with a dict of the table and one
+    per excited level (the threshold checks left out). A pair missing from
+    the table that passes every test as a leg of strength 0 raises
+    KeyError here."""
+    strengths: dict[tuple[int, int], float] = {}
+    freqs: dict[tuple[int, int], float] = {}
+    ground_labels: set[int] = set()
+    excited_labels: set[int] = set()
+    for line in table:
+        key = (line.ground_label, line.excited_label)
+        strengths[key] = line.strength
+        freqs[key] = line.frequency
+        ground_labels.add(line.ground_label)
+        excited_labels.add(line.excited_label)
+
+    systems = []
+    grounds = sorted(ground_labels)
+    for e in sorted(excited_labels):
+        branch = {g: strengths.get((g, e), 0.0) for g in grounds}
+        for ai, a in enumerate(grounds):
+            sa = branch[a]
+            if sa < min_strength:
+                continue
+            for b in grounds[ai + 1 :]:
+                sb = branch[b]
+                if sb < min_strength:
+                    continue
+                total = sa + sb
+                if total <= 0.0:
+                    continue
+                asym = abs(sa - sb) / total
+                if asym > max_asymmetry:
+                    continue
+                leak = max(
+                    (branch[g] for g in grounds if g not in (a, b)), default=0.0
+                )
+                if leak > max_leakage_ratio * min(sa, sb):
+                    continue
+                systems.append(
+                    LambdaSystem(
+                        ground_a=a,
+                        ground_b=b,
+                        excited=e,
+                        strength_a=sa,
+                        strength_b=sb,
+                        leakage=leak,
+                        asymmetry=asym,
+                        splitting=abs(freqs[(a, e)] - freqs[(b, e)]),
+                    )
+                )
+    systems.sort(
+        key=lambda s: (round(s.asymmetry, 12), -round(min(s.strength_a, s.strength_b), 12))
+    )
+    return systems

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import inspect
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -44,6 +45,7 @@ from conftest import (
     averaged_susceptibility_oracle,
     feature_fwhm,
     local_max_indices,
+    sweep_oracle,
     wofz_oracle,
 )
 
@@ -681,6 +683,16 @@ def test_amplitude_vs_field_peaks_at_the_stationary_point(
             assert abs(row.omega12 - row.omega12_exact) < 0.05
 
 
+def _clock_point(params: SpinParams):
+    """The clock transition's stationary point of an Nd-like ion, from a
+    1-D search around its closed-form field."""
+    sel = TransitionSelector("ground", 8, 10)
+    bz = analytic_zefoz_bz(params)
+    box = FieldGrid(AxisGrid(0.0, 0.0, 1), AxisGrid(0.0, 0.0, 1), AxisGrid(bz - 2.0, bz + 2.0, 3))
+    (z,) = zefoz_search(params, sel, (0.0, 0.0, bz), box)
+    return z
+
+
 @st.composite
 def sweep_cases(draw):
     """An Nd-like ground ion (each constant scaled by 0.9-1.1, |P| <= 5 MHz)
@@ -701,10 +713,7 @@ def test_sweep_quadratic_model_holds_within_2_mt_on_nd_like_ions(case):
     # the quadratic model omega12 and the exact omega12_exact agree to
     # better than 0.05 MHz at every sweep point within 2 mT of the point
     params, axis, center, half = case
-    sel = TransitionSelector("ground", 8, 10)
-    bz = analytic_zefoz_bz(params)
-    box = FieldGrid(AxisGrid(0.0, 0.0, 1), AxisGrid(0.0, 0.0, 1), AxisGrid(bz - 2.0, bz + 2.0, 3))
-    (z,) = zefoz_search(params, sel, (0.0, 0.0, bz), box)
+    z = _clock_point(params)
     offset = np.array(center)
     axes = [AxisGrid(c, c, 1) for c in z.field + offset]
     start, stop = z.field[axis] + offset[axis] - half, z.field[axis] + offset[axis] + half
@@ -730,6 +739,157 @@ def test_zero_extent_sweep_reproduces_point_values(nd_ground, zefoz_point, noise
     grid = np.arange(-(comb.shifts().max() + 10.0), comb.shifts().max() + 10.0 + 1e-9, 0.05)
     direct = eit_profile(comb, LambdaParams(), (0.0, 0.0, 0.0), grid)
     assert rows[0].amplitude == pytest.approx(direct.amplitude, abs=1e-12)
+
+
+def _sweep_bits(row):
+    values = (row.omega12, row.amplitude, row.omega12_exact)
+    assert all(type(v) is float for v in values)
+    return np.asarray(row.field).tobytes(), np.array(values).tobytes()
+
+
+@st.composite
+def stacked_sweep_cases(draw):
+    """An Nd-like ground ion and its clock point; a comb of 1-13 lines with
+    binomial, flat or custom weights; a noise model, noiseless in a quarter
+    of the cases (zero spin dephasing: the dark state); Lambda rates with
+    the coupling off now and then and a two-photon offset in half of the
+    cases; a sweep of 1-57 points along one axis; and a block budget from
+    one profile per block up to the whole sweep in one."""
+    scaled = {key: ND_GROUND[key] * draw(st.floats(0.9, 1.1))
+              for key in ("g_par", "g_perp", "A", "B_hf")}
+    params = SpinParams(**{**ND_GROUND, **scaled, "P": draw(st.floats(-5.0, 5.0))})
+    n_lines = draw(st.sampled_from(range(1, 14, 2)))
+    kind = draw(st.sampled_from(("binomial", "flat", "custom")))
+    if kind == "binomial":
+        weights = None
+    elif kind == "flat":
+        weights = flat_weights(n_lines)
+    else:
+        weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n_lines,
+                                         max_size=n_lines).filter(lambda w: sum(w) > 0)))
+    quiet = draw(st.booleans()) and draw(st.booleans())
+    noise = dict(gamma0=0.0, delta_b=(0.0, 0.0, 0.0)) if quiet else dict(
+        gamma0=draw(st.floats(0.0, 1.0)),
+        delta_b=tuple(draw(st.floats(0.0, 2.0)) for _ in range(3)))
+    p = LambdaParams(
+        rabi_coupling=draw(st.just(0.0) | st.floats(0.1, 6.0)),
+        optical_dephasing=draw(st.floats(0.05, 3.0)),
+        optical_inhom_fwhm=draw(st.floats(5.0, 80.0)),
+        two_photon_offset=draw(st.just(0.0) | st.floats(-20.0, 20.0)),
+    )
+    count = draw(st.sampled_from((1, 2, 7, 41, 57)))
+    axis, half = draw(st.integers(0, 2)), draw(st.floats(0.5, 8.0))
+    block = draw(st.sampled_from((1, 5000, zefoz.eit.PROFILE_BLOCK, 10**7)))
+    return params, draw(st.floats(0.5, 4.0)), n_lines, weights, noise, p, count, axis, half, block
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(stacked_sweep_cases())
+def test_stacked_sweep_is_bit_identical_to_the_per_point_loop(case):
+    # every SweepPoint field, bit for bit, against one profile per point,
+    # whatever the block budget splits the sweep into
+    params, spacing, n_lines, weights, noise, p, count, axis, half, block = case
+    z = _clock_point(params)
+    noise = NoiseModel(curvatures=tuple(z.curvatures), **noise)
+    comb = CombModel(spacing=spacing, n_lines=n_lines, weights=weights, noise=noise)
+    axes = [AxisGrid(c, c, 1) for c in z.field]
+    if count > 1:
+        axes[axis] = AxisGrid(z.field[axis] - half, z.field[axis] + half, count)
+    sweep = FieldGrid(*axes)
+    with mock.patch.object(zefoz.eit, "PROFILE_BLOCK", block):
+        rows = amplitude_vs_field(params, z, noise, p, comb, sweep)
+    expected = sweep_oracle(params, z, noise, p, comb, sweep)
+    assert [_sweep_bits(row) for row in rows] == [_sweep_bits(row) for row in expected]
+
+
+@pytest.mark.parametrize("count", [1, 41])
+def test_stacked_sweep_with_a_partial_last_block(nd_ground, zefoz_point, noise, count,
+                                                 monkeypatch):
+    # 5 lines over a 625-point window make five profiles per block, so 41
+    # points end in a block of one; a 1-point sweep is a block of one
+    comb = CombModel(spacing=2.8, n_lines=5, noise=noise)
+    profile_points = 5 * 625
+    assert count % (zefoz.eit.PROFILE_BLOCK // profile_points) == 1
+    z = zefoz_point
+    sweep = FieldGrid(AxisGrid(0.0, 0.0, 1), AxisGrid(0.0, 0.0, 1),
+                      AxisGrid(z.field[2] - 5.0, z.field[2] + 5.0, count) if count > 1
+                      else AxisGrid(z.field[2], z.field[2], 1))
+    p = LambdaParams(two_photon_offset=3.5)
+    sizes = []
+
+    def counting(zeta, wofz=zefoz.eit.wofz):
+        sizes.append(np.size(zeta))
+        return wofz(zeta)
+
+    monkeypatch.setattr(zefoz.eit, "wofz", counting)
+    rows = amplitude_vs_field(nd_ground, z, noise, p, comb, sweep)
+    # the coupling-off window plus line center once, then whole profiles
+    # within the block budget, every profile once
+    assert sizes[0] == 626 and sum(sizes[1:]) == count * profile_points
+    assert all(size % profile_points == 0 and size <= zefoz.eit.PROFILE_BLOCK
+               for size in sizes[1:])
+    expected = sweep_oracle(nd_ground, z, noise, p, comb, sweep)
+    assert [_sweep_bits(row) for row in rows] == [_sweep_bits(row) for row in expected]
+
+
+def test_profile_rows_do_not_depend_on_the_stack(noise):
+    # a grid through every line centre, so that zero spin dephasing meets
+    # d2 == 0 and takes the dark-state zeroing; each row of a stack, in
+    # blocks of one row, two rows or all, has the bits of a stack of one
+    comb = CombModel(spacing=1.0, n_lines=5, noise=noise)
+    grid = 0.25 * np.arange(-40.0, 41.0)
+    assert np.isin(comb.shifts(), grid).all()
+    p = LambdaParams()
+    dephasings = np.array([0.0, 0.3, 0.0, 1.7, 0.05])
+    alone = np.concatenate([zefoz.eit._profile(comb, p, dephasings[k:k + 1], grid, 0.7)
+                            for k in range(len(dephasings))])
+    for block in (1, 2 * comb.n_lines * grid.size, 10**6):
+        with mock.patch.object(zefoz.eit, "PROFILE_BLOCK", block):
+            stacked = zefoz.eit._profile(comb, p, dephasings, grid, 0.7)
+        assert np.array_equal(stacked.view(np.int64), alone.view(np.int64))
+
+
+def test_sweep_window_is_centred_on_the_shifted_comb(nd_ground, zefoz_point, noise):
+    # all weight on the outermost line, which a 15 MHz offset puts at
+    # 26.2 MHz: a window centred on 0 ends at 21.2 MHz and misses it
+    weights = np.zeros(9)
+    weights[-1] = 1.0
+    comb = CombModel(spacing=2.8, weights=weights, noise=noise)
+    p = LambdaParams(two_photon_offset=15.0)
+    z = zefoz_point
+    sweep = FieldGrid(AxisGrid(0.0, 0.0, 1), AxisGrid(0.0, 0.0, 1),
+                      AxisGrid(z.field[2] - 1.0, z.field[2] + 1.0, 3))
+    rows = amplitude_vs_field(nd_ground, z, noise, p, comb, sweep)
+    half = 4 * 2.8 + 10.0
+    window = 15.0 + np.arange(-half, half + 1e-9, 0.05)
+    for row in rows:
+        profile = eit_profile(comb, p, row.field - z.field, window)
+        assert profile.grid_covers_comb
+        # the amplitude is the transparency peak of that line, nearer to it
+        # than to its neighbour and beyond the window centred on 0
+        peak = window[np.argmax(profile.transmission)]
+        assert abs(peak - (15.0 + 4 * 2.8)) < 2.8 / 2 and peak > 21.2
+        assert row.amplitude == profile.amplitude
+
+
+def test_sweep_whose_spin_dephasing_overflows_raises_before_any_profile(
+    nd_ground, zefoz_point, noise, monkeypatch
+):
+    # the linewidth at the second and third points is inf; the sweep
+    # rejects it as LambdaParams does, before any Faddeeva evaluation
+    comb = CombModel(spacing=2.8, noise=noise)
+    z = zefoz_point
+    sweep = FieldGrid(AxisGrid(0.0, 0.0, 1), AxisGrid(0.0, 0.0, 1),
+                      AxisGrid(z.field[2], z.field[2] + 1e200, 3))
+
+    def no_faddeeva(zeta):
+        raise AssertionError("a profile was evaluated")
+
+    monkeypatch.setattr(zefoz.eit, "wofz", no_faddeeva)
+    with np.errstate(over="ignore"), pytest.raises(
+        InvalidParameterError, match="spin_dephasing must be finite"
+    ):
+        amplitude_vs_field(nd_ground, z, noise, LambdaParams(), comb, sweep)
 
 
 def test_noise_model_validation():

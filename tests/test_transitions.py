@@ -13,6 +13,7 @@ from zefoz import (
     AxisGrid,
     InvalidParameterError,
     SpectrumParams,
+    SpinParams,
     TransitionLine,
     TransitionOperator,
     absorption_spectrum,
@@ -24,7 +25,10 @@ from zefoz import (
 from zefoz.transitions import GAUSSIAN_UNDERFLOW_Q, LINE_PROFILES
 
 from conftest import (
+    ND_EXCITED,
+    ND_GROUND,
     absorption_spectrum_oracle,
+    find_lambda_systems_oracle,
     local_max_indices,
     transition_table_oracle,
 )
@@ -160,6 +164,74 @@ def test_lambda_systems_equal_up_to_round_off_keep_label_order(first, second):
     # a difference above round-off still sorts best-first
     systems = find_lambda_systems(_lambda_table({1: (0.251, 0.25), 2: second}))
     assert [s.excited for s in systems] == [2, 1]
+
+
+def _system_bits(system):
+    values = (system.strength_a, system.strength_b, system.leakage, system.asymmetry,
+              system.splitting)
+    assert all(type(v) is float for v in values)
+    return (system.ground_a, system.ground_b, system.excited, *np.array(values).view(np.int64))
+
+
+def _random_tables(rng):
+    """Tables of random Nd-like ions, at B = 0 (Kramers doublets: ties
+    between systems) and at random fields, for four operators: each
+    complete, with a third of its lines left out, and shuffled with
+    repeated pairs of new strengths appended."""
+    for case in range(24):
+        spins = [
+            SpinParams(**{**base, **{key: base[key] * rng.uniform(0.9, 1.1)
+                                     for key in ("g_par", "g_perp", "A", "B_hf")},
+                          "P": rng.uniform(-5.0, 5.0)})
+            for base in (ND_GROUND, ND_EXCITED)
+        ]
+        field = (0.0, 0.0, 0.0) if case % 3 == 0 else rng.uniform(-80.0, 80.0, 3)
+        op = TransitionOperator(("S_x", "S_y", "S_plus", "identity")[case % 4])
+        table = transition_table(*(ion_levels(s, field) for s in spins), op, SpectrumParams())
+        yield "complete", table
+        yield "partial", [line for line in table if rng.random() < 2 / 3]
+        repeated = [dataclasses.replace(table[k], strength=float(rng.uniform(0.0, 0.3)))
+                    for k in rng.integers(0, len(table), 20)]
+        yield "complete", [table[k] for k in rng.permutation(len(table))] + repeated
+
+
+LAMBDA_THRESHOLDS = (
+    {},
+    dict(max_asymmetry=0.3, max_leakage_ratio=1.0),
+    dict(max_asymmetry=1.0, max_leakage_ratio=0.5, min_strength=1e-3),
+    dict(max_asymmetry=0.0, max_leakage_ratio=0.0, min_strength=0.0),
+)
+
+
+def test_lambda_systems_match_the_per_level_loop_on_random_tables():
+    # the same systems in the same order with the same Python floats as
+    # the dict-per-level loop; a partial table with min_strength = 0 can
+    # make that loop raise KeyError (next test)
+    found = 0
+    for kind, table in _random_tables(np.random.default_rng(23)):
+        for thresholds in LAMBDA_THRESHOLDS:
+            if kind == "partial" and thresholds.get("min_strength", 1.0) == 0.0:
+                continue
+            systems = find_lambda_systems(table, **thresholds)
+            oracle = find_lambda_systems_oracle(table, **thresholds)
+            assert [_system_bits(s) for s in systems] == [_system_bits(s) for s in oracle]
+            found += len(systems)
+    assert found > 1000
+
+
+def test_a_pair_missing_from_the_table_is_no_leg():
+    # with min_strength = 0 a listed line of strength 0 is a leg; a pair
+    # the table does not list is not (the per-level loop raised KeyError)
+    lines = [TransitionLine(1, 1, 10.0, 0.3, 0.5), TransitionLine(1, 2, 20.0, 0.3, 0.5),
+             TransitionLine(2, 2, 25.0, 0.3, 0.5)]
+    loose = dict(max_asymmetry=1.0, max_leakage_ratio=1.0, min_strength=0.0)
+    assert [(s.ground_a, s.ground_b, s.excited) for s in find_lambda_systems(lines, **loose)] \
+        == [(1, 2, 2)]
+    with pytest.raises(KeyError):
+        find_lambda_systems_oracle(lines, **loose)
+    listed = lines + [TransitionLine(2, 1, 12.0, 0.0, 0.5)]
+    assert [(s.ground_a, s.ground_b, s.excited, s.asymmetry)
+            for s in find_lambda_systems(listed, **loose)] == [(1, 2, 2, 0.0), (1, 2, 1, 1.0)]
 
 
 def test_single_line_spectrum_normalization():

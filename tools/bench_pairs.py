@@ -13,7 +13,10 @@ seed ``--first-seed + i`` on both sides; even pairs run the parent
 first, odd pairs the change. For every end-to-end metric the file gives
 each side's median and quartiles, the parent's quartile distance, the
 number of pairs in which the change read lower, and whether the medians
-differ by more than the parent's quartile distance.
+differ by more than the parent's quartile distance. After the pairs,
+each side makes one traced run of seed ``--first-seed`` (``--trace 1``),
+whose per-layer metrics, such as call and diagonalization counts per
+cycle, are recorded under ``traced``.
 """
 
 from __future__ import annotations
@@ -43,10 +46,12 @@ def snapshot_worktree(dest: str) -> None:
             shutil.copy2(name, os.path.join(dest, name))
 
 
-def run(root: str, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run: its env line and the result line's fields."""
+def run(root: str, workload: str, seed: int, seconds: float, trace: bool = False) -> dict:
+    """One perfbench run: its env line and the result line's fields, the
+    end-to-end metrics or, traced, the per-layer ones."""
     done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                           "--seed", str(seed), "--seconds", str(seconds),
+                           "--trace", str(int(trace))],
                           cwd=root, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
@@ -114,11 +119,14 @@ def main(argv=None) -> int:
                     print(f"{workload} pair {i + 1} seed {seed} {side}: "
                           f"{pair[side]['metrics']}", file=sys.stderr, flush=True)
                 pairs.append(pair)
+            traced = {side: run(roots[side], workload, args.first_seed, args.seconds, trace=True)
+                      for side in ("parent", "change")}
             record["workloads"][workload] = {
                 "env": pairs[0]["parent"]["env"],
                 "seeds": [p["seed"] for p in pairs],
                 "summary": summarize(pairs),
                 "pairs": pairs,
+                "traced": traced,
             }
             with open(args.out, "w", encoding="utf-8") as handle:  # after every workload
                 json.dump(record, handle, indent=1)

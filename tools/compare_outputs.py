@@ -6,7 +6,7 @@ for byte.
 Run it from the root of a checkout. Both sides are snapshotted as
 ``tools/bench_pairs.py`` does it, before the first run. For each of the
 cli-suite seeds 1-5, ``perfbench/inputs.cli_case`` gives an ion file and
-the seven README configs, and ``EDGE_CONFIGS`` adds seven edge cases on
+the seven README configs, and ``EDGE_CONFIGS`` adds eight edge cases on
 the same ion file; each side runs ``python -m zefoz.cli`` on every
 config from its own ``src`` in a directory of its own. Every output that
 differs is printed with its first differing line, and so is a command
@@ -36,7 +36,10 @@ SEEDS = range(1, 6)
 # than the comb, and two ground outputs in the crystal plane (Bz = 0,
 # where each frame is solved as two centrosymmetric blocks): the diagram
 # along x, which starts inside the Kramers doublets at B = 0, and the
-# levels at one in-plane field.
+# levels at one in-plane field; and a sweep whose flat comb a 40 MHz
+# two-photon offset moves wholly beyond a window centred on 0 (at 15 MHz
+# the amplitude is read at the comb line nearest the optical line centre,
+# inside such a window).
 EDGE_CONFIGS = {
     "zefoz-zero-box.jsonl": "command = zefoz\nzefoz.start = 0 0 0\nzefoz.bounds.z = 0 10 3\n",
     "zefoz-3d-box.jsonl": "command = zefoz\nzefoz.bounds.x = -2 2 5\nzefoz.bounds.y = -1.5 1.5 5\n",
@@ -45,6 +48,7 @@ EDGE_CONFIGS = {
     "eit-coarse-grid.csv": "command = eit\neit.grid = -1000 1000 5\n",
     "diagram-ground-x.csv": "command = diagram\ndiagram.axis = x\n",
     "levels-in-plane.csv": "command = levels\nfield = 30 0 0\n",
+    "sweep-offset.csv": "command = sweep\neit.two_photon_offset = 40\ncomb.weights = flat\n",
 }
 
 
