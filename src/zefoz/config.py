@@ -47,6 +47,14 @@ ION_KEYS = {"S": "electron_spin", "I": "nuclear_spin", "g_par": "g_par", "g_perp
 _OPTIONAL = {f.name for f in dataclasses.fields(SpinParams) if f.default is not dataclasses.MISSING}
 ION_REQUIRED = tuple(key for key, name in ION_KEYS.items() if name not in _OPTIONAL)
 
+# Largest magnitude (mT) of a field-valued key: of ``field``,
+# ``zefoz.start``, ``zefoz.bounds.*``, ``diagram.start``/``stop``,
+# ``sweep.start``/``stop``, ``eit.delta_b`` and ``noise.delta_b``. 1 kT
+# lies far beyond any laboratory field, and below it the squares of fields
+# and their products with the model's constants (curvatures, g factors)
+# stay finite, so a field offset cannot overflow mid-run.
+MAX_FIELD_MT = 1e6
+
 # Parsers turn one value's text into its typed value, or raise ValueError
 # with a message that follows the key's name.
 
@@ -86,15 +94,26 @@ def _integer(minimum: int, odd: bool = False):
     return parse
 
 
-def _vec3(text: str) -> tuple[float, float, float]:
+def _field(text: str) -> float:
+    x = _number(text)
+    if not abs(x) <= MAX_FIELD_MT:
+        raise ValueError(f"must not exceed {MAX_FIELD_MT:.0f} mT in magnitude, got {text}")
+    return x
+
+
+def _vec3(text: str, number=_number) -> tuple[float, float, float]:
     parts = text.split()
     if len(parts) != 3:
         raise ValueError(f"expected 3 numbers, got {len(parts)}")
-    return tuple(_number(x) for x in parts)
+    return tuple(number(x) for x in parts)
 
 
-def _nonneg_vec3(text: str) -> tuple[float, float, float]:
-    vec = _vec3(text)
+def _field_vec3(text: str) -> tuple[float, float, float]:
+    return _vec3(text, _field)
+
+
+def _nonneg_field_vec3(text: str) -> tuple[float, float, float]:
+    vec = _field_vec3(text)
     if any(x < 0 for x in vec):
         raise ValueError(f"components must be non-negative, got {text}")
     return vec
@@ -113,12 +132,12 @@ def _pair(text: str) -> tuple[int, int]:
     return (a, b)
 
 
-def _axis(min_count: int):
+def _axis(min_count: int, number=_number):
     def parse(text: str) -> tuple[float, float, int]:
         parts = text.split()
         if len(parts) != 3:
             raise ValueError("expected 'start stop count'")
-        start, stop = _number(parts[0]), _number(parts[1])
+        start, stop = number(parts[0]), number(parts[1])
         try:
             count = int(parts[2])
         except ValueError:
@@ -153,6 +172,7 @@ _POS = _real("be positive", lambda x: x > 0)
 _NONNEG = _real("be non-negative", lambda x: x >= 0)
 _UNIT = _real("lie in [0, 1]", lambda x: 0.0 <= x <= 1.0)
 _COUNT = _integer(1)
+_FIELD_AXIS = _axis(1, _field)
 # Choice lists of transitions.LINE_PROFILES and transitions.OPERATOR_KINDS
 # (a custom operator has no config key).
 _PROFILES = ("gaussian", "lorentzian")
@@ -184,18 +204,18 @@ class RunConfig:
     ion_file: str = _key("ion_file", _path)
     output: str = _key("output", _path, None)
     out_format: str = _key("format", _choice(FORMATS), None)
-    field: _Vec3 = _key("field", _vec3, (0.0, 0.0, 0.0))
+    field: _Vec3 = _key("field", _field_vec3, (0.0, 0.0, 0.0))
     manifold: str = _key("manifold", _choice(ION_SECTIONS), "ground")
     operator: str = _key("operator", _choice(_OPERATORS), "S_x")
     zefoz_pair: tuple[int, int] = _key("zefoz.pair", _pair, (8, 10))
-    zefoz_start: _Vec3 = _key("zefoz.start", _vec3, (0.0, 0.0, 50.0))
-    zefoz_bounds_x: _Axis = _key("zefoz.bounds.x", _axis(1), (0.0, 0.0, 1))
-    zefoz_bounds_y: _Axis = _key("zefoz.bounds.y", _axis(1), (0.0, 0.0, 1))
-    zefoz_bounds_z: _Axis = _key("zefoz.bounds.z", _axis(1), (30.0, 100.0, 36))
+    zefoz_start: _Vec3 = _key("zefoz.start", _field_vec3, (0.0, 0.0, 50.0))
+    zefoz_bounds_x: _Axis = _key("zefoz.bounds.x", _FIELD_AXIS, (0.0, 0.0, 1))
+    zefoz_bounds_y: _Axis = _key("zefoz.bounds.y", _FIELD_AXIS, (0.0, 0.0, 1))
+    zefoz_bounds_z: _Axis = _key("zefoz.bounds.z", _FIELD_AXIS, (30.0, 100.0, 36))
     zefoz_tol: float = _key("zefoz.tol", _POS, 1e-6)
     diagram_axis: str = _key("diagram.axis", _choice(("x", "y", "z")), "z")
-    diagram_start: float = _key("diagram.start", _number, 0.0)
-    diagram_stop: float = _key("diagram.stop", _number, 100.0)
+    diagram_start: float = _key("diagram.start", _field, 0.0)
+    diagram_stop: float = _key("diagram.stop", _field, 100.0)
     diagram_count: int = _key("diagram.count", _COUNT, 201)
     spectrum_temperature: float = _key("spectrum.temperature", _POS, 2.0)
     # auto: 35 MHz in a bias field, 70 MHz at zero field
@@ -208,7 +228,7 @@ class RunConfig:
     lambda_max_leakage_ratio: float = _key("lambda.max_leakage_ratio", _UNIT, 0.01)
     lambda_min_strength: float = _key("lambda.min_strength", _NONNEG, 1e-6)
     noise_gamma0: float = _key("noise.gamma0", _NONNEG, 0.5)
-    noise_delta_b: _Vec3 = _key("noise.delta_b", _nonneg_vec3, (1.0, 1.0, 1.0))
+    noise_delta_b: _Vec3 = _key("noise.delta_b", _nonneg_field_vec3, (1.0, 1.0, 1.0))
     # auto: from the ZEFOZ search
     noise_curvatures: _Vec3 | None = _key("noise.curvatures", _vec3, None, "auto")
     comb_n_lines: int = _key("comb.n_lines", _integer(1, odd=True), 9)
@@ -220,9 +240,9 @@ class RunConfig:
     eit_inhom_fwhm: float = _key("eit.inhom_fwhm", _POS, 35.0)
     eit_two_photon_offset: float = _key("eit.two_photon_offset", _number, 0.0)
     eit_grid: _Axis = _key("eit.grid", _axis(3), (-18.0, 18.0, 1801))
-    eit_delta_b: _Vec3 = _key("eit.delta_b", _vec3, (0.0, 0.0, 0.0))
-    sweep_start: float = _key("sweep.start", _number, 54.0)
-    sweep_stop: float = _key("sweep.stop", _number, 74.0)
+    eit_delta_b: _Vec3 = _key("eit.delta_b", _field_vec3, (0.0, 0.0, 0.0))
+    sweep_start: float = _key("sweep.start", _field, 54.0)
+    sweep_stop: float = _key("sweep.stop", _field, 74.0)
     sweep_count: int = _key("sweep.count", _COUNT, 41)
 
     def __post_init__(self):

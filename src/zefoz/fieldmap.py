@@ -28,21 +28,38 @@ Kramers doublet at B = 0), and the search drops a flagged endpoint.
 Each eigensystem is taken in its field's azimuthal frame (``spins``),
 where the field is (B_perp, 0, Bz), the vectors, M_x and M_z are real and
 M_y is imaginary, so the y slope and the xy and yz Hessian entries vanish.
-Slopes turn back to the lab as vectors, Hessians as R(phi) H R(phi)^T.
+A transition's frame slope and Hessian turn back to the lab as a vector
+and as R(phi) H R(phi)^T.
 
 H is axial, so the frame matrix H(B_perp, 0, Bz) does not depend on the
-azimuth: ``_transition``, the one route from a stack of fields (the
-search grid, the Newton steps of all search seeds, stacked frequencies)
-to transition derivatives, keys the stack's distinct (B_perp, Bz) frames
-once, and each manifold diagonalizes each of them once, equal bit for
-bit, at most ``BLOCK`` frames per call; each field turns its frame's
-slopes and Hessians by its own azimuth. A level diagram takes one
-eigensystem per field, ``BLOCK`` fields per call: its frames along a scan
-are distinct unless the scan crosses zero on x or y.
+azimuth. ``_frame_transition`` is the one route from a stack of frames
+to transition derivatives: each manifold diagonalizes each frame once,
+equal bit for bit in any stack, at most ``BLOCK`` frames per call.
+``_transition`` takes a stack of lab fields (stacked frequencies, the
+gradient, the curvatures) there: it keys the stack's distinct
+(B_perp, Bz) frames once, and each field turns its frame's slope and
+Hessian by its own azimuth. A level diagram takes one eigensystem per
+field, ``BLOCK`` fields per call: its frames along a scan are distinct
+unless the scan crosses zero on x or y.
+
+Stationary points
+-----------------
+The frequency depends on (B_perp, Bz) only, and is even in Bz, so each
+stationary point lies on the z axis or on a ring about it, where it is
+stationary in B_perp and Bz and flat along the azimuth: the azimuthal
+curvature is (1/B_perp) dw/dB_perp. ``zefoz_search`` works in those
+frame coordinates. It scans the box's distinct frames, seeds Newton at
+the sign changes of the frame slopes, refines every seed in lockstep on
+the 1 x 1 or 2 x 2 frame Hessian, clipped into the box's half-plane
+region, merges the endpoints in (B_perp, Bz) and turns each kept one into
+the lab once: an axis point, or a ring reported once at its point in the
+box nearest the start, with a signature from C's eigenvalues whose flat
+azimuthal direction reads 0.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -50,6 +67,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .spins import (  # noqa: F401 - perfbench reads fieldmap.ion_levels
+    AxisGrid,
     FieldGrid,
     IonParams,
     SpinParams,
@@ -122,11 +140,15 @@ class GradientResult:
 
 @dataclass(frozen=True)
 class ZefozPoint:
-    """A stationary point of a transition frequency in field space.
+    """A stationary point of a transition frequency in field space, or one
+    point of a stationary ring about the z axis (see ``zefoz_search``).
 
     ``curvatures`` holds the diagonal quadratic coefficients (S2x, S2y, S2z)
     in kHz/mT^2; ``curvature_matrix`` is the full 3x3 coefficient matrix.
-    ``hessian_signature`` is the sign triple of the diagonal (-1, 0, +1).
+    ``hessian_signature`` is a sign triple (-1, 0, +1): of the diagonal for
+    a point, of the eigenvalues in ascending order for a ring, whose flat
+    azimuthal direction reads 0. ``gradient_residual`` (MHz/mT) is the
+    largest free frame slope, dw/dB_perp or dw/dBz, at the endpoint.
     """
 
     field: np.ndarray
@@ -170,7 +192,8 @@ def _frame_derivatives(params: SpinParams, b_perp: np.ndarray, bz: np.ndarray,
     ``BLOCK`` frames per call; by order, the frame slopes <n|M_i|n> (U, L, 3),
     the gap (U, L) from each level to its nearer neighbour and the frame
     Hessians (U, L, 3, 3) of the perturbation sum, which leaves out every
-    level m closer than ``DEGENERACY_GAP`` to n. Parts above ``order`` are
+    level m closer than ``DEGENERACY_GAP`` to n, and the real frame vectors
+    (U, L, d) of the levels from order 1 on. Parts above ``order`` are
     None. The couplings come from stacked products with one small matrix
     product per frame, level and axis, so every frame gets the same bits
     whatever stack it sits in."""
@@ -183,10 +206,10 @@ def _frame_derivatives(params: SpinParams, b_perp: np.ndarray, bz: np.ndarray,
         energies, vectors = _axial_eigensystems(params, b_perp[block], bz[block])
         energy = energies[:, idx]
         if order == 0:
-            blocks.append((energy, None, None, None))
+            blocks.append((energy, None, None, None, None))
             continue
-        edge = np.full((len(energies), 1), np.inf)
-        spacing = np.hstack([edge, np.diff(energies, axis=1), edge])
+        spacing = np.full((len(energies), energies.shape[1] + 1), np.inf)  # E_k - E_(k-1)
+        np.subtract(energies[:, 1:], energies[:, :-1], out=spacing[:, 1:-1])
         gap = np.minimum(spacing[:, idx], spacing[:, idx + 1])
         kets = vectors.transpose(0, 2, 1)[:, idx]  # |n>, (U, L, d)
         bras = (kets[:, :, None, None, :] @ real_zeeman)[:, :, :, 0]  # (U, L, 3, d)
@@ -201,23 +224,61 @@ def _frame_derivatives(params: SpinParams, b_perp: np.ndarray, bz: np.ndarray,
             )
             weighted = coupling * weight[:, :, None, :]
             frame = 2.0 * (weighted @ coupling.swapaxes(2, 3))
-            frame[..., 1, [0, 2]] = frame[..., [0, 2], 1] = 0.0  # real times imaginary
-        blocks.append((energy, own, gap, frame))
+            frame[..., 1, ::2] = frame[..., ::2, 1] = 0.0  # real times imaginary
+        blocks.append((energy, own, gap, frame, kets))
     if len(blocks) == 1:
         return blocks[0]
     return [None if parts[0] is None else np.concatenate(parts) for parts in zip(*blocks)]
 
 
 class _Transition(NamedTuple):
-    """Frequency (N,) in MHz of the selected transition at each field of a
-    stack and, by order, its Hellmann-Feynman slope (N, 3) in MHz/mT, the
-    smallest gap (N,) in MHz from either level to its nearer neighbour, and
-    its Hessian (N, 3, 3) in MHz/mT^2."""
+    """Frequency (N,) in MHz of the selected transition at each field or
+    frame of a stack and, by order, its Hellmann-Feynman slope (N, 3) in
+    MHz/mT, the smallest gap (N,) in MHz from either level to its nearer
+    neighbour, its Hessian (N, 3, 3) in MHz/mT^2 and, from a frame stack
+    only, the real frame vectors (N, d) of its lower and upper level."""
 
     frequency: np.ndarray
     slope: np.ndarray | None
     min_gap: np.ndarray | None
     hessian: np.ndarray | None
+    kets: tuple[np.ndarray, np.ndarray] | None = None
+
+
+def _frame_transition(params, sel: TransitionSelector, b_perp: np.ndarray, bz: np.ndarray,
+                      order: int) -> _Transition:
+    """E_j - E_i and its derivatives up to ``order`` in each frame
+    (B_perp, 0, Bz) of 1-D stacks ``b_perp`` and ``bz`` (U,): slopes and
+    Hessians in frame axes, the differences of the two levels' values from
+    ``_frame_derivatives``, so every frame gets the same bits whatever
+    stack it sits in. The frame x axis is the B_perp direction: on the z
+    axis (B_perp = 0) it is the lab x axis and these are the lab values."""
+    p_i, p_j = _split_params(params, sel)
+    _check_labels(sel, p_i.dimension, (p_j or p_i).dimension)
+    if p_j is None:
+        pair = _frame_derivatives(p_i, b_perp, bz, np.array([sel.level_i, sel.level_j]) - 1,
+                                  order)
+        lower, upper = ([None if part is None else part[:, k] for part in pair] for k in (0, 1))
+    else:
+        lower, upper = ([None if part is None else part[:, 0]
+                         for part in _frame_derivatives(p, b_perp, bz, np.array([label - 1]),
+                                                        order)]
+                        for p, label in ((p_i, sel.level_i), (p_j, sel.level_j)))
+    frequency = upper[0] - lower[0]
+    if order == 0:
+        return _Transition(frequency, None, None, None)
+    return _Transition(frequency, upper[1] - lower[1], np.minimum(lower[2], upper[2]),
+                       None if order == 1 else upper[3] - lower[3], (lower[4], upper[4]))
+
+
+def _turns(azimuth: np.ndarray) -> np.ndarray:
+    """Rotations R(phi) about z (N, 3, 3) of azimuths (N, 2) = (cos, sin):
+    R turns frame slopes (R s) and Hessians (R H R^T) back to the lab."""
+    cos, sin = azimuth[:, 0], azimuth[:, 1]
+    turn = np.zeros((len(azimuth), 3, 3))
+    turn[:, 0, 0] = turn[:, 1, 1] = cos
+    turn[:, 1, 0], turn[:, 0, 1], turn[:, 2, 2] = sin, -sin, 1.0
+    return turn
 
 
 def _transition(params, fields: np.ndarray, sel: TransitionSelector, order: int) -> _Transition:
@@ -226,43 +287,29 @@ def _transition(params, fields: np.ndarray, sel: TransitionSelector, order: int)
 
     Fields whose B_perp and Bz are equal bit for bit share one azimuthal
     frame: a stack of two or more is keyed once, and each manifold
-    diagonalizes each distinct frame once (``_frame_derivatives``). Each
-    field then turns its frame's slopes and Hessians back to the lab by its
+    diagonalizes each distinct frame once (``_frame_transition``). Each
+    field then turns its frame's slope and Hessian back to the lab by its
     own azimuth (see the module docstring), one small matrix product per
     field, so every field gets the same bits whatever stack it sits in.
     The slope is the Hellmann-Feynman difference everywhere; where
     ``min_gap`` is below ``DEGENERACY_GAP`` it depends on the basis the
     eigensolver picked inside a degenerate cluster.
     """
-    p_i, p_j = _split_params(params, sel)
-    _check_labels(sel, p_i.dimension, (p_j or p_i).dimension)
     b_perp, azimuth = _azimuthal_frames(fields)
     bz = fields[:, 2]
     if len(fields) > 1:
         bits = np.stack([b_perp, bz], axis=1).view("V16")[:, 0]  # compared bytewise
         _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
         b_perp, bz = b_perp[first], bz[first]
-    if p_j is None:
-        parts = _frame_derivatives(p_i, b_perp, bz, np.array([sel.level_i, sel.level_j]) - 1,
-                                   order)
-    else:
-        lower = _frame_derivatives(p_i, b_perp, bz, np.array([sel.level_i - 1]), order)
-        upper = _frame_derivatives(p_j, b_perp, bz, np.array([sel.level_j - 1]), order)
-        parts = [None if a is None else np.concatenate([a, b], axis=1) for a, b in zip(lower, upper)]
+    frequency, slope, min_gap, hessian, _ = _frame_transition(params, sel, b_perp, bz, order)
     if len(fields) > 1:
-        parts = [None if part is None else part[inverse] for part in parts]
-    energy, own, gap, frame = parts
-    frequency = energy[:, 1] - energy[:, 0]
+        frequency, slope, min_gap, hessian = (None if part is None else part[inverse]
+                                              for part in (frequency, slope, min_gap, hessian))
     if order == 0:
         return _Transition(frequency, None, None, None)
-    cos, sin = azimuth[:, 0], azimuth[:, 1]
-    turn = np.zeros((len(azimuth), 1, 3, 3))  # the rotation by phi about z
-    turn[:, 0, 0, 0] = turn[:, 0, 1, 1] = cos
-    turn[:, 0, 1, 0], turn[:, 0, 0, 1], turn[:, 0, 2, 2] = sin, -sin, 1.0
-    slope = (turn @ own[..., None])[..., 0]
-    hessian = None if frame is None else turn @ frame @ turn.swapaxes(2, 3)
-    return _Transition(frequency, slope[:, 1] - slope[:, 0], np.min(gap, axis=1),
-                       None if hessian is None else hessian[:, 1] - hessian[:, 0])
+    turn = _turns(azimuth)
+    return _Transition(frequency, (turn @ slope[..., None])[..., 0], min_gap,
+                       None if hessian is None else turn @ hessian @ turn.swapaxes(1, 2))
 
 
 def transition_frequencies(params, fields, sel: TransitionSelector) -> np.ndarray:
@@ -328,36 +375,49 @@ def _newton_steps(jac: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return steps
 
 
+class _Endpoint(NamedTuple):
+    """Where one search seed's Newton run ended, in frame coordinates: the
+    frame (B_perp, 0, Bz), its frequency (MHz), gradient residual (MHz/mT)
+    and frame Hessian (3, 3) in MHz/mT^2."""
+
+    frame: np.ndarray
+    frequency: float
+    residual: float
+    hessian: np.ndarray
+
+
 def _newton_refine(
     params,
     sel: TransitionSelector,
-    seeds: list[np.ndarray],
-    bounds: FieldGrid,
+    seeds: np.ndarray,
+    region: tuple[np.ndarray, np.ndarray],
     free: list[int],
     tol: float,
     max_iter: int,
-) -> list[ZefozPoint | None]:
-    """Damped Newton root-finding on the free gradient components from
-    every seed in lockstep.
+) -> list[_Endpoint | None]:
+    """Damped Newton root-finding on the free frame slopes (``free`` holds
+    0 for B_perp and 2 for Bz) from every seed frame (N, 3) in lockstep.
+    With no free coordinate (a box's foot at a fixed Bz) each seed is its
+    own endpoint, with residual 0.
 
-    Each evaluation gives the gradient, the next Jacobian (the analytic
-    Hessian) and, at the endpoint, the reported frequency and curvatures.
-    An iteration evaluates the trial points of all live seeds in one
-    ``_transition`` stack; a damping retry re-evaluates, again as one
-    stack, only the seeds whose gradient did not shrink. A seed stops once
-    its gradient is within ``tol``, when no damped step shrinks it, or
-    after ``max_iter`` iterations. A field's result does not depend on the
+    Each evaluation gives the slope, the next Jacobian (the frame Hessian's
+    free entries) and, at the endpoint, the frequency and the Hessian. An
+    iteration evaluates the trial frames of all live seeds in one
+    ``_frame_transition`` stack; a damping retry re-evaluates, again as one
+    stack, only the seeds whose slope did not shrink. Every trial frame is
+    clipped into ``region``, the (lower, upper) frame corners. A seed stops
+    once its slope is within ``tol``, when no damped step shrinks it, or
+    after ``max_iter`` iterations. A frame's result does not depend on the
     stack it sits in, so every seed takes the steps it would take alone.
-    Returns, in seed order, each converged point or None, also where the
-    endpoint's gradient is flagged (a degenerate level, e.g. the kink at B = 0).
+    Returns, in seed order, each converged endpoint or None, also where its
+    gradient is flagged (a degenerate level, e.g. the kink at B = 0).
     """
     points = np.array(seeds, dtype=float)
-    start = np.array([bounds.axis(k).start for k in free])
-    stop = np.array([bounds.axis(k).stop for k in free])
-    state = _transition(params, points, sel, 2)
+    start, stop = region[0][free], region[1][free]
+    state = _frame_transition(params, sel, points[:, 0], points[:, 2], 2)
     frequency, hessian = state.frequency, state.hessian
     grad = state.slope[:, free]
-    norm = np.max(np.abs(grad), axis=1)
+    norm = np.max(np.abs(grad), axis=1, initial=0.0)  # 0 with no free coordinate
     flagged = state.min_gap < DEGENERACY_GAP
     failed = np.zeros(len(points), dtype=bool)
     live = np.arange(len(points))
@@ -378,9 +438,9 @@ def _newton_refine(
                 break
             trial = points[trying]
             moved = trial[:, free] + damp * delta[pending]
-            moved = np.where(start > moved, start, moved)  # clip into bounds
+            moved = np.where(start > moved, start, moved)  # clip into the region
             trial[:, free] = np.where(stop < moved, stop, moved)
-            trial_state = _transition(params, trial, sel, 2)
+            trial_state = _frame_transition(params, sel, trial[:, 0], trial[:, 2], 2)
             trial_grad = trial_state.slope[:, free]
             trial_norm = np.max(np.abs(trial_grad), axis=1)
             better = trial_norm < norm[trying]
@@ -393,48 +453,140 @@ def _newton_refine(
             flagged[took] = trial_state.min_gap[better] < DEGENERACY_GAP
             pending[pending] = ~better
         live = live[~pending]  # no damped step helped: the seed stops
-    found: list[ZefozPoint | None] = []
-    for s in range(len(points)):
-        residual = float(norm[s])
-        if failed[s] or flagged[s] or residual > tol:
-            found.append(None)
-            continue
-        curv = _curvature_matrix(hessian[s])
-        diag = np.diag(curv).copy()
-        found.append(
-            ZefozPoint(
-                field=points[s].copy(),
-                omega0=float(frequency[s]),
-                gradient_residual=residual,
-                curvatures=diag,
-                hessian_signature=tuple(int(np.sign(round(c, 6))) for c in diag),
-                curvature_matrix=curv,
-                selector=sel,
-            )
-        )
-    return found
+    keep = ~(failed | flagged) & (norm <= tol)
+    return [_Endpoint(points[s], float(frequency[s]), float(norm[s]), hessian[s])
+            if keep[s] else None for s in range(len(points))]
+
+
+def _half_plane(bounds: FieldGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper frame corners (B_perp, 0, Bz) of the region a box
+    covers: B_perp from the box's nearest to its farthest distance from the
+    z axis (a circle about the axis meets the box exactly when its radius
+    lies between them), Bz over the box's z range."""
+    spans = (bounds.x.span, bounds.y.span)
+    near = [0.0 if low <= 0.0 <= high else min(abs(low), abs(high)) for low, high in spans]
+    far = [max(abs(low), abs(high)) for low, high in spans]
+    z_low, z_high = bounds.z.span
+    return np.array([np.hypot(*near), 0.0, z_low]), np.array([np.hypot(*far), 0.0, z_high])
+
+
+def _line_foot(bounds: FieldGrid) -> FieldGrid | None:
+    """The sub-box at the foot of the perpendicular from the z axis to a
+    box whose x-y extent is a segment off the axis: one of x, y free with
+    its range through 0, the other fixed at c != 0. There, at B_perp = |c|,
+    the slope along the segment vanishes by symmetry whatever dw/dB_perp,
+    so the foot (the free axis held at 0) is searched along z on its own.
+    None for any other box."""
+    axes = [bounds.x, bounds.y]
+    free = [k for k in (0, 1) if axes[k].count > 1]
+    if len(free) != 1:
+        return None
+    low, high = axes[free[0]].span
+    if not low <= 0.0 <= high or axes[1 - free[0]].start == 0.0:
+        return None
+    axes[free[0]] = AxisGrid(0.0, 0.0, 1)
+    return FieldGrid(*axes, bounds.z)
+
+
+def _frame_free(bounds: FieldGrid) -> list[int]:
+    """The free frame coordinates of a box: 0 (B_perp) when x or y is a free
+    axis, 2 (Bz) when z is."""
+    lab = bounds.free_axes()
+    return [k for k, axes in ((0, (0, 1)), (2, (2,))) if any(axis in lab for axis in axes)]
 
 
 def _search_seeds(params, sel: TransitionSelector, start: np.ndarray, bounds: FieldGrid,
-                  free: list[int]) -> list[np.ndarray]:
-    """``start``, then the midpoint of every bracket where a free gradient
-    component changes sign between neighbours of the ``bounds`` grid."""
-    grid_points = bounds.points()
-    grads = _transition(params, grid_points, sel, 1).slope[:, free]
-    seeds = [start]
-    shape = tuple(bounds.axis(k).count for k in range(3))
-    grads_nd = grads.reshape(shape + (len(free),))
-    points_nd = grid_points.reshape(shape + (3,))
-    for fi, axis in enumerate(free):
-        g_ax = np.moveaxis(grads_nd[..., fi], axis, 0)
-        p_ax = np.moveaxis(points_nd, axis, 0)
-        sign_change = g_ax[:-1] * g_ax[1:] < 0
-        for idx in np.argwhere(sign_change):
-            lead = tuple(idx)
-            lo = p_ax[lead]
-            hi = p_ax[(idx[0] + 1,) + lead[1:]]
-            seeds.append((lo + hi) / 2.0)
-    return seeds
+                  free: list[int]) -> np.ndarray:
+    """Seed frames (N, 3): the frame of the lab field ``start``, then the
+    midpoint of every bracket of the frame scan where a free frame slope
+    changes sign.
+
+    The scan takes the distinct frames of the ``bounds`` grid, its
+    distinct radii hypot(x, y) times its z values. The B_perp slope is
+    bracketed between neighbouring radii, the Bz slope between neighbouring
+    z values. A bracket is skipped where either end's gap is below
+    ``DEGENERACY_GAP`` (its slope depends on the eigensolver's basis), or
+    where a level of the pair overlaps its vector at the other end by less
+    than 1/sqrt(2): a crossing of sorted levels lies between the ends, and
+    the sign change is the slope's jump there, not a stationary point.
+    Seeds that coincide are taken once."""
+    radii = np.sort(np.hypot.outer(bounds.x.values(), bounds.y.values()), axis=None)
+    # distinct: np.unique without indices would import numpy.ma (~20 ms per CLI process)
+    radii = radii[np.append(True, radii[1:] != radii[:-1])]
+    z = bounds.z.values()
+    frames = np.zeros((len(radii), len(z), 3))
+    frames[..., 0], frames[..., 2] = radii[:, None], z
+    flat = frames.reshape(-1, 3)
+    scan = _frame_transition(params, sel, flat[:, 0], flat[:, 2], 1)
+    shape = frames.shape[:2]
+    slope = scan.slope.reshape(shape + (3,))
+    clear = scan.min_gap.reshape(shape) >= DEGENERACY_GAP
+    kets = [ket.reshape(shape + ket.shape[-1:]) for ket in scan.kets]
+    seeds = [np.array([[np.hypot(*start[:2]), 0.0, start[2]]])]
+    ends = {0: (np.s_[:-1], np.s_[1:]), 2: (np.s_[:, :-1], np.s_[:, 1:])}  # radii, z values
+    for component in free:
+        low, high = ends[component]
+        g = slope[..., component]
+        bracket = (g[low] * g[high] < 0) & clear[low] & clear[high]
+        for ket in kets:
+            bracket &= np.abs(np.sum(ket[low] * ket[high], axis=-1)) >= np.sqrt(0.5)
+        seeds.append((frames[low][bracket] + frames[high][bracket]) / 2.0)
+    seeds = np.concatenate(seeds)
+    first = {tuple(seed): k for k, seed in reversed(list(enumerate(seeds.tolist())))}
+    return seeds[sorted(first.values())]
+
+
+def _ring_point(b_perp: float, bounds: FieldGrid, start: np.ndarray) -> tuple[float, float]:
+    """(Bx, By) of the box's point at distance ``b_perp`` from the z axis
+    nearest to ``start``: the radial projection of ``start`` (along x where
+    it lies on the axis) if the box holds it, else where the circle crosses
+    an edge of the box. Clipped into the box, so a one-point axis keeps its
+    value exactly."""
+    (x0, x1), (y0, y1) = bounds.x.span, bounds.y.span
+    sx, sy = float(start[0]), float(start[1])
+    s = math.hypot(sx, sy)
+    candidates = [(b_perp * sx / s, b_perp * sy / s) if s > 0.0 else (b_perp, 0.0)]
+    for k, edges in ((0, (x0, x1)), (1, (y0, y1))):
+        for edge in edges:
+            if abs(edge) <= b_perp:
+                across = math.sqrt(b_perp**2 - edge**2)
+                for side in (across, -across):
+                    candidates.append((edge, side) if k == 0 else (side, edge))
+    inside = [(x, y) for x, y in candidates
+              if x0 - 1e-9 <= x <= x1 + 1e-9 and y0 - 1e-9 <= y <= y1 + 1e-9]
+    # none only where round-off moves an edge crossing at a tangency outside
+    x, y = min(inside or candidates, key=lambda point: math.hypot(point[0] - sx, point[1] - sy))
+    return min(max(x, x0), x1), min(max(y, y0), y1)
+
+
+def _zefoz_point(end: _Endpoint, sel: TransitionSelector, bounds: FieldGrid,
+                 start: np.ndarray, ring: bool) -> ZefozPoint:
+    """The lab ``ZefozPoint`` of one endpoint: at its ring's point nearest
+    ``start`` (``_ring_point``), with its frame Hessian turned by that
+    point's azimuth. The signature is the sign of C's diagonal or, for a
+    ring, the signs of C's eigenvalues in ascending order: those of its
+    (B_perp, Bz) block and, for the azimuth, 0: the azimuthal curvature
+    is (1/B_perp) dw/dB_perp / 2, 0 on a ring. C itself keeps the computed
+    one, which the endpoint's B_perp slope bounds by 500 tol / B_perp
+    kHz/mT^2."""
+    field = np.array([*_ring_point(float(end.frame[0]), bounds, start), end.frame[2]])
+    turn = _turns(_azimuthal_frames(field[None])[1])[0]
+    curv = _curvature_matrix(turn @ end.hessian @ turn.T)
+    diag = np.diag(curv).copy()
+    if ring:
+        plane = _curvature_matrix(end.hessian[np.ix_((0, 2), (0, 2))])
+        signs = np.sort(np.append(np.linalg.eigvalsh(plane), 0.0))
+    else:
+        signs = diag
+    return ZefozPoint(
+        field=field,
+        omega0=end.frequency,
+        gradient_residual=end.residual,
+        curvatures=diag,
+        hessian_signature=tuple(int(np.sign(round(c, 6))) for c in signs),
+        curvature_matrix=curv,
+        selector=sel,
+    )
 
 
 def zefoz_search(
@@ -446,36 +598,69 @@ def zefoz_search(
 ) -> list[ZefozPoint]:
     """Locate stationary points of the selected transition frequency.
 
-    A coarse scan over ``bounds`` brackets sign changes of the gradient
-    along every free axis; each bracket (plus ``initial_field``) seeds a
-    damped Newton refinement of grad w = 0, all seeds in lockstep: each
-    damping level of an iteration diagonalizes the trial points of the
-    live seeds as one stack. Stationary points of any Hessian signature
-    are reported (field-insensitive transitions are generically saddle
-    points), but not an endpoint at a degenerate level, whose gradient is
-    flagged. Newton clips every step into ``bounds``. Endpoints closer than
-    ``MERGE_DISTANCE`` mT are one point, reported once with the lowest
-    gradient residual. Returns the distinct points, sorted by gradient
-    residual; an empty list means none.
+    H is axial, so the frequency depends on (B_perp, Bz) only, and the
+    search works in those frame coordinates over the half-plane region the
+    box covers (``_half_plane``): B_perp is free when x or y is, Bz when z
+    is. A scan of the box's distinct frames brackets sign changes of the
+    free frame slopes (``_search_seeds``, which skips brackets across a
+    degenerate level or a level crossing); each bracket, plus the frame of
+    ``initial_field``, seeds a damped Newton refinement of the free slopes
+    to zero, all seeds in lockstep: each damping level of an iteration
+    diagonalizes the trial frames of the live seeds as one stack. Newton
+    clips every step into the region. An endpoint whose gradient is
+    flagged (a degenerate level) is dropped. Endpoints closer than
+    ``MERGE_DISTANCE`` mT in both B_perp and Bz are one point, kept with
+    the lowest gradient residual, the largest |free frame slope|.
+
+    Each kept endpoint is reported once, at one lab field:
+    - with B_perp below ``MERGE_DISTANCE``, or B_perp fixed (x and y both
+      one-point axes), it is a point, at the box's field of that B_perp
+      nearest ``initial_field``, and its signature is the sign of C's
+      diagonal;
+    - any other endpoint is a ring of stationary points about the z axis,
+      flat along the azimuth. It is reported at its point inside the box
+      nearest ``initial_field`` (the radial projection of the start, or a
+      crossing of the ring with an edge of the box), and its signature is
+      the signs of C's eigenvalues in ascending order, which do not depend
+      on the azimuth: the flat direction reads 0.
+    A box whose x-y extent is a segment off the axis (one of x, y free
+    through 0, the other fixed at c != 0) also holds the points where only
+    the slope along the segment vanishes: at its foot (0, c) or (c, 0),
+    nearest the axis, by symmetry. The foot is searched along z as a box
+    of its own (``_line_foot``), and its endpoints join the merge as
+    points. Stationary points of any signature are reported
+    (field-insensitive transitions are generically saddle points). Returns
+    the distinct points, sorted by gradient residual; an empty list means
+    none.
     """
     if tol <= 0:
         raise InvalidParameterError(f"tol must be positive, got {tol}")
     start = as_field(initial_field)
     if not bounds.contains(start):
         raise InvalidParameterError("initial field lies outside the search bounds")
-    free = bounds.free_axes()
+    free = _frame_free(bounds)
     if not free:
         raise InvalidParameterError("search bounds leave no free axis to vary")
 
-    seeds = _search_seeds(params, sel, start, bounds, free)
-    refined = _newton_refine(params, sel, seeds, bounds, free, tol, NEWTON_ITERATIONS)
-    endpoints = [z for z in refined if z is not None]
-    endpoints.sort(key=lambda z: z.gradient_residual)  # stable: ties keep seed order
-    found: list[ZefozPoint] = []
-    for z in endpoints:
-        if all(np.max(np.abs(z.field - kept.field)) >= MERGE_DISTANCE for kept in found):
-            found.append(z)
-    return found
+    searches = [(bounds, start, free)]
+    foot = _line_foot(bounds)
+    if foot is not None:  # start projected onto the foot
+        searches.append((foot, np.array([foot.x.start, foot.y.start, start[2]]),
+                         _frame_free(foot)))
+    endpoints = []  # (endpoint, the box it is reported in, whether it is a ring)
+    for box, begin, axes in searches:
+        seeds = _search_seeds(params, sel, begin, box, axes)
+        refined = _newton_refine(params, sel, seeds, _half_plane(box), axes, tol,
+                                 NEWTON_ITERATIONS)
+        endpoints += [(end, box, 0 in axes and end.frame[0] >= MERGE_DISTANCE)
+                      for end in refined if end is not None]
+    endpoints.sort(key=lambda found: found[0].residual)  # stable: ties keep seed order
+    kept: list[tuple[_Endpoint, FieldGrid, bool]] = []
+    for found in endpoints:
+        if all(np.max(np.abs(found[0].frame - other[0].frame)) >= MERGE_DISTANCE
+               for other in kept):
+            kept.append(found)
+    return [_zefoz_point(end, sel, box, start, ring) for end, box, ring in kept]
 
 
 @dataclass

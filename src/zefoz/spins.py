@@ -216,6 +216,11 @@ class AxisGrid:
                 f"grid stop {self.stop} must be above start {self.start} for {self.count} points"
             )
 
+    @property
+    def span(self) -> tuple[float, float]:
+        """The first and last grid values (a one-point grid: its start twice)."""
+        return (self.start, self.stop if self.count > 1 else self.start)
+
     def values(self) -> np.ndarray:
         if self.count == 1:
             return np.array([self.start], dtype=float)
@@ -247,8 +252,8 @@ class FieldGrid:
         """Whether ``point`` lies between the first and last grid values of
         every axis (on a one-point axis, at its value), to within 1e-9 mT."""
         for k in range(3):
-            values = self.axis(k).values()
-            if not (values[0] - 1e-9 <= point[k] <= values[-1] + 1e-9):
+            low, high = self.axis(k).span
+            if not (low - 1e-9 <= point[k] <= high + 1e-9):
                 return False
         return True
 
@@ -363,8 +368,10 @@ def _axial_eigensystems(params: SpinParams, b_perp: np.ndarray, bz: np.ndarray):
                 params._in_plane_blocks, b_perp[in_plane])
             return energies, vectors
     terms = params.linear_terms
-    h = (terms.h0 + b_perp[:, None, None] * terms.zeeman[0].real
-         + bz[:, None, None] * terms.zeeman[2].real)
+    # (H0 + B_perp M_x) + Bz M_z, summed in place
+    h = np.multiply(b_perp[:, None, None], terms.zeeman[0].real)
+    h += terms.h0
+    h += np.multiply(bz[:, None, None], terms.zeeman[2].real)
     return np.linalg.eigh(h)
 
 

@@ -37,9 +37,6 @@ from zefoz import fieldmap
 from zefoz.eit import _WEIDEMAN_COEFFICIENTS, _WEIDEMAN_L, GAUSSIAN_FWHM_TO_SIGMA
 from zefoz.fieldmap import (
     DEGENERACY_GAP,
-    ZefozPoint,
-    _curvature_matrix,
-    _transition,
     quadratic_model,
 )
 from zefoz.spins import _axial_eigensystems, _azimuthal_frames, _azimuthal_phases
@@ -235,15 +232,16 @@ def newton_step_oracle(jac: np.ndarray, grad: np.ndarray) -> np.ndarray:
         return -grad / safe
 
 
-def newton_refine_oracle(params, sel, start, bounds, free, tol, max_iter):
-    """Newton oracle: the damped Newton loop of one seed as it ran before
-    the seeds went in lockstep, one ``_transition`` call per evaluated
-    field. Returns the converged point (or None, also where the endpoint's
-    gradient is flagged) and whether a trial point was clipped into the
-    bounds."""
+def newton_refine_oracle(params, sel, start, region, free, tol, max_iter):
+    """Newton oracle: the damped Newton loop of one seed frame (B_perp, 0,
+    Bz) as it ran before the seeds went in lockstep, one one-frame
+    ``_frame_transition`` call per evaluated frame, each trial clipped into
+    the (lower, upper) corners ``region`` coordinate by coordinate. Returns
+    the converged endpoint (or None, also where the endpoint's gradient is
+    flagged) and whether a trial frame was clipped into the region."""
 
     def evaluate(point):
-        state = _transition(params, point[None], sel, 2)
+        state = fieldmap._frame_transition(params, sel, point[:1], point[2:], 2)
         return state, state.slope[0, free]
 
     clipped = False
@@ -260,9 +258,8 @@ def newton_refine_oracle(params, sel, start, bounds, free, tol, max_iter):
             trial = point.copy()
             trial[free] += damp * delta
             for k in free:
-                ax = bounds.axis(k)
                 inside = trial[k]
-                trial[k] = min(max(trial[k], ax.start), ax.stop)
+                trial[k] = min(max(trial[k], region[0][k]), region[1][k])
                 clipped |= bool(trial[k] != inside)
             trial_state, trial_grad = evaluate(trial)
             if np.max(np.abs(trial_grad)) < np.max(np.abs(grad)):
@@ -274,17 +271,8 @@ def newton_refine_oracle(params, sel, start, bounds, free, tol, max_iter):
     residual = float(np.max(np.abs(grad)))
     if residual > tol or state.min_gap[0] < DEGENERACY_GAP:
         return None, clipped
-    curv = _curvature_matrix(state.hessian[0])
-    diag = np.diag(curv).copy()
-    return ZefozPoint(
-        field=point,
-        omega0=float(state.frequency[0]),
-        gradient_residual=residual,
-        curvatures=diag,
-        hessian_signature=tuple(int(np.sign(round(c, 6))) for c in diag),
-        curvature_matrix=curv,
-        selector=sel,
-    ), clipped
+    return fieldmap._Endpoint(point, float(state.frequency[0]), residual,
+                              state.hessian[0]), clipped
 
 
 def format_number_oracle(value) -> str:

@@ -443,6 +443,32 @@ def test_cli_zefoz_record(tmp_path, ion_file):
     assert '"signature": "-,-,+"' in records[0]
 
 
+RING_BOXES = {
+    "centred": "zefoz.bounds.x = -80 80 17\nzefoz.bounds.y = -80 80 17\n"
+               "zefoz.bounds.z = -5 5 5\nzefoz.start = 0 0 0\n",
+    "off-axis": "zefoz.bounds.x = 40 80 9\nzefoz.bounds.y = -20 20 9\n"
+                "zefoz.bounds.z = -5 5 5\nzefoz.start = 60 0 0\n",
+}
+
+
+@pytest.mark.parametrize("box", RING_BOXES.values(), ids=RING_BOXES)
+def test_cli_reports_a_stationary_ring_once(tmp_path, ion_file, box):
+    # the clock pair is stationary on a whole ring about the z axis,
+    # B_perp = 65.34664 mT at Bz = 0, flat along the azimuth: one row, at the
+    # ring's point nearest the start (its radial projection, along x from
+    # the axis), whose signature reads 0 for the flat direction; the lab
+    # search wrote 232 and 69 rows of it with signatures +,+,+, +,0,+ and 0,+,+
+    out = _run_cli(tmp_path, ion_file, f"command = zefoz\nion_file = {ion_file}\n{box}",
+                   "z.jsonl")
+    records = [json.loads(line) for line in _data_lines(out)]
+    assert len(records) == 1
+    (row,) = records
+    assert row["Bx_mT"] == pytest.approx(65.34664, abs=1e-5)
+    assert row["By_mT"] == 0.0 and abs(row["Bz_mT"]) < 1e-6
+    assert row["omega0_MHz"] == pytest.approx(1807.14970, abs=1e-5)
+    assert row["signature"] == "0,+,+"
+
+
 def test_cli_levels_zero_field(tmp_path, ion_file):
     out = _run_cli(
         tmp_path,
@@ -606,6 +632,16 @@ def test_cli_exit_code_computation_error(tmp_path, ion_file):
         ("zefoz", "zefoz.bounds.z = 50 50 3"),
         ("diagram", "diagram.stop = 5\ndiagram.start = 5"),
         ("sweep", "sweep.stop = 60\nsweep.start = 60"),
+        # a field-valued key beyond MAX_FIELD_MT, whose square would
+        # overflow mid-run (exit 3) or whose products with the model's
+        # constants would
+        ("eit", "eit.delta_b = 0 0 1e200"),
+        ("sweep", "sweep.stop = 1e200"),
+        ("eit", "noise.delta_b = 1 1 2e6"),
+        ("levels", "field = 0 -1.5e6 0"),
+        ("diagram", "diagram.start = -1e300"),
+        ("zefoz", "zefoz.start = 0 0 1e200"),
+        ("zefoz", "zefoz.bounds.x = -1e7 1e7 3"),
     ],
 )
 def test_cli_rejects_bad_values_at_parse_time(tmp_path, ion_file, capsys, command, entry):
@@ -823,7 +859,8 @@ def test_cli_commands_load_no_scipy_module(tmp_path):
     # scipy is a test-only dependency: no command imports any of it, on
     # the seven README configs or a diagram whose tracking needs the
     # assignment solver. Each command, in a fresh process, loads exactly
-    # the zefoz modules it runs.
+    # the zefoz modules it runs, and none loads numpy.ma (about 20 ms of
+    # start-up, which np.unique without indices would import).
     (tmp_path / "nd.ion").write_text(README_ION, encoding="utf-8")
     configs = {
         command: f"command = {command}\n"
@@ -841,7 +878,7 @@ def test_cli_commands_load_no_scipy_module(tmp_path):
 
         loaded = {"import": [modules("scipy"), modules("zefoz")]}
         assert main(["--config", sys.argv[1] + ".cfg", "--out", sys.argv[1] + ".out"]) == 0
-        loaded["main"] = [modules("scipy"), modules("zefoz")]
+        loaded["main"] = [modules("scipy"), modules("zefoz"), "numpy.ma" in sys.modules]
         print(json.dumps(loaded))
         """
     )
@@ -855,7 +892,7 @@ def test_cli_commands_load_no_scipy_module(tmp_path):
         loaded = json.loads(result.stdout.splitlines()[-1])
         assert loaded == {
             "import": [[], CLI_BASE],
-            "main": [[], sorted(CLI_BASE + COMMAND_MODULES[name])],
+            "main": [[], sorted(CLI_BASE + COMMAND_MODULES[name]), False],
         }, name
 
 

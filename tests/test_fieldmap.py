@@ -281,6 +281,115 @@ def test_search_drops_the_degenerate_zero_field_endpoint(nd_ground, clock_select
         assert not frequency_gradient(nd_ground, z.field, clock_selector).flagged
 
 
+def test_search_skips_kink_brackets(nd_ground, clock_selector, monkeypatch):
+    # in the box Bz = 0..10 mT both sign changes of the clock pair's z slope
+    # are kinks, not stationary points: at B = 0 an end's gap is 0 (Kramers
+    # doublets), and between 5 and 10 mT sorted levels cross at 8.35 mT, so
+    # a level of the pair overlaps its vector at the other end by less than
+    # 1/sqrt(2); only the start seeds Newton. Seeding both brackets cost 7
+    # diagonalizations each, 17 in all
+    box = FieldGrid(AxisGrid(0.0, 0.0, 1), AxisGrid(0.0, 0.0, 1), AxisGrid(0.0, 10.0, 3))
+    sizes = count_diagonalizations(monkeypatch)
+    assert zefoz_search(nd_ground, clock_selector, (0.0, 0.0, 0.0), box) == []
+    assert sum(sizes) == 9  # the 3-frame scan, then the start's Newton steps
+    scan = fieldmap._frame_transition(nd_ground, clock_selector, np.zeros(3),
+                                      np.array([0.0, 5.0, 10.0]), 1)
+    assert scan.slope[0, 2] * scan.slope[1, 2] < 0 and scan.min_gap[0] < DEGENERACY_GAP
+    assert scan.slope[1, 2] * scan.slope[2, 2] < 0 and scan.min_gap[1:].min() >= DEGENERACY_GAP
+    assert min(abs(ket[1] @ ket[2]) for ket in scan.kets) < np.sqrt(0.5)
+    seeds = fieldmap._search_seeds(nd_ground, clock_selector, np.zeros(3), box, [2])
+    assert seeds.tolist() == [[0.0, 0.0, 0.0]]
+
+
+def test_search_reports_the_foot_of_an_off_axis_segment(nd_ground, clock_selector):
+    # a box whose x-y extent is the segment x = 3 mT, |y| <= 2 mT: along y
+    # the frequency is stationary at its foot y = 0 by symmetry, where the
+    # search along z finds the point the box x = 3, y = 0 finds, bit for bit
+    z_axis = AxisGrid(30.0, 100.0, 36)
+    plane = FieldGrid(AxisGrid(3.0, 3.0, 1), AxisGrid(-2.0, 2.0, 5), z_axis)
+    line = FieldGrid(AxisGrid(3.0, 3.0, 1), AxisGrid(0.0, 0.0, 1), z_axis)
+    (point,) = zefoz_search(nd_ground, clock_selector, (3.0, 1.0, 50.0), plane)
+    (expected,) = zefoz_search(nd_ground, clock_selector, (3.0, 0.0, 50.0), line)
+    assert point.field.tolist() == expected.field.tolist()
+    assert point.field[2] == pytest.approx(63.539438, abs=1e-6)
+    for name in ("omega0", "gradient_residual", "curvatures", "hessian_signature"):
+        assert np.array_equal(getattr(point, name), getattr(expected, name))
+    # with z fixed too, the foot itself is the one point, residual 0
+    segment = FieldGrid(AxisGrid(-2.0, 2.0, 5), AxisGrid(5.0, 5.0, 1), AxisGrid(60.0, 60.0, 1))
+    (foot,) = zefoz_search(nd_ground, clock_selector, (1.0, 5.0, 60.0), segment)
+    assert foot.field.tolist() == [0.0, 5.0, 60.0] and foot.gradient_residual == 0.0
+    assert frequency_gradient(nd_ground, foot.field, clock_selector).vector[0] == 0.0
+
+
+@st.composite
+def box_cases(draw):
+    """An Nd-like ground ion, a level pair, a box whose x, y and z ranges
+    may or may not reach the axis or the plane Bz = 0 (some of them one
+    point), and a start inside it."""
+    scaled = {key: ND_GROUND[key] * draw(st.floats(0.9, 1.1))
+              for key in ("g_par", "g_perp", "A", "B_hf")}
+    params = SpinParams(**{**ND_GROUND, **scaled, "P": draw(st.floats(-5.0, 5.0))})
+    pair = draw(st.sampled_from(((8, 10), (8, 10), (8, 10), (2, 3), None)))
+    if pair is None:
+        pair = sorted(draw(st.lists(st.integers(1, 16), min_size=2, max_size=2, unique=True)))
+    # around the clock pair's ring (B_perp ~ 65 mT, Bz = 0 on the README
+    # ion) or around its axis point (Bz ~ 64 mT)
+    ring = draw(st.booleans())
+    spans = ((30.0, 90.0, 160.0),) * 2 + ((-10.0, -1.0, 12.0),) if ring else \
+        ((-20.0, 10.0, 40.0),) * 2 + ((45.0, 62.0, 40.0),)
+    axes, start = [], []
+    for low, high, widest in spans:
+        first = draw(st.floats(low, high)) * (draw(st.sampled_from((1.0, -1.0))) if ring else 1.0)
+        count = draw(st.sampled_from((1, 3, 5, 7)))
+        last = first + draw(st.floats(2.0, widest)) if count > 1 else first
+        axes.append(AxisGrid(first, last, count))
+        start.append(draw(st.floats(first, last)))
+    bounds = FieldGrid(*axes)
+    if not bounds.free_axes():
+        bounds = FieldGrid(axes[0], axes[1], AxisGrid(start[2] - 5.0, start[2] + 5.0, 5))
+    return params, TransitionSelector("ground", *pair), tuple(start), bounds
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(box_cases())
+def test_every_reported_point_is_stationary_along_the_free_axes(case):
+    # each point lies in the box, its lab gradient is within tol along the
+    # box's free axes, and each stationary ring is reported once: a ring
+    # row's C has the azimuth as an eigenvector of eigenvalue
+    # (1/B_perp) dw/dB_perp / 2, so at most 500 tol / B_perp kHz/mT^2, and
+    # its signature reads 0 there. A box whose x-y extent is a segment off
+    # the axis also reports points at the segment's foot, 0 on its free
+    # transverse axis, with the diagonal signature
+    params, sel, start, bounds = case
+    tol = 1e-6
+    points = zefoz_search(params, sel, start, bounds, tol)
+    free = bounds.free_axes()
+    transverse = [k for k in (0, 1) if k in free]
+    segment = len(transverse) == 1 and bounds.axis(1 - transverse[0]).start != 0.0
+    frames = []
+    for z in points:
+        assert bounds.contains(z.field)
+        assert z.gradient_residual <= tol
+        gradient = frequency_gradient(params, z.field, sel)
+        assert not gradient.flagged
+        assert np.all(np.abs(gradient.vector[free]) <= tol)
+        b_perp = np.hypot(*z.field[:2])
+        frames.append((b_perp, z.field[2]))
+        foot = segment and z.field[transverse[0]] == 0.0
+        if transverse and not foot and b_perp >= fieldmap.MERGE_DISTANCE:
+            azimuth = np.array([-z.field[1], z.field[0], 0.0]) / b_perp
+            flat = 500.0 * tol / b_perp + 1e-6
+            assert np.all(np.abs(z.curvature_matrix @ azimuth) <= flat)
+            assert 0 in z.hessian_signature
+            assert list(z.hessian_signature) == sorted(z.hessian_signature)
+        else:
+            assert z.hessian_signature == tuple(
+                int(np.sign(round(c, 6))) for c in np.diag(z.curvature_matrix))
+    for k, one in enumerate(frames):
+        for other in frames[k + 1:]:
+            assert max(abs(one[0] - other[0]), abs(one[1] - other[1])) >= fieldmap.MERGE_DISTANCE
+
+
 def test_search_validates_inputs(nd_ground, clock_selector, search_bounds):
     with pytest.raises(InvalidParameterError):
         zefoz_search(nd_ground, clock_selector, (0.0, 0.0, 200.0), search_bounds)
@@ -294,24 +403,24 @@ def test_search_validates_inputs(nd_ground, clock_selector, search_bounds):
 
 
 def newton_from_search_seeds(params, sel, start, bounds, max_iter=60):
-    """Run the lockstep Newton stage from the seeds ``zefoz_search`` takes
-    and the per-seed oracle from each of them; check that every endpoint
-    matches bit for bit, in seed order, and return the oracle's
-    (point or None, clipped) per seed."""
-    free = bounds.free_axes()
+    """Run the lockstep Newton stage from the seed frames ``zefoz_search``
+    takes and the per-seed oracle from each of them; check that every
+    endpoint matches bit for bit, in seed order, and return the oracle's
+    (endpoint or None, clipped) per seed."""
+    free = fieldmap._frame_free(bounds)
     seeds = fieldmap._search_seeds(params, sel, fieldmap.as_field(start), bounds, free)
-    got = fieldmap._newton_refine(params, sel, seeds, bounds, free, 1e-6, max_iter)
-    oracle = [newton_refine_oracle(params, sel, seed, bounds, free, 1e-6, max_iter)
+    region = fieldmap._half_plane(bounds)
+    got = fieldmap._newton_refine(params, sel, seeds, region, free, 1e-6, max_iter)
+    oracle = [newton_refine_oracle(params, sel, seed, region, free, 1e-6, max_iter)
               for seed in seeds]
     assert len(got) == len(oracle)
     for point, (expected, _) in zip(got, oracle):
         if expected is None:
             assert point is None
             continue
-        for name in ("field", "omega0", "gradient_residual", "curvatures", "curvature_matrix"):
+        for name in expected._fields:
             assert np.asarray(getattr(point, name)).tobytes() == \
                 np.asarray(getattr(expected, name)).tobytes()
-        assert point.hessian_signature == expected.hessian_signature
     return oracle
 
 
@@ -344,9 +453,9 @@ def test_lockstep_newton_matches_the_per_seed_oracle(case):
 
 def test_lockstep_newton_keeps_failed_and_clipped_seeds_apart(nd_ground):
     # in this box some seeds of the (2, 3) pair converge and others stop
-    # short of tol, and trial points are clipped into the bounds on the
+    # short of tol, and trial frames are clipped into its region on the
     # way to both
-    bounds = FieldGrid(AxisGrid(-1.5, 1.5, 3), AxisGrid(-1.5, 1.5, 3), AxisGrid(23.0, 38.0, 26))
+    bounds = FieldGrid(AxisGrid(-1.2, 1.2, 3), AxisGrid(-1.2, 1.2, 3), AxisGrid(23.0, 38.0, 26))
     oracle = newton_from_search_seeds(
         nd_ground, TransitionSelector("ground", 2, 3), (0.0, 0.0, 34.0), bounds
     )

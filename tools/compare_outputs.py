@@ -6,7 +6,7 @@ for byte.
 Run it from the root of a checkout. Both sides are snapshotted as
 ``tools/bench_pairs.py`` does it, before the first run. For each of the
 cli-suite seeds 1-5, ``perfbench/inputs.cli_case`` gives an ion file and
-the seven README configs, and ``EDGE_CONFIGS`` adds eight edge cases on
+the seven README configs, and ``EDGE_CONFIGS`` adds ten edge cases on
 the same ion file; each side runs ``python -m zefoz.cli`` on every
 config from its own ``src`` in a directory of its own. Every output that
 differs is printed with its first differing line, and so is a command
@@ -39,7 +39,9 @@ SEEDS = range(1, 6)
 # levels at one in-plane field; and a sweep whose flat comb a 40 MHz
 # two-photon offset moves wholly beyond a window centred on 0 (at 15 MHz
 # the amplitude is read at the comb line nearest the optical line centre,
-# inside such a window).
+# inside such a window); and two boxes in which the clock pair is
+# stationary on a ring about the z axis (B_perp ~ 65 mT at Bz = 0 on the
+# README ion), one centred on the axis and one off it.
 EDGE_CONFIGS = {
     "zefoz-zero-box.jsonl": "command = zefoz\nzefoz.start = 0 0 0\nzefoz.bounds.z = 0 10 3\n",
     "zefoz-3d-box.jsonl": "command = zefoz\nzefoz.bounds.x = -2 2 5\nzefoz.bounds.y = -1.5 1.5 5\n",
@@ -49,6 +51,12 @@ EDGE_CONFIGS = {
     "diagram-ground-x.csv": "command = diagram\ndiagram.axis = x\n",
     "levels-in-plane.csv": "command = levels\nfield = 30 0 0\n",
     "sweep-offset.csv": "command = sweep\neit.two_photon_offset = 40\ncomb.weights = flat\n",
+    "zefoz-ring-box.jsonl": "command = zefoz\nzefoz.bounds.x = -80 80 17\n"
+                            "zefoz.bounds.y = -80 80 17\nzefoz.bounds.z = -5 5 5\n"
+                            "zefoz.start = 0 0 0\n",
+    "zefoz-ring-off-axis.jsonl": "command = zefoz\nzefoz.bounds.x = 40 80 9\n"
+                                 "zefoz.bounds.y = -20 20 9\nzefoz.bounds.z = -5 5 5\n"
+                                 "zefoz.start = 60 0 0\n",
 }
 
 
