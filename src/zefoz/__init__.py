@@ -41,10 +41,8 @@ _EXPORTS = {
                 "FieldGrid",
                 "IonParams",
                 "LevelSet",
-                "LinearTerms",
                 "SpinParams",
                 "StateComponent",
-                "build_hamiltonian",
                 "ion_levels",
                 "state_composition",
             ),
@@ -56,7 +54,6 @@ _EXPORTS = {
                 "LevelDiagram",
                 "TransitionSelector",
                 "ZefozPoint",
-                "frequency_curvatures",
                 "frequency_gradient",
                 "level_diagram",
                 "quadratic_model",

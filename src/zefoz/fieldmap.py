@@ -5,10 +5,10 @@ Conventions
 -----------
 * Frequencies in MHz, fields in mT.
 * ``frequency_gradient`` returns MHz/mT.
-* ``frequency_curvatures`` returns the coefficient matrix C (kHz/mT^2) of
-  the quadratic expansion  w(B0+d) ~= w(B0) + grad.d + d^T C d,
-  i.e. HALF the plain second-derivative matrix. The diagonal of C at a
-  stationary point gives the curvatures S2i used throughout.
+* ``ZefozPoint.curvature_matrix`` is the coefficient matrix C (kHz/mT^2)
+  of the quadratic expansion  w(B0+d) ~= w(B0) + grad.d + d^T C d at a
+  stationary point, i.e. HALF the plain second-derivative matrix. Its
+  diagonal gives the curvatures S2i used throughout.
 
 Derivatives
 -----------
@@ -34,13 +34,8 @@ and as R(phi) H R(phi)^T.
 H is axial, so the frame matrix H(B_perp, 0, Bz) does not depend on the
 azimuth. ``_frame_transition`` is the one route from a stack of frames
 to transition derivatives: each manifold diagonalizes each frame once,
-equal bit for bit in any stack, at most ``BLOCK`` frames per call.
-``_transition`` takes a stack of lab fields (stacked frequencies, the
-gradient, the curvatures) there: it keys the stack's distinct
-(B_perp, Bz) frames once, and each field turns its frame's slope and
-Hessian by its own azimuth. A level diagram takes one eigensystem per
-field, ``BLOCK`` fields per call: its frames along a scan are distinct
-unless the scan crosses zero on x or y.
+equal bit for bit in any stack, at most ``BLOCK`` frames per call. A
+level diagram takes one eigensystem per field, ``BLOCK`` fields per call.
 
 Stationary points
 -----------------
@@ -201,7 +196,7 @@ def _frame_derivatives(params: SpinParams, b_perp: np.ndarray, bz: np.ndarray,
     # M_x and M_z are real and M_y imaginary: (M_x, M_y / i, M_z)
     real_zeeman = zeeman.real + zeeman.imag
     blocks = []
-    for start in range(0, len(b_perp), BLOCK):
+    for start in range(0, len(b_perp) or 1, BLOCK):  # an empty stack is one empty block
         block = slice(start, start + BLOCK)
         energies, vectors = _axial_eigensystems(params, b_perp[block], bz[block])
         energy = energies[:, idx]
@@ -232,11 +227,11 @@ def _frame_derivatives(params: SpinParams, b_perp: np.ndarray, bz: np.ndarray,
 
 
 class _Transition(NamedTuple):
-    """Frequency (N,) in MHz of the selected transition at each field or
-    frame of a stack and, by order, its Hellmann-Feynman slope (N, 3) in
-    MHz/mT, the smallest gap (N,) in MHz from either level to its nearer
-    neighbour, its Hessian (N, 3, 3) in MHz/mT^2 and, from a frame stack
-    only, the real frame vectors (N, d) of its lower and upper level."""
+    """Frequency (N,) in MHz of the selected transition in each frame of a
+    stack and, by order, its Hellmann-Feynman slope (N, 3) in MHz/mT, the
+    smallest gap (N,) in MHz from either level to its nearer neighbour,
+    its Hessian (N, 3, 3) in MHz/mT^2 and the real frame vectors (N, d) of
+    its lower and upper level."""
 
     frequency: np.ndarray
     slope: np.ndarray | None
@@ -281,37 +276,6 @@ def _turns(azimuth: np.ndarray) -> np.ndarray:
     return turn
 
 
-def _transition(params, fields: np.ndarray, sel: TransitionSelector, order: int) -> _Transition:
-    """E_j - E_i and its derivatives up to ``order`` at each field of a stack
-    (N, 3).
-
-    Fields whose B_perp and Bz are equal bit for bit share one azimuthal
-    frame: a stack of two or more is keyed once, and each manifold
-    diagonalizes each distinct frame once (``_frame_transition``). Each
-    field then turns its frame's slope and Hessian back to the lab by its
-    own azimuth (see the module docstring), one small matrix product per
-    field, so every field gets the same bits whatever stack it sits in.
-    The slope is the Hellmann-Feynman difference everywhere; where
-    ``min_gap`` is below ``DEGENERACY_GAP`` it depends on the basis the
-    eigensolver picked inside a degenerate cluster.
-    """
-    b_perp, azimuth = _azimuthal_frames(fields)
-    bz = fields[:, 2]
-    if len(fields) > 1:
-        bits = np.stack([b_perp, bz], axis=1).view("V16")[:, 0]  # compared bytewise
-        _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
-        b_perp, bz = b_perp[first], bz[first]
-    frequency, slope, min_gap, hessian, _ = _frame_transition(params, sel, b_perp, bz, order)
-    if len(fields) > 1:
-        frequency, slope, min_gap, hessian = (None if part is None else part[inverse]
-                                              for part in (frequency, slope, min_gap, hessian))
-    if order == 0:
-        return _Transition(frequency, None, None, None)
-    turn = _turns(azimuth)
-    return _Transition(frequency, (turn @ slope[..., None])[..., 0], min_gap,
-                       None if hessian is None else turn @ hessian @ turn.swapaxes(1, 2))
-
-
 def transition_frequencies(params, fields, sel: TransitionSelector) -> np.ndarray:
     """Frequencies E_j - E_i (MHz) at each field of a stack (N, 3), each
     the same bits as in a one-field stack.
@@ -320,7 +284,9 @@ def transition_frequencies(params, fields, sel: TransitionSelector) -> np.ndarra
     SpinParams (same-manifold selectors) or an IonParams (required for
     optical).
     """
-    return _transition(params, as_fields(fields), sel, 0).frequency
+    fields = as_fields(fields)
+    b_perp, _ = _azimuthal_frames(fields)
+    return _frame_transition(params, sel, b_perp, fields[:, 2], 0).frequency
 
 
 def frequency_gradient(params, field, sel: TransitionSelector) -> GradientResult:
@@ -331,29 +297,16 @@ def frequency_gradient(params, field, sel: TransitionSelector) -> GradientResult
     level lies closer than ``DEGENERACY_GAP`` MHz to a neighbour: the value
     then depends on the eigensolver's basis inside the degenerate cluster.
     """
-    state = _transition(params, as_field(field)[None], sel, 1)
+    fields = as_field(field)[None]
+    b_perp, azimuth = _azimuthal_frames(fields)
+    state = _frame_transition(params, sel, b_perp, fields[:, 2], 1)
     min_gap = float(state.min_gap[0])
-    return GradientResult(vector=state.slope[0], flagged=min_gap < DEGENERACY_GAP,
-                          min_gap=min_gap)
+    vector = (_turns(azimuth) @ state.slope[..., None])[..., 0]  # back to the lab
+    return GradientResult(vector=vector[0], flagged=min_gap < DEGENERACY_GAP, min_gap=min_gap)
 
 
 def _curvature_matrix(hessian: np.ndarray) -> np.ndarray:
     return hessian / 2.0 * 1000.0  # half-convention, MHz -> kHz
-
-
-def frequency_curvatures(params, field, sel: TransitionSelector) -> np.ndarray:
-    """Quadratic-expansion coefficient matrix C in kHz/mT^2.
-
-    C is half the Hessian of E_j - E_i from the second-order perturbation
-    sum on one diagonalization per manifold (see the module docstring). Its
-    diagonal at a stationary point gives the curvatures S2i directly.
-    Levels closer than ``DEGENERACY_GAP`` MHz to the level differentiated
-    (its degenerate cluster, e.g. a Kramers partner at zero field) are left
-    out of the sum, so C stays finite at a level crossing, where it
-    describes only the branch the eigensolver picked.
-    """
-    hessian = _transition(params, as_field(field)[None], sel, 2).hessian
-    return _curvature_matrix(hessian[0])
 
 
 def quadratic_model(z: ZefozPoint, delta_field) -> float:
@@ -511,7 +464,7 @@ def _search_seeds(params, sel: TransitionSelector, start: np.ndarray, bounds: Fi
     the sign change is the slope's jump there, not a stationary point.
     Seeds that coincide are taken once."""
     radii = np.sort(np.hypot.outer(bounds.x.values(), bounds.y.values()), axis=None)
-    # distinct: np.unique without indices would import numpy.ma (~20 ms per CLI process)
+    # distinct: numpy's unique without indices would import numpy.ma (~20 ms per CLI process)
     radii = radii[np.append(True, radii[1:] != radii[:-1])]
     z = bounds.z.values()
     frames = np.zeros((len(radii), len(z), 3))
@@ -633,8 +586,8 @@ def zefoz_search(
     the distinct points, sorted by gradient residual; an empty list means
     none.
     """
-    if tol <= 0:
-        raise InvalidParameterError(f"tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise InvalidParameterError(f"tol must be positive and finite, got {tol}")
     start = as_field(initial_field)
     if not bounds.contains(start):
         raise InvalidParameterError("initial field lies outside the search bounds")

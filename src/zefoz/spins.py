@@ -25,8 +25,7 @@ eigensolver splits it into two half-size blocks, from H0 and M_x blocks
 cached per ``SpinParams``; every other frame is solved whole.
 ``ion_levels``, the one route from a
 ``SpinParams`` and one field to a labelled ``LevelSet``, maps its vectors
-to the lab frame and is the one place that fixes their gauge.
-``build_hamiltonian`` assembles the lab-frame matrix H(B). The field
+to the lab frame and is the one place that fixes their gauge. The field
 grids ``AxisGrid`` and ``FieldGrid`` live here, next to ``as_field``, so
 that a module that only takes a grid (``transitions``) does not load
 ``fieldmap``.
@@ -309,20 +308,6 @@ class LevelSet:
                 f"level label {label} outside 1..{self.dimension}"
             )
         return label - 1
-
-
-def build_hamiltonian(params: SpinParams, field) -> np.ndarray:
-    """Assemble the effective Hamiltonian matrix (MHz) at the given field.
-
-    ``field`` is one field (3,) or a stack (N, 3); the result is (d, d) or
-    (N, d, d), H(B) = H0 + sum_i B_i M_i from ``params.linear_terms`` as
-    one matrix product. The result is exactly Hermitian and traceless
-    whenever the quadrupole term enters through its traceless form.
-    """
-    b = as_fields(field) if np.ndim(field) == 2 else as_field(field)
-    terms = params.linear_terms
-    d = params.dimension
-    return (b @ terms.zeeman.reshape(3, d * d)).reshape(b.shape[:-1] + (d, d)) + terms.h0
 
 
 def _azimuthal_frames(fields: np.ndarray):

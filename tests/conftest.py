@@ -27,7 +27,6 @@ from zefoz import (
     TransitionLine,
     TransitionSelector,
     boltzmann_weights,
-    build_hamiltonian,
     ion_levels,
     spin_linewidth,
     transition_frequencies,
@@ -190,13 +189,35 @@ def tracked_levels(single: SpinParams, grid: FieldGrid, overlap_threshold: float
     return energies, flags
 
 
+def lab_hamiltonian(params: SpinParams, field) -> np.ndarray:
+    """Lab-frame oracle H(B) = H0 + sum_i B_i M_i (MHz) of one field (3,)
+    or a stack (N, 3), from ``params.linear_terms`` as one matrix product:
+    (d, d) or (N, d, d)."""
+    b = np.asarray(field, dtype=float)
+    terms = params.linear_terms
+    d = params.dimension
+    return (b @ terms.zeeman.reshape(3, d * d)).reshape(b.shape[:-1] + (d, d)) + terms.h0
+
+
+def curvature_matrix_at(params, field, sel) -> np.ndarray:
+    """C (kHz/mT^2) at one field (3,): the order-2 frame Hessian of
+    ``_frame_transition`` at the field's azimuthal frame, turned back to
+    the lab as R(phi) H R(phi)^T, then halved and put in kHz as
+    ``ZefozPoint.curvature_matrix`` is."""
+    fields = np.asarray(field, dtype=float)[None]
+    b_perp, azimuth = _azimuthal_frames(fields)
+    hessian = fieldmap._frame_transition(params, sel, b_perp, fields[:, 2], 2).hessian
+    turn = fieldmap._turns(azimuth)
+    return fieldmap._curvature_matrix((turn @ hessian @ turn.swapaxes(1, 2))[0])
+
+
 def lab_frame_derivatives(params: SpinParams, field):
     """Derivative oracle on the complex lab-frame eigensystem of one field:
     energies (d,), slopes <n|M_a|n> (d, 3) and Hessians (d, 3, 3)
     2 Re sum_m <n|M_a|m><m|M_b|n> / (E_n - E_m) over every m farther than
     ``DEGENERACY_GAP`` from n, as fieldmap took them before it worked in
     each field's azimuthal frame."""
-    energies, vectors = np.linalg.eigh(build_hamiltonian(params, field))
+    energies, vectors = np.linalg.eigh(lab_hamiltonian(params, field))
     coupling = np.einsum("in,aij,jm->nam", vectors.conj(), params.linear_terms.zeeman, vectors)
     split = energies[:, None] - energies[None, :]
     weight = np.divide(1.0, split, out=np.zeros_like(split),

@@ -17,8 +17,6 @@ from zefoz import (
     IonParams,
     SpinParams,
     TransitionSelector,
-    build_hamiltonian,
-    frequency_curvatures,
     frequency_gradient,
     ion_levels,
     transition_frequencies,
@@ -38,8 +36,10 @@ from conftest import (
     ND_EXCITED,
     ND_GROUND,
     count_diagonalizations,
+    curvature_matrix_at,
     frequency_at,
     lab_frame_derivatives,
+    lab_hamiltonian,
 )
 
 
@@ -139,16 +139,17 @@ def awkward_fields(rng, count: int = 12) -> np.ndarray:
 
 
 def test_hamiltonian_matches_term_by_term_assembly():
-    # H(B) = H0 + B.M as one matrix product: exactly Hermitian, the same
-    # bits whatever stack a field sits in, and the term-by-term sum to
-    # round-off (a few roundings of terms no larger than the largest entry)
+    # the lab oracle H(B) = H0 + B.M from the cached linear terms as one
+    # matrix product: exactly Hermitian, the same bits whatever stack a
+    # field sits in, and the term-by-term sum to round-off (a few roundings
+    # of terms no larger than the largest entry)
     rng = np.random.default_rng(11)
     for _ in range(40):
         params = awkward_params(rng)
         fields = awkward_fields(rng)
-        stacked = build_hamiltonian(params, fields)
+        stacked = lab_hamiltonian(params, fields)
         for k, field in enumerate(fields):
-            single = build_hamiltonian(params, field)
+            single = lab_hamiltonian(params, field)
             assert np.array_equal(single, single.conj().T)
             assert same_bits(stacked[k], single)
             oracle = term_by_term_hamiltonian(params, field)
@@ -167,11 +168,11 @@ def test_linear_terms_are_cached_and_read_only():
         with pytest.raises(ValueError):
             array[0, 0] = 1.0
     # H0 is the zero-field Hamiltonian, M the exact field derivative
-    assert np.array_equal(build_hamiltonian(params, (0.0, 0.0, 0.0)), terms.h0)
+    assert np.array_equal(lab_hamiltonian(params, (0.0, 0.0, 0.0)), terms.h0)
     for axis in range(3):
         field = np.zeros(3)
         field[axis] = 1.0
-        assert np.allclose(build_hamiltonian(params, field) - terms.h0, terms.zeeman[axis],
+        assert np.allclose(lab_hamiltonian(params, field) - terms.h0, terms.zeeman[axis],
                            atol=1e-12)
     # a changed parameter set builds its own terms
     other = replace(params, P=0.0).linear_terms
@@ -385,7 +386,7 @@ def test_azimuthal_frame_matrix_is_exactly_real_symmetric(monkeypatch):
         for k, field in enumerate(fields):
             frame_eigensystems(params, field[None])
             alone = seen.pop()
-            lab = build_hamiltonian(params, field)
+            lab = lab_hamiltonian(params, field)
             turned = phases[k].conj()[:, None] * lab * phases[k][None, :]
             bound = 8.0 * np.finfo(float).eps * max(1.0, np.max(np.abs(lab)))
             if in_plane[k]:
@@ -452,6 +453,8 @@ def test_stacked_frequencies_match_single_fields_across_blocks(nd_ion):
         stacked = transition_frequencies(nd_ion, fields, sel)
         pointwise = np.array([frequency_at(nd_ion, f, sel) for f in fields])
         assert same_bits(stacked, pointwise)
+        # an empty stack has no blocks to diagonalize, and no frequencies
+        assert same_bits(transition_frequencies(nd_ion, fields[:0], sel), np.zeros(0))
 
 
 def slope_roundoff(params: SpinParams) -> np.ndarray:
@@ -500,7 +503,7 @@ def test_curvatures_match_pointwise_differences(nd_ion, zefoz_point):
     fields = [zefoz_point.field, *rng.uniform(-60.0, 60.0, size=(3, 3))]
     for sel in (TransitionSelector("ground", 8, 10), TransitionSelector("optical", 8, 9)):
         for field in fields:
-            analytic = frequency_curvatures(nd_ion, field, sel)
+            analytic = curvature_matrix_at(nd_ion, field, sel)
             oracle = pointwise_curvatures(nd_ion, field, sel)
             # every entry, mixed terms included, against the largest
             assert np.max(np.abs(analytic - oracle)) <= 1e-6 * np.max(np.abs(oracle))
@@ -519,7 +522,7 @@ def test_curvatures_match_pointwise_differences_on_awkward_parameters():
             continue
         checked += 1
         sel = TransitionSelector("ground", *labels)
-        analytic = frequency_curvatures(params, field, sel)
+        analytic = curvature_matrix_at(params, field, sel)
         oracle = pointwise_curvatures(params, field, sel, step=0.01)
         assert np.max(np.abs(analytic - oracle)) < 1e-3
 
@@ -527,7 +530,7 @@ def test_curvatures_match_pointwise_differences_on_awkward_parameters():
 def test_each_field_costs_one_diagonalization(nd_ground, zefoz_point, monkeypatch):
     sel = TransitionSelector("ground", 8, 10)
     sizes = count_diagonalizations(monkeypatch)
-    frequency_curvatures(nd_ground, zefoz_point.field, sel)
+    curvature_matrix_at(nd_ground, zefoz_point.field, sel)
     assert sizes == [1]
     sizes.clear()
     assert not frequency_gradient(nd_ground, zefoz_point.field, sel).flagged
@@ -552,70 +555,64 @@ def frame_images(fields: np.ndarray) -> np.ndarray:
     return np.array(images)
 
 
-def frame_keys(fields: np.ndarray) -> set[bytes]:
-    """The distinct (B_perp, Bz) frames of a field stack, compared bytewise."""
-    return set(map(bytes, np.stack([np.hypot(fields[:, 0], fields[:, 1]), fields[:, 2]], 1)))
-
-
 @pytest.mark.parametrize("order", [0, 1, 2])
-def test_level_derivatives_of_a_field_do_not_depend_on_its_stack(order, monkeypatch):
+def test_level_derivatives_of_a_field_do_not_depend_on_its_stack(order):
     # lockstep Newton evaluates each seed in stacks of every size and
-    # relies on each field getting the bits of a one-field call, also
-    # where fields of the stack share one diagonalized frame: each frame's
-    # level derivatives, and each field's transition derivatives
+    # relies on each frame getting the bits of a one-frame call, also in
+    # stacks of mirrored fields and of Bz = +0.0 and -0.0: each frame's
+    # level derivatives, each field's frequency and its gradient, the
+    # slope its frame gets in the whole stack turned back to the lab
     rng = np.random.default_rng(12)
-    sizes = count_diagonalizations(monkeypatch)
     for sel in (TransitionSelector("ground", 8, 10), TransitionSelector("optical", 3, 12),
                 TransitionSelector("ground", 1, 16)):
         params = ground = awkward_params(rng, nuclear_spin=3.5)
         if sel.manifold == "optical":
             params = IonParams(ground, awkward_params(rng, nuclear_spin=3.5))
-        manifolds = 2 if sel.manifold == "optical" else 1
         levels = np.array([sel.level_i, sel.level_j]) - 1
         fields = np.concatenate([axis_fields(rng), rng.uniform(-100.0, 100.0, (BLOCK, 3))])
         mirrored = frame_images(fields[:28])
         for stack in (fields, mirrored):
-            sizes.clear()
-            stacked = fieldmap._transition(params, stack, sel, order)
-            if stack is mirrored:
-                assert sum(sizes) == manifolds * len(frame_keys(stack))
-            b_perp = np.hypot(stack[:, 0], stack[:, 1])
-            framed = fieldmap._frame_derivatives(ground, b_perp, stack[:, 2], levels, order)
+            b_perp, azimuth = spins._azimuthal_frames(stack)
+            bz = stack[:, 2]
+            frequencies = transition_frequencies(params, stack, sel)
+            framed = fieldmap._frame_derivatives(ground, b_perp, bz, levels, order)
+            if order == 1:
+                state = fieldmap._frame_transition(params, sel, b_perp, bz, 1)
+                turned = (fieldmap._turns(azimuth) @ state.slope[..., None])[..., 0]
             for k in range(len(stack)):
-                single = fieldmap._transition(params, stack[k:k + 1], sel, order)
-                alone = fieldmap._frame_derivatives(
-                    ground, b_perp[k:k + 1], stack[k:k + 1, 2], levels, order
-                )
-                for whole, part in (*zip(stacked, single), *zip(framed, alone)):
+                assert same_bits(frequencies[k:k + 1],
+                                 transition_frequencies(params, stack[k:k + 1], sel))
+                alone = fieldmap._frame_derivatives(ground, b_perp[k:k + 1], bz[k:k + 1],
+                                                    levels, order)
+                for whole, part in zip(framed, alone):
                     if whole is None:
                         assert part is None
                     else:
                         assert same_bits(whole[k:k + 1], part)
+                if order == 1:
+                    gradient = frequency_gradient(params, stack[k], sel)
+                    assert same_bits(gradient.vector, turned[k])
+                    assert gradient.min_gap == state.min_gap[k]
 
 
-def test_an_optical_stack_is_keyed_once(nd_ion, monkeypatch):
-    # both manifolds diagonalize the same distinct frames: the stack's
-    # azimuthal frames and their key are computed once per call
+def test_an_optical_stack_takes_its_frames_once(nd_ion, monkeypatch):
+    # both manifolds diagonalize the same frames: the stack's azimuthal
+    # frames are computed once per call, and each manifold diagonalizes
+    # the whole stack in one call
     calls = []
-    frames, unique = fieldmap._azimuthal_frames, np.unique
+    frames = fieldmap._azimuthal_frames
 
     def counting_frames(fields):
-        calls.append("frames")
+        calls.append(len(fields))
         return frames(fields)
 
-    def counting_unique(*args, **kwargs):
-        calls.append("key")
-        return unique(*args, **kwargs)
-
     monkeypatch.setattr(fieldmap, "_azimuthal_frames", counting_frames)
-    monkeypatch.setattr(np, "unique", counting_unique)
     sizes = count_diagonalizations(monkeypatch)
     fields = frame_images(np.array([[1.0, 2.0, 60.0], [0.5, -3.0, 40.0]]))
     sel = TransitionSelector("optical", 8, 9)
     stacked = transition_frequencies(nd_ion, fields, sel)
-    assert calls == ["frames", "key"]
-    distinct = len(frame_keys(fields))
-    assert distinct < len(fields) and sizes == [distinct, distinct]
+    assert calls == [len(fields)]
+    assert sizes == [len(fields), len(fields)]
     assert same_bits(stacked, np.array([frequency_at(nd_ion, f, sel) for f in fields]))
 
 
@@ -636,7 +633,7 @@ def test_search_diagonalizes_each_newton_step_of_every_seed_at_once(nd_ground, m
 
 def test_zero_field_curvature_leaves_out_the_degenerate_cluster(nd_ground):
     sel = TransitionSelector("ground", 8, 10)
-    curvature = frequency_curvatures(nd_ground, (0.0, 0.0, 0.0), sel)
+    curvature = curvature_matrix_at(nd_ground, (0.0, 0.0, 0.0), sel)
     assert np.all(np.isfinite(curvature))
     levels = ion_levels(nd_ground, (0.0, 0.0, 0.0))
     zeeman = nd_ground.linear_terms.zeeman

@@ -19,7 +19,6 @@ from zefoz import (
     SpinParams,
     TransitionSelector,
     ZefozPoint,
-    frequency_curvatures,
     frequency_gradient,
     ion_levels,
     level_diagram,
@@ -36,6 +35,7 @@ from conftest import (
     analytic_clock_frequency,
     central_difference,
     count_diagonalizations,
+    curvature_matrix_at,
     frequency_at,
     newton_refine_oracle,
     newton_step_oracle,
@@ -115,10 +115,11 @@ def test_derivatives_at_a_degenerate_field_take_one_eigensystem(
     # value the Newton path computes
     field = np.zeros((1, 3))
     expected = fieldmap._curvature_matrix(
-        fieldmap._transition(nd_ground, field, clock_selector, 2).hessian[0]
+        fieldmap._frame_transition(nd_ground, clock_selector, field[:, 0], field[:, 2],
+                                   2).hessian[0]
     )
     sizes = count_diagonalizations(monkeypatch)
-    matrix = frequency_curvatures(nd_ground, field[0], clock_selector)
+    matrix = curvature_matrix_at(nd_ground, field[0], clock_selector)
     assert sizes == [1]
     assert np.array_equal(matrix, expected)
     sizes.clear()
@@ -127,7 +128,7 @@ def test_derivatives_at_a_degenerate_field_take_one_eigensystem(
 
 
 def test_curvatures_at_stationary_point(nd_ground, clock_selector, zefoz_point):
-    matrix = frequency_curvatures(nd_ground, zefoz_point.field, clock_selector)
+    matrix = curvature_matrix_at(nd_ground, zefoz_point.field, clock_selector)
     diag = np.diag(matrix)
     assert diag[0] == pytest.approx(-52.7, rel=0.02)
     assert diag[1] == pytest.approx(-52.7, rel=0.02)
@@ -393,8 +394,10 @@ def test_every_reported_point_is_stationary_along_the_free_axes(case):
 def test_search_validates_inputs(nd_ground, clock_selector, search_bounds):
     with pytest.raises(InvalidParameterError):
         zefoz_search(nd_ground, clock_selector, (0.0, 0.0, 200.0), search_bounds)
-    with pytest.raises(InvalidParameterError):
-        zefoz_search(nd_ground, clock_selector, (0.0, 0.0, 50.0), search_bounds, tol=-1.0)
+    # a NaN tol would pass no seed, and an infinite one would pass the start
+    for tol in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(InvalidParameterError, match="tol must be positive and finite"):
+            zefoz_search(nd_ground, clock_selector, (0.0, 0.0, 50.0), search_bounds, tol=tol)
     # a one-point axis holds its start, whatever its stop
     one_point = FieldGrid(AxisGrid(0.0, 5.0, 1), AxisGrid(0.0, 0.0, 1), AxisGrid(30.0, 100.0, 36))
     assert one_point.contains(np.array([0.0, 0.0, 50.0]))

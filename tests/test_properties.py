@@ -17,14 +17,12 @@ from zefoz import (
     TransitionOperator,
     TransitionSelector,
     SpectrumParams,
-    build_hamiltonian,
-    frequency_curvatures,
     frequency_gradient,
     ion_levels,
     transition_table,
 )
 
-from conftest import central_difference
+from conftest import central_difference, curvature_matrix_at, lab_hamiltonian
 
 
 def random_params(rng) -> SpinParams:
@@ -88,7 +86,7 @@ def test_trace_conservation_on_random_samples():
     for _ in range(200):
         params = random_params(rng)
         field = rng.uniform(-100.0, 100.0, 3)
-        h = build_hamiltonian(params, field)
+        h = lab_hamiltonian(params, field)
         energies = ion_levels(params, field).energies
         scale = max(1.0, float(np.sum(np.abs(energies))))
         assert abs(np.sum(energies) - np.trace(h).real) < 1e-9 * scale
@@ -177,7 +175,7 @@ def test_time_reversal_maps_b_to_minus_b(case):
     zeeman = params.mu_B * max(params.g_par, params.g_perp) / 2.0
     _assert_within(plus.vector, -minus.vector, 2.0 * zeeman * max(1.0, scale / plus.min_gap))
     _assert_within(
-        frequency_curvatures(params, field, sel),
-        frequency_curvatures(params, -field, sel),
+        curvature_matrix_at(params, field, sel),
+        curvature_matrix_at(params, -field, sel),
         1000.0 * zeeman**2 / plus.min_gap,  # kHz/mT^2
     )

@@ -10,19 +10,18 @@ from zefoz import (
     AxisGrid,
     InvalidParameterError,
     SpinParams,
-    build_hamiltonian,
     ion_levels,
     state_composition,
 )
 
-from conftest import ND_GROUND, analytic_zefoz_bz
+from conftest import ND_GROUND, analytic_zefoz_bz, lab_hamiltonian
 
 
 def test_zero_parameters_give_zero_matrix():
     params = SpinParams(
         electron_spin=0.5, nuclear_spin=3.5, g_par=0.0, g_perp=0.0, A=0.0, B_hf=0.0
     )
-    h = build_hamiltonian(params, (12.3, -4.5, 6.7))
+    h = lab_hamiltonian(params, (12.3, -4.5, 6.7))
     assert h.shape == (16, 16)
     assert np.all(h == 0)
 
@@ -33,18 +32,18 @@ def test_isotropic_coupling_reproduces_total_spin_multiplets():
     params = SpinParams(
         electron_spin=0.5, nuclear_spin=3.5, g_par=0.0, g_perp=0.0, A=1.0, B_hf=1.0
     )
-    energies = np.linalg.eigvalsh(build_hamiltonian(params, (0.0, 0.0, 0.0)))
+    energies = np.linalg.eigvalsh(lab_hamiltonian(params, (0.0, 0.0, 0.0)))
     assert np.sum(np.abs(energies - 1.75) < 1e-9) == 9
     assert np.sum(np.abs(energies + 2.25) < 1e-9) == 7
 
 
 def test_hamiltonian_is_exactly_hermitian_and_traceless(nd_ground):
-    h = build_hamiltonian(nd_ground, (1.0, 2.0, 63.6))
+    h = lab_hamiltonian(nd_ground, (1.0, 2.0, 63.6))
     assert np.array_equal(h, h.conj().T)
     assert abs(np.trace(h)) < 1e-9
 
     with_quadrupole = SpinParams(**{**ND_GROUND, "P": 17.0})
-    h2 = build_hamiltonian(with_quadrupole, (0.0, 0.0, 63.6))
+    h2 = lab_hamiltonian(with_quadrupole, (0.0, 0.0, 63.6))
     assert abs(np.trace(h2)) < 1e-9 * np.max(np.abs(h2))
 
 
@@ -66,7 +65,7 @@ def test_diagonalize_sorts_and_permutes():
     params = SpinParams(
         electron_spin=0.5, nuclear_spin=1.5, g_par=1.0, g_perp=0.0, A=10.0, B_hf=0.0
     )
-    diagonal = np.diag(build_hamiltonian(params, (0.0, 0.0, 1.0))).real
+    diagonal = np.diag(lab_hamiltonian(params, (0.0, 0.0, 1.0))).real
     order = np.argsort(diagonal)
     levels = ion_levels(params, (0.0, 0.0, 1.0))
     assert np.array_equal(levels.energies, diagonal[order])
@@ -81,7 +80,7 @@ def test_clock_splitting_near_2087(nd_ground):
 def test_zero_field_structure_matches_independent_solver(nd_ground):
     # cross-check the numpy eigensolver against scipy's separate LAPACK
     # driver on the zero-field hyperfine structure
-    h = build_hamiltonian(nd_ground, (0.0, 0.0, 0.0))
+    h = lab_hamiltonian(nd_ground, (0.0, 0.0, 0.0))
     ours = ion_levels(nd_ground, (0.0, 0.0, 0.0)).energies
     reference = scipy.linalg.eigh(h, driver="evr", eigvals_only=True)
     assert np.max(np.abs(ours - reference)) < 1e-9
@@ -91,7 +90,7 @@ def test_zero_field_structure_matches_independent_solver(nd_ground):
 
 
 def test_energy_sum_equals_trace(nd_ground):
-    h = build_hamiltonian(nd_ground, (5.0, -3.0, 40.0))
+    h = lab_hamiltonian(nd_ground, (5.0, -3.0, 40.0))
     energies = ion_levels(nd_ground, (5.0, -3.0, 40.0)).energies
     scale = max(1.0, float(np.sum(np.abs(energies))))
     assert abs(np.sum(energies) - np.trace(h).real) < 1e-9 * scale
