@@ -6,8 +6,9 @@ with a provenance header (tool version, full config echo, ion
 parameters) so results are reproducible from the file alone.
 
 Start-up is most of a command's run time, so this module loads only
-``config``, ``errors``, ``output`` and ``spins``; each runner imports what
-it uses from ``fieldmap``, ``transitions`` and ``eit`` when it runs.
+``config``, ``errors``, ``output`` and ``spins``, and reads every other
+library name as ``zefoz.<name>``, which loads its module on first use:
+each command loads only the modules it runs.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import __version__
+import zefoz
 from .config import RunConfig, config_echo, format_ion_file, parse_config, parse_ion_file
 from .errors import ComputationError, ConfigError, InvalidParameterError
 from .output import write_table
@@ -27,7 +28,7 @@ from .spins import AxisGrid, FieldGrid, IonParams, ion_levels
 
 
 def _provenance(config: RunConfig, ion: IonParams) -> list[str]:
-    lines = [f"zefoz {__version__}"]
+    lines = [f"zefoz {zefoz.__version__}"]
     lines += config_echo(config)
     for raw in format_ion_file(ion).splitlines():
         lines.append(f"ion: {raw}")
@@ -38,14 +39,12 @@ def _manifold_params(config: RunConfig, ion: IonParams):
     return ion.ground if config.manifold == "ground" else ion.excited
 
 
-def _spectrum_params(config: RunConfig) -> SpectrumParams:
-    from .transitions import SpectrumParams
-
+def _spectrum_params(config: RunConfig) -> zefoz.SpectrumParams:
     fwhm = config.spectrum_inhom_fwhm
     if fwhm is None:
         in_field = float(np.linalg.norm(config.field)) > 0.0
         fwhm = 35.0 if in_field else 70.0
-    return SpectrumParams(
+    return zefoz.SpectrumParams(
         temperature=config.spectrum_temperature,
         inhom_fwhm=fwhm,
         line_profile=config.spectrum_profile,
@@ -53,10 +52,8 @@ def _spectrum_params(config: RunConfig) -> SpectrumParams:
     )
 
 
-def _lambda_params(config: RunConfig) -> LambdaParams:
-    from .eit import LambdaParams
-
-    return LambdaParams(
+def _lambda_params(config: RunConfig) -> zefoz.LambdaParams:
+    return zefoz.LambdaParams(
         rabi_coupling=config.eit_rabi,
         optical_dephasing=config.eit_gamma_ge,
         optical_inhom_fwhm=config.eit_inhom_fwhm,
@@ -65,21 +62,17 @@ def _lambda_params(config: RunConfig) -> LambdaParams:
 
 
 def _find_zefoz(config: RunConfig, ion: IonParams):
-    from .fieldmap import TransitionSelector, zefoz_search
-
     label, levels = max(config.zefoz_pair), ion.ground.dimension
     if label > levels:
         message = f"zefoz.pair: label {label} exceeds the {levels} ground levels"
         raise ConfigError([(None, f"{message} of {config.ion_file!r}")])
-    sel = TransitionSelector("ground", *config.zefoz_pair)
-    return zefoz_search(
+    sel = zefoz.TransitionSelector("ground", *config.zefoz_pair)
+    return zefoz.zefoz_search(
         ion.ground, sel, np.array(config.zefoz_start), config.search_bounds(), config.zefoz_tol
     )
 
 
-def _noise_model(config: RunConfig, zefoz_point) -> NoiseModel:
-    from .eit import NoiseModel
-
+def _noise_model(config: RunConfig, zefoz_point) -> zefoz.NoiseModel:
     curvatures = config.noise_curvatures
     if curvatures is None:
         if zefoz_point is None:
@@ -87,21 +80,19 @@ def _noise_model(config: RunConfig, zefoz_point) -> NoiseModel:
                 "noise curvatures set to auto but no stationary point was found"
             )
         curvatures = tuple(float(c) for c in zefoz_point.curvatures)
-    return NoiseModel(
+    return zefoz.NoiseModel(
         curvatures=curvatures,
         gamma0=config.noise_gamma0,
         delta_b=config.noise_delta_b,
     )
 
 
-def _comb_model(config: RunConfig, noise: NoiseModel, operating_field) -> CombModel:
-    from .eit import FLUORINE_GAMMA_MHZ_PER_MT, CombModel, binomial_weights, flat_weights
-
+def _comb_model(config: RunConfig, noise: zefoz.NoiseModel, operating_field) -> zefoz.CombModel:
     spacing = config.comb_spacing
     if spacing is None:
         if operating_field is None:
             raise ComputationError("comb.spacing set to auto but no stationary point was found")
-        spacing = FLUORINE_GAMMA_MHZ_PER_MT * float(np.linalg.norm(operating_field))
+        spacing = zefoz.FLUORINE_GAMMA_MHZ_PER_MT * float(np.linalg.norm(operating_field))
         if spacing == 0.0:
             field = " ".join(repr(float(b)) for b in operating_field)
             raise ComputationError(
@@ -109,11 +100,11 @@ def _comb_model(config: RunConfig, noise: NoiseModel, operating_field) -> CombMo
                 f"got B = {field} mT"
             )
     weights = (
-        binomial_weights(config.comb_n_lines)
+        zefoz.binomial_weights(config.comb_n_lines)
         if config.comb_weights == "binomial"
-        else flat_weights(config.comb_n_lines)
+        else zefoz.flat_weights(config.comb_n_lines)
     )
-    return CombModel(
+    return zefoz.CombModel(
         spacing=spacing, n_lines=config.comb_n_lines, weights=weights, noise=noise
     )
 
@@ -128,12 +119,10 @@ def _run_levels(config: RunConfig, ion: IonParams):
 
 
 def _run_diagram(config: RunConfig, ion: IonParams):
-    from .fieldmap import level_diagram
-
     fixed = AxisGrid(0.0, 0.0, 1)
     scan = AxisGrid(config.diagram_start, config.diagram_stop, config.diagram_count)
     grid = FieldGrid(**{axis: scan if axis == config.diagram_axis else fixed for axis in "xyz"})
-    diagram = level_diagram(_manifold_params(config, ion), grid)
+    diagram = zefoz.level_diagram(_manifold_params(config, ion), grid)
     rows = [
         (*point, level, energy)
         for point, energies in zip(diagram.field_points.tolist(), diagram.energies.tolist())
@@ -145,17 +134,8 @@ def _run_diagram(config: RunConfig, ion: IonParams):
 def _run_zefoz(config: RunConfig, ion: IonParams):
     points = _find_zefoz(config, ion)
     rows = [
-        (
-            float(z.field[0]),
-            float(z.field[1]),
-            float(z.field[2]),
-            float(z.omega0),
-            float(z.gradient_residual),
-            float(z.curvatures[0]),
-            float(z.curvatures[1]),
-            float(z.curvatures[2]),
-            z.signature_string,
-        )
+        (*z.field.tolist(), z.omega0, z.gradient_residual, *z.curvatures.tolist(),
+         z.signature_string)
         for z in points
     ]
     columns = (
@@ -173,8 +153,6 @@ def _run_zefoz(config: RunConfig, ion: IonParams):
 
 
 def _tables_at_field(config: RunConfig, ion: IonParams):
-    from .transitions import TransitionOperator, transition_table
-
     pairs = [(p.electron_spin, p.nuclear_spin) for p in (ion.ground, ion.excited)]
     if pairs[0] != pairs[1]:
         message = f"ground (S, I) = {pairs[0]} differs from excited (S, I) = {pairs[1]}"
@@ -182,15 +160,13 @@ def _tables_at_field(config: RunConfig, ion: IonParams):
     field = np.array(config.field)
     ground = ion_levels(ion.ground, field)
     excited = ion_levels(ion.excited, field)
-    op = TransitionOperator(config.operator)
-    return transition_table(ground, excited, op, _spectrum_params(config))
+    op = zefoz.TransitionOperator(config.operator)
+    return zefoz.transition_table(ground, excited, op, _spectrum_params(config))
 
 
 def _run_lambda(config: RunConfig, ion: IonParams):
-    from .transitions import find_lambda_systems
-
     table = _tables_at_field(config, ion)
-    systems = find_lambda_systems(
+    systems = zefoz.find_lambda_systems(
         table,
         max_asymmetry=config.lambda_max_asymmetry,
         max_leakage_ratio=config.lambda_max_leakage_ratio,
@@ -223,8 +199,6 @@ def _run_lambda(config: RunConfig, ion: IonParams):
 
 
 def _run_spectrum(config: RunConfig, ion: IonParams):
-    from .transitions import absorption_spectrum
-
     table = _tables_at_field(config, ion)
     if config.spectrum_table_output is not None:
         write_table(
@@ -238,29 +212,25 @@ def _run_spectrum(config: RunConfig, ion: IonParams):
             out_format="csv",
             header_lines=_provenance(config, ion),
         )
-    freqs, depth = absorption_spectrum(table, _spectrum_params(config))
+    freqs, depth = zefoz.absorption_spectrum(table, _spectrum_params(config))
     rows = list(zip(freqs.tolist(), depth.tolist()))
     return rows, ("freq_MHz", "optical_depth")
 
 
 def _run_eit(config: RunConfig, ion: IonParams):
-    from .eit import eit_profile
-
     points = _find_zefoz(config, ion) if config.runs_search else []
     zefoz_point = points[0] if points else None
     noise = _noise_model(config, zefoz_point)
     operating = None if zefoz_point is None else zefoz_point.field + np.array(config.eit_delta_b)
     comb = _comb_model(config, noise, operating)
     grid = AxisGrid(*config.eit_grid).values()
-    profile = eit_profile(comb, _lambda_params(config), config.eit_delta_b, grid)
+    profile = zefoz.eit_profile(comb, _lambda_params(config), config.eit_delta_b, grid)
     columns = (profile.detuning, profile.alpha_off, profile.alpha_on, profile.transmission)
     rows = list(zip(*(column.tolist() for column in columns)))
     return rows, ("detuning_MHz", "alpha_off", "alpha_on", "transmission")
 
 
 def _run_sweep(config: RunConfig, ion: IonParams):
-    from .eit import amplitude_vs_field
-
     points = _find_zefoz(config, ion)
     if not points:
         raise ComputationError("field sweep needs a stationary point, none found")
@@ -272,7 +242,7 @@ def _run_sweep(config: RunConfig, ion: IonParams):
         y=AxisGrid(float(z.field[1]), float(z.field[1]), 1),
         z=AxisGrid(config.sweep_start, config.sweep_stop, config.sweep_count),
     )
-    swept = amplitude_vs_field(ion.ground, z, noise, _lambda_params(config), comb, sweep)
+    swept = zefoz.amplitude_vs_field(ion.ground, z, noise, _lambda_params(config), comb, sweep)
     rows = np.array([(p.field[2], p.omega12, p.amplitude) for p in swept]).tolist()
     return rows, ("Bz_mT", "omega12_MHz", "amplitude")
 
@@ -332,7 +302,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--config", required=True, help="path to the run configuration")
     parser.add_argument("--out", help="override the configured output path")
-    parser.add_argument("--version", action="version", version=f"zefoz {__version__}")
+    parser.add_argument("--version", action="version", version=f"zefoz {zefoz.__version__}")
     args = parser.parse_args(argv)
 
     try:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ComputationError, InvalidParameterError
 from .fieldmap import ZefozPoint, quadratic_model, transition_frequencies
-from .spins import FieldGrid, as_field
+from .spins import FieldGrid, as_field, as_integer
 
 # Fluorine nuclear gyromagnetic ratio in MHz/mT (linear frequency).
 FLUORINE_GAMMA_MHZ_PER_MT = 0.04006
@@ -301,7 +301,7 @@ class CombModel:
     noise: NoiseModel | None = None
 
     def __post_init__(self):
-        if self.n_lines < 1 or self.n_lines % 2 == 0:
+        if as_integer(self.n_lines, "n_lines") < 1 or self.n_lines % 2 == 0:
             raise InvalidParameterError("n_lines must be an odd integer >= 1")
         if not (self.spacing > 0 and isfinite(self.spacing)):
             raise InvalidParameterError("spacing must be positive and finite")

@@ -71,6 +71,7 @@ from .spins import (  # noqa: F401 - perfbench reads fieldmap.ion_levels
     _azimuthal_phases,
     as_field,
     as_fields,
+    as_integer,
     ion_levels,
 )
 
@@ -112,7 +113,7 @@ class TransitionSelector:
             raise InvalidParameterError(
                 f"manifold must be one of {MANIFOLDS}, got {self.manifold!r}"
             )
-        if self.level_i < 1 or self.level_j < 1:
+        if min(as_integer(self.level_i, "level_i"), as_integer(self.level_j, "level_j")) < 1:
             raise InvalidParameterError("level labels are 1-based positive integers")
         if self.manifold != "optical" and self.level_i == self.level_j:
             raise InvalidParameterError("same-manifold selector needs two distinct levels")
@@ -181,17 +182,16 @@ def _check_labels(sel: TransitionSelector, dim_i: int, dim_j: int):
 
 
 def _frame_derivatives(params: SpinParams, b_perp: np.ndarray, bz: np.ndarray,
-                       idx: np.ndarray, order: int):
+                       idx: np.ndarray, hessian: bool):
     """Energies (U, L) of the levels ``idx`` (0-based) in each frame
     (B_perp, 0, Bz) of 1-D stacks ``b_perp`` and ``bz`` (U,), diagonalized
-    ``BLOCK`` frames per call; by order, the frame slopes <n|M_i|n> (U, L, 3),
-    the gap (U, L) from each level to its nearer neighbour and the frame
-    Hessians (U, L, 3, 3) of the perturbation sum, which leaves out every
-    level m closer than ``DEGENERACY_GAP`` to n, and the real frame vectors
-    (U, L, d) of the levels from order 1 on. Parts above ``order`` are
-    None. The couplings come from stacked products with one small matrix
-    product per frame, level and axis, so every frame gets the same bits
-    whatever stack it sits in."""
+    ``BLOCK`` frames per call, their frame slopes <n|M_i|n> (U, L, 3), the
+    gap (U, L) from each level to its nearer neighbour, with ``hessian``
+    the frame Hessians (U, L, 3, 3) of the perturbation sum, which leaves
+    out every level m closer than ``DEGENERACY_GAP`` to n, else None, and
+    the real frame vectors (U, L, d) of the levels. The couplings come from
+    stacked products with one small matrix product per frame, level and
+    axis, so every frame gets the same bits whatever stack it sits in."""
     zeeman = params.linear_terms.zeeman
     # M_x and M_z are real and M_y imaginary: (M_x, M_y / i, M_z)
     real_zeeman = zeeman.real + zeeman.imag
@@ -199,10 +199,6 @@ def _frame_derivatives(params: SpinParams, b_perp: np.ndarray, bz: np.ndarray,
     for start in range(0, len(b_perp) or 1, BLOCK):  # an empty stack is one empty block
         block = slice(start, start + BLOCK)
         energies, vectors = _axial_eigensystems(params, b_perp[block], bz[block])
-        energy = energies[:, idx]
-        if order == 0:
-            blocks.append((energy, None, None, None, None))
-            continue
         spacing = np.full((len(energies), energies.shape[1] + 1), np.inf)  # E_k - E_(k-1)
         np.subtract(energies[:, 1:], energies[:, :-1], out=spacing[:, 1:-1])
         gap = np.minimum(spacing[:, idx], spacing[:, idx + 1])
@@ -212,7 +208,7 @@ def _frame_derivatives(params: SpinParams, b_perp: np.ndarray, bz: np.ndarray,
         own = coupling[:, np.arange(len(idx)), :, idx].transpose(1, 0, 2)  # (U, L, 3)
         own[..., 1] = 0.0  # <n|M_y|n> of a real |n>: i times an antisymmetric form
         frame = None
-        if order == 2:
+        if hessian:
             split = energies[:, idx, None] - energies[:, None, :]  # E_n - E_m, (U, L, d)
             weight = np.divide(
                 1.0, split, out=np.zeros_like(split), where=np.abs(split) >= DEGENERACY_GAP
@@ -220,7 +216,7 @@ def _frame_derivatives(params: SpinParams, b_perp: np.ndarray, bz: np.ndarray,
             weighted = coupling * weight[:, :, None, :]
             frame = 2.0 * (weighted @ coupling.swapaxes(2, 3))
             frame[..., 1, ::2] = frame[..., ::2, 1] = 0.0  # real times imaginary
-        blocks.append((energy, own, gap, frame, kets))
+        blocks.append((energies[:, idx], own, gap, frame, kets))
     if len(blocks) == 1:
         return blocks[0]
     return [None if parts[0] is None else np.concatenate(parts) for parts in zip(*blocks)]
@@ -228,42 +224,39 @@ def _frame_derivatives(params: SpinParams, b_perp: np.ndarray, bz: np.ndarray,
 
 class _Transition(NamedTuple):
     """Frequency (N,) in MHz of the selected transition in each frame of a
-    stack and, by order, its Hellmann-Feynman slope (N, 3) in MHz/mT, the
-    smallest gap (N,) in MHz from either level to its nearer neighbour,
-    its Hessian (N, 3, 3) in MHz/mT^2 and the real frame vectors (N, d) of
-    its lower and upper level."""
+    stack, its Hellmann-Feynman slope (N, 3) in MHz/mT, the smallest gap
+    (N,) in MHz from either level to its nearer neighbour, its Hessian
+    (N, 3, 3) in MHz/mT^2 or None, and the real frame vectors (N, d) of its
+    lower and upper level."""
 
     frequency: np.ndarray
-    slope: np.ndarray | None
-    min_gap: np.ndarray | None
+    slope: np.ndarray
+    min_gap: np.ndarray
     hessian: np.ndarray | None
-    kets: tuple[np.ndarray, np.ndarray] | None = None
+    kets: tuple[np.ndarray, np.ndarray]
 
 
 def _frame_transition(params, sel: TransitionSelector, b_perp: np.ndarray, bz: np.ndarray,
-                      order: int) -> _Transition:
-    """E_j - E_i and its derivatives up to ``order`` in each frame
-    (B_perp, 0, Bz) of 1-D stacks ``b_perp`` and ``bz`` (U,): slopes and
-    Hessians in frame axes, the differences of the two levels' values from
-    ``_frame_derivatives``, so every frame gets the same bits whatever
+                      hessian: bool) -> _Transition:
+    """E_j - E_i and its slopes, with ``hessian`` also its Hessians, in each
+    frame (B_perp, 0, Bz) of 1-D stacks ``b_perp`` and ``bz`` (U,): slopes
+    and Hessians in frame axes, the differences of the two levels' values
+    from ``_frame_derivatives``, so every frame gets the same bits whatever
     stack it sits in. The frame x axis is the B_perp direction: on the z
     axis (B_perp = 0) it is the lab x axis and these are the lab values."""
     p_i, p_j = _split_params(params, sel)
     _check_labels(sel, p_i.dimension, (p_j or p_i).dimension)
     if p_j is None:
         pair = _frame_derivatives(p_i, b_perp, bz, np.array([sel.level_i, sel.level_j]) - 1,
-                                  order)
+                                  hessian)
         lower, upper = ([None if part is None else part[:, k] for part in pair] for k in (0, 1))
     else:
         lower, upper = ([None if part is None else part[:, 0]
                          for part in _frame_derivatives(p, b_perp, bz, np.array([label - 1]),
-                                                        order)]
+                                                        hessian)]
                         for p, label in ((p_i, sel.level_i), (p_j, sel.level_j)))
-    frequency = upper[0] - lower[0]
-    if order == 0:
-        return _Transition(frequency, None, None, None)
-    return _Transition(frequency, upper[1] - lower[1], np.minimum(lower[2], upper[2]),
-                       None if order == 1 else upper[3] - lower[3], (lower[4], upper[4]))
+    return _Transition(upper[0] - lower[0], upper[1] - lower[1], np.minimum(lower[2], upper[2]),
+                       upper[3] - lower[3] if hessian else None, (lower[4], upper[4]))
 
 
 def _turns(azimuth: np.ndarray) -> np.ndarray:
@@ -286,7 +279,7 @@ def transition_frequencies(params, fields, sel: TransitionSelector) -> np.ndarra
     """
     fields = as_fields(fields)
     b_perp, _ = _azimuthal_frames(fields)
-    return _frame_transition(params, sel, b_perp, fields[:, 2], 0).frequency
+    return _frame_transition(params, sel, b_perp, fields[:, 2], False).frequency
 
 
 def frequency_gradient(params, field, sel: TransitionSelector) -> GradientResult:
@@ -299,7 +292,7 @@ def frequency_gradient(params, field, sel: TransitionSelector) -> GradientResult
     """
     fields = as_field(field)[None]
     b_perp, azimuth = _azimuthal_frames(fields)
-    state = _frame_transition(params, sel, b_perp, fields[:, 2], 1)
+    state = _frame_transition(params, sel, b_perp, fields[:, 2], False)
     min_gap = float(state.min_gap[0])
     vector = (_turns(azimuth) @ state.slope[..., None])[..., 0]  # back to the lab
     return GradientResult(vector=vector[0], flagged=min_gap < DEGENERACY_GAP, min_gap=min_gap)
@@ -367,7 +360,7 @@ def _newton_refine(
     """
     points = np.array(seeds, dtype=float)
     start, stop = region[0][free], region[1][free]
-    state = _frame_transition(params, sel, points[:, 0], points[:, 2], 2)
+    state = _frame_transition(params, sel, points[:, 0], points[:, 2], True)
     frequency, hessian = state.frequency, state.hessian
     grad = state.slope[:, free]
     norm = np.max(np.abs(grad), axis=1, initial=0.0)  # 0 with no free coordinate
@@ -393,7 +386,7 @@ def _newton_refine(
             moved = trial[:, free] + damp * delta[pending]
             moved = np.where(start > moved, start, moved)  # clip into the region
             trial[:, free] = np.where(stop < moved, stop, moved)
-            trial_state = _frame_transition(params, sel, trial[:, 0], trial[:, 2], 2)
+            trial_state = _frame_transition(params, sel, trial[:, 0], trial[:, 2], True)
             trial_grad = trial_state.slope[:, free]
             trial_norm = np.max(np.abs(trial_grad), axis=1)
             better = trial_norm < norm[trying]
@@ -461,8 +454,7 @@ def _search_seeds(params, sel: TransitionSelector, start: np.ndarray, bounds: Fi
     ``DEGENERACY_GAP`` (its slope depends on the eigensolver's basis), or
     where a level of the pair overlaps its vector at the other end by less
     than 1/sqrt(2): a crossing of sorted levels lies between the ends, and
-    the sign change is the slope's jump there, not a stationary point.
-    Seeds that coincide are taken once."""
+    the sign change is the slope's jump there, not a stationary point."""
     radii = np.sort(np.hypot.outer(bounds.x.values(), bounds.y.values()), axis=None)
     # distinct: numpy's unique without indices would import numpy.ma (~20 ms per CLI process)
     radii = radii[np.append(True, radii[1:] != radii[:-1])]
@@ -470,7 +462,7 @@ def _search_seeds(params, sel: TransitionSelector, start: np.ndarray, bounds: Fi
     frames = np.zeros((len(radii), len(z), 3))
     frames[..., 0], frames[..., 2] = radii[:, None], z
     flat = frames.reshape(-1, 3)
-    scan = _frame_transition(params, sel, flat[:, 0], flat[:, 2], 1)
+    scan = _frame_transition(params, sel, flat[:, 0], flat[:, 2], False)
     shape = frames.shape[:2]
     slope = scan.slope.reshape(shape + (3,))
     clear = scan.min_gap.reshape(shape) >= DEGENERACY_GAP
@@ -484,9 +476,7 @@ def _search_seeds(params, sel: TransitionSelector, start: np.ndarray, bounds: Fi
         for ket in kets:
             bracket &= np.abs(np.sum(ket[low] * ket[high], axis=-1)) >= np.sqrt(0.5)
         seeds.append((frames[low][bracket] + frames[high][bracket]) / 2.0)
-    seeds = np.concatenate(seeds)
-    first = {tuple(seed): k for k, seed in reversed(list(enumerate(seeds.tolist())))}
-    return seeds[sorted(first.values())]
+    return np.concatenate(seeds)
 
 
 def _ring_point(b_perp: float, bounds: FieldGrid, start: np.ndarray) -> tuple[float, float]:

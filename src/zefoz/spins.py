@@ -33,6 +33,7 @@ that a module that only takes a grid (``transitions``) does not load
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -168,6 +169,15 @@ class LinearTerms(NamedTuple):
     zeeman: np.ndarray
 
 
+def as_integer(value, name: str) -> int:
+    """A count or label as an int: ints, bools and numpy integers pass, a
+    float (2.0 included) does not."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}") from None
+
+
 def as_field(field) -> np.ndarray:
     """Coerce a length-3 sequence into a float array (mT)."""
     arr = np.asarray(field, dtype=float)
@@ -201,7 +211,7 @@ class AxisGrid:
     count: int
 
     def __post_init__(self):
-        if self.count < 1:
+        if as_integer(self.count, "grid count") < 1:
             raise InvalidParameterError(f"grid count must be >= 1, got {self.count}")
         for name in ("start", "stop"):
             if not np.isfinite(getattr(self, name)):
@@ -303,6 +313,7 @@ class LevelSet:
         return self.eigenvectors[:, self._index(label)]
 
     def _index(self, label: int) -> int:
+        label = as_integer(label, "level label")
         if not 1 <= label <= self.dimension:
             raise InvalidParameterError(
                 f"level label {label} outside 1..{self.dimension}"

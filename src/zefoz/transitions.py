@@ -140,7 +140,10 @@ class LambdaSystem:
 
 
 def boltzmann_weights(energies: np.ndarray, temperature: float) -> np.ndarray:
-    """Normalized thermal populations for energies in MHz."""
+    """Normalized thermal populations for energies in MHz at a positive
+    temperature in K (inf: uniform)."""
+    if not temperature > 0:
+        raise InvalidParameterError("temperature must be positive")
     e = np.asarray(energies, dtype=float)
     w = np.exp(-(e - e.min()) / (BOLTZMANN_MHZ_PER_K * temperature))
     return w / w.sum()

@@ -200,13 +200,13 @@ def lab_hamiltonian(params: SpinParams, field) -> np.ndarray:
 
 
 def curvature_matrix_at(params, field, sel) -> np.ndarray:
-    """C (kHz/mT^2) at one field (3,): the order-2 frame Hessian of
+    """C (kHz/mT^2) at one field (3,): the frame Hessian of
     ``_frame_transition`` at the field's azimuthal frame, turned back to
     the lab as R(phi) H R(phi)^T, then halved and put in kHz as
     ``ZefozPoint.curvature_matrix`` is."""
     fields = np.asarray(field, dtype=float)[None]
     b_perp, azimuth = _azimuthal_frames(fields)
-    hessian = fieldmap._frame_transition(params, sel, b_perp, fields[:, 2], 2).hessian
+    hessian = fieldmap._frame_transition(params, sel, b_perp, fields[:, 2], True).hessian
     turn = fieldmap._turns(azimuth)
     return fieldmap._curvature_matrix((turn @ hessian @ turn.swapaxes(1, 2))[0])
 
@@ -262,7 +262,7 @@ def newton_refine_oracle(params, sel, start, region, free, tol, max_iter):
     flagged) and whether a trial frame was clipped into the region."""
 
     def evaluate(point):
-        state = fieldmap._frame_transition(params, sel, point[:1], point[2:], 2)
+        state = fieldmap._frame_transition(params, sel, point[:1], point[2:], True)
         return state, state.slope[0, free]
 
     clipped = False

@@ -810,11 +810,13 @@ def test_cli_default_outputs_match_golden_digests(tmp_path, monkeypatch):
     assert digests == GOLDEN_SHA256
 
 
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
 def _readme_blocks() -> list[tuple[str, str]]:
     """(info string, body) of each fenced block of the README."""
     blocks, info, body = [], None, []
-    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-    with open(readme, encoding="utf-8") as handle:
+    with open(README, encoding="utf-8") as handle:
         for line in handle:
             if line.startswith("```"):
                 if info is None:
@@ -832,6 +834,27 @@ def test_readme_ion_file_is_the_golden_ion_file():
     assert ion_blocks == [README_ION]
 
 
+def test_readme_config_table_is_the_run_config_table():
+    # the README's one table of run-config keys lists exactly RunConfig's
+    # keys, in its order, each with its default as a default config echoes
+    # it: "required" where there is none, "by command" for output and format
+    with open(README, encoding="utf-8") as handle:
+        section = handle.read().split("### Config keys\n", 1)[1]
+    (table,) = [chunk for chunk in section.split("\n\n") if chunk.startswith("| key |")]
+    rows = [[cell.strip().strip("`") for cell in line.strip("|").split("|")]
+            for line in table.splitlines()[2:]]
+    echo = dict(line.split(" = ", 1)
+                for line in config_echo(parse_config("command = levels\nion_file = nd.ion\n")))
+    expected = [
+        (f.metadata["key"],
+         "required" if f.default is dataclasses.MISSING
+         else "by command" if f.metadata["key"] in ("output", "format")
+         else echo[f.metadata["key"]])
+        for f in dataclasses.fields(config.RunConfig)
+    ]
+    assert [(key, default) for key, default, _ in rows] == expected
+
+
 def test_readme_python_example_runs(capsys):
     (example,) = [body for info, body in _readme_blocks() if info == "python"]
     namespace: dict = {}
@@ -843,7 +866,8 @@ def test_readme_python_example_runs(capsys):
 
 
 # zefoz modules each command needs: cli loads config, errors, output and
-# spins (with operators); the runners import fieldmap, transitions and eit
+# spins (with operators); the runners load fieldmap, transitions and eit
+# through the package's names
 CLI_BASE = ["zefoz", "zefoz.cli", "zefoz.config", "zefoz.errors", "zefoz.operators",
             "zefoz.output", "zefoz.spins"]
 SEARCH = ["zefoz.fieldmap"]

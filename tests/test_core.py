@@ -417,7 +417,7 @@ def test_azimuthal_frame_matches_the_lab_frame_eigensystem():
         fields = axis_fields(rng)
         b_perp, azimuth = spins._azimuthal_frames(fields)
         energy, own, gap, frame, _ = fieldmap._frame_derivatives(
-            params, b_perp, fields[:, 2], np.arange(params.dimension), 2
+            params, b_perp, fields[:, 2], np.arange(params.dimension), True
         )
         zeeman = max(np.linalg.norm(m, 2) for m in params.linear_terms.zeeman)
         for k, field in enumerate(fields):
@@ -555,7 +555,7 @@ def frame_images(fields: np.ndarray) -> np.ndarray:
     return np.array(images)
 
 
-@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("order", [1, 2])
 def test_level_derivatives_of_a_field_do_not_depend_on_its_stack(order):
     # lockstep Newton evaluates each seed in stacks of every size and
     # relies on each frame getting the bits of a one-frame call, also in
@@ -575,15 +575,15 @@ def test_level_derivatives_of_a_field_do_not_depend_on_its_stack(order):
             b_perp, azimuth = spins._azimuthal_frames(stack)
             bz = stack[:, 2]
             frequencies = transition_frequencies(params, stack, sel)
-            framed = fieldmap._frame_derivatives(ground, b_perp, bz, levels, order)
+            framed = fieldmap._frame_derivatives(ground, b_perp, bz, levels, order == 2)
             if order == 1:
-                state = fieldmap._frame_transition(params, sel, b_perp, bz, 1)
+                state = fieldmap._frame_transition(params, sel, b_perp, bz, False)
                 turned = (fieldmap._turns(azimuth) @ state.slope[..., None])[..., 0]
             for k in range(len(stack)):
                 assert same_bits(frequencies[k:k + 1],
                                  transition_frequencies(params, stack[k:k + 1], sel))
                 alone = fieldmap._frame_derivatives(ground, b_perp[k:k + 1], bz[k:k + 1],
-                                                    levels, order)
+                                                    levels, order == 2)
                 for whole, part in zip(framed, alone):
                     if whole is None:
                         assert part is None

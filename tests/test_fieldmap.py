@@ -116,7 +116,7 @@ def test_derivatives_at_a_degenerate_field_take_one_eigensystem(
     field = np.zeros((1, 3))
     expected = fieldmap._curvature_matrix(
         fieldmap._frame_transition(nd_ground, clock_selector, field[:, 0], field[:, 2],
-                                   2).hessian[0]
+                                   True).hessian[0]
     )
     sizes = count_diagonalizations(monkeypatch)
     matrix = curvature_matrix_at(nd_ground, field[0], clock_selector)
@@ -294,7 +294,7 @@ def test_search_skips_kink_brackets(nd_ground, clock_selector, monkeypatch):
     assert zefoz_search(nd_ground, clock_selector, (0.0, 0.0, 0.0), box) == []
     assert sum(sizes) == 9  # the 3-frame scan, then the start's Newton steps
     scan = fieldmap._frame_transition(nd_ground, clock_selector, np.zeros(3),
-                                      np.array([0.0, 5.0, 10.0]), 1)
+                                      np.array([0.0, 5.0, 10.0]), False)
     assert scan.slope[0, 2] * scan.slope[1, 2] < 0 and scan.min_gap[0] < DEGENERACY_GAP
     assert scan.slope[1, 2] * scan.slope[2, 2] < 0 and scan.min_gap[1:].min() >= DEGENERACY_GAP
     assert min(abs(ket[1] @ ket[2]) for ket in scan.kets) < np.sqrt(0.5)

@@ -8,8 +8,11 @@ import scipy.linalg
 
 from zefoz import (
     AxisGrid,
+    CombModel,
     InvalidParameterError,
     SpinParams,
+    TransitionSelector,
+    boltzmann_weights,
     ion_levels,
     state_composition,
 )
@@ -197,6 +200,29 @@ def test_axis_grid_rejects_non_finite_ends(start, stop):
     # RuntimeWarning in linspace
     with pytest.raises(InvalidParameterError, match="must be finite"):
         AxisGrid(start, stop, 3)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda levels: AxisGrid(0.0, 1.0, 2.5), "grid count must be an integer"),
+    (lambda levels: TransitionSelector("ground", 8.0, 10.0), "level_i must be an integer"),
+    (lambda levels: TransitionSelector("ground", 8, 10.0), "level_j must be an integer"),
+    (lambda levels: CombModel(spacing=1.0, n_lines=3.0), "n_lines must be an integer"),
+    (lambda levels: levels.vector(2.0), "level label must be an integer"),
+    (lambda levels: state_composition(levels, 1.5), "level label must be an integer"),
+    (lambda levels: boltzmann_weights(levels.energies, 0.0), "temperature must be positive"),
+    (lambda levels: boltzmann_weights(levels.energies, np.nan), "temperature must be positive"),
+], ids=["grid-count", "level-i", "level-j", "n-lines", "vector", "composition",
+        "zero-temperature", "nan-temperature"])
+def test_bad_counts_labels_and_temperatures_are_invalid_parameters(nd_ground, make, message):
+    # each raised a numpy error (TypeError, IndexError) or, for T = 0,
+    # returned nan with RuntimeWarnings; numpy integers and bools still pass
+    levels = ion_levels(nd_ground, (0.0, 0.0, 50.0))
+    with pytest.raises(InvalidParameterError, match=message):
+        make(levels)
+    assert AxisGrid(0.0, 1.0, np.int64(3)).values().tolist() == [0.0, 0.5, 1.0]
+    assert TransitionSelector("ground", True, np.int32(2)).level_i == 1
+    assert np.array_equal(levels.vector(np.int64(2)), levels.eigenvectors[:, 1])
+    assert CombModel(spacing=1.0, n_lines=np.int64(3)).shifts().tolist() == [-1.0, 0.0, 1.0]
 
 
 def test_axis_grid_of_several_points_needs_stop_above_start():

@@ -6,12 +6,14 @@ for byte.
 Run it from the root of a checkout. Both sides are snapshotted as
 ``tools/bench_pairs.py`` does it, before the first run. For each of the
 cli-suite seeds 1-5, ``perfbench/inputs.cli_case`` gives an ion file and
-the seven README configs, and ``EDGE_CONFIGS`` adds ten edge cases on
-the same ion file; each side runs ``python -m zefoz.cli`` on every
-config from its own ``src`` in a directory of its own. Every output that
-differs is printed with its first differing line, and so is a command
-whose exit code differs or that writes no output on either side. Exits 0
-when all outputs are identical, 1 otherwise.
+the seven README configs, and ``EDGE_CONFIGS`` adds eleven edge cases
+on the same ion file; each side runs ``python -m zefoz.cli`` on every
+config from its own ``src`` in a directory of its own. Each config's
+``output`` is compared and, where the config sets one, its
+``spectrum.table_output``. Every output that differs is printed with its
+first differing line, and so is a command whose exit code differs or
+that writes no output on either side. Exits 0 when all outputs are
+identical, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -39,9 +41,10 @@ SEEDS = range(1, 6)
 # levels at one in-plane field; and a sweep whose flat comb a 40 MHz
 # two-photon offset moves wholly beyond a window centred on 0 (at 15 MHz
 # the amplitude is read at the comb line nearest the optical line centre,
-# inside such a window); and two boxes in which the clock pair is
-# stationary on a ring about the z axis (B_perp ~ 65 mT at Bz = 0 on the
-# README ion), one centred on the axis and one off it.
+# inside such a window); two boxes in which the clock pair is stationary
+# on a ring about the z axis (B_perp ~ 65 mT at Bz = 0 on the README
+# ion), one centred on the axis and one off it; and a spectrum that also
+# writes its line table.
 EDGE_CONFIGS = {
     "zefoz-zero-box.jsonl": "command = zefoz\nzefoz.start = 0 0 0\nzefoz.bounds.z = 0 10 3\n",
     "zefoz-3d-box.jsonl": "command = zefoz\nzefoz.bounds.x = -2 2 5\nzefoz.bounds.y = -1.5 1.5 5\n",
@@ -57,38 +60,45 @@ EDGE_CONFIGS = {
     "zefoz-ring-off-axis.jsonl": "command = zefoz\nzefoz.bounds.x = 40 80 9\n"
                                  "zefoz.bounds.y = -20 20 9\nzefoz.bounds.z = -5 5 5\n"
                                  "zefoz.start = 60 0 0\n",
+    "spectrum-line-table.csv": "command = spectrum\n"
+                               "spectrum.table_output = spectrum-lines.csv\n",
 }
 
 
 def seed_case(seed: int) -> tuple[dict, dict]:
-    """One seed's files and its {config: output} runs: the seven README
-    configs, then the edge configs on the same ion file."""
+    """One seed's files and its {config: outputs} runs: the seven README
+    configs, then the edge configs on the same ion file, each with its
+    line table where it writes one."""
     files = dict(inputs.cli_case(seed)["files"])
-    runs = {f"{command}.cfg": inputs.OUTPUTS[command] for command in inputs.COMMANDS}
+    runs = {f"{command}.cfg": (inputs.OUTPUTS[command],) for command in inputs.COMMANDS}
     for output, body in EDGE_CONFIGS.items():
         config = output.rsplit(".", 1)[0] + ".cfg"
         files[config] = f"{body}ion_file = ion.ion\noutput = {output}\n"
-        runs[config] = output
+        table = dict(line.split(" = ", 1) for line in body.splitlines()).get(
+            "spectrum.table_output")
+        runs[config] = (output, table) if table else (output,)
     return files, runs
 
 
 def run_case(root: str, case_dir: str, files: dict, runs: dict) -> dict:
-    """Write one case's files, run each config; {output: (exit, bytes)}."""
+    """Write one case's files, run each config; {output: (exit, bytes)} of
+    every file a config writes."""
     os.makedirs(case_dir)
     for name, text in files.items():
         with open(os.path.join(case_dir, name), "w", encoding="utf-8") as handle:
             handle.write(text)
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     results = {}
-    for config, output in runs.items():
+    for config, outputs in runs.items():
         done = subprocess.run([sys.executable, "-m", "zefoz.cli", "--config", config],
                               cwd=case_dir, env=env, capture_output=True)
-        path = os.path.join(case_dir, output)
-        data = None
-        if os.path.exists(path):
-            with open(path, "rb") as handle:
-                data = handle.read()
-        results[output] = (done.returncode, data)
+        for output in outputs:
+            path = os.path.join(case_dir, output)
+            data = None
+            if os.path.exists(path):
+                with open(path, "rb") as handle:
+                    data = handle.read()
+            results[output] = (done.returncode, data)
     return results
 
 
