@@ -35,10 +35,6 @@ def _provenance(config: RunConfig, ion: IonParams) -> list[str]:
     return lines
 
 
-def _manifold_params(config: RunConfig, ion: IonParams):
-    return ion.ground if config.manifold == "ground" else ion.excited
-
-
 def _spectrum_params(config: RunConfig) -> zefoz.SpectrumParams:
     fwhm = config.spectrum_inhom_fwhm
     if fwhm is None:
@@ -110,7 +106,7 @@ def _comb_model(config: RunConfig, noise: zefoz.NoiseModel, operating_field) -> 
 
 
 def _run_levels(config: RunConfig, ion: IonParams):
-    levels = ion_levels(_manifold_params(config, ion), np.array(config.field))
+    levels = ion_levels(getattr(ion, config.manifold), np.array(config.field))
     rows = [
         (config.manifold, label, energy)
         for label, energy in enumerate(levels.energies.tolist(), start=1)
@@ -122,7 +118,7 @@ def _run_diagram(config: RunConfig, ion: IonParams):
     fixed = AxisGrid(0.0, 0.0, 1)
     scan = AxisGrid(config.diagram_start, config.diagram_stop, config.diagram_count)
     grid = FieldGrid(**{axis: scan if axis == config.diagram_axis else fixed for axis in "xyz"})
-    diagram = zefoz.level_diagram(_manifold_params(config, ion), grid)
+    diagram = zefoz.level_diagram(getattr(ion, config.manifold), grid)
     rows = [
         (*point, level, energy)
         for point, energies in zip(diagram.field_points.tolist(), diagram.energies.tolist())
@@ -172,30 +168,9 @@ def _run_lambda(config: RunConfig, ion: IonParams):
         max_leakage_ratio=config.lambda_max_leakage_ratio,
         min_strength=config.lambda_min_strength,
     )
-    rows = [
-        (
-            s.ground_a,
-            s.ground_b,
-            s.excited,
-            s.strength_a,
-            s.strength_b,
-            s.leakage,
-            s.asymmetry,
-            s.splitting,
-        )
-        for s in systems
-    ]
-    columns = (
-        "ground_a",
-        "ground_b",
-        "excited",
-        "strength_a",
-        "strength_b",
-        "leakage",
-        "asymmetry",
-        "splitting_MHz",
-    )
-    return rows, columns
+    columns = ("ground_a", "ground_b", "excited", "strength_a", "strength_b", "leakage",
+               "asymmetry", "splitting_MHz")
+    return [dataclasses.astuple(s) for s in systems], columns
 
 
 def _run_spectrum(config: RunConfig, ion: IonParams):
@@ -203,11 +178,7 @@ def _run_spectrum(config: RunConfig, ion: IonParams):
     if config.spectrum_table_output is not None:
         write_table(
             config.spectrum_table_output,
-            [
-                (t.ground_label, t.excited_label, t.frequency, t.strength,
-                 t.population_weight)
-                for t in table
-            ],
+            [dataclasses.astuple(line) for line in table],
             ("g_label", "e_label", "freq_MHz", "strength", "pop_weight"),
             out_format="csv",
             header_lines=_provenance(config, ion),

@@ -271,8 +271,16 @@ def averaged_susceptibility(detuning, two_photon_detuning, p: LambdaParams):
     return _average(detuning, iz, p.spin_dephasing, p, pole=iz)[()]
 
 
+def _line_count(n_lines) -> int:
+    count = as_integer(n_lines, "n_lines")
+    if count < 1:
+        raise InvalidParameterError(f"n_lines must be at least 1, got {count}")
+    return count
+
+
 def binomial_weights(n_lines: int) -> np.ndarray:
     """Comb weights for n-1 equivalent spin-1/2 neighbors."""
+    n_lines = _line_count(n_lines)
     w = np.array(
         [binomial_coefficient(n_lines - 1, k) for k in range(n_lines)], dtype=float
     )
@@ -280,6 +288,7 @@ def binomial_weights(n_lines: int) -> np.ndarray:
 
 
 def flat_weights(n_lines: int) -> np.ndarray:
+    n_lines = _line_count(n_lines)
     return np.full(n_lines, 1.0 / n_lines)
 
 

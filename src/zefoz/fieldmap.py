@@ -7,8 +7,9 @@ Conventions
 * ``frequency_gradient`` returns MHz/mT.
 * ``ZefozPoint.curvature_matrix`` is the coefficient matrix C (kHz/mT^2)
   of the quadratic expansion  w(B0+d) ~= w(B0) + grad.d + d^T C d at a
-  stationary point, i.e. HALF the plain second-derivative matrix. Its
-  diagonal gives the curvatures S2i used throughout.
+  stationary point, i.e. HALF the plain second-derivative matrix, and the
+  one copy of it: ``ZefozPoint.curvatures`` (S2x, S2y, S2z) is its
+  diagonal, and ``quadratic_model`` reads C whole.
 
 Derivatives
 -----------
@@ -125,13 +126,16 @@ class GradientResult:
 
     ``vector`` is the Hellmann-Feynman value. ``min_gap`` (MHz) is the
     smallest gap from either level of the pair to its nearer neighbour;
-    ``flagged`` is set when it is below ``DEGENERACY_GAP``: ``vector`` then
+    ``flagged`` reads whether it is below ``DEGENERACY_GAP``: ``vector`` then
     depends on the basis the eigensolver picked inside a degenerate cluster.
     """
 
     vector: np.ndarray
-    flagged: bool
     min_gap: float
+
+    @property
+    def flagged(self) -> bool:
+        return self.min_gap < DEGENERACY_GAP
 
 
 @dataclass(frozen=True)
@@ -139,8 +143,8 @@ class ZefozPoint:
     """A stationary point of a transition frequency in field space, or one
     point of a stationary ring about the z axis (see ``zefoz_search``).
 
-    ``curvatures`` holds the diagonal quadratic coefficients (S2x, S2y, S2z)
-    in kHz/mT^2; ``curvature_matrix`` is the full 3x3 coefficient matrix.
+    ``curvature_matrix`` is the 3x3 quadratic coefficient matrix C in
+    kHz/mT^2; ``curvatures`` reads its diagonal (S2x, S2y, S2z).
     ``hessian_signature`` is a sign triple (-1, 0, +1): of the diagonal for
     a point, of the eigenvalues in ascending order for a ring, whose flat
     azimuthal direction reads 0. ``gradient_residual`` (MHz/mT) is the
@@ -150,10 +154,13 @@ class ZefozPoint:
     field: np.ndarray
     omega0: float
     gradient_residual: float
-    curvatures: np.ndarray
     hessian_signature: tuple[int, int, int]
     curvature_matrix: np.ndarray
     selector: TransitionSelector
+
+    @property
+    def curvatures(self) -> np.ndarray:
+        return np.diag(self.curvature_matrix)
 
     @property
     def signature_string(self) -> str:
@@ -167,10 +174,8 @@ def _split_params(params, sel: TransitionSelector):
             raise InvalidParameterError("optical selector requires IonParams")
         return params.ground, params.excited
     if isinstance(params, IonParams):
-        single = params.ground if sel.manifold == "ground" else params.excited
-    else:
-        single = params
-    return single, None
+        params = getattr(params, sel.manifold)
+    return params, None
 
 
 def _check_labels(sel: TransitionSelector, dim_i: int, dim_j: int):
@@ -295,7 +300,7 @@ def frequency_gradient(params, field, sel: TransitionSelector) -> GradientResult
     state = _frame_transition(params, sel, b_perp, fields[:, 2], False)
     min_gap = float(state.min_gap[0])
     vector = (_turns(azimuth) @ state.slope[..., None])[..., 0]  # back to the lab
-    return GradientResult(vector=vector[0], flagged=min_gap < DEGENERACY_GAP, min_gap=min_gap)
+    return GradientResult(vector=vector[0], min_gap=min_gap)
 
 
 def _curvature_matrix(hessian: np.ndarray) -> np.ndarray:
@@ -303,9 +308,9 @@ def _curvature_matrix(hessian: np.ndarray) -> np.ndarray:
 
 
 def quadratic_model(z: ZefozPoint, delta_field) -> float:
-    """w0 + sum_i S2i * dBi^2, curvatures converted from kHz to MHz."""
+    """w0 + d^T C d, C converted from kHz to MHz."""
     d = np.asarray(delta_field, dtype=float)
-    return float(z.omega0 + np.sum(z.curvatures * 1e-3 * d**2))
+    return float(z.omega0 + np.sum(z.curvature_matrix * 1e-3 * np.outer(d, d)))
 
 
 def _newton_steps(jac: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -515,17 +520,15 @@ def _zefoz_point(end: _Endpoint, sel: TransitionSelector, bounds: FieldGrid,
     field = np.array([*_ring_point(float(end.frame[0]), bounds, start), end.frame[2]])
     turn = _turns(_azimuthal_frames(field[None])[1])[0]
     curv = _curvature_matrix(turn @ end.hessian @ turn.T)
-    diag = np.diag(curv).copy()
     if ring:
         plane = _curvature_matrix(end.hessian[np.ix_((0, 2), (0, 2))])
         signs = np.sort(np.append(np.linalg.eigvalsh(plane), 0.0))
     else:
-        signs = diag
+        signs = np.diag(curv)
     return ZefozPoint(
         field=field,
         omega0=end.frequency,
         gradient_residual=end.residual,
-        curvatures=diag,
         hessian_signature=tuple(int(np.sign(round(c, 6))) for c in signs),
         curvature_matrix=curv,
         selector=sel,

@@ -17,13 +17,12 @@ Lorentzian has no such reach and is evaluated on every point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InvalidParameterError
-from .operators import spin_matrices
+from .operators import electron_operator, spin_matrices
 from .spins import AxisGrid, LevelSet
 
 # Boltzmann constant expressed in MHz per kelvin (k_B / h).
@@ -34,6 +33,8 @@ LINE_PROFILES = ("gaussian", "lorentzian")
 
 # exp(-q) is exactly 0.0 in float64 for every q above about 745.13
 GAUSSIAN_UNDERFLOW_Q = 746.0
+# a Gaussian's FWHM over its standard deviation
+FWHM_PER_SIGMA = 2.0 * np.sqrt(2.0 * np.log(2.0))
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,7 @@ class TransitionOperator:
         return m
 
     def full_matrix(self, nuclear_dim: int, electron_dim: int) -> np.ndarray:
-        return np.kron(np.eye(nuclear_dim), self.electron_matrix(electron_dim))
+        return electron_operator(self.electron_matrix(electron_dim), nuclear_dim)
 
 
 @dataclass(frozen=True)
@@ -182,16 +183,6 @@ def transition_table(
     ]
 
 
-@cache
-def _ground_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ground positions (a, b), a < b, in (a, b) order; read-only, since
-    every call with the same n gets the same arrays."""
-    pairs = np.triu_indices(n, 1)
-    for positions in pairs:
-        positions.flags.writeable = False
-    return pairs
-
-
 def find_lambda_systems(
     table: Sequence[TransitionLine],
     *,
@@ -239,7 +230,7 @@ def find_lambda_systems(
     # every (excited, a < b) pair whose legs pass the strength, sum and
     # asymmetry tests, each written so that a nan passes it
     legs = (line_of >= 0) & ~(strengths < min_strength)
-    a_of, b_of = _ground_pairs(n)
+    a_of, b_of = np.triu_indices(n, 1)  # ground positions a < b, in (a, b) order
     sa, sb = strengths[:, a_of], strengths[:, b_of]
     with np.errstate(all="ignore"):  # inf or nan, as Python floats give them
         total = sa + sb
@@ -275,7 +266,7 @@ def find_lambda_systems(
 
 def gaussian_profile(x: np.ndarray, center: float, fwhm: float) -> np.ndarray:
     """Unit-area Gaussian of the given FWHM."""
-    sigma = fwhm / (2.0 * np.sqrt(2.0 * np.log(2.0)))
+    sigma = fwhm / FWHM_PER_SIGMA
     return np.exp(-((x - center) ** 2) / (2.0 * sigma**2)) / (sigma * np.sqrt(2.0 * np.pi))
 
 
@@ -322,7 +313,7 @@ def absorption_spectrum(
     fwhm = spectrum.inhom_fwhm
     if spectrum.line_profile == "gaussian":
         shape = gaussian_profile
-        sigma = fwhm / (2.0 * np.sqrt(2.0 * np.log(2.0)))
+        sigma = fwhm / FWHM_PER_SIGMA
         # A point left out has q >= 746 (1 - e)**2, e being the rounding of
         # center +- reach and of x - center relative to reach; q stays above
         # 745.13 while reach exceeds ~1e-12 |center|. 1e-9 covers reach's own.

@@ -634,6 +634,13 @@ def test_comb_model_validation(noise):
     assert np.allclose(flat_weights(9), 1.0 / 9.0)
 
 
+@pytest.mark.parametrize("weights", [binomial_weights, flat_weights])
+@pytest.mark.parametrize("n_lines", [0, -1, 3.0, 2.5])
+def test_comb_weights_need_a_positive_integer_line_count(weights, n_lines):
+    with pytest.raises(InvalidParameterError, match="n_lines"):
+        weights(n_lines)
+
+
 def test_comb_spacing_from_larmor_frequency(noise):
     config = parse_config("command = eit\nion_file = nd.ion\n")
     comb = _comb_model(config, noise, np.array([0.0, 0.0, 63.6]))

@@ -189,7 +189,6 @@ def test_quadratic_model_values(clock_selector):
         field=np.array([0.0, 0.0, 63.6]),
         omega0=2087.0,
         gradient_residual=0.0,
-        curvatures=np.array([-52.7, -52.7, 185.3]),
         hessian_signature=(-1, -1, 1),
         curvature_matrix=np.diag([-52.7, -52.7, 185.3]),
         selector=clock_selector,
@@ -197,6 +196,37 @@ def test_quadratic_model_values(clock_selector):
     assert quadratic_model(z, (0.0, 0.0, 0.0)) == pytest.approx(2087.0, abs=1e-12)
     assert quadratic_model(z, (0.0, 0.0, 1.0)) == pytest.approx(2087.0 + 0.1853, abs=1e-9)
     assert quadratic_model(z, (1.0, 1.0, 0.0)) == pytest.approx(2087.0 - 0.1054, abs=1e-9)
+
+
+# the clock pair's ring about the z axis, cut by a box off the axis
+RING_CUT = FieldGrid(x=AxisGrid(40.0, 80.0, 9), y=AxisGrid(-20.0, 20.0, 9),
+                     z=AxisGrid(-5.0, 5.0, 5))
+
+
+@pytest.fixture(scope="module")
+def ring_point(nd_ground, clock_selector):
+    (point,) = zefoz_search(nd_ground, clock_selector, (60.0, 20.0, 0.0), RING_CUT)
+    return point
+
+
+def test_curvatures_are_the_diagonal_of_the_curvature_matrix(zefoz_point, ring_point):
+    for z in (zefoz_point, ring_point):
+        assert np.array_equal(z.curvatures, np.diag(z.curvature_matrix))
+        with pytest.raises(ValueError):
+            z.curvatures[0] = 0.0  # a view of C, not a second copy
+    # off the axis C has an xy entry that the diagonal alone leaves out
+    assert abs(ring_point.curvature_matrix[0, 1]) > 50.0
+
+
+def test_quadratic_model_reads_the_whole_curvature_matrix(nd_ground, clock_selector, ring_point):
+    # at the ring's point (62.21, 20, 0) mT, an in-plane offset along
+    # (1, 1, 0) takes the xy entry of C: the diagonal alone gives 0.08578 MHz
+    offset = np.array([0.5, 0.5, 0.0])
+    exact = frequency_at(nd_ground, ring_point.field + offset, clock_selector)
+    model = quadratic_model(ring_point, offset)
+    assert exact - ring_point.omega0 == pytest.approx(0.13615, abs=1e-5)
+    assert model - ring_point.omega0 == pytest.approx(0.13577, abs=1e-5)
+    assert model == pytest.approx(exact, abs=1e-3)
 
 
 def test_quadratic_model_tracks_exact_frequency(nd_ground, clock_selector, zefoz_point):
