@@ -99,7 +99,6 @@ _EXPORTS = {
                 "RunConfig",
                 "config_echo",
                 "format_ion_file",
-                "module_defaults",
                 "parse_config",
                 "parse_ion_file",
             ),

@@ -7,8 +7,8 @@ echoed back, defaults included, so that a run is reproducible from its
 own output header.
 
 ``RunConfig`` is the single table of run-config keys: each field declares
-its dotted key, its parser and its default, and ``parse_config``,
-``config_echo`` and ``module_defaults`` are loops over that table.
+its dotted key, its parser and its default, and ``parse_config`` and
+``config_echo`` are loops over that table.
 ``ION_KEYS`` is the single table of ion keys: it maps each ion-file key
 to its ``SpinParams`` field, and the required keys, the ``SpinParams``
 built by ``parse_ion_file`` and the lines of ``format_ion_file`` all
@@ -271,25 +271,9 @@ _RANGES = (("diagram.start", "diagram.stop", "diagram.count"),
 _BOUNDS = ("zefoz.bounds.x", "zefoz.bounds.y", "zefoz.bounds.z")
 
 
-def _removed(text: str):
-    raise ValueError("removed; the optical inhomogeneous average is always the exact one")
-
-
-# Parser tables, key -> (parser, null token). Keys that older output
-# headers echo stay in the run-config table with a parser that names the
-# removal.
+# Parser tables, key -> (parser, null token).
 _CONFIG_PARSERS = {key: (f.metadata["parse"], f.metadata["null"]) for key, f in _FIELDS.items()}
-_CONFIG_PARSERS |= dict.fromkeys(("eit.averaging", "eit.quadrature_points"), (_removed, None))
 _ION_PARSERS = dict.fromkeys(ION_KEYS, (_number, None))
-
-
-def module_defaults() -> dict[str, object]:
-    """Default of every optional key, by dotted key, from the table in
-    ``RunConfig``. ``None`` is a value resolved later: ``auto`` at run
-    time, ``format`` and ``output`` from the command."""
-    return {
-        key: f.default for key, f in _FIELDS.items() if f.default is not dataclasses.MISSING
-    }
 
 
 def _scan_pairs(text: str, errors: list) -> list[tuple[int, str | None, str]]:

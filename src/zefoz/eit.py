@@ -14,6 +14,12 @@ element with the same ufuncs on the same operands in the same order as a
 profile of its own, so the results are bit-identical to one evaluation
 per profile. A sweep reads its amplitudes on a detuning window centred on
 the comb shifted by the two-photon offset.
+
+``wofz`` sees finite z with Im z >= 0 only: detunings are finite
+(``averaged_susceptibility`` rejects others) and rates >= 0, so Im zeta =
+Re(pole)/(sigma*sqrt(2)) >= 0. ``_average`` alone owns a zeta that is not
+finite, the dark state's (zero spin dephasing at d2 = 0, where the pole
+diverges): it passes 0 to ``wofz`` and sets the response to 0 there.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from math import comb as binomial_coefficient
 from math import isfinite
+from numbers import Real
 
 import numpy as np
 
@@ -66,7 +73,9 @@ _WEIDEMAN_COEFFICIENTS = (
 
 
 def wofz(z):
-    """Faddeeva function w(z) = exp(-z^2) erfc(-iz) for Im z >= 0.
+    """Faddeeva function w(z) = exp(-z^2) erfc(-iz) on its domain here,
+    finite z with Im z >= 0 (module docstring); its one caller,
+    ``_average``, keeps to it, and it is not checked.
 
     Weideman's N = 40 rational expansion (SIAM J. Numer. Anal. 31, 1497
     (1994)): with L = sqrt(N/sqrt(2)) and Z = (L + iz)/(L - iz),
@@ -74,10 +83,7 @@ def wofz(z):
     polynomial p. Against ``scipy.special.wofz`` the complex relative
     error stays below 2.2e-14 for |Re z| and Im z up to 1e8, and the
     relative error of Re w below 6e-13 where Im z >= 1e-2 and
-    |Re z| <= 30. The lower half-plane is rejected; every caller here
-    passes Im z = Re(pole)/(sigma*sqrt(2)) >= 0. Non-finite input gives
-    scipy's values, nan where z has a nan part and 0 where |z| is
-    infinite, without a RuntimeWarning.
+    |Re z| <= 30.
 
     The expansion allocates three arrays of z's shape and works in them
     in place (``out=``), with the same ufuncs on the same operands in the
@@ -85,20 +91,9 @@ def wofz(z):
     array per step would be page-faulted in again whenever the heap has
     been trimmed.
     """
-    z = np.asarray(z, dtype=complex)
-    if np.any(z.imag < 0):
-        raise InvalidParameterError("wofz is evaluated only for Im z >= 0")
-    finite = np.isfinite(z)
-    if finite.all():
-        return _weideman(z)
-    edge = np.where(np.isnan(z), complex(np.nan, np.nan), 0j)
-    return np.where(finite, _weideman(np.where(finite, z, 0j)), edge)[()]
-
-
-def _weideman(z: np.ndarray):
     # i*z once, Z = (L + iz)/(L - iz) in its buffer; np.asarray keeps a
     # scalar z an array, so that out= can write into it
-    iz = np.asarray(1j * z)
+    iz = np.asarray(1j * np.asarray(z, dtype=complex))
     denominator = _WEIDEMAN_L - iz
     ratio = np.add(_WEIDEMAN_L, iz, out=iz)
     np.divide(ratio, denominator, out=ratio)
@@ -121,8 +116,9 @@ class NoiseModel:
     Gamma(dB) = gamma0 + sum_i |S2i| * deltaB_i * sqrt(2 deltaB_i^2 + 4 dB_i^2)
 
     with curvatures S2i in kHz/mT^2, fluctuation amplitudes ``delta_b`` and
-    field offsets dB in mT, and the result in MHz (a FWHM). ``gamma0``
-    absorbs residual broadening such as unresolved superhyperfine structure.
+    field offsets dB in mT, each 3 finite numbers, and the result in MHz (a
+    FWHM). ``gamma0`` absorbs residual broadening such as unresolved
+    superhyperfine structure.
     """
 
     curvatures: tuple[float, float, float]
@@ -132,8 +128,10 @@ class NoiseModel:
     def __post_init__(self):
         if self.gamma0 < 0:
             raise InvalidParameterError("gamma0 must be non-negative")
-        if len(self.curvatures) != 3 or len(self.delta_b) != 3:
-            raise InvalidParameterError("curvatures and delta_b need 3 components")
+        for name in ("curvatures", "delta_b"):  # not a 3x3 matrix, a string or a scalar
+            value = np.asarray(getattr(self, name), dtype=object)
+            if value.shape != (3,) or not all(isinstance(x, Real) for x in value):
+                raise InvalidParameterError(f"{name} must be a sequence of 3 real numbers")
         if any(d < 0 for d in self.delta_b):
             raise InvalidParameterError("delta_b components must be non-negative")
         for name in ("curvatures", "gamma0", "delta_b"):
@@ -234,13 +232,12 @@ def _average(detuning, iz, spin_dephasing, p: LambdaParams, pole: np.ndarray):
         zeta = np.asarray(1j * pole)
         np.add(-detuning, zeta, out=zeta)
         np.divide(zeta, sigma * np.sqrt(2.0), out=zeta)
+    # the dark state, or any zeta that is not finite: 0, the limit of w
+    dark = ~np.isfinite(zeta)
+    zeta[dark] = 0.0
     out = np.asarray(wofz(zeta))
     np.multiply(g_ge * np.sqrt(np.pi) / (sigma * np.sqrt(2.0)) * 1j, out, out=out)
-    # zero spin dephasing at exact two-photon resonance: the pole diverges
-    # and the response is the dark-state limit, exactly zero
-    bad = ~np.isfinite(pole)
-    if np.any(bad):
-        out[bad] = 0.0
+    out[dark] = 0.0
     return out
 
 
@@ -263,11 +260,13 @@ def averaged_susceptibility(detuning, two_photon_detuning, p: LambdaParams):
     formula above, so the result is bit-identical to the plain
     expressions with about two output-sized arrays fewer at its peak.
     The EIT profiles use the same core for a stack of spin dephasings.
+    A detuning that is not finite raises ``InvalidParameterError``.
     """
     detuning = np.asarray(detuning, dtype=float)
     _, d2 = np.broadcast_arrays(detuning, np.asarray(two_photon_detuning, dtype=float))
-    with np.errstate(invalid="ignore"):
-        iz = np.asarray(1j * d2)
+    if not (np.all(np.isfinite(detuning)) and np.all(np.isfinite(d2))):
+        raise InvalidParameterError("detunings must be finite")
+    iz = np.asarray(1j * d2)
     return _average(detuning, iz, p.spin_dephasing, p, pole=iz)[()]
 
 
@@ -364,13 +363,10 @@ def _checked_grid(grid) -> np.ndarray:
 def _spin_dephasings(noise: NoiseModel, delta_fields) -> np.ndarray:
     """Per-line spin dephasing Gamma/2 at each field offset, each checked
     as ``LambdaParams`` checks its ``spin_dephasing``."""
-    dephasings = [spin_linewidth(noise, delta_field) / 2.0 for delta_field in delta_fields]
-    for dephasing in dephasings:
-        if not isfinite(dephasing):
-            raise InvalidParameterError("spin_dephasing must be finite")
-        if dephasing < 0:
-            raise InvalidParameterError("spin_dephasing must be non-negative")
-    return np.array(dephasings)
+    dephasings = np.array([spin_linewidth(noise, offset) / 2.0 for offset in delta_fields])
+    if not np.all(np.isfinite(dephasings)):  # every term of the linewidth is >= 0
+        raise InvalidParameterError("spin_dephasing must be finite")
+    return dephasings
 
 
 def _coupling_off(grid: np.ndarray, p: LambdaParams):

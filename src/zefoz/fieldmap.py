@@ -308,8 +308,8 @@ def _curvature_matrix(hessian: np.ndarray) -> np.ndarray:
 
 
 def quadratic_model(z: ZefozPoint, delta_field) -> float:
-    """w0 + d^T C d, C converted from kHz to MHz."""
-    d = np.asarray(delta_field, dtype=float)
+    """w0 + d^T C d, C converted from kHz to MHz, at a finite offset d (3,)."""
+    d = as_field(delta_field)
     return float(z.omega0 + np.sum(z.curvature_matrix * 1e-3 * np.outer(d, d)))
 
 
@@ -351,35 +351,33 @@ def _newton_refine(
     With no free coordinate (a box's foot at a fixed Bz) each seed is its
     own endpoint, with residual 0.
 
-    Each evaluation gives the slope, the next Jacobian (the frame Hessian's
-    free entries) and, at the endpoint, the frequency and the Hessian. An
-    iteration evaluates the trial frames of all live seeds in one
-    ``_frame_transition`` stack; a damping retry re-evaluates, again as one
-    stack, only the seeds whose slope did not shrink. Every trial frame is
-    clipped into ``region``, the (lower, upper) frame corners. A seed stops
-    once its slope is within ``tol``, when no damped step shrinks it, or
-    after ``max_iter`` iterations. A frame's result does not depend on the
-    stack it sits in, so every seed takes the steps it would take alone.
-    Returns, in seed order, each converged endpoint or None, also where its
-    gradient is flagged (a degenerate level, e.g. the kink at B = 0).
+    The seeds' state is their frames and one ``_Transition`` record: its
+    free slopes give the gradient norm, its free Hessian entries the
+    Jacobian. An iteration evaluates the trial frames of all live seeds in
+    one ``_frame_transition`` stack, and an accepted trial writes its
+    frequency, slope, gap and Hessian into the record; a damping retry
+    re-evaluates, again as one stack, only the seeds whose slope did not
+    shrink. Every trial frame is clipped into ``region``, the (lower, upper)
+    frame corners. A seed stops once its slope is within ``tol``, when no
+    damped step shrinks it, or after ``max_iter`` iterations. A frame's
+    result does not depend on the stack it sits in, so every seed takes
+    the steps it would take alone. Returns, in seed order, each endpoint
+    or None: one rule rejects a norm above ``tol`` or NaN (a seed whose
+    step was not finite stopped live, so above ``tol``) and a flagged gap,
+    below ``DEGENERACY_GAP`` (a degenerate level, e.g. the kink at B = 0).
     """
     points = np.array(seeds, dtype=float)
     start, stop = region[0][free], region[1][free]
     state = _frame_transition(params, sel, points[:, 0], points[:, 2], True)
-    frequency, hessian = state.frequency, state.hessian
-    grad = state.slope[:, free]
-    norm = np.max(np.abs(grad), axis=1, initial=0.0)  # 0 with no free coordinate
-    flagged = state.min_gap < DEGENERACY_GAP
-    failed = np.zeros(len(points), dtype=bool)
     live = np.arange(len(points))
     for _ in range(max_iter):
-        live = live[~(norm[live] <= tol)]  # a NaN norm goes on, to fail at its step
+        norm = np.max(np.abs(state.slope[:, free]), axis=1, initial=0.0)  # 0 with no free axis
+        live = live[~(norm[live] <= tol)]  # a NaN norm goes on, to stop at its step
         if len(live) == 0:
             break
-        jac = hessian[np.ix_(live, free, free)]  # MHz/mT^2
-        delta = _newton_steps(jac, grad[live])
+        jac = state.hessian[np.ix_(live, free, free)]  # MHz/mT^2
+        delta = _newton_steps(jac, state.slope[np.ix_(live, free)])
         finite = np.all(np.isfinite(delta), axis=1)
-        failed[live[~finite]] = True
         live, delta = live[finite], delta[finite]
         # damping: each seed takes the first step that shrinks its gradient norm
         pending = np.ones(len(live), dtype=bool)
@@ -392,20 +390,16 @@ def _newton_refine(
             moved = np.where(start > moved, start, moved)  # clip into the region
             trial[:, free] = np.where(stop < moved, stop, moved)
             trial_state = _frame_transition(params, sel, trial[:, 0], trial[:, 2], True)
-            trial_grad = trial_state.slope[:, free]
-            trial_norm = np.max(np.abs(trial_grad), axis=1)
-            better = trial_norm < norm[trying]
+            better = np.max(np.abs(trial_state.slope[:, free]), axis=1) < norm[trying]
             took = trying[better]
             points[took] = trial[better]
-            frequency[took] = trial_state.frequency[better]
-            hessian[took] = trial_state.hessian[better]
-            grad[took] = trial_grad[better]
-            norm[took] = trial_norm[better]
-            flagged[took] = trial_state.min_gap[better] < DEGENERACY_GAP
+            for mine, theirs in zip(state[:4], trial_state[:4]):  # the kets stay the seed's
+                mine[took] = theirs[better]
             pending[pending] = ~better
         live = live[~pending]  # no damped step helped: the seed stops
-    keep = ~(failed | flagged) & (norm <= tol)
-    return [_Endpoint(points[s], float(frequency[s]), float(norm[s]), hessian[s])
+    norm = np.max(np.abs(state.slope[:, free]), axis=1, initial=0.0)
+    keep = ~(state.min_gap < DEGENERACY_GAP) & (norm <= tol)
+    return [_Endpoint(points[s], float(state.frequency[s]), float(norm[s]), state.hessian[s])
             if keep[s] else None for s in range(len(points))]
 
 

@@ -18,7 +18,6 @@ from scipy.optimize import linear_sum_assignment
 from zefoz import (
     AxisGrid,
     FieldGrid,
-    InvalidParameterError,
     IonParams,
     LambdaParams,
     LambdaSystem,
@@ -358,20 +357,10 @@ def absorption_spectrum_oracle(table, spectrum):
 
 
 def wofz_oracle(z):
-    """Faddeeva oracle: ``eit.wofz`` over the plain-expression expansion
-    below, the form it had before it worked in place."""
+    """Faddeeva oracle for finite z with Im z >= 0: Weideman's expansion
+    as one expression per step, a fresh array each, the form ``eit.wofz``
+    had before it worked in place."""
     z = np.asarray(z, dtype=complex)
-    if np.any(z.imag < 0):
-        raise InvalidParameterError("wofz is evaluated only for Im z >= 0")
-    finite = np.isfinite(z)
-    if finite.all():
-        return weideman_oracle(z)
-    edge = np.where(np.isnan(z), complex(np.nan, np.nan), 0j)
-    return np.where(finite, weideman_oracle(np.where(finite, z, 0j)), edge)[()]
-
-
-def weideman_oracle(z: np.ndarray):
-    """Weideman's expansion as one expression per step, a fresh array each."""
     denominator = _WEIDEMAN_L - 1j * z
     ratio = (_WEIDEMAN_L + 1j * z) / denominator
     p = np.full(ratio.shape, _WEIDEMAN_COEFFICIENTS[0], dtype=complex)
@@ -398,11 +387,11 @@ def averaged_susceptibility_oracle(detuning, two_photon_detuning, p: LambdaParam
     with np.errstate(divide="ignore", invalid="ignore"):
         pole = pole_offset_oracle(d2, p)
         zeta = (-f + 1j * pole) / (sigma * np.sqrt(2.0))
-    out = p.optical_dephasing * np.sqrt(np.pi) / (sigma * np.sqrt(2.0)) * 1j * wofz_oracle(zeta)
-    bad = ~np.isfinite(pole)
-    if np.any(bad):
-        out = np.where(bad, 0.0 + 0.0j, out)
-    return out[()]
+    # the dark state: w -> 0 as |zeta| -> inf, the response is exactly 0
+    dark = ~np.isfinite(zeta)
+    w = wofz_oracle(np.where(dark, 0j, zeta))
+    out = p.optical_dephasing * np.sqrt(np.pi) / (sigma * np.sqrt(2.0)) * 1j * w
+    return np.where(dark, 0.0 + 0.0j, out)[()]
 
 
 def assert_same_bits(got, expected):

@@ -198,6 +198,16 @@ def test_quadratic_model_values(clock_selector):
     assert quadratic_model(z, (1.0, 1.0, 0.0)) == pytest.approx(2087.0 - 0.1054, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "offset", [0.5, (0.5, 0.5), (np.nan, 0.0, 0.0), (0.0, np.inf, 0.0), np.zeros((3, 3))],
+)
+def test_quadratic_model_takes_one_finite_field_offset(zefoz_point, offset):
+    # a scalar 0.5 used to broadcast into w0 + 0.25 sum(C) (2087.51773 MHz
+    # at the clock point) and a nan offset gave nan
+    with pytest.raises(InvalidParameterError, match="field"):
+        quadratic_model(zefoz_point, offset)
+
+
 # the clock pair's ring about the z axis, cut by a box off the axis
 RING_CUT = FieldGrid(x=AxisGrid(40.0, 80.0, 9), y=AxisGrid(-20.0, 20.0, 9),
                      z=AxisGrid(-5.0, 5.0, 5))

@@ -6,7 +6,7 @@ for byte.
 Run it from the root of a checkout. Both sides are snapshotted as
 ``tools/bench_pairs.py`` does it, before the first run. For each of the
 cli-suite seeds 1-5, ``perfbench/inputs.cli_case`` gives an ion file and
-the seven README configs, and ``EDGE_CONFIGS`` adds eleven edge cases
+the seven README configs, and ``EDGE_CONFIGS`` adds twenty edge cases
 on the same ion file; each side runs ``python -m zefoz.cli`` on every
 config from its own ``src`` in a directory of its own. Each config's
 ``output`` is compared and, where the config sets one, its
@@ -43,8 +43,12 @@ SEEDS = range(1, 6)
 # the amplitude is read at the comb line nearest the optical line centre,
 # inside such a window); two boxes in which the clock pair is stationary
 # on a ring about the z axis (B_perp ~ 65 mT at Bz = 0 on the README
-# ion), one centred on the axis and one off it; and a spectrum that also
-# writes its line table.
+# ion), one centred on the axis and one off it; a spectrum that also
+# writes its line table; the ground diagram along y (the azimuth turns of
+# the level diagram); a box whose x-y extent is a segment off the axis,
+# searched also at its foot; a Lorentzian spectrum; a spectrum for each
+# transition operator other than the default S_x; and an eit run with
+# its curvatures and comb spacing given, so without a search.
 EDGE_CONFIGS = {
     "zefoz-zero-box.jsonl": "command = zefoz\nzefoz.start = 0 0 0\nzefoz.bounds.z = 0 10 3\n",
     "zefoz-3d-box.jsonl": "command = zefoz\nzefoz.bounds.x = -2 2 5\nzefoz.bounds.y = -1.5 1.5 5\n",
@@ -62,6 +66,14 @@ EDGE_CONFIGS = {
                                  "zefoz.start = 60 0 0\n",
     "spectrum-line-table.csv": "command = spectrum\n"
                                "spectrum.table_output = spectrum-lines.csv\n",
+    "diagram-ground-y.csv": "command = diagram\ndiagram.axis = y\n",
+    "zefoz-line-foot.jsonl": "command = zefoz\nzefoz.bounds.x = -5 5 11\n"
+                             "zefoz.bounds.y = 3 3 1\nzefoz.start = 0 3 50\n",
+    "spectrum-lorentzian.csv": "command = spectrum\nspectrum.profile = lorentzian\n",
+    **{f"spectrum-{kind}.csv": f"command = spectrum\noperator = {kind}\n"
+       for kind in ("identity", "S_y", "S_z", "S_plus", "S_minus")},
+    "eit-no-search.csv": "command = eit\nnoise.curvatures = -52.7 -52.7 185.3\n"
+                         "comb.spacing = 2.55\n",
 }
 
 
