@@ -646,13 +646,17 @@ def test_cli_exit_code_computation_error(tmp_path, ion_file):
         ("diagram", "diagram.start = -1e300"),
         ("zefoz", "zefoz.start = 0 0 1e200"),
         ("zefoz", "zefoz.bounds.x = -1e7 1e7 3"),
+        # a removed key fails as an unknown key, still on its line
+        ("eit", "eit.quadrature_points = 1"),
     ],
 )
 def test_cli_rejects_bad_values_at_parse_time(tmp_path, ion_file, capsys, command, entry):
     body = f"command = {command}\nion_file = {ion_file}\n{entry}\n"
     code = main(["--config", _config(tmp_path, body), "--out", str(tmp_path / "x.csv")])
     assert code == 2
-    assert f"config error: line 3: {entry.split(' = ')[0]}: " in capsys.readouterr().err
+    key = entry.split(" = ")[0]
+    problem = f"unknown key '{key}'" if key == "eit.quadrature_points" else f"{key}: "
+    assert f"config error: line 3: {problem}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
