@@ -9,6 +9,10 @@ Start-up is most of a command's run time, so this module loads only
 ``config``, ``errors``, ``output`` and ``spins``, and reads every other
 library name as ``zefoz.<name>``, which loads its module on first use:
 each command loads only the modules it runs.
+
+``sweep``, and ``eit`` with an ``auto`` curvature or comb spacing, work at
+the search's first stationary point: ``_stationary_point`` alone finds it
+and fails (exit 3) a run whose search finds none.
 """
 
 from __future__ import annotations
@@ -68,13 +72,18 @@ def _find_zefoz(config: RunConfig, ion: IonParams):
     )
 
 
+def _stationary_point(config: RunConfig, ion: IonParams):
+    """The first point ``_find_zefoz`` returns: the one place a run that
+    needs a stationary point fails without one."""
+    points = _find_zefoz(config, ion)
+    if not points:
+        raise ComputationError(f"{config.command} needs a stationary point, the search found none")
+    return points[0]
+
+
 def _noise_model(config: RunConfig, zefoz_point) -> zefoz.NoiseModel:
     curvatures = config.noise_curvatures
     if curvatures is None:
-        if zefoz_point is None:
-            raise ComputationError(
-                "noise curvatures set to auto but no stationary point was found"
-            )
         curvatures = tuple(float(c) for c in zefoz_point.curvatures)
     return zefoz.NoiseModel(
         curvatures=curvatures,
@@ -86,8 +95,6 @@ def _noise_model(config: RunConfig, zefoz_point) -> zefoz.NoiseModel:
 def _comb_model(config: RunConfig, noise: zefoz.NoiseModel, operating_field) -> zefoz.CombModel:
     spacing = config.comb_spacing
     if spacing is None:
-        if operating_field is None:
-            raise ComputationError("comb.spacing set to auto but no stationary point was found")
         spacing = zefoz.FLUORINE_GAMMA_MHZ_PER_MT * float(np.linalg.norm(operating_field))
         if spacing == 0.0:
             field = " ".join(repr(float(b)) for b in operating_field)
@@ -148,7 +155,7 @@ def _run_zefoz(config: RunConfig, ion: IonParams):
     return rows, columns
 
 
-def _tables_at_field(config: RunConfig, ion: IonParams):
+def _tables_at_field(config: RunConfig, ion: IonParams, spectrum: zefoz.SpectrumParams):
     pairs = [(p.electron_spin, p.nuclear_spin) for p in (ion.ground, ion.excited)]
     if pairs[0] != pairs[1]:
         message = f"ground (S, I) = {pairs[0]} differs from excited (S, I) = {pairs[1]}"
@@ -157,11 +164,11 @@ def _tables_at_field(config: RunConfig, ion: IonParams):
     ground = ion_levels(ion.ground, field)
     excited = ion_levels(ion.excited, field)
     op = zefoz.TransitionOperator(config.operator)
-    return zefoz.transition_table(ground, excited, op, _spectrum_params(config))
+    return zefoz.transition_table(ground, excited, op, spectrum)
 
 
 def _run_lambda(config: RunConfig, ion: IonParams):
-    table = _tables_at_field(config, ion)
+    table = _tables_at_field(config, ion, _spectrum_params(config))
     systems = zefoz.find_lambda_systems(
         table,
         max_asymmetry=config.lambda_max_asymmetry,
@@ -174,7 +181,8 @@ def _run_lambda(config: RunConfig, ion: IonParams):
 
 
 def _run_spectrum(config: RunConfig, ion: IonParams):
-    table = _tables_at_field(config, ion)
+    spectrum = _spectrum_params(config)
+    table = _tables_at_field(config, ion, spectrum)
     if config.spectrum_table_output is not None:
         write_table(
             config.spectrum_table_output,
@@ -183,16 +191,15 @@ def _run_spectrum(config: RunConfig, ion: IonParams):
             out_format="csv",
             header_lines=_provenance(config, ion),
         )
-    freqs, depth = zefoz.absorption_spectrum(table, _spectrum_params(config))
+    freqs, depth = zefoz.absorption_spectrum(table, spectrum)
     rows = list(zip(freqs.tolist(), depth.tolist()))
     return rows, ("freq_MHz", "optical_depth")
 
 
 def _run_eit(config: RunConfig, ion: IonParams):
-    points = _find_zefoz(config, ion) if config.runs_search else []
-    zefoz_point = points[0] if points else None
-    noise = _noise_model(config, zefoz_point)
-    operating = None if zefoz_point is None else zefoz_point.field + np.array(config.eit_delta_b)
+    z = _stationary_point(config, ion) if config.runs_search else None
+    noise = _noise_model(config, z)
+    operating = None if z is None else z.field + np.array(config.eit_delta_b)
     comb = _comb_model(config, noise, operating)
     grid = AxisGrid(*config.eit_grid).values()
     profile = zefoz.eit_profile(comb, _lambda_params(config), config.eit_delta_b, grid)
@@ -202,10 +209,7 @@ def _run_eit(config: RunConfig, ion: IonParams):
 
 
 def _run_sweep(config: RunConfig, ion: IonParams):
-    points = _find_zefoz(config, ion)
-    if not points:
-        raise ComputationError("field sweep needs a stationary point, none found")
-    z = points[0]
+    z = _stationary_point(config, ion)
     noise = _noise_model(config, z)
     comb = _comb_model(config, noise, z.field)
     sweep = FieldGrid(

@@ -6,14 +6,14 @@ Lorentzian half-widths in linear-frequency MHz (a bare optical line has
 FWHM 2*gamma_ge). The magnetic-noise linewidth Gamma is a FWHM, so the
 per-line spin dephasing entering the susceptibility is Gamma / 2.
 
-Every coupling-on profile goes through ``_profile``, which takes a stack
-of per-line spin dephasings: one for ``eit_profile``, one per field point
-for ``amplitude_vs_field``. It evaluates the stack in blocks of whole
-profiles of at most PROFILE_BLOCK (comb line, detuning) points, each
-element with the same ufuncs on the same operands in the same order as a
-profile of its own, so the results are bit-identical to one evaluation
-per profile. A sweep reads its amplitudes on a detuning window centred on
-the comb shifted by the two-photon offset.
+Every profile goes through ``_profile``, which takes a stack of per-line
+spin dephasings (one for ``eit_profile``, one per field point for
+``amplitude_vs_field``) and returns the coupling-off absorption and each
+row's coupling-on absorption and contrast (alpha_off - alpha_on) /
+alpha_off. It evaluates the rows in blocks of whole profiles of at most
+PROFILE_BLOCK (comb line, detuning) points, each element with the same
+ufuncs on the same operands in the same order as a profile of its own, so
+the results are bit-identical to one evaluation per profile.
 
 ``wofz`` sees finite z with Im z >= 0 only: detunings are finite
 (``averaged_susceptibility`` rejects others) and rates >= 0, so Im zeta =
@@ -24,7 +24,7 @@ diverges): it passes 0 to ``wofz`` and sets the response to 0 there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from math import comb as binomial_coefficient
 from math import isfinite
 from numbers import Real
@@ -33,12 +33,10 @@ import numpy as np
 
 from .errors import ComputationError, InvalidParameterError
 from .fieldmap import ZefozPoint, quadratic_model, transition_frequencies
-from .spins import FieldGrid, as_field, as_integer
+from .spins import FWHM_PER_SIGMA, FieldGrid, as_field, as_integer
 
 # Fluorine nuclear gyromagnetic ratio in MHz/mT (linear frequency).
 FLUORINE_GAMMA_MHZ_PER_MT = 0.04006
-
-GAUSSIAN_FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
 
 # At most this many (comb line, detuning) points go into one Faddeeva
 # evaluation of a profile stack, in whole profiles (at least one). The
@@ -126,6 +124,8 @@ class NoiseModel:
     delta_b: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
+        if not isinstance(self.gamma0, Real):
+            raise InvalidParameterError(f"gamma0 must be a real number, got {self.gamma0!r}")
         if self.gamma0 < 0:
             raise InvalidParameterError("gamma0 must be non-negative")
         for name in ("curvatures", "delta_b"):  # not a 3x3 matrix, a string or a scalar
@@ -165,9 +165,11 @@ class LambdaParams:
     two_photon_offset: float = 0.0
 
     def __post_init__(self):
-        for name in ("rabi_coupling", "optical_dephasing", "spin_dephasing",
-                     "optical_inhom_fwhm", "two_photon_offset"):
-            if not isfinite(getattr(self, name)):
+        for name in (field.name for field in fields(self)):  # every rate
+            value = getattr(self, name)
+            if not isinstance(value, Real):
+                raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
+            if not isfinite(value):
                 raise InvalidParameterError(f"{name} must be finite")
         for name in ("rabi_coupling", "optical_dephasing", "spin_dephasing"):
             if getattr(self, name) < 0:
@@ -217,7 +219,7 @@ def _average(detuning, iz, spin_dephasing, p: LambdaParams, pole: np.ndarray):
     may be iz itself, and zeta in the buffer of i*pole.
     """
     g_ge = p.optical_dephasing
-    sigma = p.optical_inhom_fwhm * GAUSSIAN_FWHM_TO_SIGMA
+    sigma = p.optical_inhom_fwhm / FWHM_PER_SIGMA
     with np.errstate(divide="ignore", invalid="ignore"):
         if p.rabi_coupling == 0.0:
             # chi(dp) = g_ge / (dp - i*pole) with the pole g_ge alone
@@ -311,6 +313,8 @@ class CombModel:
     def __post_init__(self):
         if as_integer(self.n_lines, "n_lines") < 1 or self.n_lines % 2 == 0:
             raise InvalidParameterError("n_lines must be an odd integer >= 1")
+        if not isinstance(self.spacing, Real):
+            raise InvalidParameterError(f"spacing must be a real number, got {self.spacing!r}")
         if not (self.spacing > 0 and isfinite(self.spacing)):
             raise InvalidParameterError("spacing must be positive and finite")
         if self.weights is None:
@@ -369,10 +373,21 @@ def _spin_dephasings(noise: NoiseModel, delta_fields) -> np.ndarray:
     return dephasings
 
 
-def _coupling_off(grid: np.ndarray, p: LambdaParams):
-    """Coupling-off absorption on the grid and at line center, from one
-    evaluation with 0 appended to the grid. With the coupling off the pole
-    is gamma_ge alone, so neither depends on the spin dephasing."""
+def _profile(comb: CombModel, p: LambdaParams, dephasings: np.ndarray, grid: np.ndarray):
+    """(alpha_off, alpha_on, contrast) on the grid: the coupling-off
+    absorption, 1 at line center, and for the K per-line spin dephasings
+    ``dephasings`` the coupling-on absorption by the same norm and the
+    contrast (alpha_off - alpha_on) / alpha_off, each (K, grid).
+
+    alpha_off and its norm come from one evaluation with 0 appended to the
+    grid; with the coupling off the pole is gamma_ge alone, so neither
+    depends on the spin dephasing. Row k of alpha_on adds the comb lines
+    with their weights, each line the average <chi> at spin dephasing
+    dephasings[k]. The rows are evaluated in blocks of whole profiles of
+    at most PROFILE_BLOCK (line, detuning) points. Every element takes the
+    same ufuncs on the same operands in the same order as in a stack of
+    one, so a row's bits do not depend on the stack or the block it is in.
+    """
     off_params = replace(p, rabi_coupling=0.0)
     alpha = averaged_susceptibility(np.append(grid, 0.0), 0.0, off_params).imag
     norm = float(alpha[-1])
@@ -381,22 +396,6 @@ def _coupling_off(grid: np.ndarray, p: LambdaParams):
     alpha_off = alpha[:-1] / norm
     if np.any(alpha_off <= 0.0):
         raise ComputationError("alpha_off is not positive over the whole grid")
-    return alpha_off, norm
-
-
-def _profile(
-    comb: CombModel, p: LambdaParams, dephasings: np.ndarray, grid: np.ndarray, norm: float
-) -> np.ndarray:
-    """Coupling-on absorption alpha_on, (K, grid), of the K per-line spin
-    dephasings ``dephasings``, normalized by the coupling-off ``norm``.
-
-    Row k adds the comb lines with their weights, each line the average
-    <chi> at spin dephasing dephasings[k]. The rows are evaluated in
-    blocks of whole profiles of at most PROFILE_BLOCK (line, detuning)
-    points. Every element takes the same ufuncs on the same operands in
-    the same order as in a stack of one, so a row's bits do not depend on
-    the stack or the block it is in.
-    """
     shifts = comb.shifts() + p.two_photon_offset
     iz = 1j * (grid - shifts[:, None])  # i*d2 of every comb line, (lines, grid)
     count = len(dephasings)
@@ -411,7 +410,7 @@ def _profile(
         for w, line in zip(comb.weights, lines.swapaxes(0, 1)):
             on += w * line
     alpha_on /= norm
-    return alpha_on
+    return alpha_off, alpha_on, (alpha_off - alpha_on) / alpha_off
 
 
 def eit_profile(comb: CombModel, p: LambdaParams, delta_field, grid) -> EitProfile:
@@ -426,9 +425,7 @@ def eit_profile(comb: CombModel, p: LambdaParams, delta_field, grid) -> EitProfi
         raise InvalidParameterError("eit_profile needs a comb with a NoiseModel")
     grid = _checked_grid(grid)
     dephasings = _spin_dephasings(comb.noise, [delta_field])
-    alpha_off, norm = _coupling_off(grid, p)
-    (alpha_on,) = _profile(comb, p, dephasings, grid, norm)
-    transmission = (alpha_off - alpha_on) / alpha_off
+    alpha_off, (alpha_on,), (transmission,) = _profile(comb, p, dephasings, grid)
     shifts = comb.shifts() + p.two_photon_offset
     return EitProfile(
         detuning=grid,
@@ -463,9 +460,9 @@ def amplitude_vs_field(
     agree to better than 0.05 MHz within 2 mT of the stationary point),
     all sweep points in one stacked evaluation. Each amplitude is read on
     a 0.05 MHz detuning grid over the comb plus 10 MHz on either side,
-    centred on the comb shifted by ``p.two_photon_offset``. The coupling-
-    off terms are evaluated once, and the profiles of all sweep points as
-    one stack (``_profile``), each bit-identical to a profile of its own.
+    centred on the comb shifted by ``p.two_photon_offset``. All sweep points
+    are one profile stack (``_profile``), each row bit-identical to a
+    profile of its own.
     """
     if len(sweep.free_axes()) > 1:
         raise InvalidParameterError("field sweep must vary a single axis")
@@ -475,9 +472,7 @@ def amplitude_vs_field(
     points = sweep.points()
     offsets = points - z.field
     dephasings = _spin_dephasings(noise, offsets)
-    alpha_off, norm = _coupling_off(grid, p)
-    alpha_on = _profile(comb, p, dephasings, grid, norm)
-    amplitudes = ((alpha_off - alpha_on) / alpha_off).max(axis=1).tolist()
+    amplitudes = _profile(comb, p, dephasings, grid)[2].max(axis=1).tolist()
     exact = transition_frequencies(params, points, z.selector)
     return [
         SweepPoint(

@@ -59,6 +59,8 @@ MAX_DIMENSION = 256
 # Spin pairs whose parameter-free operators stay cached; the largest entry
 # (S = I = 15/2) holds about 6 MB.
 BASIS_CACHE_SIZE = 4
+# a Gaussian's FWHM over its standard deviation (``transitions``, ``eit``)
+FWHM_PER_SIGMA = 2.0 * np.sqrt(2.0 * np.log(2.0))
 
 
 @dataclass(frozen=True)

@@ -23,18 +23,25 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .operators import electron_operator, spin_matrices
-from .spins import AxisGrid, LevelSet
+from .spins import FWHM_PER_SIGMA, AxisGrid, LevelSet
 
 # Boltzmann constant expressed in MHz per kelvin (k_B / h).
 BOLTZMANN_MHZ_PER_K = 2.08366e4
 
-OPERATOR_KINDS = ("identity", "S_x", "S_y", "S_z", "S_plus", "S_minus", "custom")
+# each named electron-spin operator from the spin's (Sx, Sy, Sz)
+_NAMED_OPERATORS = {
+    "identity": lambda sx, sy, sz: np.eye(len(sx), dtype=complex),
+    "S_x": lambda sx, sy, sz: sx,
+    "S_y": lambda sx, sy, sz: sy,
+    "S_z": lambda sx, sy, sz: sz,
+    "S_plus": lambda sx, sy, sz: sx + 1j * sy,
+    "S_minus": lambda sx, sy, sz: sx - 1j * sy,
+}
+OPERATOR_KINDS = (*_NAMED_OPERATORS, "custom")
 LINE_PROFILES = ("gaussian", "lorentzian")
 
 # exp(-q) is exactly 0.0 in float64 for every q above about 745.13
 GAUSSIAN_UNDERFLOW_Q = 746.0
-# a Gaussian's FWHM over its standard deviation
-FWHM_PER_SIGMA = 2.0 * np.sqrt(2.0 * np.log(2.0))
 
 
 @dataclass(frozen=True)
@@ -59,20 +66,8 @@ class TransitionOperator:
                 raise InvalidParameterError("custom operator matrix must be finite")
 
     def electron_matrix(self, electron_dim: int) -> np.ndarray:
-        spin = (electron_dim - 1) / 2.0
-        sx, sy, sz = spin_matrices(spin)
-        if self.kind == "identity":
-            return np.eye(electron_dim, dtype=complex)
-        if self.kind == "S_x":
-            return sx
-        if self.kind == "S_y":
-            return sy
-        if self.kind == "S_z":
-            return sz
-        if self.kind == "S_plus":
-            return sx + 1j * sy
-        if self.kind == "S_minus":
-            return sx - 1j * sy
+        if self.kind in _NAMED_OPERATORS:
+            return _NAMED_OPERATORS[self.kind](*spin_matrices((electron_dim - 1) / 2.0))
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (electron_dim, electron_dim):
             raise InvalidParameterError(
@@ -207,8 +202,10 @@ def find_lambda_systems(
     ):
         if not 0.0 <= value <= 1.0:
             raise InvalidParameterError(f"{name} must lie in [0, 1], got {value!r}")
-    if min_strength < 0:
-        raise InvalidParameterError("min_strength must be non-negative")
+    if not 0.0 <= min_strength < np.inf:  # a nan floor would pass every strength
+        raise InvalidParameterError(
+            f"min_strength must be non-negative and finite, got {min_strength!r}"
+        )
 
     if not table:
         return []

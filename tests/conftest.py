@@ -32,12 +32,12 @@ from zefoz import (
     zefoz_search,
 )
 from zefoz import fieldmap
-from zefoz.eit import _WEIDEMAN_COEFFICIENTS, _WEIDEMAN_L, GAUSSIAN_FWHM_TO_SIGMA
+from zefoz.eit import _WEIDEMAN_COEFFICIENTS, _WEIDEMAN_L
 from zefoz.fieldmap import (
     DEGENERACY_GAP,
     quadratic_model,
 )
-from zefoz.spins import _axial_eigensystems, _azimuthal_frames, _azimuthal_phases
+from zefoz.spins import FWHM_PER_SIGMA, _axial_eigensystems, _azimuthal_frames, _azimuthal_phases
 from zefoz.transitions import gaussian_profile, lorentzian_profile
 
 ND_GROUND = dict(
@@ -383,7 +383,7 @@ def averaged_susceptibility_oracle(detuning, two_photon_detuning, p: LambdaParam
     f = np.asarray(detuning, dtype=float)
     d2 = np.asarray(two_photon_detuning, dtype=float)
     f, d2 = np.broadcast_arrays(f, d2)
-    sigma = p.optical_inhom_fwhm * GAUSSIAN_FWHM_TO_SIGMA
+    sigma = p.optical_inhom_fwhm / FWHM_PER_SIGMA
     with np.errstate(divide="ignore", invalid="ignore"):
         pole = pole_offset_oracle(d2, p)
         zeta = (-f + 1j * pole) / (sigma * np.sqrt(2.0))

@@ -746,7 +746,16 @@ def test_cli_eit_with_a_zero_field_box_finds_no_stationary_point(tmp_path, ion_f
     body = f"command = eit\nion_file = {ion_file}\n{ZERO_BOX}"
     assert main(["--config", _config(tmp_path, body), "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert "noise curvatures set to auto but no stationary point was found" in err
+    assert "eit needs a stationary point, the search found none" in err
+    assert not out.exists()
+
+
+def test_cli_sweep_with_a_zero_field_box_finds_no_stationary_point(tmp_path, ion_file, capsys):
+    out = tmp_path / "x.csv"
+    body = f"command = sweep\nion_file = {ion_file}\n{ZERO_BOX}"
+    assert main(["--config", _config(tmp_path, body), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "sweep needs a stationary point, the search found none" in err
     assert not out.exists()
 
 
@@ -763,7 +772,7 @@ def test_cli_auto_comb_spacing_without_stationary_point_fails(tmp_path, ion_file
     code = main(["--config", _config(tmp_path, body), "--out", str(out)])
     assert code == 3
     err = capsys.readouterr().err
-    assert "comb.spacing set to auto but no stationary point was found" in err
+    assert "eit needs a stationary point, the search found none" in err
     assert not out.exists()
 
 

@@ -895,11 +895,12 @@ def test_profile_rows_do_not_depend_on_the_stack(noise):
     assert np.isin(comb.shifts(), grid).all()
     p = LambdaParams()
     dephasings = np.array([0.0, 0.3, 0.0, 1.7, 0.05])
-    alone = np.concatenate([zefoz.eit._profile(comb, p, dephasings[k:k + 1], grid, 0.7)
-                            for k in range(len(dephasings))])
+    # (alpha_on, contrast) of each row alone, as (2, rows, grid)
+    alone = np.concatenate([zefoz.eit._profile(comb, p, dephasings[k:k + 1], grid)[1:]
+                            for k in range(len(dephasings))], axis=1)
     for block in (1, 2 * comb.n_lines * grid.size, 10**6):
         with mock.patch.object(zefoz.eit, "PROFILE_BLOCK", block):
-            stacked = zefoz.eit._profile(comb, p, dephasings, grid, 0.7)
+            stacked = np.array(zefoz.eit._profile(comb, p, dephasings, grid)[1:])
         assert np.array_equal(stacked.view(np.int64), alone.view(np.int64))
 
 
@@ -966,6 +967,18 @@ def test_noise_model_validation():
 def test_lambda_params_reject_non_finite_rates(name, value):
     with pytest.raises(InvalidParameterError, match=f"{name} must be finite"):
         LambdaParams(**{name: value})
+
+
+# a string must not reach the range checks, where it raises TypeError
+@pytest.mark.parametrize(
+    "name", ["gamma0", "spacing", "rabi_coupling", "optical_dephasing", "spin_dephasing",
+             "optical_inhom_fwhm", "two_photon_offset"],
+)
+def test_models_reject_a_string_rate(name):
+    model = {"gamma0": NoiseModel, "spacing": CombModel}.get(name, LambdaParams)
+    given = {"curvatures": REFERENCE_CURVATURES} if model is NoiseModel else {}
+    with pytest.raises(InvalidParameterError, match=f"{name} must be a real number, got '2'"):
+        model(**given, **{name: "2"})
 
 
 @pytest.mark.parametrize("fwhm", [0.0, -1.0])

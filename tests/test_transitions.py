@@ -140,6 +140,13 @@ def test_lambda_discovery_edge_cases(zefoz_table):
         find_lambda_systems(zefoz_table, max_asymmetry=1.5)
 
 
+@pytest.mark.parametrize("floor", [np.nan, np.inf, -1.0])
+def test_lambda_strength_floor_must_be_finite_and_non_negative(zefoz_table, floor):
+    # a nan floor would pass every strength, as ~(s < nan) holds for all
+    with pytest.raises(InvalidParameterError, match="min_strength must be non-negative and"):
+        find_lambda_systems(zefoz_table, min_strength=floor)
+
+
 def _lambda_table(branches):
     """Lines from ground levels 1 and 2 to each excited level e, with the
     strengths ``branches[e] = (s1, s2)``."""

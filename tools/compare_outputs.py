@@ -6,14 +6,14 @@ for byte.
 Run it from the root of a checkout. Both sides are snapshotted as
 ``tools/bench_pairs.py`` does it, before the first run. For each of the
 cli-suite seeds 1-5, ``perfbench/inputs.cli_case`` gives an ion file and
-the seven README configs, and ``EDGE_CONFIGS`` adds twenty edge cases
-on the same ion file; each side runs ``python -m zefoz.cli`` on every
-config from its own ``src`` in a directory of its own. Each config's
-``output`` is compared and, where the config sets one, its
-``spectrum.table_output``. Every output that differs is printed with its
-first differing line, and so is a command whose exit code differs or
-that writes no output on either side. Exits 0 when all outputs are
-identical, 1 otherwise.
+the seven README configs, and ``EDGE_CONFIGS`` adds twenty-one edge
+cases on the same ion file: 29 outputs per seed with the one line table,
+145 in all. Each side runs ``python -m zefoz.cli`` on every config from
+its own ``src`` in a directory of its own. Each config's ``output`` is
+compared and, where the config sets one, its ``spectrum.table_output``.
+Every output that differs is printed with its first differing line, and
+so is a command whose exit code differs or that writes no output on
+either side. Exits 0 when all outputs are identical, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -47,8 +47,9 @@ SEEDS = range(1, 6)
 # writes its line table; the ground diagram along y (the azimuth turns of
 # the level diagram); a box whose x-y extent is a segment off the axis,
 # searched also at its foot; a Lorentzian spectrum; a spectrum for each
-# transition operator other than the default S_x; and an eit run with
-# its curvatures and comb spacing given, so without a search.
+# transition operator other than the default S_x; an eit run with its
+# curvatures and comb spacing given, so without a search; and a sweep with
+# both given, which still searches for its stationary point.
 EDGE_CONFIGS = {
     "zefoz-zero-box.jsonl": "command = zefoz\nzefoz.start = 0 0 0\nzefoz.bounds.z = 0 10 3\n",
     "zefoz-3d-box.jsonl": "command = zefoz\nzefoz.bounds.x = -2 2 5\nzefoz.bounds.y = -1.5 1.5 5\n",
@@ -74,6 +75,8 @@ EDGE_CONFIGS = {
        for kind in ("identity", "S_y", "S_z", "S_plus", "S_minus")},
     "eit-no-search.csv": "command = eit\nnoise.curvatures = -52.7 -52.7 185.3\n"
                          "comb.spacing = 2.55\n",
+    "sweep-given-noise.csv": "command = sweep\nnoise.curvatures = -52.7 -52.7 185.3\n"
+                             "comb.spacing = 2.55\n",
 }
 
 
