@@ -102,14 +102,10 @@ def _comb_model(config: RunConfig, noise: zefoz.NoiseModel, operating_field) -> 
                 "comb.spacing = auto needs a nonzero operating field, "
                 f"got B = {field} mT"
             )
-    weights = (
-        zefoz.binomial_weights(config.comb_n_lines)
-        if config.comb_weights == "binomial"
-        else zefoz.flat_weights(config.comb_n_lines)
-    )
-    return zefoz.CombModel(
-        spacing=spacing, n_lines=config.comb_n_lines, weights=weights, noise=noise
-    )
+    # None is CombModel's binomial comb, taken as it is
+    n_lines = config.comb_n_lines
+    weights = None if config.comb_weights == "binomial" else zefoz.flat_weights(n_lines)
+    return zefoz.CombModel(spacing=spacing, n_lines=n_lines, weights=weights, noise=noise)
 
 
 def _run_levels(config: RunConfig, ion: IonParams):

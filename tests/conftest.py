@@ -358,16 +358,21 @@ def absorption_spectrum_oracle(table, spectrum):
 
 def wofz_oracle(z):
     """Faddeeva oracle for finite z with Im z >= 0: Weideman's expansion
-    as one expression per step, a fresh array each, the form ``eit.wofz``
-    had before it worked in place."""
+    in its one-division form, u = 1/(L - iz), Z = 2L u - 1 and
+    w = (2 p(Z) u + 1/sqrt(pi)) u, as one expression per step, a fresh
+    array each. numpy rounds a complex product by another loop when it is
+    written in place over a one-element operand or taken of two numpy
+    scalars, so Horner's steps run in place as in ``eit.wofz``, and a
+    scalar z is evaluated as an array of one."""
     z = np.asarray(z, dtype=complex)
-    denominator = _WEIDEMAN_L - 1j * z
-    ratio = (_WEIDEMAN_L + 1j * z) / denominator
-    p = np.full(ratio.shape, _WEIDEMAN_COEFFICIENTS[0], dtype=complex)
-    for c in _WEIDEMAN_COEFFICIENTS[1:]:
+    shape, z = z.shape, z.reshape(-1)
+    u = 1.0 / (_WEIDEMAN_L - 1j * z)
+    ratio = 2.0 * _WEIDEMAN_L * u - 1.0
+    p = _WEIDEMAN_COEFFICIENTS[0] * ratio + _WEIDEMAN_COEFFICIENTS[1]
+    for c in _WEIDEMAN_COEFFICIENTS[2:]:
         p *= ratio
         p += c
-    return (2.0 * p / denominator + 1.0 / np.sqrt(np.pi)) / denominator
+    return ((2.0 * p * u + 1.0 / np.sqrt(np.pi)) * u).reshape(shape)[()]
 
 
 def pole_offset_oracle(d2: np.ndarray, p: LambdaParams) -> np.ndarray:

@@ -493,6 +493,18 @@ def test_cli_levels_zero_field(tmp_path, ion_file):
     assert paired == 14  # seven mirror pairs plus the split M = 0 doublet
 
 
+@pytest.mark.parametrize("n_lines", [1029, 1031])
+def test_cli_eit_runs_a_comb_of_a_thousand_lines(tmp_path, ion_file, n_lines):
+    # binomial weights of 1029 lines summed to inf (exit 3, "weights must be
+    # non-negative"), and those of 1031 raised OverflowError (exit 1)
+    body = (f"command = eit\nion_file = {ion_file}\nnoise.curvatures = -52.7 -52.7 185.3\n"
+            f"comb.spacing = 2.8\ncomb.n_lines = {n_lines}\neit.grid = -20 20 41\n")
+    out = _run_cli(tmp_path, ion_file, body, "eit.csv")
+    rows = np.array([[float(cell) for cell in line.split(",")] for line in _data_lines(out)[1:]])
+    assert rows.shape == (41, 4) and np.all(np.isfinite(rows))
+    assert np.all(rows[:, 1] > 0.0) and 0.0 < rows[:, 3].max() < 1.0
+
+
 def test_cli_eit_comb_spacing_propagates(tmp_path, ion_file):
     # end-to-end: an overridden comb spacing must shift the transmission
     # maxima it produces

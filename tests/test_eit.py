@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import inspect
+import math
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -686,6 +688,28 @@ def test_comb_model_validation(noise):
 def test_comb_weights_need_a_positive_integer_line_count(weights, n_lines):
     with pytest.raises(InvalidParameterError, match="n_lines"):
         weights(n_lines)
+
+
+@pytest.mark.parametrize("n_lines", [89, 1027, 1031])
+def test_binomial_weights_are_the_exact_binomial_distribution(n_lines):
+    # each weight is C(n-1, k) / 2^(n-1) rounded once, with no float sum to
+    # normalize by: at 1027 lines that sum overflowed and every weight read
+    # 0, at 1031 the coefficients no longer converted to float
+    top = n_lines - 1
+    weights = binomial_weights(n_lines)
+    assert weights.tolist() == [float(Fraction(math.comb(top, k), 2**top))
+                                for k in range(n_lines)]
+    assert np.all(weights > 0.0)
+    assert weights.sum() == pytest.approx(1.0, abs=1e-14)
+    assert_same_bits(CombModel(spacing=2.8, n_lines=n_lines).weights, weights)
+
+
+@pytest.mark.parametrize("n_lines", [89, 1031])
+def test_parsed_comb_weights_are_the_binomial_weights(noise, n_lines):
+    # normalized once: a second normalization left 89 lines 1 ulp off
+    config = parse_config(f"command = eit\nion_file = nd.ion\ncomb.n_lines = {n_lines}\n")
+    comb = _comb_model(config, noise, np.array([0.0, 0.0, 63.6]))
+    assert_same_bits(comb.weights, binomial_weights(n_lines))
 
 
 def test_comb_spacing_from_larmor_frequency(noise):
