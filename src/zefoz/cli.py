@@ -25,7 +25,8 @@ import sys
 import numpy as np
 
 import zefoz
-from .config import RunConfig, config_echo, format_ion_file, parse_config, parse_ion_file
+from .config import (RunConfig, config_echo, format_ion_file, parse_config, parse_ion_file,
+                     with_output)
 from .errors import ComputationError, ConfigError, InvalidParameterError
 from .output import write_table
 from .spins import AxisGrid, FieldGrid, IonParams, ion_levels
@@ -48,7 +49,7 @@ def _spectrum_params(config: RunConfig) -> zefoz.SpectrumParams:
         temperature=config.spectrum_temperature,
         inhom_fwhm=fwhm,
         line_profile=config.spectrum_profile,
-        grid=AxisGrid(*config.spectrum_grid),
+        grid=config.spectrum_grid,
     )
 
 
@@ -119,7 +120,7 @@ def _run_levels(config: RunConfig, ion: IonParams):
 
 def _run_diagram(config: RunConfig, ion: IonParams):
     fixed = AxisGrid(0.0, 0.0, 1)
-    scan = AxisGrid(config.diagram_start, config.diagram_stop, config.diagram_count)
+    scan = config.diagram_grid
     grid = FieldGrid(**{axis: scan if axis == config.diagram_axis else fixed for axis in "xyz"})
     diagram = zefoz.level_diagram(getattr(ion, config.manifold), grid)
     rows = [
@@ -197,7 +198,7 @@ def _run_eit(config: RunConfig, ion: IonParams):
     noise = _noise_model(config, z)
     operating = None if z is None else z.field + np.array(config.eit_delta_b)
     comb = _comb_model(config, noise, operating)
-    grid = AxisGrid(*config.eit_grid).values()
+    grid = config.eit_grid.values()
     profile = zefoz.eit_profile(comb, _lambda_params(config), config.eit_delta_b, grid)
     columns = (profile.detuning, profile.alpha_off, profile.alpha_on, profile.transmission)
     rows = list(zip(*(column.tolist() for column in columns)))
@@ -208,11 +209,7 @@ def _run_sweep(config: RunConfig, ion: IonParams):
     z = _stationary_point(config, ion)
     noise = _noise_model(config, z)
     comb = _comb_model(config, noise, z.field)
-    sweep = FieldGrid(
-        x=AxisGrid(float(z.field[0]), float(z.field[0]), 1),
-        y=AxisGrid(float(z.field[1]), float(z.field[1]), 1),
-        z=AxisGrid(config.sweep_start, config.sweep_stop, config.sweep_count),
-    )
+    sweep = FieldGrid(*(AxisGrid(b, b, 1) for b in z.field[:2].tolist()), config.sweep_grid)
     swept = zefoz.amplitude_vs_field(ion.ground, z, noise, _lambda_params(config), comb, sweep)
     rows = np.array([(p.field[2], p.omega12, p.amplitude) for p in swept]).tolist()
     return rows, ("Bz_mT", "omega12_MHz", "amplitude")
@@ -285,8 +282,8 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         config = parse_config(text)
-        if args.out:
-            config = dataclasses.replace(config, output=args.out)
+        if args.out is not None:
+            config = with_output(config, args.out)
         path = run(config)
     except ConfigError as exc:
         for line, message in exc.problems:

@@ -48,8 +48,8 @@ _OPTIONAL = {f.name for f in dataclasses.fields(SpinParams) if f.default is not 
 ION_REQUIRED = tuple(key for key, name in ION_KEYS.items() if name not in _OPTIONAL)
 
 # Largest magnitude (mT) of a field-valued key: of ``field``,
-# ``zefoz.start``, ``zefoz.bounds.*``, ``diagram.start``/``stop``,
-# ``sweep.start``/``stop``, ``eit.delta_b`` and ``noise.delta_b``. 1 kT
+# ``zefoz.start``, ``zefoz.bounds.*``, ``diagram.grid``, ``sweep.grid``,
+# ``eit.delta_b`` and ``noise.delta_b``. 1 kT
 # lies far beyond any laboratory field, and below it the squares of fields
 # and their products with the model's constants (curvatures, g factors)
 # stay finite, so a field offset cannot overflow mid-run.
@@ -79,19 +79,18 @@ def _real(rule: str, ok):
     return parse
 
 
-def _integer(minimum: int, odd: bool = False):
-    def parse(text: str) -> int:
-        try:
-            n = int(text)
-        except ValueError:
-            raise ValueError(f"could not parse {text!r} as an integer") from None
-        if n < minimum:
-            raise ValueError(f"must be >= {minimum}, got {text}")
-        if odd and n % 2 == 0:
-            raise ValueError(f"must be odd, got {text}")
-        return n
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"could not parse {text!r} as an integer") from None
 
-    return parse
+
+def _odd_count(text: str) -> int:
+    n = _integer(text)
+    if n < 1 or n % 2 == 0:
+        raise ValueError(f"must be an odd integer >= 1, got {text}")
+    return n
 
 
 def _field(text: str) -> float:
@@ -133,22 +132,17 @@ def _pair(text: str) -> tuple[int, int]:
 
 
 def _axis(min_count: int, number=_number):
-    def parse(text: str) -> tuple[float, float, int]:
+    def parse(text: str) -> AxisGrid:
         parts = text.split()
         if len(parts) != 3:
             raise ValueError("expected 'start stop count'")
-        start, stop = number(parts[0]), number(parts[1])
-        try:
-            count = int(parts[2])
-        except ValueError:
-            raise ValueError(f"could not parse count {parts[2]!r} as an integer") from None
+        start, stop, count = number(parts[0]), number(parts[1]), _integer(parts[2])
         if count < min_count:
             raise ValueError(f"count must be >= {min_count}, got {count}")
         try:
-            AxisGrid(start, stop, count)
+            return AxisGrid(start, stop, count)
         except InvalidParameterError as exc:
             raise ValueError(str(exc)) from None
-        return (start, stop, count)
 
     return parse
 
@@ -163,22 +157,23 @@ def _choice(options: tuple[str, ...]):
 
 
 def _path(text: str) -> str:
+    """A path that its ``key = value`` echo reads back unchanged."""
     if not text:
         raise ValueError("path must be non-empty")
+    if text != text.strip() or "#" in text or len(text.splitlines()) > 1:
+        raise ValueError(f"path must have no '#', line break or outer whitespace, got {text!r}")
     return text
 
 
 _POS = _real("be positive", lambda x: x > 0)
 _NONNEG = _real("be non-negative", lambda x: x >= 0)
 _UNIT = _real("lie in [0, 1]", lambda x: 0.0 <= x <= 1.0)
-_COUNT = _integer(1)
 _FIELD_AXIS = _axis(1, _field)
 # Choice lists of transitions.LINE_PROFILES and transitions.OPERATOR_KINDS
 # (a custom operator has no config key).
 _PROFILES = ("gaussian", "lorentzian")
 _OPERATORS = ("identity", "S_x", "S_y", "S_z", "S_plus", "S_minus")
 _Vec3 = tuple[float, float, float]
-_Axis = tuple[float, float, int]  # start, stop, count
 
 
 def _key(key: str, parse, default=dataclasses.MISSING, null: str | None = None):
@@ -192,7 +187,9 @@ def _key(key: str, parse, default=dataclasses.MISSING, null: str | None = None):
 class RunConfig:
     """One fully resolved run: command, ion file, output and all options.
 
-    Vector-valued options are stored as tuples so configs compare equal
+    Vector-valued options are stored as tuples and each 1-D grid (a scan,
+    a spectrum or EIT grid, a search-box axis) as the ``AxisGrid`` it
+    parses to, echoed as ``start stop count``, so configs compare equal
     after an echo round trip. ``None`` encodes an ``auto`` value resolved
     at run time (inhomogeneous width by field, curvatures by search,
     comb spacing by Larmor frequency). ``format`` and ``output`` default
@@ -209,19 +206,17 @@ class RunConfig:
     operator: str = _key("operator", _choice(_OPERATORS), "S_x")
     zefoz_pair: tuple[int, int] = _key("zefoz.pair", _pair, (8, 10))
     zefoz_start: _Vec3 = _key("zefoz.start", _field_vec3, (0.0, 0.0, 50.0))
-    zefoz_bounds_x: _Axis = _key("zefoz.bounds.x", _FIELD_AXIS, (0.0, 0.0, 1))
-    zefoz_bounds_y: _Axis = _key("zefoz.bounds.y", _FIELD_AXIS, (0.0, 0.0, 1))
-    zefoz_bounds_z: _Axis = _key("zefoz.bounds.z", _FIELD_AXIS, (30.0, 100.0, 36))
+    zefoz_bounds_x: AxisGrid = _key("zefoz.bounds.x", _FIELD_AXIS, AxisGrid(0.0, 0.0, 1))
+    zefoz_bounds_y: AxisGrid = _key("zefoz.bounds.y", _FIELD_AXIS, AxisGrid(0.0, 0.0, 1))
+    zefoz_bounds_z: AxisGrid = _key("zefoz.bounds.z", _FIELD_AXIS, AxisGrid(30.0, 100.0, 36))
     zefoz_tol: float = _key("zefoz.tol", _POS, 1e-6)
     diagram_axis: str = _key("diagram.axis", _choice(("x", "y", "z")), "z")
-    diagram_start: float = _key("diagram.start", _field, 0.0)
-    diagram_stop: float = _key("diagram.stop", _field, 100.0)
-    diagram_count: int = _key("diagram.count", _COUNT, 201)
+    diagram_grid: AxisGrid = _key("diagram.grid", _FIELD_AXIS, AxisGrid(0.0, 100.0, 201))
     spectrum_temperature: float = _key("spectrum.temperature", _POS, 2.0)
     # auto: 35 MHz in a bias field, 70 MHz at zero field
     spectrum_inhom_fwhm: float | None = _key("spectrum.inhom_fwhm", _POS, None, "auto")
     spectrum_profile: str = _key("spectrum.profile", _choice(_PROFILES), "gaussian")
-    spectrum_grid: _Axis = _key("spectrum.grid", _axis(1), (-2200.0, 2200.0, 2201))
+    spectrum_grid: AxisGrid = _key("spectrum.grid", _axis(1), AxisGrid(-2200.0, 2200.0, 2201))
     # none: write no line table
     spectrum_table_output: str | None = _key("spectrum.table_output", _path, None, "none")
     lambda_max_asymmetry: float = _key("lambda.max_asymmetry", _UNIT, 0.01)
@@ -231,7 +226,7 @@ class RunConfig:
     noise_delta_b: _Vec3 = _key("noise.delta_b", _nonneg_field_vec3, (1.0, 1.0, 1.0))
     # auto: from the ZEFOZ search
     noise_curvatures: _Vec3 | None = _key("noise.curvatures", _vec3, None, "auto")
-    comb_n_lines: int = _key("comb.n_lines", _integer(1, odd=True), 9)
+    comb_n_lines: int = _key("comb.n_lines", _odd_count, 9)
     # auto: fluorine Larmor frequency at |B|
     comb_spacing: float | None = _key("comb.spacing", _POS, None, "auto")
     comb_weights: str = _key("comb.weights", _choice(("binomial", "flat")), "binomial")
@@ -239,11 +234,9 @@ class RunConfig:
     eit_gamma_ge: float = _key("eit.gamma_ge", _NONNEG, 0.5)
     eit_inhom_fwhm: float = _key("eit.inhom_fwhm", _POS, 35.0)
     eit_two_photon_offset: float = _key("eit.two_photon_offset", _number, 0.0)
-    eit_grid: _Axis = _key("eit.grid", _axis(3), (-18.0, 18.0, 1801))
+    eit_grid: AxisGrid = _key("eit.grid", _axis(3), AxisGrid(-18.0, 18.0, 1801))
     eit_delta_b: _Vec3 = _key("eit.delta_b", _field_vec3, (0.0, 0.0, 0.0))
-    sweep_start: float = _key("sweep.start", _field, 54.0)
-    sweep_stop: float = _key("sweep.stop", _field, 74.0)
-    sweep_count: int = _key("sweep.count", _COUNT, 41)
+    sweep_grid: AxisGrid = _key("sweep.grid", _FIELD_AXIS, AxisGrid(54.0, 74.0, 41))
 
     def __post_init__(self):
         if self.out_format is None:
@@ -260,14 +253,10 @@ class RunConfig:
         return self.command in ("zefoz", "sweep") or self.command == "eit" and auto
 
     def search_bounds(self) -> FieldGrid:
-        axes = (self.zefoz_bounds_x, self.zefoz_bounds_y, self.zefoz_bounds_z)
-        return FieldGrid(*(AxisGrid(*axis) for axis in axes))
+        return FieldGrid(self.zefoz_bounds_x, self.zefoz_bounds_y, self.zefoz_bounds_z)
 
 
 _FIELDS = {f.metadata["key"]: f for f in dataclasses.fields(RunConfig)}
-# (start, stop, count) keys of 1-D scans, each checked as one ``AxisGrid``.
-_RANGES = (("diagram.start", "diagram.stop", "diagram.count"),
-           ("sweep.start", "sweep.stop", "sweep.count"))
 _BOUNDS = ("zefoz.bounds.x", "zefoz.bounds.y", "zefoz.bounds.z")
 
 
@@ -327,14 +316,6 @@ def parse_config(text: str) -> RunConfig:
     for key, spec in _FIELDS.items():
         if spec.default is dataclasses.MISSING and key not in values:
             errors.append((None, f"missing required key {key!r}"))
-    for keys in _RANGES:
-        if any(key in seen and key not in values for key in keys):
-            continue  # already reported as a bad value
-        try:
-            AxisGrid(*(values.get(key, _FIELDS[key].default) for key in keys))
-        except InvalidParameterError as exc:
-            no = seen.get(keys[1], seen.get(keys[0], seen.get(keys[2])))
-            errors.append((no, f"{keys[1]}: {exc}"))
     if errors:
         raise ConfigError(errors)
     config = RunConfig(**{_FIELDS[key].name: value for key, value in values.items()})
@@ -351,7 +332,17 @@ def parse_config(text: str) -> RunConfig:
     return config
 
 
+def with_output(config: RunConfig, path: str) -> RunConfig:
+    """``config`` writing to ``path`` (``--out``), checked as an ``output`` value."""
+    try:
+        return dataclasses.replace(config, output=_path(path))
+    except ValueError as exc:
+        raise ConfigError([(None, f"--out: {exc}")]) from None
+
+
 def _format(value) -> str:
+    if isinstance(value, AxisGrid):
+        return _format((value.start, value.stop, value.count))
     if isinstance(value, tuple):
         return " ".join(_format(x) for x in value)
     return repr(float(value)) if isinstance(value, float) else str(value)

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import ComputationError, InvalidParameterError
 from .fieldmap import ZefozPoint, quadratic_model, transition_frequencies
-from .spins import FWHM_PER_SIGMA, FieldGrid, as_field, as_integer
+from .spins import FWHM_PER_SIGMA, FieldGrid, as_field, as_integer, as_real
 
 # Fluorine nuclear gyromagnetic ratio in MHz/mT (linear frequency).
 FLUORINE_GAMMA_MHZ_PER_MT = 0.04006
@@ -135,9 +135,7 @@ class NoiseModel:
     delta_b: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
-        if not isinstance(self.gamma0, Real):
-            raise InvalidParameterError(f"gamma0 must be a real number, got {self.gamma0!r}")
-        if self.gamma0 < 0:
+        if as_real(self.gamma0, "gamma0") < 0:
             raise InvalidParameterError("gamma0 must be non-negative")
         for name in ("curvatures", "delta_b"):  # not a 3x3 matrix, a string or a scalar
             value = np.asarray(getattr(self, name), dtype=object)
@@ -177,10 +175,7 @@ class LambdaParams:
 
     def __post_init__(self):
         for name in (field.name for field in fields(self)):  # every rate
-            value = getattr(self, name)
-            if not isinstance(value, Real):
-                raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
-            if not isfinite(value):
+            if not isfinite(as_real(getattr(self, name), name)):
                 raise InvalidParameterError(f"{name} must be finite")
         for name in ("rabi_coupling", "optical_dephasing", "spin_dephasing"):
             if getattr(self, name) < 0:
@@ -331,9 +326,7 @@ class CombModel:
     def __post_init__(self):
         if as_integer(self.n_lines, "n_lines") < 1 or self.n_lines % 2 == 0:
             raise InvalidParameterError("n_lines must be an odd integer >= 1")
-        if not isinstance(self.spacing, Real):
-            raise InvalidParameterError(f"spacing must be a real number, got {self.spacing!r}")
-        if not (self.spacing > 0 and isfinite(self.spacing)):
+        if not (as_real(self.spacing, "spacing") > 0 and isfinite(self.spacing)):
             raise InvalidParameterError("spacing must be positive and finite")
         if self.weights is None:
             object.__setattr__(self, "weights", binomial_weights(self.n_lines))

@@ -73,6 +73,7 @@ from .spins import (  # noqa: F401 - perfbench reads fieldmap.ion_levels
     as_field,
     as_fields,
     as_integer,
+    as_real,
     ion_levels,
 )
 
@@ -573,7 +574,7 @@ def zefoz_search(
     the distinct points, sorted by gradient residual; an empty list means
     none.
     """
-    if not 0 < tol < math.inf:
+    if not 0 < as_real(tol, "tol") < math.inf:
         raise InvalidParameterError(f"tol must be positive and finite, got {tol}")
     start = as_field(initial_field)
     if not bounds.contains(start):

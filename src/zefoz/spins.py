@@ -33,9 +33,11 @@ that a module that only takes a grid (``transitions``) does not load
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
@@ -83,6 +85,9 @@ class SpinParams:
     mu_B: float = BOHR_MAGNETON_MHZ_PER_MT
 
     def __post_init__(self):
+        for name in ("electron_spin", "nuclear_spin", "g_par", "g_perp", "A", "B_hf", "P", "mu_B"):
+            if not math.isfinite(as_real(getattr(self, name), name)):
+                raise InvalidParameterError(f"{name} must be finite")
         if not is_half_integer(self.electron_spin) or self.electron_spin < 0.5:
             raise InvalidParameterError(
                 f"electron_spin must be a half-integer >= 1/2, got {self.electron_spin!r}"
@@ -98,9 +103,6 @@ class SpinParams:
             )
         if not (self.mu_B > 0.0):
             raise InvalidParameterError(f"mu_B must be positive, got {self.mu_B!r}")
-        for name in ("g_par", "g_perp", "A", "B_hf", "P"):
-            if not np.isfinite(getattr(self, name)):
-                raise InvalidParameterError(f"{name} must be finite")
 
     @property
     def dimension(self) -> int:
@@ -180,6 +182,13 @@ def as_integer(value, name: str) -> int:
         raise InvalidParameterError(f"{name} must be an integer, got {value!r}") from None
 
 
+def as_real(value, name: str):
+    """``value`` unchanged if it is a real number (numpy reals too), else an error."""
+    if not isinstance(value, Real):
+        raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
 def as_field(field) -> np.ndarray:
     """Coerce a length-3 sequence into a float array (mT)."""
     arr = np.asarray(field, dtype=float)
@@ -216,7 +225,7 @@ class AxisGrid:
         if as_integer(self.count, "grid count") < 1:
             raise InvalidParameterError(f"grid count must be >= 1, got {self.count}")
         for name in ("start", "stop"):
-            if not np.isfinite(getattr(self, name)):
+            if not np.isfinite(as_real(getattr(self, name), f"grid {name}")):
                 raise InvalidParameterError(f"grid {name} must be finite")
         if self.stop < self.start:
             raise InvalidParameterError(
@@ -432,7 +441,7 @@ def state_composition(
     With ``threshold=0`` the squared magnitudes of the returned list sum
     to one.
     """
-    if not 0.0 <= threshold < 1.0:
+    if not 0.0 <= as_real(threshold, "threshold") < 1.0:
         raise InvalidParameterError(f"threshold must lie in [0, 1), got {threshold!r}")
     vec = levels.vector(label)
     order = np.argsort(-np.abs(vec), kind="stable")

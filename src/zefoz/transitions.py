@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .operators import electron_operator, spin_matrices
-from .spins import FWHM_PER_SIGMA, AxisGrid, LevelSet
+from .spins import FWHM_PER_SIGMA, AxisGrid, LevelSet, as_real
 
 # Boltzmann constant expressed in MHz per kelvin (k_B / h).
 BOLTZMANN_MHZ_PER_K = 2.08366e4
@@ -95,11 +95,11 @@ class SpectrumParams:
     grid: AxisGrid | None = None
 
     def __post_init__(self):
-        if not self.temperature > 0:
+        if not as_real(self.temperature, "temperature") > 0:
             raise InvalidParameterError("temperature must be positive")
         # temperature = inf is the uniform-population limit; an infinite
         # width would spread every line to nothing
-        if not (self.inhom_fwhm > 0 and np.isfinite(self.inhom_fwhm)):
+        if not (as_real(self.inhom_fwhm, "inhom_fwhm") > 0 and np.isfinite(self.inhom_fwhm)):
             raise InvalidParameterError("inhom_fwhm must be positive and finite")
         if self.line_profile not in LINE_PROFILES:
             raise InvalidParameterError(
@@ -138,7 +138,7 @@ class LambdaSystem:
 def boltzmann_weights(energies: np.ndarray, temperature: float) -> np.ndarray:
     """Normalized thermal populations for energies in MHz at a positive
     temperature in K (inf: uniform)."""
-    if not temperature > 0:
+    if not as_real(temperature, "temperature") > 0:
         raise InvalidParameterError("temperature must be positive")
     e = np.asarray(energies, dtype=float)
     w = np.exp(-(e - e.min()) / (BOLTZMANN_MHZ_PER_K * temperature))
@@ -200,9 +200,9 @@ def find_lambda_systems(
         ("max_asymmetry", max_asymmetry),
         ("max_leakage_ratio", max_leakage_ratio),
     ):
-        if not 0.0 <= value <= 1.0:
+        if not 0.0 <= as_real(value, name) <= 1.0:
             raise InvalidParameterError(f"{name} must lie in [0, 1], got {value!r}")
-    if not 0.0 <= min_strength < np.inf:  # a nan floor would pass every strength
+    if not 0.0 <= as_real(min_strength, "min_strength") < np.inf:  # nan would pass all
         raise InvalidParameterError(
             f"min_strength must be non-negative and finite, got {min_strength!r}"
         )

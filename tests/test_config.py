@@ -32,6 +32,7 @@ import zefoz
 from zefoz import config
 from zefoz.cli import main
 from zefoz.output import format_cell
+from zefoz.spins import AxisGrid, FieldGrid
 
 from conftest import csv_cell_oracle, json_record_oracle, local_max_indices
 
@@ -176,21 +177,24 @@ def test_library_defaults_restated_in_the_config_table_match_their_owners():
 def test_inverted_scan_range_reports_the_line_of_the_key_given(ion_file):
     body = f"command = diagram\nion_file = {ion_file}\n"
     with pytest.raises(ConfigError) as err:
-        parse_config(body + "diagram.start = 150\n")  # below the default stop, 100
+        parse_config(body + "diagram.axis = x\ndiagram.grid = 150 100 201\n")
     assert err.value.problems == [
-        (3, "diagram.stop: grid stop 100.0 is below start 150.0")
+        (4, "diagram.grid: grid stop 100.0 is below start 150.0")
     ]
     with pytest.raises(ConfigError) as err:
-        parse_config(body + "diagram.start = nan\ndiagram.stop = -5\n")
+        parse_config(body + "sweep.grid = 74 54 41\ndiagram.axis = x\n")
+    assert err.value.problems == [(3, "sweep.grid: grid stop 54.0 is below start 74.0")]
+    with pytest.raises(ConfigError) as err:
+        parse_config(body + "diagram.grid = nan -5 3\n")
     assert [line for line, _ in err.value.problems] == [3]  # only the bad number
 
 
 def test_a_scan_of_several_points_needs_stop_above_start(ion_file):
     body = f"command = diagram\nion_file = {ion_file}\n"
     with pytest.raises(ConfigError) as err:
-        parse_config(body + "diagram.start = 5\ndiagram.count = 3\ndiagram.stop = 5\n")
+        parse_config(body + "diagram.axis = y\ndiagram.grid = 5 5 3\n")
     assert err.value.problems == [
-        (5, "diagram.stop: grid stop 5.0 must be above start 5.0 for 3 points")
+        (4, "diagram.grid: grid stop 5.0 must be above start 5.0 for 3 points")
     ]
     with pytest.raises(ConfigError) as err:
         parse_config(body + "spectrum.grid = 5 5 3\n")
@@ -198,9 +202,23 @@ def test_a_scan_of_several_points_needs_stop_above_start(ion_file):
         (3, "spectrum.grid: grid stop 5.0 must be above start 5.0 for 3 points")
     ]
     # one point: stop may equal start
-    one = parse_config(body + "diagram.start = 5\ndiagram.stop = 5\ndiagram.count = 1\n"
+    one = parse_config(body + "diagram.grid = 5 5 1\nsweep.grid = 60 60 1\n"
                        "spectrum.grid = 5 5 1\nzefoz.bounds.z = 50 50 1\n")
-    assert (one.diagram_start, one.diagram_stop, one.spectrum_grid) == (5.0, 5.0, (5.0, 5.0, 1))
+    assert (one.diagram_grid, one.sweep_grid, one.spectrum_grid) == (
+        AxisGrid(5.0, 5.0, 1), AxisGrid(60.0, 60.0, 1), AxisGrid(5.0, 5.0, 1))
+
+
+def test_every_grid_key_parses_to_an_axis_grid(ion_file):
+    grids = {"zefoz.bounds.x": AxisGrid(0.0, 0.0, 1), "zefoz.bounds.y": AxisGrid(-1.0, 1.0, 3),
+             "zefoz.bounds.z": AxisGrid(30.0, 90.0, 7), "diagram.grid": AxisGrid(0.0, 10.0, 11),
+             "spectrum.grid": AxisGrid(-5.0, 5.0, 11), "eit.grid": AxisGrid(-1.0, 1.0, 3),
+             "sweep.grid": AxisGrid(54.0, 74.0, 3)}
+    given = "".join(f"{key} = {g.start} {g.stop} {g.count}\n" for key, g in grids.items())
+    cfg = parse_config(f"command = eit\nion_file = {ion_file}\n{given}")
+    parsed = {f.metadata["key"]: getattr(cfg, f.name) for f in dataclasses.fields(cfg)
+              if isinstance(getattr(cfg, f.name), AxisGrid)}
+    assert parsed == grids
+    assert cfg.search_bounds() == FieldGrid(*(grids[f"zefoz.bounds.{a}"] for a in "xyz"))
 
 
 def test_zefoz_and_lambda_default_to_records(ion_file):
@@ -543,29 +561,58 @@ def test_cli_provenance_echo_reparses(tmp_path, ion_file):
     out = _run_cli(tmp_path, ion_file, body, "prov.csv")
     with open(out, "r", encoding="utf-8") as handle:
         header = [line[2:].rstrip("\n") for line in handle if line.startswith("# ")]
-    echo = [line for line in header if "=" in line and not line.startswith(("zefoz", "ion:"))]
-    reparsed = parse_config("\n".join(echo))
-    original = parse_config(body)
-    # the echo pins the resolved output path; everything else must match
-    assert reparsed == original.__class__(**{**original.__dict__, "output": reparsed.output})
+    # the tool version, then the config echo, then the ion file
+    echo = [line for line in header[1:] if not line.startswith("ion: ")]
+    # the echo is the config as run: with the --out path
+    assert parse_config("\n".join(echo)) == dataclasses.replace(parse_config(body), output=out)
+
+
+@pytest.mark.parametrize(
+    "out, message",
+    [(out, f"path must have no '#', line break or outer whitespace, got {out!r}")
+     for out in ("res#2.csv", " res.csv", "res.csv\t", "res\n2.csv")]
+    + [("", "path must be non-empty")],
+    ids=["hash", "leading-space", "trailing-tab", "line-break", "empty"],
+)
+def test_cli_rejects_an_out_path_that_its_header_would_not_replay(
+    tmp_path, ion_file, capsys, monkeypatch, out, message
+):
+    # the header echoes `output = <path>`, which must parse back to the path
+    monkeypatch.chdir(tmp_path)
+    argv = ["--config", _config(tmp_path, f"command = levels\nion_file = {ion_file}\n")]
+    assert main([*argv, "--out", out]) == 2
+    assert capsys.readouterr().err == f"config error: --out: {message}\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["nd.ion", "run.cfg"]
+
+
+# Lines that older headers echo in place of one line of today's echo. Their
+# keys other than eit.two_photon_offset are gone: each is an unknown key.
+OLD_ECHO = {
+    "eit.two_photon_offset = 0.0": ["eit.two_photon_offset = 0.0", "eit.averaging = exact",
+                                    "eit.quadrature_points = 64"],
+    "diagram.grid = 0.0 100.0 201": ["diagram.start = 0.0", "diagram.stop = 100.0",
+                                     "diagram.count = 201"],
+    "sweep.grid = 54.0 74.0 41": ["sweep.start = 54.0", "sweep.stop = 74.0", "sweep.count = 41"],
+}
+REMOVED_KEYS = {line.partition(" = ")[0] for lines in OLD_ECHO.values() for line in lines}
+REMOVED_KEYS.discard("eit.two_photon_offset")
 
 
 def test_replayed_header_with_a_removed_key_fails_at_parse_time(tmp_path, ion_file, capsys):
-    # older headers echo eit.averaging and eit.quadrature_points after
-    # eit.two_photon_offset; replaying one reports each as an unknown key
-    # on its line
+    # replaying an older eit header reports each removed key as an unknown
+    # key on its line
     echo = config_echo(parse_config(f"command = eit\nion_file = {ion_file}\n"))
-    at = echo.index("eit.two_photon_offset = 0.0") + 1
-    echo[at:at] = ["eit.averaging = exact", "eit.quadrature_points = 64"]
+    replayed = [old for line in echo for old in OLD_ECHO.get(line, [line])]
+    problems = [(no, f"unknown key {key!r}") for no, line in enumerate(replayed, start=1)
+                if (key := line.partition(" = ")[0]) in REMOVED_KEYS]
+    assert len(problems) == len(REMOVED_KEYS) == 8
     with pytest.raises(ConfigError) as err:
-        parse_config("\n".join(echo))
-    assert err.value.problems == [
-        (at + 1, "unknown key 'eit.averaging'"),
-        (at + 2, "unknown key 'eit.quadrature_points'"),
-    ]
-    code = main(["--config", _config(tmp_path, "\n".join(echo)), "--out", str(tmp_path / "x")])
+        parse_config("\n".join(replayed))
+    assert err.value.problems == problems
+    code = main(["--config", _config(tmp_path, "\n".join(replayed)), "--out", str(tmp_path / "x")])
     assert code == 2
-    assert f"config error: line {at + 1}: unknown key 'eit.averaging'" in capsys.readouterr().err
+    expected = [f"config error: line {no}: {message}" for no, message in problems]
+    assert capsys.readouterr().err.splitlines() == expected
 
 
 def test_cli_spectrum_also_writes_line_table(tmp_path, ion_file):
@@ -634,32 +681,40 @@ def test_cli_exit_code_computation_error(tmp_path, ion_file):
     "command, entry",
     [
         ("levels", "field = nan 0 0"),
-        ("diagram", "diagram.start = nan"),
+        ("diagram", "diagram.grid = nan 100 201"),
         ("zefoz", "zefoz.bounds.z = inf inf 3"),
         ("zefoz", "zefoz.tol = 1e400"),
         ("eit", "eit.grid = -1 1 2"),
         ("eit", "noise.delta_b = 1 -0.5 1"),
-        ("sweep", "sweep.stop = 50"),
-        # the stop key's line is reported, wherever the start key is
-        ("diagram", "diagram.stop = 1\ndiagram.start = 5"),
+        ("sweep", "sweep.grid = 54 50 41"),
+        ("diagram", "diagram.grid = 5 1 201"),
         # a scan of several points needs stop above start
         ("eit", "eit.grid = 5 5 3"),
         ("spectrum", "spectrum.grid = 5 5 3"),
         ("zefoz", "zefoz.bounds.z = 50 50 3"),
-        ("diagram", "diagram.stop = 5\ndiagram.start = 5"),
-        ("sweep", "sweep.stop = 60\nsweep.start = 60"),
+        ("diagram", "diagram.grid = 5 5 201"),
+        ("sweep", "sweep.grid = 60 60 41"),
         # a field-valued key beyond MAX_FIELD_MT, whose square would
         # overflow mid-run (exit 3) or whose products with the model's
         # constants would
         ("eit", "eit.delta_b = 0 0 1e200"),
-        ("sweep", "sweep.stop = 1e200"),
+        ("sweep", "sweep.grid = 54 1e200 41"),
         ("eit", "noise.delta_b = 1 1 2e6"),
         ("levels", "field = 0 -1.5e6 0"),
-        ("diagram", "diagram.start = -1e300"),
+        ("diagram", "diagram.grid = -1e300 100 201"),
         ("zefoz", "zefoz.start = 0 0 1e200"),
         ("zefoz", "zefoz.bounds.x = -1e7 1e7 3"),
-        # a removed key fails as an unknown key, still on its line
+        # a removed key fails as an unknown key, still on its line: the
+        # start/stop/count keys that diagram.grid and sweep.grid replace
+        # too, whatever their value
         ("eit", "eit.quadrature_points = 1"),
+        ("diagram", "diagram.start = nan"),
+        ("diagram", "diagram.start = -1e300"),
+        ("diagram", "diagram.stop = 1\ndiagram.start = 5"),
+        ("diagram", "diagram.stop = 5\ndiagram.start = 5"),
+        ("sweep", "sweep.stop = 50"),
+        ("sweep", "sweep.stop = 1e200"),
+        ("sweep", "sweep.stop = 60\nsweep.start = 60"),
     ],
 )
 def test_cli_rejects_bad_values_at_parse_time(tmp_path, ion_file, capsys, command, entry):
@@ -667,7 +722,7 @@ def test_cli_rejects_bad_values_at_parse_time(tmp_path, ion_file, capsys, comman
     code = main(["--config", _config(tmp_path, body), "--out", str(tmp_path / "x.csv")])
     assert code == 2
     key = entry.split(" = ")[0]
-    problem = f"unknown key '{key}'" if key == "eit.quadrature_points" else f"{key}: "
+    problem = f"unknown key '{key}'" if key in REMOVED_KEYS else f"{key}: "
     assert f"config error: line 3: {problem}" in capsys.readouterr().err
 
 
@@ -701,7 +756,7 @@ def test_cli_rejects_an_unsearchable_zefoz_box_at_parse_time(
 )
 def test_a_zefoz_box_is_checked_only_for_a_command_that_searches(ion_file, command, extra):
     text = f"command = {command}\nion_file = {ion_file}\n{extra}zefoz.bounds.z = 60 60 1\n"
-    assert parse_config(text).zefoz_bounds_z == (60.0, 60.0, 1)
+    assert parse_config(text).zefoz_bounds_z == AxisGrid(60.0, 60.0, 1)
 
 
 def test_cli_zefoz_pair_beyond_the_ion_is_a_config_error(tmp_path, ion_file, capsys):
@@ -813,13 +868,13 @@ A = -257.0
 B_hf = -456.0
 """
 GOLDEN_SHA256 = {
-    "levels.csv": "07afe71b7db949fdd6fdc80770c5d116eeb9ae9b5378fc283abbfa7393dc675e",
-    "diagram.csv": "e37c22dc3d17296e42c2912b8d0499685d90916c40f65c7c48a140fc93a0aca2",
-    "zefoz.jsonl": "8854e695f4cad1f22777acb88d13ddf9f61289161c1a46197c648398e19b3931",
-    "lambda.jsonl": "ed46e7582fac51e93091ef2e6c1cba5e958a1023a80f01f458339070dcae1e2b",
-    "spectrum.csv": "68062df5bbe3675963db597c9f69072739298bc52aa54d8e87fe6c2bb3c3f59e",
-    "eit.csv": "dae673659939aa4b6e4860ff6dfc0f9b4383c20220e14308278e1ae1a5582343",
-    "sweep.csv": "02c041981551e819e12bb943624f8060e3090d3a634ea4f5fff9df8d5cb81041",
+    "levels.csv": "d5d97c24d4caa763c189f6e745fce186e5c4acb82345de3f0b6cc81784495d80",
+    "diagram.csv": "12e401fe538a0e0f1699523669af95a662850f5732f3ff4d5a66560a0e2022e4",
+    "zefoz.jsonl": "f4a893411751d3e30cde59e28d939469cebb343a7b96592decb13f17a04b98e2",
+    "lambda.jsonl": "c7b903f078daa0af96bf6dad83f00a8058c7e5efe8ec6ede298c94c831328778",
+    "spectrum.csv": "981f4366c8e6078852d15a2da1911f9d4d7520d43d5e060f906c74c237f9335b",
+    "eit.csv": "33d08b99195c028740cd01b4d4f6dbfd7b0c06c7fdd895b4a41c59c287588a96",
+    "sweep.csv": "5946ed4e9b54fc7f29a2c2be3fff3f3714a5815e93ca1f5cdb8b07c388bd8e3e",
 }
 
 

@@ -9,12 +9,16 @@ import scipy.linalg
 from zefoz import (
     AxisGrid,
     CombModel,
+    FieldGrid,
     InvalidParameterError,
+    SpectrumParams,
     SpinParams,
     TransitionSelector,
     boltzmann_weights,
+    find_lambda_systems,
     ion_levels,
     state_composition,
+    zefoz_search,
 )
 
 from conftest import ND_GROUND, analytic_zefoz_bz, lab_hamiltonian
@@ -59,6 +63,9 @@ def test_invalid_spins_rejected():
         SpinParams(
             electron_spin=0.5, nuclear_spin=3.5, g_par=1.0, g_perp=1.0, A=1.0, B_hf=1.0, mu_B=0.0
         )
+    with pytest.raises(InvalidParameterError, match="mu_B must be finite"):
+        SpinParams(electron_spin=0.5, nuclear_spin=3.5, g_par=1.0, g_perp=1.0, A=1.0, B_hf=1.0,
+                   mu_B=np.inf)
 
 
 def test_diagonalize_sorts_and_permutes():
@@ -223,6 +230,38 @@ def test_bad_counts_labels_and_temperatures_are_invalid_parameters(nd_ground, ma
     assert TransitionSelector("ground", True, np.int32(2)).level_i == 1
     assert np.array_equal(levels.vector(np.int64(2)), levels.eigenvectors[:, 1])
     assert CombModel(spacing=1.0, n_lines=np.int64(3)).shifts().tolist() == [-1.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize("message, make", [
+    ("temperature must be a real number, got '2'",
+     lambda levels: SpectrumParams(temperature="2")),
+    ("inhom_fwhm must be a real number, got '35'",
+     lambda levels: SpectrumParams(inhom_fwhm="35")),
+    ("g_par must be a real number, got '2'",
+     lambda levels: SpinParams(**{**ND_GROUND, "g_par": "2"})),
+    ("mu_B must be a real number, got '14'",
+     lambda levels: SpinParams(**{**ND_GROUND, "mu_B": "14"})),
+    ("grid start must be a real number, got '0'", lambda levels: AxisGrid("0", 1, 3)),
+    ("temperature must be a real number, got '2'",
+     lambda levels: boltzmann_weights(levels.energies, "2")),
+    ("max_asymmetry must be a real number, got '0.1'",
+     lambda levels: find_lambda_systems([], max_asymmetry="0.1")),
+    ("min_strength must be a real number, got '0.1'",
+     lambda levels: find_lambda_systems([], min_strength="0.1")),
+    ("tol must be a real number, got '1e-06'", lambda levels: zefoz_search(
+        SpinParams(**ND_GROUND), TransitionSelector("ground", 8, 10), (0.0, 0.0, 50.0),
+        FieldGrid(AxisGrid(0.0, 0.0, 1), AxisGrid(0.0, 0.0, 1), AxisGrid(30.0, 100.0, 36)),
+        tol="1e-06")),
+    ("threshold must be a real number, got '0.1'",
+     lambda levels: state_composition(levels, 1, threshold="0.1")),
+], ids=["spectrum-temperature", "inhom-fwhm", "g-par", "mu-b", "grid-start",
+        "boltzmann-temperature", "max-asymmetry", "min-strength", "tol", "threshold"])
+def test_a_string_for_a_real_number_is_an_invalid_parameter(nd_ground, message, make):
+    # each raised TypeError from a comparison or from np.isfinite
+    levels = ion_levels(nd_ground, (0.0, 0.0, 50.0))
+    with pytest.raises(InvalidParameterError) as err:
+        make(levels)
+    assert str(err.value) == message
 
 
 def test_axis_grid_of_several_points_needs_stop_above_start():

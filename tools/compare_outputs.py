@@ -11,9 +11,12 @@ cases on the same ion file: 29 outputs per seed with the one line table,
 145 in all. Each side runs ``python -m zefoz.cli`` on every config from
 its own ``src`` in a directory of its own. Each config's ``output`` is
 compared and, where the config sets one, its ``spectrum.table_output``.
-Every output that differs is printed with its first differing line, and
-so is a command whose exit code differs or that writes no output on
-either side. Exits 0 when all outputs are identical, 1 otherwise.
+Every output that differs is printed with the parts that differ, its
+header (the ``# `` lines) and its data rows, and the first differing
+line of each; so is a command whose exit code differs or that writes no
+output on a side. The summary counts the outputs that differ and, of
+those, the ones that differ beyond the header. Exits 0 when all outputs
+are identical, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -117,26 +120,45 @@ def run_case(root: str, case_dir: str, files: dict, runs: dict) -> dict:
     return results
 
 
-def first_difference(parent: tuple, change: tuple) -> str | None:
-    if parent[0] != change[0]:
-        return f"exit {parent[0]} at the parent, {change[0]} here"
-    if parent[1] is None:
-        return f"no output on either side (exit {parent[0]})"
-    if parent[1] == change[1]:
-        return None
-    old = parent[1].splitlines()
-    new = (change[1] or b"").splitlines()
-    for number, (a, b) in enumerate(zip(old, new), start=1):
+def _parts(data: bytes) -> dict[str, list[tuple[int, bytes]]]:
+    """(line number, line) of an output's header (its ``# `` lines) and of
+    its data rows."""
+    parts = {"header": [], "rows": []}
+    for number, line in enumerate(data.splitlines(), start=1):
+        parts["header" if line.startswith(b"# ") else "rows"].append((number, line))
+    return parts
+
+
+def _first_difference(old: list, new: list) -> str | None:
+    for (n_old, a), (n_new, b) in zip(old, new):
         if a != b:
-            return f"line {number}\n  parent: {a.decode()}\n  change: {b.decode()}"
-    return f"{len(old)} lines at the parent, {len(new)} here"
+            return (f"\n  parent line {n_old}: {a.decode()}"
+                    f"\n  change line {n_new}: {b.decode()}")
+    if len(old) != len(new):
+        return f" {len(old)} lines at the parent, {len(new)} here"
+    return None
+
+
+def differences(parent: tuple, change: tuple) -> dict[str, str]:
+    """{part: its first difference} of one output's (exit, bytes) on each
+    side: "exit" where the exit codes differ, "output" where a side writes
+    none, else "header" and "rows" where each differs."""
+    if parent[0] != change[0]:
+        return {"exit": f" {parent[0]} at the parent, {change[0]} here"}
+    if parent[1] is None or change[1] is None:
+        where = {(True, False): "at the parent", (False, True): "here"}.get(
+            (parent[1] is None, change[1] is None), "on either side")
+        return {"output": f" none {where} (exit {parent[0]})"}
+    old, new = _parts(parent[1]), _parts(change[1])
+    found = {part: _first_difference(old[part], new[part]) for part in old}
+    return {part: text for part, text in found.items() if text is not None}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent")
     args = parser.parse_args(argv)
-    differ = compared = 0
+    differ = rows_differ = compared = 0
     with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
         roots = {"parent": os.path.join(tmp, "parent"), "change": os.path.join(tmp, "change")}
         snapshot_parent(args.parent, roots["parent"])
@@ -148,11 +170,15 @@ def main(argv=None) -> int:
                               for side in ("parent", "change"))
             for output in parent:
                 compared += 1
-                difference = first_difference(parent[output], change[output])
-                if difference is not None:
+                found = differences(parent[output], change[output])
+                if found:
                     differ += 1
-                    print(f"seed {seed} {output}: {difference}")
-    print(f"{compared} outputs compared, {differ} differ")
+                    rows_differ += found.keys() != {"header"}
+                    print(f"seed {seed} {output}: {' and '.join(found)} differ")
+                    for part, text in found.items():
+                        print(f" {part}:{text}")
+    print(f"{compared} outputs compared, {differ} differ, {rows_differ} of them in more than "
+          "the header")
     return 1 if differ else 0
 
 
